@@ -20,7 +20,9 @@
 // itself measured them) and a "metrics_overhead" block from a paired
 // metrics-on vs metrics-off store timing the NeaTS scalar access path; the
 // run aborts if the median overhead ratio exceeds 1.03, so the Release
-// bench smoke doubles as the instrumentation-cost gate.
+// bench smoke doubles as the instrumentation-cost gate. Schema 10 drops
+// the legacy-path access and cache-line columns: format v4 keeps no
+// pre-directory metadata path to time.
 //
 //   $ ./build/bench_bench_report [output.json]
 //
@@ -107,9 +109,6 @@ struct Row {
   double scan_mbps = 0;                // full decompression
   double cursor_scan_mbps = 0;         // cursor chunked scan (0 if absent)
   double access_ns = 0;                // random single-value access
-  double access_ns_legacy = 0;         // same, via the pre-directory
-                                       // S/B/O/K/D path (0 if absent) —
-                                       // the paired in-binary baseline
   double access_ns_mmap = 0;           // same, against a zero-copy mmap view
   double range_sum_mbps = 0;           // 1000-value exact range sums
   double select1_ns = 0;               // RankSelect::Select1 microbenchmark
@@ -117,7 +116,6 @@ struct Row {
   double dir_lines_touched = 0;        // avg distinct cache lines per access
                                        // (directory path; 0 when the
                                        // bench_dir_lines sibling is absent)
-  double legacy_lines_touched = 0;     // same, legacy metadata path
   double batch_access_ns_b8 = 0;       // AccessBatch ns/probe, sorted
   double batch_access_ns_b64 = 0;      // batches of 8 / 64 / 512 probes
   double batch_access_ns_b512 = 0;     // (0 if the build lacks the kernel)
@@ -466,20 +464,12 @@ Row MeasureDataset(const DatasetSpec& spec) {
   // --- Cursor scan: sequential decode without materializing the output. ---
   MeasureCursorScan<Neats>(compressed, &row);
 
-  // --- Random access: owned representation, then the zero-copy mmap view.
-  // The legacy column re-times the same probes through the pre-directory
-  // metadata path from the same binary — a drift-free paired comparison
-  // (guarded so the source still compiles against pre-v3 builds). ---
+  // --- Random access: owned representation, then the zero-copy mmap view. ---
   std::mt19937_64 rng(42);
   std::vector<uint64_t> idx(1 << 12);
   for (auto& i : idx) i = rng() % row.n;
   row.access_ns = AccessNs(
       idx, [&](uint64_t i) { return static_cast<uint64_t>(compressed.Access(i)); });
-  if constexpr (requires { compressed.AccessViaLegacyStructures(uint64_t{0}); }) {
-    row.access_ns_legacy = AccessNs(idx, [&](uint64_t i) {
-      return static_cast<uint64_t>(compressed.AccessViaLegacyStructures(i));
-    });
-  }
   MeasureMmapAccess<Neats>(compressed, idx, &row);
 
   // --- Batched access (sorted blocks of 8/64/512 probes) and streaming
@@ -505,10 +495,10 @@ Row MeasureDataset(const DatasetSpec& spec) {
   return row;
 }
 
-/// Fills the cache-line columns by shelling out to the instrumented sibling
+/// Fills the cache-line column by shelling out to the instrumented sibling
 /// binary (bench_dir_lines --tsv) — the one build that carries the
 /// NEATS_TOUCH probes, keeping this binary's timing loops instrumentation-
-/// free. The columns stay 0 when the sibling is missing (e.g. when this
+/// free. The column stays 0 when the sibling is missing (e.g. when this
 /// source is compiled against a pre-directory build for a paired run).
 void FillCacheLineColumns(const char* argv0, std::vector<Row>* rows) {
   std::filesystem::path dir = std::filesystem::path(argv0).parent_path();
@@ -517,13 +507,10 @@ void FillCacheLineColumns(const char* argv0, std::vector<Row>* rows) {
   std::FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return;
   char code[16];
-  double dir_lines, legacy_lines;
-  while (std::fscanf(pipe, "%15s %lf %lf", code, &dir_lines, &legacy_lines) == 3) {
+  double dir_lines;
+  while (std::fscanf(pipe, "%15s %lf", code, &dir_lines) == 2) {
     for (Row& r : *rows) {
-      if (r.code == code) {
-        r.dir_lines_touched = dir_lines;
-        r.legacy_lines_touched = legacy_lines;
-      }
+      if (r.code == code) r.dir_lines_touched = dir_lines;
     }
   }
   pclose(pipe);
@@ -764,7 +751,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& scenarios,
     std::fprintf(stderr, "cannot open %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"bench\": \"neats\",\n  \"schema\": 9,\n");
+  std::fprintf(f, "{\n  \"bench\": \"neats\",\n  \"schema\": 10,\n");
   std::fprintf(f, "  \"server\": %s,\n", LoadServerBlock().c_str());
   if (scenarios.empty()) {
     std::fprintf(f, "  \"scenarios\": [],\n");
@@ -805,13 +792,11 @@ void WriteJson(const std::vector<Row>& rows, const std::string& scenarios,
                  "\"scan_mbps\": %.1f, "
                  "\"cursor_scan_mbps\": %.1f, "
                  "\"access_ns\": %.1f, "
-                 "\"access_ns_legacy\": %.1f, "
                  "\"random_access_ns_mmap\": %.1f, "
                  "\"range_sum_mbps\": %.1f, "
                  "\"select1_ns\": %.1f, "
                  "\"ef_rank_ns\": %.1f, "
                  "\"dir_lines_touched\": %.2f, "
-                 "\"legacy_lines_touched\": %.2f, "
                  "\"batch_access_ns_b8\": %.1f, "
                  "\"batch_access_ns_b64\": %.1f, "
                  "\"batch_access_ns_b512\": %.1f, "
@@ -820,9 +805,8 @@ void WriteJson(const std::vector<Row>& rows, const std::string& scenarios,
                  r.code.c_str(), r.n, r.bits_per_value, r.compress_mbps_1t,
                  r.compress_mbps_1t_chunked, r.compress_mbps_4t_chunked,
                  r.scan_mbps, r.cursor_scan_mbps, r.access_ns,
-                 r.access_ns_legacy, r.access_ns_mmap, r.range_sum_mbps,
-                 r.select1_ns, r.ef_rank_ns, r.dir_lines_touched,
-                 r.legacy_lines_touched, r.batch_access_ns_b8,
+                 r.access_ns_mmap, r.range_sum_mbps, r.select1_ns,
+                 r.ef_rank_ns, r.dir_lines_touched, r.batch_access_ns_b8,
                  r.batch_access_ns_b64, r.batch_access_ns_b512,
                  r.store_append_mbps);
     for (size_t c = 0; c < r.codecs.size(); ++c) {
@@ -865,13 +849,13 @@ int main(int argc, char** argv) {
     std::printf(
         "  n=%zu  %.2f bits/value  compress %.2f MB/s (1t)"
         "  chunked %.2f/%.2f MB/s (1t/4t)  scan %.0f MB/s"
-        "  cursor-scan %.0f MB/s  access %.0f ns (legacy %.0f ns, mmap %.0f ns)"
+        "  cursor-scan %.0f MB/s  access %.0f ns (mmap %.0f ns)"
         "  batch-access %.0f/%.0f/%.0f ns (b8/b64/b512)"
         "  range-sum %.0f MB/s  store-append %.2f MB/s"
         "  select1 %.1f ns  ef-rank %.1f ns\n",
         r.n, r.bits_per_value, r.compress_mbps_1t, r.compress_mbps_1t_chunked,
         r.compress_mbps_4t_chunked, r.scan_mbps, r.cursor_scan_mbps,
-        r.access_ns, r.access_ns_legacy, r.access_ns_mmap,
+        r.access_ns, r.access_ns_mmap,
         r.batch_access_ns_b8, r.batch_access_ns_b64, r.batch_access_ns_b512,
         r.range_sum_mbps, r.store_append_mbps, r.select1_ns, r.ef_rank_ns);
     for (const Row::CodecRow& c : r.codecs) {
@@ -885,8 +869,8 @@ int main(int argc, char** argv) {
   FillCacheLineColumns(argv[0], &rows);
   for (const Row& r : rows) {
     if (r.dir_lines_touched > 0) {
-      std::printf("%s: %.2f cache lines/access (legacy %.2f)\n", r.code.c_str(),
-                  r.dir_lines_touched, r.legacy_lines_touched);
+      std::printf("%s: %.2f cache lines/access\n", r.code.c_str(),
+                  r.dir_lines_touched);
     }
   }
   const std::string scenarios = MeasureScenarios();

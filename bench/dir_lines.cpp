@@ -4,23 +4,21 @@
 // this translation unit is compiled with -DNEATS_PROFILE_TOUCH, see
 // CMakeLists.txt — do not link it together with uninstrumented TUs).
 //
-// Reported per dataset, for both metadata-resolution paths:
-//   dir     Neats::Access — Elias-Fano predecessor + one interleaved
-//           fragment-directory record (format v3)
-//   legacy  Neats::AccessViaLegacyStructures — the same predecessor plus
-//           separate probes into the B/O/K/D structures
+// Reported per dataset for Neats::Access: the Elias-Fano predecessor on S
+// plus one fragment-directory record, the parameters and the correction
+// word.
 //
 // The count covers reads of frozen payload (bitvector words, rank/select
-// directories, packed cells, directory records, parameters, correction
-// words). Object-header fields (sizes, widths, pointers) live in the hot
-// Neats object itself and are excluded — they are shared by both paths and
-// resident after the first query anyway.
+// directories, directory records, parameters, correction words).
+// Object-header fields (sizes, widths, pointers) live in the hot Neats
+// object itself and are excluded — they are resident after the first query
+// anyway.
 //
 //   $ ./build/bench_dir_lines [--tsv]
 //
-// --tsv emits one machine-readable "CODE dir legacy" line per dataset;
-// bench_bench_report shells out to this mode to fill the dir_lines_touched /
-// legacy_lines_touched columns of BENCH_neats.json. Environment:
+// --tsv emits one machine-readable "CODE dir" line per dataset;
+// bench_bench_report shells out to this mode to fill the dir_lines_touched
+// column of BENCH_neats.json. Environment:
 // NEATS_BENCH_N caps dataset sizes exactly as in bench_report.
 
 #ifndef NEATS_PROFILE_TOUCH
@@ -58,29 +56,20 @@ size_t DistinctLines(Op&& op) {
       buf.begin());
 }
 
-struct Lines {
-  double dir = 0;
-  double legacy = 0;
-};
-
-Lines MeasureDataset(const DatasetSpec& spec) {
+double MeasureDataset(const DatasetSpec& spec) {
   Dataset ds = LoadDataset(spec);
   Neats compressed = Neats::Compress(ds.values);
   std::mt19937_64 rng(42);  // same probe distribution as bench_report
   std::vector<uint64_t> idx(1 << 12);
   for (auto& i : idx) i = rng() % ds.values.size();
-  Lines lines;
+  double lines = 0;
   uint64_t sink = 0;
   for (uint64_t i : idx) {
-    lines.dir += static_cast<double>(
+    lines += static_cast<double>(
         DistinctLines([&] { sink += static_cast<uint64_t>(compressed.Access(i)); }));
-    lines.legacy += static_cast<double>(DistinctLines(
-        [&] { sink += static_cast<uint64_t>(compressed.AccessViaLegacyStructures(i)); }));
   }
   if (sink == 0xDEADBEEFCAFEBABEULL) std::fprintf(stderr, "!");
-  lines.dir /= static_cast<double>(idx.size());
-  lines.legacy /= static_cast<double>(idx.size());
-  return lines;
+  return lines / static_cast<double>(idx.size());
 }
 
 }  // namespace
@@ -92,17 +81,13 @@ int main(int argc, char** argv) {
   const bool tsv = argc > 1 && std::strcmp(argv[1], "--tsv") == 0;
   if (!tsv) {
     std::printf("avg distinct cache lines per random access\n");
-    std::printf("%-5s %8s %8s\n", "set", "dir", "legacy");
+    std::printf("%-5s %8s\n", "set", "dir");
   }
   for (const DatasetSpec& spec : kDatasetSpecs) {
     std::string code = spec.code;
     if (code != "CT" && code != "DP" && code != "UK" && code != "ECG") continue;
-    Lines lines = MeasureDataset(spec);
-    if (tsv) {
-      std::printf("%s %.2f %.2f\n", spec.code, lines.dir, lines.legacy);
-    } else {
-      std::printf("%-5s %8.2f %8.2f\n", spec.code, lines.dir, lines.legacy);
-    }
+    double lines = MeasureDataset(spec);
+    std::printf(tsv ? "%s %.2f\n" : "%-5s %8.2f\n", spec.code, lines);
     std::fflush(stdout);
   }
   return 0;

@@ -22,12 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/latency_histogram.hpp"
 #include "scenario/scenarios.hpp"
 
 namespace {
 
+using neats::obs::LatencyHistogram;
 using neats::scenario::BuiltinScenarios;
-using neats::scenario::LatencyHistogram;
 using neats::scenario::RunScenario;
 using neats::scenario::Scenario;
 using neats::scenario::ScenarioOptions;

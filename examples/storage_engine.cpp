@@ -57,12 +57,14 @@ int main() {
   neats::Dataset ds = neats::MakeDataset("AP", kShardLen * (kShards - 1));
   // Give the last shard a regime NeaTS is the wrong tool for — short runs
   // of repeated random levels, where an XOR codec pays one bit per repeat —
-  // so the auto seal policy below has a real choice to make.
+  // so the auto seal policy below has a real choice to make. At 24 values
+  // per level Gorilla's blob is ~25% smaller than NeaTS's; by 40 the two
+  // are within 1%.
   {
     std::uint64_t state = 0x9E3779B97F4A7C15ull;
     std::int64_t level = 0;
     for (size_t i = 0; i < kShardLen; ++i) {
-      if (i % 40 == 0) {
+      if (i % 24 == 0) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         level = static_cast<std::int64_t>(state >> 16);
       }

@@ -14,7 +14,7 @@ namespace neats {
 
 /// Identifies a concrete SeriesCodec implementation on the wire.
 enum class CodecId : uint32_t {
-  kNeats = 0,           // NeaTS lossless (format v3 blob, zero-copy open)
+  kNeats = 0,           // NeaTS lossless (format v4 blob, zero-copy open)
   kNeatsLossyExact = 1,  // NeaTS-L approximation + packed residuals (exact)
   kLeco = 2,            // LeCo-style linear fits + packed residuals
   kAlp = 3,             // ALP pseudo-decimal vectors (+ int64 exception list)

@@ -1,35 +1,32 @@
 // The NeaTS lossless compressor (paper, Sec. III-C).
 //
-// Compressed layout — the tuple ⟨S, B, O, C, K, P⟩ of the paper, plus a small
-// displacement array D introduced by this implementation:
+// Compressed layout (format v4) — the tuple ⟨S, B, O, C, K, P⟩ of the paper,
+// plus a per-fragment displacement D introduced by this implementation:
 //
 //   S  fragment start positions; Elias-Fano (O(1) access, O(log) rank) or,
 //      optionally, a plain bitvector with rank9 for O(1)-time random access
 //      (both variants are described in the paper).
-//   B  per-fragment correction bit widths, in a packed array.
-//   O  cumulative correction bit offsets, Elias-Fano.
 //   C  the corrections themselves, bit-packed back to back.
-//   K  per-fragment function kinds, a wavelet tree over the (dense) kind ids.
-//   P  per-kind concatenation of the function parameters; the parameters of
-//      fragment i live at index K.rank_{K[i]}(i) of its kind's array.
-//   D  per-fragment displacement start - origin (non-zero only for fragments
-//      born as suffix edges, whose parameters keep the original fit origin;
-//      width is 0 bits whenever no suffix fragment survives in the partition).
+//   P  per-kind concatenation of the function parameters.
+//   the fragment directory (src/succinct/fragment_directory.hpp): one
+//      bit-packed record per fragment holding its correction width B[i],
+//      correction offset O[i] into C, dense kind id K[i], displacement
+//      D[i] = start - origin (non-zero only for fragments born as suffix
+//      edges, whose parameters keep the original fit origin), and the
+//      offset of its parameters in its kind's P array.
 //
-// On top of the tuple sits an interleaved per-fragment directory (format v3,
-// src/succinct/fragment_directory.hpp): the B/O/K/D cells plus the parameter
-// offset of each fragment, bit-packed into one contiguous record. Queries
-// resolve the fragment with one Elias-Fano predecessor scan on S and then
-// read a single directory record instead of probing B, O, K and D
-// separately; the individual structures remain the serialized source of
-// truth (and the ground truth the loaders verify the directory against).
+// The directory is the only copy of B/O/K/D. Queries resolve the fragment
+// with one Elias-Fano predecessor scan on S and then read a single directory
+// record instead of probing four separate structures. Because queries read
+// the records unchecked, the loader validates every record against S, C and
+// P in one O(m) walk (ValidateDirectory).
 //
 // Full decompression is Algorithm 2; random access is Algorithm 3; range
 // decompression combines one random access with a forward scan.
 
 #pragma once
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,9 +41,7 @@
 #include "succinct/bit_vector.hpp"
 #include "succinct/elias_fano.hpp"
 #include "succinct/fragment_directory.hpp"
-#include "succinct/packed_array.hpp"
 #include "succinct/storage.hpp"
-#include "succinct/wavelet_tree.hpp"
 
 namespace neats {
 
@@ -116,9 +111,8 @@ class Neats {
   /// starts index the fragment index and its start position come out of one
   /// fused predecessor scan; everything else the decode needs — kind,
   /// parameter offset, displacement, correction width and correction offset —
-  /// is a single interleaved directory record (format v3), so the metadata
-  /// resolution costs one extra cache line instead of separate probes into
-  /// the B, O, K and D structures.
+  /// is a single directory record, so the metadata resolution costs one
+  /// extra cache line.
   int64_t Access(uint64_t k) const {
     NEATS_DCHECK(k < n_);
     if (starts_mode_ == StartsIndex::kEliasFano) {
@@ -127,42 +121,6 @@ class Neats {
     }
     size_t i = FragmentIndexOf(k);
     return DecodeAt(i, FragmentStart(i), k);
-  }
-
-  /// Algorithm 3 resolved through the individual S/B/O/K/D structures — the
-  /// metadata path every query used before the interleaved directory
-  /// existed. Kept as the ground truth the directory is fuzzed against and
-  /// as the paired `access_ns_legacy` baseline column of bench_report;
-  /// production callers should use Access.
-  int64_t AccessViaLegacyStructures(uint64_t k) const {
-    NEATS_DCHECK(k < n_);
-    size_t i;
-    uint64_t start;
-    if (starts_mode_ == StartsIndex::kEliasFano) {
-      auto [pi, pstart] = starts_ef_.Predecessor(k);
-      i = pi;
-      start = pstart;
-    } else {
-      i = FragmentIndexOf(k);
-      start = FragmentStart(i);
-    }
-    auto [dense, occ] = kinds_wt_.AccessAndRank(i);
-    NEATS_TOUCH(kind_table_.data() + dense);
-    FunctionKind kind = kind_table_[dense];
-    const double* params =
-        params_[dense].data() + occ * static_cast<size_t>(NumParams(kind));
-    NEATS_TOUCH(params);
-    int bits = static_cast<int>(widths_[i]);
-    uint64_t origin = start - displacement_[i];
-    int64_t pred =
-        PredictFloor(kind, params, static_cast<int64_t>(k - origin) + 1);
-    if (bits == 0) return pred - shift_;
-    int64_t bias = int64_t{1} << (bits - 1);
-    uint64_t o = offsets_.Access(i) + (k - start) * static_cast<uint64_t>(bits);
-    NEATS_TOUCH(corrections_.data() + (o >> 6));
-    int64_t c =
-        static_cast<int64_t>(ReadBits(corrections_.data(), o, bits)) - bias;
-    return pred + c - shift_;
   }
 
   /// Batched Algorithm 3: decodes the values at positions `idx` — which must
@@ -226,18 +184,15 @@ class Neats {
   /// Decompresses values[k, k + len) into out (one cursor seek + scan).
   void DecompressRange(uint64_t k, uint64_t len, int64_t* out) const;
 
-  /// Total size of the compressed representation in bits — exactly the v3
+  /// Total size of the compressed representation in bits — exactly the
   /// serialized size (8 * Serialize output bytes), kept in lockstep with the
   /// writer so benches and the CLI report what lands on disk.
   size_t SizeInBits() const {
     size_t bits = HeaderSizeInBits() + 64 + corrections_.size() * 64 + 64;
     for (const auto& p : params_) bits += 64 + p.size() * 64;
     if (m_ > 0) {
-      size_t s_bits = starts_mode_ == StartsIndex::kEliasFano
-                          ? starts_ef_.SizeInBits()
-                          : starts_bv_.SizeInBits();
-      bits += s_bits + widths_.SizeInBits() + displacement_.SizeInBits() +
-              offsets_.SizeInBits() + kinds_wt_.SizeInBits();
+      bits += starts_mode_ == StartsIndex::kEliasFano ? starts_ef_.SizeInBits()
+                                                      : starts_bv_.SizeInBits();
     }
     return bits + directory_.SizeInBitsAt(bits);
   }
@@ -289,13 +244,11 @@ class Neats {
   /// fixed-size chunks — no O(len) allocation.
   int64_t RangeSum(uint64_t from, uint64_t len) const;
 
-  /// Serializes the compressed representation to bytes in format v3: the
-  /// flat, 8-byte-aligned little-endian v2 layout (docs/FORMAT.md) plus the
-  /// interleaved fragment directory as an additive trailing section (same
-  /// "NEATSv2" magic family, version word 3). Every succinct structure is
+  /// Serializes the compressed representation to bytes in format v4
+  /// (docs/FORMAT.md): a flat, 8-byte-aligned little-endian word stream of
+  /// header, S, C, P and the fragment directory. Every succinct structure is
   /// stored together with its rank/select directories, so View can open the
-  /// blob zero-copy — no deserialization copy; the stored directories are
-  /// verified against the payload on load.
+  /// blob zero-copy — no deserialization copy.
   void Serialize(std::vector<uint8_t>* out) const {
     out->clear();
     WordWriter w(out);
@@ -313,10 +266,6 @@ class Neats {
       } else {
         starts_bv_.Serialize(w);
       }
-      widths_.Serialize(w);
-      displacement_.Serialize(w);
-      offsets_.Serialize(w);
-      kinds_wt_.Serialize(w);
     }
     w.PutArray(corrections_);
     w.Put(params_.size());
@@ -325,52 +274,33 @@ class Neats {
   }
 
   /// Rebuilds a Neats object from Serialize output, copying the payload into
-  /// owned storage. Understands format v3, format v2 (no directory section —
-  /// the directory is rebuilt on load) and the legacy v1 layout (which
-  /// stored the logical fragment table and rebuilt every index).
+  /// owned storage. Only format v4 is read: a blob of any other version
+  /// throws "unsupported NeaTS format version".
   static Neats Deserialize(std::span<const uint8_t> bytes) {
-    NEATS_REQUIRE(bytes.size() >= 8, "not a NeaTS blob");
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    if (magic == kMagicV1) return DeserializeV1(bytes);
-    NEATS_REQUIRE(magic == kMagicV2, "not a NeaTS blob");
     return LoadFlat(bytes, /*borrow=*/false);
   }
 
-  /// Opens a flat (v2/v3) blob zero-copy: every payload array is a span into
-  /// `bytes`, which must be 8-byte aligned (mmap and heap buffers both are)
-  /// and must outlive the returned object and everything decoded from it.
-  /// A v3 blob maps the fragment directory in place too; a v2 blob has none
-  /// stored, so only its directory is rebuilt into owned memory.
+  /// Opens a blob zero-copy: every payload array, the directory included, is
+  /// a span into `bytes`, which must be 8-byte aligned (mmap and heap
+  /// buffers both are) and must outlive the returned object and everything
+  /// decoded from it. Accepts exactly what Deserialize accepts.
   static Neats View(std::span<const uint8_t> bytes) {
-    NEATS_REQUIRE(bytes.size() >= 8, "not a NeaTS blob");
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    NEATS_REQUIRE(magic == kMagicV2,
-                  "zero-copy open requires a format-v2/v3 NeaTS blob");
     return LoadFlat(bytes, /*borrow=*/true);
   }
 
   /// True when this object borrows its payload from an external buffer
-  /// (i.e. it was produced by View rather than Compress/Deserialize).
-  bool borrowed() const { return corrections_.borrowed(); }
+  /// (i.e. it was produced by View rather than Compress/Deserialize): the
+  /// corrections, every parameter array and the directory all point into
+  /// it, so nothing was copied or rebuilt on open.
+  bool borrowed() const {
+    return corrections_.borrowed() && directory_.borrowed() &&
+           std::all_of(params_.begin(), params_.end(),
+                       [](const Storage<double>& p) { return p.borrowed(); });
+  }
 
   /// SeriesCodec trait: View genuinely borrows the caller's buffer, so a
   /// store shard mapped from disk serves with no deserialization copy.
   static constexpr bool kZeroCopyView = true;
-
-  /// Dispatch probe: true when `bytes` carries the flat-format magic
-  /// (shared by v2 and v3) at an 8-byte-aligned address, i.e. the blob
-  /// should be routed to View rather than the legacy-v1 Deserialize path.
-  /// This is a format sniff, not a validity proof — View still rejects
-  /// corrupt content by aborting (NEATS_REQUIRE), exactly like Deserialize.
-  static bool IsZeroCopyOpenable(std::span<const uint8_t> bytes) {
-    if (bytes.size() < 8) return false;
-    if ((reinterpret_cast<uintptr_t>(bytes.data()) & 7) != 0) return false;
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    return magic == kMagicV2;
-  }
 
   /// Introspection: a decoded view of fragment i (for examples & benches).
   struct FragmentInfo {
@@ -395,8 +325,6 @@ class Neats {
   }
 
  private:
-  friend class NeatsTestPeer;
-
   struct ShiftedValues {
     std::vector<int64_t> storage;
     std::span<const int64_t> shifted;
@@ -443,26 +371,26 @@ class Neats {
             ? PartitionLosslessChunked(sv.shifted, options.chunk_size,
                                        options.num_threads, popts)
             : PartitionLossless(sv.shifted, popts);
-    out.BuildLayout(sv.shifted, fragments, options);
+    out.BuildLayout(sv.shifted, fragments);
     return out;
   }
 
-  /// Shared body of Deserialize (copy mode) and View (borrow mode) for the
-  /// flat formats v2 and v3. In borrow mode every GetArray returns a span
-  /// into `bytes`.
+  /// Shared body of Deserialize (copy mode) and View (borrow mode). In
+  /// borrow mode every GetArray returns a span into `bytes`.
   static Neats LoadFlat(std::span<const uint8_t> bytes, bool borrow) {
     WordReader r(bytes, borrow);
-    NEATS_REQUIRE(r.Get() == kMagicV2, "not a NeaTS blob");
-    const uint64_t version = r.Get();
-    NEATS_REQUIRE(version == 2 || version == kFormatVersion,
-                  "unsupported NeaTS format version");
+    const uint64_t magic = r.Get();
+    NEATS_REQUIRE(magic != kMagicV1, "unsupported NeaTS format version");
+    NEATS_REQUIRE(magic == kMagicV2, "not a NeaTS blob");
+    NEATS_REQUIRE(r.Get() == kFormatVersion, "unsupported NeaTS format version");
     Neats out;
     out.n_ = r.Get();
     out.m_ = r.Get();
     // Bound n so every length*width product below stays far from uint64
     // wrap (2^56 values * 64 bits = 2^62) — a wrapped product could forge
-    // the fragment-walk consistency check.
-    NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56) && out.m_ <= out.n_,
+    // the directory walk's offset check. Fragments exist iff values do.
+    NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56) && out.m_ <= out.n_ &&
+                      (out.m_ > 0) == (out.n_ > 0),
                   "corrupt NeaTS blob");
     out.shift_ = static_cast<int64_t>(r.Get());
     out.starts_mode_ = r.Get() == 0 ? StartsIndex::kEliasFano
@@ -471,7 +399,10 @@ class Neats {
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS blob");
     for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(r.Get()));
+      uint64_t kind = r.Get();
+      NEATS_REQUIRE(kind < static_cast<uint64_t>(kNumFunctionKinds),
+                    "corrupt NeaTS blob");
+      out.kind_table_.push_back(static_cast<FunctionKind>(kind));
     }
     if (out.m_ > 0) {
       if (out.starts_mode_ == StartsIndex::kEliasFano) {
@@ -489,214 +420,88 @@ class Neats {
                           out.starts_bv_.Get(0),
                       "corrupt NeaTS blob");
       }
-      out.widths_ = PackedArray::Load(r);
-      out.displacement_ = PackedArray::Load(r);
-      out.offsets_ = EliasFano::Load(r);
-      out.kinds_wt_ = WaveletTree::Load(r);
-      NEATS_REQUIRE(out.widths_.size() == out.m_ &&
-                        out.displacement_.size() == out.m_ &&
-                        out.offsets_.size() == out.m_ + 1 &&
-                        out.kinds_wt_.size() == out.m_,
-                    "corrupt NeaTS blob");
     }
     out.corrections_ = r.GetArray<uint64_t>();
-    // Cross-check the sections against each other: the offsets EF must end
-    // exactly at the bit size of the corrections payload, and every
-    // fragment's correction span must equal its length times its width —
-    // otherwise a query could compute a bit offset outside the payload.
-    // O(m) constant-time probes, no allocation, so View stays zero-copy.
-    uint64_t total_bits = out.m_ > 0 ? out.offsets_.Access(out.m_) : 0;
-    NEATS_REQUIRE(out.corrections_.size() == CeilDiv(total_bits, 64),
-                  "corrupt NeaTS blob");
-    if (out.m_ > 0) {
-      NEATS_REQUIRE(kinds > 0, "corrupt NeaTS blob");
-      uint64_t prev_start = out.FragmentStart(0);  // == 0, checked above
-      uint64_t prev_off = out.offsets_.Access(0);
-      NEATS_REQUIRE(prev_off == 0, "corrupt NeaTS blob");
-      for (size_t i = 1; i <= out.m_; ++i) {
-        uint64_t start = i < out.m_ ? out.FragmentStart(i) : out.n_;
-        uint64_t off = out.offsets_.Access(i);
-        uint64_t width = out.widths_[i - 1];
-        NEATS_REQUIRE(start > prev_start && off >= prev_off && width <= 64 &&
-                          off - prev_off == (start - prev_start) * width,
-                      "corrupt NeaTS blob");
-        prev_start = start;
-        prev_off = off;
-      }
-    }
     size_t n_params = r.Get();
     NEATS_REQUIRE(n_params == kinds || (out.m_ == 0 && n_params == 0),
                   "corrupt NeaTS blob");
     out.params_.reserve(n_params);
     for (size_t i = 0; i < n_params; ++i) {
       out.params_.push_back(r.GetArray<double>());
-      // Each kind's array must hold exactly the parameters its fragments
-      // index into (occurrences * arity) — DecodeAt reads unchecked.
-      NEATS_REQUIRE(
-          out.params_[i].size() ==
-              out.kinds_wt_.Rank(static_cast<uint32_t>(i), out.m_) *
-                  static_cast<size_t>(NumParams(out.kind_table_[i])),
-          "corrupt NeaTS blob");
     }
-    // The interleaved directory is redundant with S/B/O/K/D, and queries
-    // trust its records without bounds checks — so a stored directory (v3)
-    // is verified record-for-record against one rebuilt from the sections
-    // just validated (O(m), transient, like RankSelect's directory check);
-    // a v2 blob simply gets the rebuilt directory.
-    if (version >= 3) {
-      out.directory_ = FragmentDirectory::Load(r);
-      NEATS_REQUIRE(out.directory_.Matches(out.ComputeDirectoryRecords()),
-                    "corrupt NeaTS blob");
-    } else {
-      out.directory_ = FragmentDirectory(out.ComputeDirectoryRecords());
-    }
+    out.directory_ = FragmentDirectory::Load(r);
+    out.ValidateDirectory();
     return out;
   }
 
-  /// Legacy v1 reader: the blob stores the logical fragment table and the
-  /// succinct indexes are rebuilt (and therefore owned) on load.
-  static Neats DeserializeV1(std::span<const uint8_t> bytes) {
-    size_t pos = 0;
-    auto get64 = [&bytes, &pos]() {
-      NEATS_REQUIRE(pos + 8 <= bytes.size(), "truncated NeaTS blob");
-      uint64_t v = 0;
-      for (int b = 0; b < 8; ++b) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * b);
-      return v;
-    };
-    NEATS_REQUIRE(get64() == kMagicV1, "not a NeaTS blob");
-    // Any count word is bounded by the bytes that could back it, so corrupt
-    // blobs abort instead of triggering huge allocations or OOB reads.
-    auto bounded = [&bytes, &pos](uint64_t count, size_t cell_bytes) {
-      NEATS_REQUIRE(count <= (bytes.size() - pos) / cell_bytes,
-                    "truncated NeaTS blob");
-      return static_cast<size_t>(count);
-    };
-    Neats out;
-    out.n_ = get64();
-    out.m_ = bounded(get64(), 32);  // four words per fragment row
-    // Same wrap guard as LoadV2: keeps the offsets accumulation exact.
-    NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56) && out.m_ <= out.n_,
-                  "corrupt NeaTS blob");
-    out.shift_ = static_cast<int64_t>(get64());
-    out.starts_mode_ = get64() == 0 ? StartsIndex::kEliasFano
-                                    : StartsIndex::kBitVector;
-    size_t kinds = bounded(get64(), 8);
-    NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds) &&
-                      (kinds > 0 || out.m_ == 0),
-                  "corrupt NeaTS blob");
-    for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(get64()));
-    }
-    std::vector<uint64_t> starts(out.m_), widths(out.m_), disp(out.m_);
-    std::vector<uint32_t> kind_symbols(out.m_);
-    std::vector<size_t> params_needed(kinds, 0);
-    for (size_t i = 0; i < out.m_; ++i) {
-      starts[i] = get64();
-      kind_symbols[i] = static_cast<uint32_t>(get64());
-      widths[i] = get64();
-      disp[i] = get64();
-      NEATS_REQUIRE(kind_symbols[i] < kinds && widths[i] <= 64 &&
-                        (i == 0 ? starts[i] == 0 : starts[i] > starts[i - 1]) &&
-                        starts[i] < out.n_,
-                    "corrupt NeaTS blob");
-      params_needed[kind_symbols[i]] += static_cast<size_t>(
-          NumParams(out.kind_table_[kind_symbols[i]]));
-    }
-    out.params_.reserve(kinds);
-    for (size_t k = 0; k < kinds; ++k) {
-      std::vector<double> p(bounded(get64(), 8));
-      for (double& v : p) v = std::bit_cast<double>(get64());
-      NEATS_REQUIRE(p.size() == params_needed[k], "corrupt NeaTS blob");
-      out.params_.emplace_back(std::move(p));
-    }
-    uint64_t total_bits = get64();
-    std::vector<uint64_t> corrections(bounded(get64(), 8));
-    for (uint64_t& w : corrections) w = get64();
-    NEATS_REQUIRE(corrections.size() == CeilDiv(total_bits, 64),
-                  "corrupt NeaTS blob");
-    out.corrections_ = Storage<uint64_t>(std::move(corrections));
-
-    if (out.m_ > 0) {
-      // Rebuild the succinct indexes.
-      if (out.starts_mode_ == StartsIndex::kEliasFano) {
-        out.starts_ef_ = EliasFano(starts, out.n_);
-      } else {
-        BitVector bv(out.n_);
-        for (uint64_t s : starts) bv.Set(s);
-        out.starts_bv_ = RankSelect(std::move(bv));
-      }
-      std::vector<uint64_t> offsets(out.m_ + 1, 0);
-      for (size_t i = 0; i < out.m_; ++i) {
-        uint64_t end = i + 1 < out.m_ ? starts[i + 1] : out.n_;
-        offsets[i + 1] = offsets[i] + (end - starts[i]) * widths[i];
-      }
-      NEATS_REQUIRE(offsets[out.m_] == total_bits, "corrupt NeaTS blob");
-      out.widths_ = PackedArray::FromValues(widths);
-      out.displacement_ = PackedArray::FromValues(disp);
-      out.offsets_ = EliasFano(offsets, total_bits + 1);
-      out.kinds_wt_ = WaveletTree(kind_symbols, static_cast<uint32_t>(kinds));
-      out.directory_ = FragmentDirectory(out.ComputeDirectoryRecords());
-    }
-    return out;
-  }
-
-  /// Rebuilds the interleaved directory records from the S/B/O/K/D
-  /// structures, in fragment order — the inverse of what BuildLayout packs
-  /// at compress time. Loaders use this both to populate the directory for
-  /// pre-v3 blobs and as the expected value a stored v3 directory must
-  /// match byte-for-byte (zero pad included).
-  std::vector<FragmentDirectory::Record> ComputeDirectoryRecords() const {
-    std::vector<FragmentDirectory::Record> records(m_);
+  /// The loader's one pass over the directory. Queries read records, the
+  /// correction payload and the parameter arrays without bounds checks, so
+  /// every record must agree with S, C and P: a known kind, a width of at
+  /// most 64 bits, a correction offset equal to the running sum of
+  /// length * width (ending exactly at the payload's bit size), a parameter
+  /// offset equal to the kind's running count times its arity (ending
+  /// exactly at each array's size), and a displacement that keeps the
+  /// origin at or after value 0. Field widths and pad bits must be the
+  /// canonical ones, so Serialize reproduces the input bytes. O(m) time;
+  /// allocates nothing, so View stays zero-copy.
+  void ValidateDirectory() const {
+    NEATS_REQUIRE(directory_.size() == m_, "corrupt NeaTS blob");
+    size_t count[kNumFunctionKinds] = {};
+    FragmentDirectory::Record max;
+    uint64_t total_bits = 0;
+    uint64_t start = 0;  // fragment 0 starts at 0, checked with S
     for (size_t i = 0; i < m_; ++i) {
-      auto [dense, occ] = kinds_wt_.AccessAndRank(i);
-      FragmentDirectory::Record rec{};
-      rec.corr_offset = offsets_.Access(i);
-      rec.displacement = displacement_[i];
-      rec.param_index =
-          occ * static_cast<size_t>(NumParams(kind_table_[dense]));
-      rec.kind = static_cast<uint8_t>(dense);
-      rec.correction_bits = static_cast<uint8_t>(widths_[i]);
-      records[i] = rec;
+      const uint64_t end = FragmentEnd(i);
+      const FragmentDirectory::Record rec = directory_[i];
+      NEATS_REQUIRE(end > start && rec.kind < kind_table_.size() &&
+                        rec.correction_bits <= 64 &&
+                        rec.corr_offset == total_bits &&
+                        rec.displacement <= start &&
+                        rec.param_index ==
+                            count[rec.kind] * static_cast<size_t>(NumParams(
+                                                  kind_table_[rec.kind])),
+                    "corrupt NeaTS blob");
+      ++count[rec.kind];
+      total_bits += (end - start) * rec.correction_bits;
+      max.Widen(rec);
+      start = end;
     }
-    return records;
+    NEATS_REQUIRE(corrections_.size() == CeilDiv(total_bits, 64),
+                  "corrupt NeaTS blob");
+    for (size_t k = 0; k < params_.size(); ++k) {
+      NEATS_REQUIRE(params_[k].size() ==
+                        count[k] * static_cast<size_t>(NumParams(kind_table_[k])),
+                    "corrupt NeaTS blob");
+    }
+    NEATS_REQUIRE(directory_.CanonicalFor(max), "corrupt NeaTS blob");
   }
 
   void BuildLayout(std::span<const int64_t> shifted,
-                   const std::vector<Fragment>& fragments,
-                   const NeatsOptions& options) {
+                   const std::vector<Fragment>& fragments) {
     const size_t m = fragments.size();
-
-    // Dense kind table: only kinds actually used get an id.
-    std::vector<int> kind_to_dense(kNumFunctionKinds, -1);
-    std::vector<uint32_t> kind_symbols(m);
-    for (size_t i = 0; i < m; ++i) {
-      int raw = static_cast<int>(fragments[i].kind);
-      if (kind_to_dense[raw] < 0) {
-        kind_to_dense[raw] = static_cast<int>(kind_table_.size());
-        kind_table_.push_back(fragments[i].kind);
-      }
-      kind_symbols[i] = static_cast<uint32_t>(kind_to_dense[raw]);
-    }
-    kinds_wt_ = WaveletTree(kind_symbols,
-                            static_cast<uint32_t>(kind_table_.size()));
-    std::vector<std::vector<double>> params(kind_table_.size());
-
     m_ = m;
+    std::vector<int> kind_to_dense(kNumFunctionKinds, -1);  // used kinds only
+    std::vector<std::vector<double>> params;  // one array per dense kind
     std::vector<uint64_t> starts(m);
-    std::vector<uint64_t> widths(m), displacement(m), offsets(m + 1);
     std::vector<FragmentDirectory::Record> records(m);
     BitWriter corrections;
 
     for (size_t i = 0; i < m; ++i) {
       const Fragment& frag = fragments[i];
+      const int raw = static_cast<int>(frag.kind);
+      if (kind_to_dense[raw] < 0) {
+        kind_to_dense[raw] = static_cast<int>(kind_table_.size());
+        kind_table_.push_back(frag.kind);
+        params.emplace_back();
+      }
+      std::vector<double>& kind_params = params[kind_to_dense[raw]];
       starts[i] = frag.start;
-      displacement[i] = frag.start - frag.origin;
       FragmentDirectory::Record rec{};  // zero pad: canonical bytes
-      rec.displacement = displacement[i];
-      rec.kind = static_cast<uint8_t>(kind_symbols[i]);
-      rec.param_index = params[kind_symbols[i]].size();
+      rec.displacement = frag.start - frag.origin;
+      rec.kind = static_cast<uint8_t>(kind_to_dense[raw]);
+      rec.param_index = kind_params.size();
       for (int j = 0; j < NumParams(frag.kind); ++j) {
-        params[kind_symbols[i]].push_back(frag.params[j]);
+        kind_params.push_back(frag.params[j]);
       }
       // Residual pass 1: actual range (floating-point-safe width).
       int64_t lo = 0, hi = 0;
@@ -706,10 +511,8 @@ class Neats {
         hi = std::max(hi, r);
       }
       int bits = ResidualBits(lo, hi);
-      widths[i] = static_cast<uint64_t>(bits);
-      offsets[i] = corrections.bit_size();
       rec.correction_bits = static_cast<uint8_t>(bits);
-      rec.corr_offset = offsets[i];
+      rec.corr_offset = corrections.bit_size();
       records[i] = rec;
       // Residual pass 2: emit with bias 2^(bits-1).
       int64_t bias = bits == 0 ? 0 : (int64_t{1} << (bits - 1));
@@ -718,7 +521,6 @@ class Neats {
         corrections.Append(static_cast<uint64_t>(r + bias), bits);
       }
     }
-    offsets[m] = corrections.bit_size();
 
     if (starts_mode_ == StartsIndex::kEliasFano) {
       starts_ef_ = EliasFano(starts, n_);
@@ -727,14 +529,10 @@ class Neats {
       for (uint64_t s : starts) bv.Set(s);
       starts_bv_ = RankSelect(std::move(bv));
     }
-    widths_ = PackedArray::FromValues(widths);
-    displacement_ = PackedArray::FromValues(displacement);
-    offsets_ = EliasFano(offsets, offsets[m] + 1);
     corrections_ = Storage<uint64_t>(corrections.TakeWords());
     directory_ = FragmentDirectory(std::move(records));
     params_.reserve(params.size());
     for (auto& p : params) params_.emplace_back(std::move(p));
-    (void)options;
   }
 
   /// Index of the fragment covering position k (S.rank(k) - 1).
@@ -757,8 +555,7 @@ class Neats {
   /// Decodes the value at position k of fragment i (whose start is already
   /// known) from the fragment's directory record: one contiguous record
   /// read supplies kind, parameter offset, displacement, correction width
-  /// and correction offset, replacing the wavelet-tree traversal plus the
-  /// B/D/O probes of the legacy layout.
+  /// and correction offset.
   int64_t DecodeAt(size_t i, uint64_t start, uint64_t k) const {
     const FragmentDirectory::Record& rec = directory_[i];
     NEATS_TOUCH(kind_table_.data() + rec.kind);
@@ -901,13 +698,15 @@ class Neats {
   /// fixed-size prefix Serialize emits before the section list).
   size_t HeaderSizeInBits() const { return (7 + kind_table_.size()) * 64; }
 
-  static constexpr uint64_t kMagicV1 = 0x5354414554414E45ULL;  // legacy
-  // Little-endian "NEATSv2\0": the mapped bytes of a flat blob start with
-  // the ASCII name, so `head -c7` / file sniffers see it verbatim. The magic
-  // names the format *family*; additive revisions (v3's directory section)
-  // bump the version word, not the magic (ROADMAP format policy).
+  // The v1 magic, kept only so a v1 blob is rejected as an old version
+  // rather than as foreign bytes.
+  static constexpr uint64_t kMagicV1 = 0x5354414554414E45ULL;
+  // Little-endian "NEATSv2\0": the mapped bytes of a blob start with the
+  // ASCII name, so `head -c7` / file sniffers see it verbatim. The magic
+  // names the format family; revisions bump the version word, and only the
+  // current version is read (docs/FORMAT.md).
   static constexpr uint64_t kMagicV2 = 0x003276535441454EULL;
-  static constexpr uint64_t kFormatVersion = 3;
+  static constexpr uint64_t kFormatVersion = 4;
 
   uint64_t n_ = 0;
   size_t m_ = 0;
@@ -917,12 +716,8 @@ class Neats {
   EliasFano starts_ef_;   // S (Elias-Fano variant)
   RankSelect starts_bv_;  // S (plain bitvector variant)
 
-  PackedArray widths_;             // B
-  EliasFano offsets_;              // O
   Storage<uint64_t> corrections_;  // C
-  WaveletTree kinds_wt_;           // K
-  PackedArray displacement_;       // D
-  FragmentDirectory directory_;    // interleaved B/O/K/D + param offsets (v3)
+  FragmentDirectory directory_;    // B/O/K/D + param offsets, one record each
   std::vector<FunctionKind> kind_table_;
   std::vector<Storage<double>> params_;  // P, one array per dense kind
 };
@@ -931,8 +726,7 @@ class Neats {
 /// (kind, params, correction width, bit offsets) plus the fragment index.
 /// next()/Read() advance fragment-to-fragment in O(1) — the next start is
 /// the current end and everything else comes out of the next fragment's
-/// directory record, so neither the S rank nor any B/O/K/D probe of
-/// Algorithm 3 is paid. Monotone Seek() hops the chain the same way (in
+/// directory record, so the S rank of Algorithm 3 is not paid. Monotone Seek() hops the chain the same way (in
 /// either direction) and only falls back to a full rank for long jumps.
 class Neats::Cursor {
  public:

@@ -82,8 +82,9 @@ class NeatsLossy {
            shift_;
   }
 
-  /// Access resolved through the separate K/D structures — the pre-directory
-  /// path, kept as fuzz ground truth (see Neats::AccessViaLegacyStructures).
+  /// Access resolved through the separate K/D structures the lossy blob
+  /// stores — kept as the ground truth its in-memory directory is fuzzed
+  /// against (tests/succinct_fuzz_test.cpp).
   int64_t AccessViaLegacyStructures(uint64_t k) const {
     NEATS_DCHECK(k < n_);
     auto [i, start] = starts_.Predecessor(k);

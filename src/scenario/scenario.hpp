@@ -45,9 +45,9 @@
 
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/latency_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_json.hpp"
-#include "scenario/latency_histogram.hpp"
 
 namespace neats::scenario {
 
@@ -131,7 +131,7 @@ struct ScenarioResult {
   uint64_t reads_verified = 0;
   uint64_t unavailable_reads = 0;  // typed kUnavailable, expected + counted
   uint64_t trace_fingerprint = 0;
-  std::map<std::string, LatencyHistogram> ops;
+  std::map<std::string, obs::LatencyHistogram> ops;
   std::vector<std::string> notes;
 
   /// The store's own StatsSnapshot() taken at scenario end (empty when the
@@ -228,7 +228,7 @@ class ScenarioContext {
   }
 
   /// Merges a task's private histogram into the scenario's op kind.
-  void MergeOp(const std::string& op, const LatencyHistogram& h) {
+  void MergeOp(const std::string& op, const obs::LatencyHistogram& h) {
     std::lock_guard<std::mutex> lock(mu_);
     result_.ops[op].Merge(h);
   }
@@ -342,7 +342,7 @@ inline ScenarioResult RunScenario(const Scenario& s,
 /// them). Fingerprint is hex text — JSON numbers lose uint64 precision.
 inline void WriteScenarioJson(std::ostream& os, const ScenarioResult& r,
                               const char* indent = "  ") {
-  auto hist = [&](const LatencyHistogram& h) {
+  auto hist = [&](const obs::LatencyHistogram& h) {
     os << "{\"count\": " << h.count() << ", \"p50_ns\": " << h.p50()
        << ", \"p99_ns\": " << h.p99() << ", \"p999_ns\": " << h.p999()
        << ", \"max_ns\": " << h.max() << "}";

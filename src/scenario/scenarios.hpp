@@ -69,7 +69,7 @@ inline void PointStormReader(ScenarioContext& ctx, const NeatsStore& store,
                              const TaskGroup& group, int reader,
                              uint64_t probes) {
   Rng rng(ctx.seed(), static_cast<uint64_t>(reader) + 1);
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   uint64_t fp = 0;
   uint64_t verified = 0;
   for (uint64_t p = 0; p < probes; ++p) {
@@ -97,7 +97,7 @@ inline void ChunkedAppender(ScenarioContext& ctx, NeatsStore& store,
                             std::atomic<uint64_t>* frontier,
                             uint64_t mean_chunk) {
   Rng rng(ctx.seed(), /*stream=*/0xA99E);
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   uint64_t fp = 0;
   uint64_t at = 0;
   while (at < truth.size()) {
@@ -226,7 +226,7 @@ inline void DashboardFanout(ScenarioContext& ctx) {
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      LatencyHistogram refresh_hist, sum_hist;
+      obs::LatencyHistogram refresh_hist, sum_hist;
       uint64_t fp = 0;
       uint64_t verified = 0;
       std::vector<IndexRange> panels(kPanels);
@@ -299,7 +299,7 @@ inline void BurstAppendDuringSeal(ScenarioContext& ctx) {
     // Bursts of back-to-back shard-sized appends, then a breath: each
     // burst outruns the sealer, so reads land on pending chunks for real.
     Rng rng(ctx.seed(), /*stream=*/0xA99E);
-    LatencyHistogram hist;
+    obs::LatencyHistogram hist;
     uint64_t fp = 0;
     uint64_t at = 0;
     while (at < n) {
@@ -323,7 +323,7 @@ inline void BurstAppendDuringSeal(ScenarioContext& ctx) {
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      LatencyHistogram hist;
+      obs::LatencyHistogram hist;
       uint64_t fp = 0;
       uint64_t verified = 0;
       std::vector<uint64_t> idx(kBatch);
@@ -384,7 +384,7 @@ inline void ReopenUnderLoad(ScenarioContext& ctx) {
     // The reopener: OpenDir the same directory the old handle still
     // serves, then verify seeded probes through the fresh handle.
     Rng rng(ctx.seed(), /*stream=*/0x09E4);
-    LatencyHistogram open_hist, probe_hist;
+    obs::LatencyHistogram open_hist, probe_hist;
     uint64_t fp = 0;
     uint64_t verified = 0;
     for (uint64_t round = 0; round < 4 * ctx.scale(); ++round) {
@@ -467,7 +467,7 @@ inline void MixedCodecAutoChurn(ScenarioContext& ctx) {
   group.Spawn([&] {
     // Segment-at-a-time appends; a Flush every few segments cycles the
     // WAL/manifest machinery under reader load.
-    LatencyHistogram append_hist, flush_hist;
+    obs::LatencyHistogram append_hist, flush_hist;
     uint64_t fp = 0;
     for (uint64_t seg = 0; seg < segments; ++seg) {
       fp = MixTraceStep(fp, kOpAppend, seg * kSegment, kSegment);
@@ -589,7 +589,7 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      LatencyHistogram degraded_hist, probe_hist;
+      obs::LatencyHistogram degraded_hist, probe_hist;
       uint64_t fp = 0;
       uint64_t verified = 0, unavailable = 0;
       for (uint64_t p = 0; p < kHoleProbes; ++p) {
@@ -643,7 +643,7 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
     if (group.failed()) break;
     std::this_thread::yield();
   }
-  LatencyHistogram scrub_hist;
+  obs::LatencyHistogram scrub_hist;
   const uint64_t t0 = NowNs();
   const NeatsStore::RepairReport& report = store.Scrub();
   scrub_hist.Record(NowNs() - t0);

@@ -19,11 +19,12 @@
 // is padded to start on a 64-byte boundary relative to the blob start, so an
 // mmap'd blob (page-aligned) reads records at predictable line offsets.
 //
-// The directory is redundant: every field is derivable from S/B/O/K/D, and
-// the loaders exploit that — a v3 blob's stored directory is verified
-// against one rebuilt from the other sections (like RankSelect verifies its
-// stored rank/select directories), and v1/v2 blobs get a directory rebuilt
-// on load. Queries then trust the records without bounds checks.
+// The directory is the only per-fragment metadata of a NeaTS blob (format
+// v4): there is no separate B/O/K/D structure to rebuild it from. Queries
+// trust the records without bounds checks, so the loader validates every
+// record in one O(m) walk against the other sections
+// (Neats::ValidateDirectory) and then asks CanonicalFor whether the stored
+// field widths and pad bits are exactly what a fresh build would write.
 
 #pragma once
 
@@ -52,7 +53,15 @@ class FragmentDirectory {
     uint8_t kind = 0;             // dense kind id (index into the kind table)
     uint8_t correction_bits = 0;  // width of one correction (the B cell)
 
-    bool operator==(const Record&) const = default;
+    /// Raises every field to at least `r`'s: folded over all records, this
+    /// yields the field-wise maximum the minimal widths derive from.
+    void Widen(const Record& r) {
+      corr_offset = std::max(corr_offset, r.corr_offset);
+      displacement = std::max(displacement, r.displacement);
+      param_index = std::max(param_index, r.param_index);
+      kind = std::max(kind, r.kind);
+      correction_bits = std::max(correction_bits, r.correction_bits);
+    }
   };
 
   /// Serialized record words start at a multiple of this many bytes from
@@ -66,18 +75,8 @@ class FragmentDirectory {
   explicit FragmentDirectory(const std::vector<Record>& records)
       : size_(records.size()) {
     Record max;
-    for (const Record& r : records) {
-      max.corr_offset = std::max(max.corr_offset, r.corr_offset);
-      max.displacement = std::max(max.displacement, r.displacement);
-      max.param_index = std::max(max.param_index, r.param_index);
-      max.kind = std::max(max.kind, r.kind);
-      max.correction_bits = std::max(max.correction_bits, r.correction_bits);
-    }
-    widths_[kCorr] = BitWidth(max.corr_offset);
-    widths_[kDisp] = BitWidth(max.displacement);
-    widths_[kParam] = BitWidth(max.param_index);
-    widths_[kKind] = BitWidth(max.kind);
-    widths_[kBits] = BitWidth(max.correction_bits);
+    for (const Record& r : records) max.Widen(r);
+    MinimalWidths(max, widths_);
     FinishWidths();
     BitWriter writer;
     for (const Record& r : records) {
@@ -160,22 +159,30 @@ class FragmentDirectory {
     return (1 + kNumFields) * 64 + pad + words_.size() * 64;
   }
 
-  /// True iff this directory is exactly the one a fresh build from
-  /// `expected` would produce — same canonical (minimal) field widths, same
-  /// packed words. This is the loader's verification pass: equality here
-  /// guarantees both correct records and canonical re-serialization.
-  bool Matches(const std::vector<Record>& expected) const {
-    FragmentDirectory canon(expected);
-    return size_ == canon.size_ &&
-           std::memcmp(widths_, canon.widths_, sizeof(widths_)) == 0 &&
-           words_.size() == canon.words_.size() &&
-           (words_.empty() ||
-            std::memcmp(words_.data(), canon.words_.data(),
-                        words_.size() * sizeof(uint64_t)) == 0);
+  /// True iff this directory is byte-for-byte what a fresh build of its
+  /// own records would write, given `max` — all records folded with
+  /// Record::Widen: every field width is BitWidth of that field's maximum,
+  /// and the bits past the last record are zero. The loader computes `max`
+  /// in its validation walk, so this check allocates nothing.
+  bool CanonicalFor(const Record& max) const {
+    int minimal[kNumFields];
+    MinimalWidths(max, minimal);
+    if (std::memcmp(widths_, minimal, sizeof(widths_)) != 0) return false;
+    const size_t used = size_ * static_cast<size_t>(record_width_);
+    return used % 64 == 0 || (words_[used / 64] >> (used % 64)) == 0;
   }
 
  private:
   enum Field { kCorr = 0, kDisp, kParam, kKind, kBits, kNumFields };
+
+  /// The minimal width of each field, given the field-wise maximum.
+  static void MinimalWidths(const Record& max, int* widths) {
+    widths[kCorr] = BitWidth(max.corr_offset);
+    widths[kDisp] = BitWidth(max.displacement);
+    widths[kParam] = BitWidth(max.param_index);
+    widths[kKind] = BitWidth(max.kind);
+    widths[kBits] = BitWidth(max.correction_bits);
+  }
 
   /// Derives the in-record field offsets and the total record width.
   void FinishWidths() {

@@ -211,7 +211,9 @@ TEST(FlightRecorder, TornReadsNeverSurface) {
   for (size_t k = 0; k < final_dump.size(); ++k) {
     const obs::TraceEvent& e = final_dump[k];
     EXPECT_EQ(e.arg, e.shard * 3 + 1);
-    if (k > 0) EXPECT_GT(e.seq, final_dump[k - 1].seq);
+    if (k > 0) {
+      EXPECT_GT(e.seq, final_dump[k - 1].seq);
+    }
   }
 }
 

@@ -22,8 +22,8 @@
 namespace neats {
 namespace {
 
+using obs::LatencyHistogram;
 using scenario::BuiltinScenarios;
-using scenario::LatencyHistogram;
 using scenario::Rng;
 using scenario::RunScenario;
 using scenario::Scenario;
