@@ -147,7 +147,7 @@ int main() {
   ok &= store.size() == ds.values.size();
   ok &= store.num_shards() == kShards;
 
-  // The auto policy's per-shard choices (recorded in manifest v2).
+  // The auto policy's per-shard choices (recorded in the manifest).
   std::printf("per-shard codecs:");
   bool mixed = false;
   for (size_t s = 0; s < store.num_shards(); ++s) {

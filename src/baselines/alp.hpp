@@ -125,19 +125,17 @@ class Alp {
 
   /// Appends the blocks to a flat word writer (no magic — the caller frames
   /// it; see src/codecs/alp_codec.hpp for the framed SeriesCodec wrapper).
-  /// When `block_offsets` is non-null it receives, per block, the word
-  /// offset of the block's header relative to the payload start — the
-  /// skip-index section AlpCodec serializes in format v2.
+  /// `block_offsets` receives, per block, the word offset of the block's
+  /// header relative to the payload start — the vector-offset index
+  /// AlpCodec serializes after the payload.
   void SerializeInto(WordWriter& w,
-                     std::vector<uint64_t>* block_offsets = nullptr) const {
+                     std::vector<uint64_t>* block_offsets) const {
     const size_t base = w.position();
-    if (block_offsets != nullptr) block_offsets->clear();
+    block_offsets->clear();
     w.Put(n_);
     w.Put(blocks_.size());
     for (const Block& blk : blocks_) {
-      if (block_offsets != nullptr) {
-        block_offsets->push_back((w.position() - base) / 8);
-      }
+      block_offsets->push_back((w.position() - base) / 8);
       w.Put(static_cast<uint64_t>(blk.count) |
             (static_cast<uint64_t>(static_cast<uint8_t>(blk.exponent)) << 16) |
             (static_cast<uint64_t>(blk.width) << 24));
@@ -156,13 +154,12 @@ class Alp {
   /// validated against the block geometry before any decode can trust it —
   /// DecodeBlock writes out[ex.position] unchecked, so a forged position
   /// must never survive the load. In a borrowing reader the packed words
-  /// stay views into the blob (zero-copy open). `block_offsets`, when
-  /// non-null, receives each block header's word offset relative to the
-  /// payload start, mirroring SerializeInto.
-  static Alp LoadFrom(WordReader& r,
-                      std::vector<uint64_t>* block_offsets = nullptr) {
+  /// stay views into the blob (zero-copy open). `block_offsets` receives
+  /// each block header's word offset relative to the payload start,
+  /// mirroring SerializeInto.
+  static Alp LoadFrom(WordReader& r, std::vector<uint64_t>* block_offsets) {
     const size_t base = r.position();
-    if (block_offsets != nullptr) block_offsets->clear();
+    block_offsets->clear();
     Alp out;
     out.n_ = r.Get();
     NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56), "corrupt ALP blob");
@@ -171,9 +168,7 @@ class Alp {
     out.blocks_.reserve(num_blocks);
     for (size_t b = 0; b < num_blocks; ++b) {
       Block blk;
-      if (block_offsets != nullptr) {
-        block_offsets->push_back((r.position() - base) / 8);
-      }
+      block_offsets->push_back((r.position() - base) / 8);
       uint64_t head = r.Get();
       blk.count = static_cast<uint16_t>(head & 0xFFFF);
       blk.exponent = static_cast<int8_t>((head >> 16) & 0xFF);

@@ -9,11 +9,11 @@
 //   word 1   high 32 bits: trailer magic "NCK1"; low 32 bits: CRC32C(payload)
 //
 // CheckChecksumTrailer distinguishes three states on read: kValid (trailer
-// present, CRC matches), kAbsent (no trailer shape at the tail — a legacy
-// file written before checksums existed), and kCorrupt (the tail claims to
-// be a trailer but the CRC disagrees — bit rot or a torn write). Callers
-// that *know* a trailer must be present (a manifest v3, a shard named by a
-// checksummed manifest row) treat kAbsent as corruption too.
+// present, CRC matches), kAbsent (no trailer shape at the tail — a
+// truncated or foreign file), and kCorrupt (the tail claims to be a trailer
+// but the CRC disagrees — bit rot or a torn write). Every manifest and
+// shard blob is written with a trailer, so readers accept kValid only:
+// kAbsent is a failure just like kCorrupt.
 
 #pragma once
 
@@ -62,21 +62,22 @@ inline constexpr uint32_t kChecksumTrailerMagic = 0x314B434Eu;
 inline constexpr size_t kChecksumTrailerBytes = 16;
 
 /// Appends the 16-byte checksum trailer over the current contents of
-/// `bytes` (which become the payload).
-inline void AppendChecksumTrailer(std::vector<uint8_t>* bytes) {
+/// `bytes` (which become the payload); returns the payload's CRC32C.
+inline uint32_t AppendChecksumTrailer(std::vector<uint8_t>* bytes) {
   const uint64_t payload = bytes->size();
-  const uint64_t tag = (uint64_t{kChecksumTrailerMagic} << 32) |
-                       Crc32c({bytes->data(), bytes->size()});
+  const uint32_t crc = Crc32c({bytes->data(), bytes->size()});
+  const uint64_t tag = (uint64_t{kChecksumTrailerMagic} << 32) | crc;
   const size_t at = bytes->size();
   bytes->resize(at + kChecksumTrailerBytes);
   std::memcpy(bytes->data() + at, &payload, 8);
   std::memcpy(bytes->data() + at + 8, &tag, 8);
+  return crc;
 }
 
 /// Outcome of probing a file's tail for a checksum trailer.
 enum class TrailerState {
   kValid,    // trailer present, CRC matches the payload
-  kAbsent,   // no trailer shape at the tail (legacy, pre-checksum file)
+  kAbsent,   // no trailer shape at the tail
   kCorrupt,  // trailer shape present but the CRC disagrees
 };
 

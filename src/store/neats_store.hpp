@@ -17,7 +17,7 @@
 // candidate codec and keeps the smallest blob, so the store adapts per shard
 // to whatever regime the data is in (the paper's comparison table as a live
 // engineering choice). The per-shard codec id travels in MANIFEST.neats
-// (manifest v2, src/io/manifest.hpp).
+// (src/io/manifest.hpp).
 //
 // Append() buffers into the hot tail; every time the tail reaches
 // `shard_size` values a chunk is cut off and handed to the thread pool,
@@ -40,15 +40,16 @@
 //     returning, Flush() resets the log once the manifest durably covers
 //     everything, and OpenDir() replays surviving records (discarding a
 //     torn final record — the expected shape of a crash).
-//   - Sealed blobs and the manifest carry CRC32C trailers (manifest v3).
-//     OpenDir() verifies each shard against its manifest row and
-//     *quarantines* failures — a shard that is corrupt or missing stops
-//     serving, but the store still opens, healthy shards answer queries
-//     bit-identically, and a query routed into the quarantined range
-//     throws a typed Error (StatusCode::kUnavailable) instead of a wrong
-//     value. recovery_report() enumerates the damage; Scrub() re-verifies
-//     every blob and re-seals quarantined shards whose value range is
-//     still covered by intact WAL records.
+//   - Sealed blobs and the manifest carry CRC32C trailers, and every
+//     manifest row records its blob's CRC. One verified path maps, checks
+//     and opens a shard blob — at OpenDir, Scrub, seal promotion and WAL
+//     repair alike. OpenDir() *quarantines* failures — a shard that is
+//     corrupt or missing stops serving, but the store still opens, healthy
+//     shards answer queries bit-identically, and a query routed into the
+//     quarantined range throws a typed Error (StatusCode::kUnavailable)
+//     instead of a wrong value. recovery_report() enumerates the damage;
+//     Scrub() re-verifies every blob and re-seals quarantined shards whose
+//     value range is still covered by intact WAL records.
 //
 // Every query routes through the in-memory routing index (shard ->
 // [first, first+count)) and stitches across shard boundaries:
@@ -150,9 +151,12 @@ struct NeatsStoreOptions {
   /// the store.
   io::FileSystem* fs = nullptr;
 
-  /// Write-ahead-log the hot tail of a directory-backed store (Append
-  /// fsyncs the record before acking). Disabling trades the pre-Flush
-  /// crash guarantee for one fsync less per Append.
+  /// Write-ahead-log new appends of a directory-backed store (Append fsyncs
+  /// the record before acking). Disabling trades the pre-Flush crash
+  /// guarantee for one fsync less per Append. Either way OpenDir replays an
+  /// existing log and Flush resets it once the manifest covers it, so
+  /// toggling the option between opens never drops or reorders
+  /// acknowledged values.
   bool wal = true;
 
   /// Parallel query fan-out: a DecompressRanges / RangeSum spanning
@@ -389,18 +393,17 @@ class NeatsStore {
     return store;
   }
 
-  /// Opens a store directory: parses the manifest (any version; pre-v3
-  /// versions add an upgrade warning to the recovery report), verifies and
-  /// opens every shard blob through the codec registry — zero-copy where
-  /// the shard's codec supports borrowing — and replays the write-ahead
-  /// log over the manifested prefix. A shard that fails verification
-  /// (missing blob, size mismatch, bad checksum, codec rejection) is
-  /// *quarantined*, not fatal: the store opens, healthy shards serve, and
-  /// recovery_report() says what happened. Only a damaged manifest — the
-  /// routing root itself — still throws. `options` supplies the
-  /// compression knobs *and seal policy* for future seals (the manifest
-  /// persists per-shard geometry and codec ids, not the policy that chose
-  /// them; the manifest's shard_size wins).
+  /// Opens a store directory: parses the manifest (version 3 only),
+  /// verifies and opens every shard blob through the codec registry —
+  /// zero-copy where the shard's codec supports borrowing — and replays the
+  /// write-ahead log over the manifested prefix. A shard that fails
+  /// verification (missing blob, size mismatch, bad checksum, codec
+  /// rejection) is *quarantined*, not fatal: the store opens, healthy
+  /// shards serve, and recovery_report() says what happened. Only a
+  /// damaged manifest — the routing root itself — still throws. `options`
+  /// supplies the compression knobs *and seal policy* for future seals
+  /// (the manifest persists per-shard geometry and codec ids, not the
+  /// policy that chose them; the manifest's shard_size wins).
   static NeatsStore OpenDir(const std::string& dir,
                             const NeatsStoreOptions& options = {}) {
     NeatsStore store(options);
@@ -416,12 +419,12 @@ class NeatsStore {
           "removed stale manifest temp file left by an interrupted Flush");
     }
     const io::MappedRegion manifest_bytes = fs.OpenRead(manifest_path);
-    const StoreManifest manifest = StoreManifest::Deserialize(
-        manifest_bytes.bytes(), &store.report_.warnings);
+    const StoreManifest manifest =
+        StoreManifest::Deserialize(manifest_bytes.bytes());
     if (store.obs_ != nullptr) {
-      // Everything collected so far (stale temp file, manifest version
-      // upgrades) goes through the structured log hook; RecoverWal below
-      // reports its own warnings under their specific event ids.
+      // Everything collected so far (the stale temp file) goes through the
+      // structured log hook; RecoverWal below reports its own warnings
+      // under their specific event ids.
       for (const std::string& w : store.report_.warnings) {
         store.obs_->Log(obs::EventId::kOpenWarning, obs::Severity::kWarn,
                         obs::kNoShard, w);
@@ -564,8 +567,9 @@ class NeatsStore {
     return DegradedImpl();
   }
 
-  /// Re-verifies every healthy shard blob against its recorded checksum
-  /// (quarantining new failures) and tries to repair quarantined shards:
+  /// Re-verifies every healthy shard blob through the same verified open as
+  /// OpenDir (quarantining new failures; a shard that passes serves from
+  /// the freshly verified blob) and tries to repair quarantined shards:
   /// a shard whose value range is still fully covered by intact WAL
   /// records is re-compressed with its original codec, written durably,
   /// and returned to service; the manifest is rewritten when anything was
@@ -579,7 +583,7 @@ class NeatsStore {
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (shards_[s].series == nullptr) continue;
       try {
-        VerifyShardBlob(s);
+        OpenShardBlob(s, &shards_[s]);
       } catch (const std::exception& e) {
         Quarantine(s, e.what());
       }
@@ -1189,8 +1193,7 @@ class NeatsStore {
     uint64_t count = 0;
     uint64_t blob_bytes = 0;  // codec payload size (file minus the trailer)
     CodecId codec = CodecId::kNeats;
-    uint32_t crc = 0;      // CRC32C of the blob payload, if has_crc
-    bool has_crc = false;  // false only for unverified legacy (v1/v2) rows
+    uint32_t crc = 0;         // CRC32C of the blob payload
     std::unique_ptr<SealedSeries> series;  // null = quarantined
     std::string quarantine;  // why the shard is not serving
     io::MappedRegion map;  // backs `series` when served from disk
@@ -1211,7 +1214,7 @@ class NeatsStore {
     std::unique_ptr<SealedSeries> sealed;
     CodecId codec = CodecId::kNeats;
     uint64_t blob_bytes = 0;
-    uint32_t crc = 0;  // CRC32C of the blob payload
+    uint32_t crc = 0;  // CRC32C of the blob payload (directory stores)
     std::string error;  // non-empty = the seal failed with this message
     StatusCode error_code = StatusCode::kFailed;  // its failure category
     std::atomic<bool> done{false};
@@ -1361,11 +1364,10 @@ class NeatsStore {
         raw->codec = sealed.codec;
         raw->sealed = std::move(sealed.series);
         raw->blob_bytes = sealed.blob.size();
-        raw->crc = Crc32c({sealed.blob.data(), sealed.blob.size()});
         if (!dir.empty()) {
           // Durable before publication: payload + checksum trailer hit
           // stable storage before any manifest can name the blob.
-          AppendChecksumTrailer(&sealed.blob);
+          raw->crc = AppendChecksumTrailer(&sealed.blob);
           io::WriteFileDurableTo(
               *fs, dir + "/" + StoreManifest::ShardFileName(raw->ordinal),
               {sealed.blob.data(), sealed.blob.size()});
@@ -1402,14 +1404,16 @@ class NeatsStore {
 
   /// Moves completed seals (in order) from the pending queue into the
   /// routing index. Directory-backed shards whose codec supports borrowing
-  /// are re-opened zero-copy from the blob the seal task just wrote, so
-  /// they never hold the owned representation; everything else keeps the
-  /// owned object from the seal. The raw chunk memory is released here.
+  /// are re-opened zero-copy from the blob the seal task just wrote,
+  /// through the verified open, so they never hold the owned
+  /// representation; everything else keeps the owned object from the seal.
+  /// The raw chunk memory is released here.
   void PromoteSealed() {
     while (!pending_.empty() &&
            pending_.front()->done.load(std::memory_order_acquire)) {
       PendingChunk& c = *pending_.front();
-      // A failed seal surfaces here, on the caller's thread, as the same
+      // A failed seal — or a written blob that fails the verified open
+      // below — surfaces here, on the caller's thread, as the same
       // neats::Error contract every loader uses (the facade turns it into
       // a Status). The chunk stays pending — its raw values keep serving
       // queries, and every later Append/Flush re-reports the failure.
@@ -1422,15 +1426,8 @@ class NeatsStore {
       s.blob_bytes = c.blob_bytes;
       s.codec = c.codec;
       s.crc = c.crc;
-      s.has_crc = true;
       if (!dir_.empty() && CodecRegistry::ZeroCopyView(c.codec)) {
-        s.map = fs_->OpenRead(dir_ + "/" +
-                              StoreManifest::ShardFileName(c.ordinal));
-        // The trailer we just wrote; strip it so the codec sees its payload.
-        const TrailerInfo trailer = CheckChecksumTrailer(s.map.bytes());
-        NEATS_DCHECK(trailer.state == TrailerState::kValid);
-        s.series = CodecRegistry::Open(c.codec, trailer.payload,
-                                       /*allow_view=*/true);
+        OpenShardBlob(c.ordinal, &s);
       } else {
         s.series = std::move(c.sealed);
       }
@@ -1461,27 +1458,9 @@ class NeatsStore {
     StoreManifest manifest;
     manifest.shard_size = options_.shard_size;
     manifest.shards.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      if (!s.has_crc && s.series != nullptr) {
-        // Healthy shard from a pre-checksum (v1/v2) manifest: compute its
-        // payload CRC now so the rewritten manifest v3 row covers it.
-        const io::MappedRegion map =
-            fs_->OpenRead(dir_ + "/" + StoreManifest::ShardFileName(i));
-        const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-        s.crc = trailer.state == TrailerState::kValid
-                    ? trailer.crc
-                    : Crc32c(map.bytes());  // bare legacy blob: no trailer
-        s.has_crc = true;
-      }
-      StoreManifest::Shard row;
-      row.first = s.first;
-      row.count = s.count;
-      row.blob_bytes = s.blob_bytes;
-      row.codec = s.codec;
-      row.crc = s.crc;
-      row.has_crc = s.has_crc;
-      manifest.shards.push_back(row);
+    for (const Shard& s : shards_) {
+      manifest.shards.push_back(
+          {s.first, s.count, s.blob_bytes, s.codec, s.crc});
     }
     std::vector<uint8_t> bytes;
     manifest.Serialize(&bytes);
@@ -1574,8 +1553,12 @@ class NeatsStore {
   /// After a successful Flush the manifest covers every value, so the WAL
   /// restarts empty — unless shards are quarantined, in which case the old
   /// records are kept: they may be the only copy Scrub() can repair from.
+  /// With logging off, only an existing WAL (from an earlier open) is
+  /// reset; none is created.
   void ResetWal() {
-    if (!options_.wal || DegradedImpl()) return;
+    if (DegradedImpl() || (!options_.wal && !fs_->Exists(WalPath()))) {
+      return;
+    }
     wal_ = fs_->Create(WalPath());
     std::vector<uint8_t> header;
     AppendWalHeader(&header);
@@ -1606,9 +1589,9 @@ class NeatsStore {
 
   /// OpenDir tail: replays intact WAL records past the manifested prefix
   /// and, if the log ended torn (the expected shape of a crash), rewrites
-  /// it to contain exactly the surviving records.
+  /// it to contain exactly the surviving records. Runs whether or not new
+  /// appends are logged: the records hold acknowledged values.
   void RecoverWal() {
-    if (!options_.wal) return;
     if (!fs_->Exists(WalPath())) return;
     const io::MappedRegion map = fs_->OpenRead(WalPath());
     WalReplayResult replay = ReplayWal(map.bytes());
@@ -1662,8 +1645,8 @@ class NeatsStore {
     wal_ = fs_->OpenAppend(WalPath());
   }
 
-  /// Opens and fully verifies one manifest row at OpenDir; any failure is
-  /// caught by the caller and quarantines the shard instead of throwing.
+  /// Opens one manifest row at OpenDir through OpenShardBlob; any failure
+  /// quarantines the shard instead of throwing.
   Shard OpenShard(size_t index, const StoreManifest::Shard& row) {
     Shard shard;
     shard.first = row.first;
@@ -1671,43 +1654,11 @@ class NeatsStore {
     shard.blob_bytes = row.blob_bytes;
     shard.codec = row.codec;
     shard.crc = row.crc;
-    shard.has_crc = row.has_crc;
-    const std::string path =
-        dir_ + "/" + StoreManifest::ShardFileName(index);
     try {
-      io::MappedRegion map = fs_->OpenRead(path);
-      std::span<const uint8_t> payload;
-      if (map.size() == row.blob_bytes + kChecksumTrailerBytes) {
-        const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-        NEATS_REQUIRE(trailer.state == TrailerState::kValid,
-                      "shard blob fails its checksum");
-        NEATS_REQUIRE(!row.has_crc || trailer.crc == row.crc,
-                      "shard blob checksum disagrees with manifest");
-        payload = trailer.payload;
-        shard.crc = trailer.crc;
-        shard.has_crc = true;
-      } else if (map.size() == row.blob_bytes && !row.has_crc) {
-        // Bare legacy blob named by a v1/v2 manifest: no checksum to hold
-        // it to — the codec's structural validation is the only gate.
-        payload = map.bytes();
-      } else {
-        NEATS_REQUIRE(false, "store shard blob disagrees with manifest");
-      }
-      shard.series = CodecRegistry::Open(row.codec, payload,
-                                         /*allow_view=*/true);
-      NEATS_REQUIRE(shard.series->size() == row.count,
-                    "store shard blob disagrees with manifest");
-      // A codec that deserialized into owned storage no longer needs the
-      // mapping; drop it so the address space mirrors what actually serves.
-      if (!CodecRegistry::ZeroCopyView(row.codec)) {
-        shard.map = io::MappedRegion();
-      } else {
-        shard.map = std::move(map);
-      }
+      OpenShardBlob(index, &shard);
     } catch (const std::exception& e) {
-      shard.series = nullptr;
-      shard.map = io::MappedRegion();
-      shard.quarantine = std::string(e.what()) + " (" + path + ")";
+      shard.quarantine = std::string(e.what()) + " (" + dir_ + "/" +
+                         StoreManifest::ShardFileName(index) + ")";
       report_.quarantined.push_back(
           {index, row.first, row.count, row.codec, shard.quarantine});
       if (obs_ != nullptr) {
@@ -1719,24 +1670,33 @@ class NeatsStore {
     return shard;
   }
 
-  /// Re-reads shard `index`'s blob file and re-checks size + checksum —
-  /// the Scrub pass that catches bit rot after open. Throws on mismatch.
-  void VerifyShardBlob(size_t index) {
-    const Shard& s = shards_[index];
-    const std::string path =
-        dir_ + "/" + StoreManifest::ShardFileName(index);
-    const io::MappedRegion map = fs_->OpenRead(path);
-    if (map.size() == s.blob_bytes + kChecksumTrailerBytes) {
-      const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-      NEATS_REQUIRE(trailer.state == TrailerState::kValid,
-                    "shard blob fails its checksum");
-      NEATS_REQUIRE(!s.has_crc || trailer.crc == s.crc,
-                    "shard blob checksum disagrees with manifest");
-    } else if (map.size() == s.blob_bytes && !s.has_crc) {
-      // Legacy blob without a trailer: nothing cryptographic to re-check.
-    } else {
-      NEATS_REQUIRE(false, "store shard blob disagrees with manifest");
-    }
+  /// The one verified path from a shard blob file to a serving series,
+  /// shared by OpenDir, Scrub, seal promotion and WAL repair. Shard
+  /// `index`'s file must be exactly `s->blob_bytes` plus the checksum
+  /// trailer, the trailer valid and its CRC equal to `s->crc`; the payload
+  /// then opens through the codec registry and must hold `s->count`
+  /// values. On success `s->series` serves it and `s->map` keeps the
+  /// mapping only when the codec borrows it. Throws, leaving `*s`
+  /// untouched, on any failure.
+  void OpenShardBlob(size_t index, Shard* s) {
+    io::MappedRegion map =
+        fs_->OpenRead(dir_ + "/" + StoreManifest::ShardFileName(index));
+    NEATS_REQUIRE(map.size() == s->blob_bytes + kChecksumTrailerBytes,
+                  "store shard blob disagrees with manifest");
+    const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
+    NEATS_REQUIRE(trailer.state == TrailerState::kValid,
+                  "shard blob fails its checksum");
+    NEATS_REQUIRE(trailer.crc == s->crc,
+                  "shard blob checksum disagrees with manifest");
+    std::unique_ptr<SealedSeries> series =
+        CodecRegistry::Open(s->codec, trailer.payload, /*allow_view=*/true);
+    NEATS_REQUIRE(series->size() == s->count,
+                  "store shard blob disagrees with manifest");
+    s->series = std::move(series);
+    // A codec that deserialized into owned storage no longer needs the
+    // mapping; drop it so the address space mirrors what actually serves.
+    s->map = CodecRegistry::ZeroCopyView(s->codec) ? std::move(map)
+                                                   : io::MappedRegion();
   }
 
   void Quarantine(size_t index, const std::string& why) {
@@ -1790,20 +1750,13 @@ class NeatsStore {
       std::vector<uint8_t> blob;
       series->Serialize(&blob);
       s.blob_bytes = blob.size();
-      s.crc = Crc32c({blob.data(), blob.size()});
-      s.has_crc = true;
-      AppendChecksumTrailer(&blob);
+      s.crc = AppendChecksumTrailer(&blob);
       io::WriteFileDurableTo(
           *fs_, dir_ + "/" + StoreManifest::ShardFileName(index),
           {blob.data(), blob.size()});
       fs_->SyncDir(dir_);
       if (CodecRegistry::ZeroCopyView(s.codec)) {
-        s.map = fs_->OpenRead(dir_ + "/" +
-                              StoreManifest::ShardFileName(index));
-        const TrailerInfo trailer = CheckChecksumTrailer(s.map.bytes());
-        NEATS_DCHECK(trailer.state == TrailerState::kValid);
-        s.series = CodecRegistry::Open(s.codec, trailer.payload,
-                                       /*allow_view=*/true);
+        OpenShardBlob(index, &s);
       } else {
         s.series = std::move(series);
       }

@@ -8,9 +8,9 @@
 //   - Access / sorted AccessBatch / DecompressRange vs the raw values, with
 //     probe sets hammering block boundaries and duplicates;
 //   - owned Deserialize vs View on the block surface;
-//   - v1 -> v2 migration: legacy blobs (no index section) load, serve
-//     identically, and re-serialize byte-identical to fresh v2 bytes;
-//   - clobber sweep concentrated on the new serialized index sections;
+//   - version policy: only format v2 opens; any other version word is
+//     rejected by every open path;
+//   - clobber sweep concentrated on the serialized index sections;
 //   - store level: the decoded-block cache on/off/tiny (hit/miss/eviction
 //     stats, unsorted/duplicate/descending probes), and a mixed-codec
 //     directory store with batches crossing Neats <-> ALP <-> XOR shard
@@ -29,6 +29,7 @@
 #include "codecs/alp_codec.hpp"
 #include "codecs/codec_registry.hpp"
 #include "codecs/xor_codec.hpp"
+#include "common/bits.hpp"
 #include "core/codec_id.hpp"
 #include "core/series_codec.hpp"
 #include "require_error.hpp"
@@ -76,15 +77,44 @@ std::string TempStoreDir(const char* tag) {
       .string();
 }
 
-// The legacy (v1, index-free) framing of each codec, via its test peer.
-void SerializeLegacy(const AlpCodec& c, std::vector<uint8_t>* out) {
-  AlpCodecTestPeer::SerializeV1(c, out);
-}
-template <typename Xor, uint64_t kMagic>
-void SerializeLegacy(const XorSeriesCodec<Xor, kMagic>& c,
-                     std::vector<uint8_t>* out) {
-  XorCodecTestPeer::SerializeV1(c, out);
-}
+// Per codec: its registry id, the message that rejects a foreign version
+// word, and the byte size of the index section that ends every blob — ALP's
+// vector count plus one offset per vector, the XOR streams' interval and
+// checkpoint total plus three words per checkpoint.
+template <typename C>
+struct BlockCodecInfo;
+
+template <>
+struct BlockCodecInfo<AlpCodec> {
+  static constexpr CodecId kId = CodecId::kAlp;
+  static constexpr const char* kVersionError =
+      "unsupported ALP format version";
+  static size_t IndexSectionBytes(const AlpCodec& c) {
+    return 8 * (1 + CeilDiv(c.size(), c.BlockValues()));
+  }
+};
+
+template <typename C, CodecId id>
+struct XorCodecInfo {
+  static constexpr CodecId kId = id;
+  static constexpr const char* kVersionError =
+      "unsupported XOR-stream format version";
+  static size_t IndexSectionBytes(const C& c) {
+    uint64_t total = 0;
+    for (uint64_t first = 0; first < c.size(); first += c.BlockValues()) {
+      total += (std::min(c.BlockValues(), c.size() - first) - 1) /
+               C::kSkipInterval;
+    }
+    return 8 * (2 + 3 * total);
+  }
+};
+
+template <>
+struct BlockCodecInfo<GorillaCodec>
+    : XorCodecInfo<GorillaCodec, CodecId::kGorilla> {};
+template <>
+struct BlockCodecInfo<ChimpCodec>
+    : XorCodecInfo<ChimpCodec, CodecId::kChimp> {};
 
 template <typename C>
 class BlockCodecTest : public ::testing::Test {
@@ -229,41 +259,45 @@ TYPED_TEST(BlockCodecTest, ViewMatchesDeserializeOnBlockSurface) {
   }
 }
 
-// A legacy v1 blob (no index section) loads, serves every value, and
-// re-serializes byte-identical to a fresh v2 compression — the migration
-// path is a pure upgrade.
-TYPED_TEST(BlockCodecTest, LegacyV1BlobsUpgradeToV2) {
-  for (size_t n : {this->series_.size(), size_t{129}, size_t{1}, size_t{0}}) {
+// Only format v2 opens: a v2 blob with its version word patched to 0, 1
+// (the retired index-free format) or 3 is rejected by Deserialize, View and
+// the registry, borrowing or not — for an empty series too.
+TYPED_TEST(BlockCodecTest, RejectsOtherFormatVersions) {
+  using Info = BlockCodecInfo<TypeParam>;
+  for (size_t n : {this->series_.size(), size_t{0}}) {
     std::vector<int64_t> values(this->series_.begin(),
                                 this->series_.begin() + n);
-    TypeParam fresh = TypeParam::Compress(values, {});
-    std::vector<uint8_t> v1;
-    SerializeLegacy(fresh, &v1);
-    TypeParam upgraded = TypeParam::Deserialize(v1);
-    ASSERT_EQ(upgraded.size(), values.size());
-    for (size_t k = 0; k < n; k += 1 + n / 500) {
-      ASSERT_EQ(upgraded.Access(k), values[k]) << k;
+    std::vector<uint8_t> blob;
+    TypeParam::Compress(values, {}).Serialize(&blob);
+    for (uint64_t version : {uint64_t{0}, uint64_t{1}, uint64_t{3}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " version " +
+                   std::to_string(version));
+      std::vector<uint8_t> evil = blob;
+      std::memcpy(evil.data() + 8, &version, 8);
+      EXPECT_NEATS_ERROR(TypeParam::Deserialize(evil), Info::kVersionError);
+      EXPECT_NEATS_ERROR(TypeParam::View(evil), Info::kVersionError);
+      for (bool allow_view : {false, true}) {
+        EXPECT_NEATS_ERROR(CodecRegistry::Open(Info::kId, evil, allow_view),
+                           Info::kVersionError);
+      }
     }
-    std::vector<uint8_t> v2_fresh, v2_upgraded;
-    fresh.Serialize(&v2_fresh);
-    upgraded.Serialize(&v2_upgraded);
-    EXPECT_EQ(v2_fresh, v2_upgraded);
-    EXPECT_GT(v2_fresh.size(), v1.size());  // the index section is real
   }
 }
 
-// Clobber sweep concentrated on the new index sections: every word from
-// the version word and the whole region the v2 format appends after the v1
-// payload gets flipped; the loader must throw or produce an object that
-// serves without out-of-bounds access (the sanitizer CI job runs this).
+// Clobber sweep concentrated on the index sections: the version word and
+// every word of the index section at the blob's tail get flipped; the
+// loader must throw or produce an object that serves without out-of-bounds
+// access (the sanitizer CI job runs this).
 TYPED_TEST(BlockCodecTest, IndexSectionClobberSweep) {
   TypeParam c = TypeParam::Compress(MixedSeries(4000, 41), {});
-  std::vector<uint8_t> blob, v1;
+  std::vector<uint8_t> blob;
   c.Serialize(&blob);
-  SerializeLegacy(c, &v1);
-  ASSERT_LT(v1.size(), blob.size());
+  const size_t index_bytes = BlockCodecInfo<TypeParam>::IndexSectionBytes(c);
+  ASSERT_LT(index_bytes, blob.size());
   std::vector<size_t> words = {8};  // the version word
-  for (size_t w = v1.size(); w + 8 <= blob.size(); w += 8) words.push_back(w);
+  for (size_t w = blob.size() - index_bytes; w + 8 <= blob.size(); w += 8) {
+    words.push_back(w);
+  }
   for (size_t w : words) {
     std::vector<uint8_t> evil = blob;
     for (int b = 0; b < 8; ++b) evil[w + static_cast<size_t>(b)] ^= 0xFF;

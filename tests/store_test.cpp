@@ -15,15 +15,18 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codecs/codec_registry.hpp"
+#include "common/bits.hpp"
 #include "core/codec_id.hpp"
 #include "core/neats.hpp"
 #include "io/checksum.hpp"
 #include "io/manifest.hpp"
 #include "io/mmap_file.hpp"
 #include "io/text_io.hpp"
+#include "neats/neats.hpp"
 #include "require_error.hpp"
 
 namespace neats {
@@ -503,6 +506,75 @@ TEST(NeatsStore, CorruptManifestClobberSweep) {
   std::filesystem::remove_all(dir);
 }
 
+// The `wal` option only decides whether new appends are logged: a reopen
+// with it off still replays the acknowledged appends an earlier open
+// logged, and its Flush resets that log once the manifest covers them, so a
+// later reopen with the WAL on neither drops nor splices stale values.
+TEST(NeatsStore, WalOffReopenKeepsAcknowledgedAppends) {
+  const std::vector<int64_t> first = MixedSeries(100, 71);
+  const std::vector<int64_t> second(50, -7);
+  const std::string dir = TempStoreDir("wal_off");
+  NeatsStoreOptions wal_on;
+  wal_on.shard_size = 4096;
+  NeatsStoreOptions wal_off = wal_on;
+  wal_off.wal = false;
+  {
+    NeatsStore store = NeatsStore::CreateDir(dir, wal_on);
+    store.Append(first);
+  }  // dropped without a Flush: the WAL holds the only copy
+  {
+    NeatsStore store = NeatsStore::OpenDir(dir, wal_off);
+    ASSERT_EQ(store.size(), first.size());
+    store.Append(second);
+    store.Flush();
+  }
+  std::vector<uint8_t> header;
+  AppendWalHeader(&header);
+  EXPECT_EQ(ReadFile(dir + "/" + WalFileName()), header);  // reset
+  NeatsStore store = NeatsStore::OpenDir(dir, wal_on);
+  ASSERT_EQ(store.size(), first.size() + second.size());
+  for (size_t k = 0; k < first.size(); ++k) {
+    ASSERT_EQ(store.Access(k), first[k]) << k;
+  }
+  for (size_t k = 0; k < second.size(); ++k) {
+    ASSERT_EQ(store.Access(first.size() + k), second[k]) << k;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Seal promotion opens the blob the seal task wrote through the same
+// verified path as OpenDir: a blob damaged between seal and promotion fails
+// the Flush with a typed error, the chunk stays pending and keeps serving
+// its raw values, and once the blob is intact again the next Flush
+// promotes it.
+TEST(NeatsStore, PromotionVerifiesWrittenBlob) {
+  const std::vector<int64_t> values = MixedSeries(4000, 73);
+  const std::string dir = TempStoreDir("promote");
+  NeatsStoreOptions options;
+  options.shard_size = 4000;
+  options.seal_threads = 1;  // the seal runs inline in Append
+  NeatsStore store = NeatsStore::CreateDir(dir, options);
+  store.Append(values);  // seals shard 0; promotion waits for the next op
+  const std::string shard0 = dir + "/" + StoreManifest::ShardFileName(0);
+  const std::vector<uint8_t> blob = ReadFile(shard0);
+  std::vector<uint8_t> rotten = blob;
+  rotten[rotten.size() / 2] ^= 0x10;  // inside the codec payload
+  WriteFile(shard0, rotten);
+  EXPECT_NEATS_ERROR(store.Flush(), "shard blob fails its checksum");
+  EXPECT_EQ(store.num_shards(), 0u);
+  EXPECT_EQ(store.num_pending_seals(), 1u);
+  for (size_t k = 0; k < values.size(); k += 97) {
+    ASSERT_EQ(store.Access(k), values[k]) << k;
+  }
+  WriteFile(shard0, blob);
+  store.Flush();
+  EXPECT_EQ(store.num_shards(), 1u);
+  for (size_t k = 0; k < values.size(); k += 97) {
+    ASSERT_EQ(store.Access(k), values[k]) << k;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Manifest unit coverage.
 // ---------------------------------------------------------------------------
@@ -510,12 +582,15 @@ TEST(NeatsStore, CorruptManifestClobberSweep) {
 TEST(StoreManifest, RoundTripAndValidation) {
   StoreManifest m;
   m.shard_size = 4096;
-  m.shards = {{0, 4096, 1000, CodecId::kNeats},
-              {4096, 4096, 900, CodecId::kGorilla},
-              {8192, 77, 500, CodecId::kLeco}};
+  m.shards = {{0, 4096, 1000, CodecId::kNeats, 0xDEADBEEF},
+              {4096, 4096, 900, CodecId::kGorilla, 0},
+              {8192, 77, 500, CodecId::kLeco, 0xFFFFFFFF}};
   std::vector<uint8_t> bytes;
   m.Serialize(&bytes);
   StoreManifest back = StoreManifest::Deserialize(bytes);
+  std::vector<uint8_t> again;
+  back.Serialize(&again);
+  EXPECT_EQ(again, bytes);  // canonical: a written manifest re-serializes
   EXPECT_EQ(back.shard_size, m.shard_size);
   ASSERT_EQ(back.shards.size(), m.shards.size());
   for (size_t i = 0; i < m.shards.size(); ++i) {
@@ -523,6 +598,7 @@ TEST(StoreManifest, RoundTripAndValidation) {
     EXPECT_EQ(back.shards[i].count, m.shards[i].count);
     EXPECT_EQ(back.shards[i].blob_bytes, m.shards[i].blob_bytes);
     EXPECT_EQ(back.shards[i].codec, m.shards[i].codec);
+    EXPECT_EQ(back.shards[i].crc, m.shards[i].crc);
   }
   EXPECT_EQ(back.total(), 8192u + 77u);
 
@@ -544,7 +620,8 @@ TEST(StoreManifest, RoundTripAndValidation) {
 
 // ---------------------------------------------------------------------------
 // Codec-pluggable shards: fixed non-NeaTS codecs, the auto seal policy,
-// manifest v1 -> v2 migration, and the durability/prefetch satellites.
+// the current-version-only readers, and the durability/prefetch
+// satellites.
 // ---------------------------------------------------------------------------
 
 // Every registered codec can serve a whole store: append -> seal -> flush ->
@@ -798,136 +875,132 @@ TEST(NeatsStoreCodecs, AggregatesAcrossMixedCodecShards) {
   ASSERT_EQ(store.RangeSum(0, values.size()), prefix[values.size()]);
 }
 
-// A version-1 manifest (three words per shard, written before codec ids
-// and checksums existed) opens forever: every shard defaults to NeaTS, the
-// open reports an upgrade warning, queries serve, and the next Flush
-// upgrades the file to the current checksummed version 3 in place.
-TEST(NeatsStoreCodecs, ManifestV1MigratesForward) {
-  std::vector<int64_t> values = MixedSeries(11000, 23);
-  std::string dir = TempStoreDir("migrate");
-  {
-    NeatsStoreOptions options;
-    options.shard_size = 4000;
-    NeatsStore store = NeatsStore::CreateDir(dir, options);
-    store.Append(values);
-    store.Flush();
-  }
-  const std::string manifest_path = dir + "/" + StoreManifest::FileName();
-  StoreManifest parsed =
-      StoreManifest::Deserialize(ReadFile(manifest_path));
-
-  // Rewrite the manifest in the legacy v1 layout by hand.
-  std::vector<uint8_t> v1;
-  WordWriter w(&v1);
-  uint64_t magic;
-  std::memcpy(&magic, ReadFile(manifest_path).data(), 8);
-  w.Put(magic);
-  w.Put(1);  // version
-  w.Put(parsed.shard_size);
-  w.Put(parsed.shards.size());
-  for (const StoreManifest::Shard& row : parsed.shards) {
-    w.Put(row.first);
-    w.Put(row.count);
-    w.Put(row.blob_bytes);
-  }
-  WriteFile(manifest_path, v1);
-
-  // The v1 parse defaults every shard to NeaTS and warns about the old
-  // version instead of rejecting it.
-  std::vector<std::string> warnings;
-  StoreManifest migrated = StoreManifest::Deserialize(v1, &warnings);
-  ASSERT_EQ(migrated.shards.size(), parsed.shards.size());
-  for (const StoreManifest::Shard& row : migrated.shards) {
-    EXPECT_EQ(row.codec, CodecId::kNeats);
-    EXPECT_FALSE(row.has_crc);
-  }
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("version 1"), std::string::npos);
-
-  NeatsStore reopened = NeatsStore::OpenDir(dir);
-  ASSERT_EQ(reopened.size(), values.size());
-  EXPECT_FALSE(reopened.degraded());
-  ASSERT_FALSE(reopened.recovery_report().warnings.empty());
-  for (size_t k = 0; k < values.size(); k += 233) {
-    ASSERT_EQ(reopened.Access(k), values[k]);
-  }
-  // Flush rewrites the manifest as checksummed v3, backfilling per-shard
-  // CRCs from the blobs — and it round-trips idempotently.
-  reopened.Flush();
-  std::vector<uint8_t> after = ReadFile(manifest_path);
-  EXPECT_NE(after, v1);
-  warnings.clear();
-  StoreManifest upgraded = StoreManifest::Deserialize(after, &warnings);
-  EXPECT_TRUE(warnings.empty());  // current version: no upgrade nag
-  ASSERT_EQ(upgraded.shards.size(), parsed.shards.size());
-  for (const StoreManifest::Shard& row : upgraded.shards) {
-    EXPECT_TRUE(row.has_crc);
-  }
-  reopened.Flush();
-  EXPECT_EQ(ReadFile(manifest_path), after);
-  std::filesystem::remove_all(dir);
-}
-
-// A version-2 manifest (four words per shard: codec ids, but no checksums)
-// also loads forever: the mixed per-shard codecs are preserved, the open
-// warns, and the next Flush upgrades to v3 with backfilled blob CRCs.
-TEST(NeatsStoreCodecs, ManifestV2MigratesForward) {
+// Only manifest version 3 with a flagged CRC word in every row opens. The
+// retired layouts — v1 (three words per row: no codec id, no checksum), v2
+// (four words: no checksum), neither with a trailer — and a v3 manifest
+// whose row has its CRC flag cleared (trailer refreshed, so only the row
+// check can catch it) are each rejected by Deserialize and by OpenStoreDir
+// with a failed Status, never a crash.
+TEST(NeatsStoreCodecs, RejectsOldAndUnflaggedManifests) {
   std::vector<int64_t> values = CodecContrastSeries(4000, 8000, 27);
-  std::string dir = TempStoreDir("migrate_v2");
+  std::string dir = TempStoreDir("old_manifest");
   {
     NeatsStoreOptions options;
     options.shard_size = 4000;
-    options.seal_policy = SealPolicy::kAuto;
-    options.codec_candidates = {CodecId::kNeats, CodecId::kGorilla};
     NeatsStore store = NeatsStore::CreateDir(dir, options);
     store.Append(values);
     store.Flush();
   }
   const std::string manifest_path = dir + "/" + StoreManifest::FileName();
-  StoreManifest parsed = StoreManifest::Deserialize(ReadFile(manifest_path));
-  ASSERT_GE(parsed.shards.size(), 2u);
-  ASSERT_NE(parsed.shards[0].codec, parsed.shards[1].codec);
-
-  // Rewrite the manifest in the legacy v2 layout by hand.
-  std::vector<uint8_t> v2;
-  WordWriter w(&v2);
+  const std::vector<uint8_t> good = ReadFile(manifest_path);
+  const StoreManifest parsed = StoreManifest::Deserialize(good);
+  ASSERT_EQ(parsed.shards.size(), 3u);
   uint64_t magic;
-  std::memcpy(&magic, ReadFile(manifest_path).data(), 8);
-  w.Put(magic);
-  w.Put(2);  // version
-  w.Put(parsed.shard_size);
-  w.Put(parsed.shards.size());
-  for (const StoreManifest::Shard& row : parsed.shards) {
-    w.Put(row.first);
-    w.Put(row.count);
-    w.Put(row.blob_bytes);
-    w.Put(static_cast<uint64_t>(row.codec));
-  }
-  WriteFile(manifest_path, v2);
+  std::memcpy(&magic, good.data(), 8);
 
-  std::vector<std::string> warnings;
-  StoreManifest migrated = StoreManifest::Deserialize(v2, &warnings);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("version 2"), std::string::npos);
-  ASSERT_EQ(migrated.shards.size(), parsed.shards.size());
-  for (size_t i = 0; i < migrated.shards.size(); ++i) {
-    EXPECT_EQ(migrated.shards[i].codec, parsed.shards[i].codec);
-    EXPECT_FALSE(migrated.shards[i].has_crc);
+  auto legacy = [&](uint64_t version) {
+    std::vector<uint8_t> bytes;
+    WordWriter w(&bytes);
+    w.Put(magic);
+    w.Put(version);
+    w.Put(parsed.shard_size);
+    w.Put(parsed.shards.size());
+    for (const StoreManifest::Shard& row : parsed.shards) {
+      w.Put(row.first);
+      w.Put(row.count);
+      w.Put(row.blob_bytes);
+      if (version == 2) w.Put(static_cast<uint64_t>(row.codec));
+    }
+    return bytes;
+  };
+  // Row 1's CRC word sits after the four header words, one five-word row
+  // and four words of its own row.
+  std::vector<uint8_t> unflagged(good.begin(),
+                                 good.end() - kChecksumTrailerBytes);
+  const size_t crc_word = 8 * (4 + 5 + 4);
+  uint64_t word;
+  std::memcpy(&word, unflagged.data() + crc_word, 8);
+  ASSERT_EQ(word >> 32, 1u);
+  word &= 0xFFFFFFFFu;
+  std::memcpy(unflagged.data() + crc_word, &word, 8);
+  AppendChecksumTrailer(&unflagged);
+
+  const std::pair<const char*, std::vector<uint8_t>> cases[] = {
+      {"unsupported NeaTS store manifest version", legacy(1)},
+      {"unsupported NeaTS store manifest version", legacy(2)},
+      {"corrupt NeaTS store manifest", unflagged}};
+  for (const auto& [message, bytes] : cases) {
+    SCOPED_TRACE(message);
+    EXPECT_NEATS_ERROR(StoreManifest::Deserialize(bytes), message);
+    WriteFile(manifest_path, bytes);
+    Result<NeatsStore> store = OpenStoreDir(dir);
+    ASSERT_FALSE(store.ok());
+    EXPECT_NE(store.status().message().find(message), std::string::npos)
+        << store.status().message();
   }
 
+  // The untouched manifest still opens every shard.
+  WriteFile(manifest_path, good);
   NeatsStore reopened = NeatsStore::OpenDir(dir);
   EXPECT_FALSE(reopened.degraded());
-  ASSERT_EQ(reopened.size(), values.size());
   for (size_t k = 0; k < values.size(); k += 311) {
     ASSERT_EQ(reopened.Access(k), values[k]) << k;
   }
-  reopened.Flush();
-  StoreManifest upgraded =
-      StoreManifest::Deserialize(ReadFile(manifest_path));
-  ASSERT_EQ(upgraded.shards.size(), parsed.shards.size());
-  for (size_t i = 0; i < upgraded.shards.size(); ++i) {
-    EXPECT_EQ(upgraded.shards[i].codec, parsed.shards[i].codec);
-    EXPECT_TRUE(upgraded.shards[i].has_crc);
+  std::filesystem::remove_all(dir);
+}
+
+// A version-1 ALP shard (the retired layout without the vector-offset
+// index) behind a refreshed checksum trailer and manifest row passes the
+// checksum check but not the codec: OpenDir quarantines it with the version
+// message, reads into it fail with kUnavailable, and the healthy shards
+// keep serving.
+TEST(NeatsStoreCodecs, QuarantinesVersion1AlpShard) {
+  const std::vector<int64_t> values = MixedSeries(12000, 45);
+  const std::string dir = TempStoreDir("alp_v1");
+  {
+    NeatsStoreOptions options;
+    options.shard_size = 4000;
+    options.codec = CodecId::kAlp;
+    NeatsStore store = NeatsStore::CreateDir(dir, options);
+    store.Append(values);
+    store.Flush();
+  }
+  const std::string shard0 = dir + "/" + StoreManifest::ShardFileName(0);
+  const std::vector<uint8_t> file = ReadFile(shard0);
+  const TrailerInfo trailer = CheckChecksumTrailer(file);
+  ASSERT_EQ(trailer.state, TrailerState::kValid);
+  // Drop the index section (vector count + one offset per vector) and
+  // stamp version 1.
+  const size_t index_bytes = 8 * (1 + CeilDiv(4000, Alp::kVector));
+  std::vector<uint8_t> v1(trailer.payload.begin(),
+                          trailer.payload.end() - index_bytes);
+  const uint64_t version = 1;
+  std::memcpy(v1.data() + 8, &version, 8);
+  const uint64_t v1_bytes = v1.size();
+  const uint32_t crc = AppendChecksumTrailer(&v1);
+  WriteFile(shard0, v1);
+  const std::string manifest_path = dir + "/" + StoreManifest::FileName();
+  StoreManifest manifest = StoreManifest::Deserialize(ReadFile(manifest_path));
+  manifest.shards[0].blob_bytes = v1_bytes;
+  manifest.shards[0].crc = crc;
+  std::vector<uint8_t> manifest_bytes;
+  manifest.Serialize(&manifest_bytes);
+  WriteFile(manifest_path, manifest_bytes);
+
+  Result<NeatsStore> store = OpenStoreDir(dir);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  EXPECT_TRUE(store->degraded());
+  const NeatsStore::RepairReport& report = store->recovery_report();
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].shard, 0u);
+  EXPECT_NE(report.quarantined[0].error.find("unsupported ALP format version"),
+            std::string::npos)
+      << report.quarantined[0].error;
+  Result<int64_t> read = Checked([&] { return store->Access(17); });
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kUnavailable);
+  for (size_t k = 4000; k < values.size(); k += 271) {
+    ASSERT_EQ(store->Access(k), values[k]) << k;
   }
   std::filesystem::remove_all(dir);
 }
