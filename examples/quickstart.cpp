@@ -71,11 +71,11 @@ int main() {
               static_cast<long long>(sum));
 
   // --- Scaling knobs (NeatsOptions). ---
-  // num_threads parallelizes the partitioner's edge rebuilds across the
-  // (kind, eps) pairs — output stays bit-identical to a serial run.
-  // chunk_size additionally cuts the series into blocks partitioned
-  // concurrently: deterministic output, near-linear compression scaling,
-  // at a tiny ratio cost (fragments cannot span block boundaries).
+  // chunk_size cuts the series into blocks that num_threads threads
+  // partition concurrently: deterministic output (identical for every
+  // thread count), near-linear compression scaling, at a tiny ratio cost
+  // (fragments cannot span block boundaries). Without chunk_size the
+  // partition is one serial sweep and num_threads has no effect.
   neats::NeatsOptions scaled;
   scaled.num_threads = 4;   // 0 = one thread per hardware core
   scaled.chunk_size = 400;  // 0 = one global partition (best ratio)

@@ -1,16 +1,16 @@
 // A small fixed-size worker pool with a blocking parallel-for.
 //
-// Built for the compressor's hot loops: the partitioner fires a ParallelFor
-// per rebuild event (up to one per node), so dispatch must be cheap — one
-// mutex round-trip to publish the job, lock-free index claiming while it
-// runs, and one notification round when the job drains. The calling thread
+// Built for the compressor's and the store's fan-outs (chunked partitioning,
+// batch queries), so dispatch is cheap — one mutex round-trip to publish
+// the job, lock-free index claiming while it runs, and one notification
+// round when the job drains. The calling thread
 // participates in the work, so a pool constructed with `num_threads` spawns
 // `num_threads - 1` workers and ParallelFor never deadlocks even on a pool
 // of one.
 //
 // Indices are claimed one at a time from an atomic counter (work stealing),
-// which load-balances the heterogeneous fragment-rebuild costs without any
-// up-front splitting. Bodies must not throw.
+// which load-balances heterogeneous per-index costs (chunk partitions,
+// per-shard decodes) without any up-front splitting. Bodies must not throw.
 //
 // Besides the blocking ParallelFor, the pool runs fire-and-forget tasks
 // (Submit/DrainTasks): the store's background shard sealer hands whole

@@ -11,8 +11,8 @@
 // the current polygon (O'Rourke, Lemma 1), so the upper constraint only ever
 // clips the right end of the polygon and the lower constraint the left end.
 // This class maintains the polygon as two monotone chains (concave top,
-// convex bottom, sharing their extreme vertices) stored in deques, achieving
-// O(1) amortised cost per added point.
+// convex bottom, sharing their extreme vertices) in ring buffers that keep
+// their storage across Reset(), achieving O(1) amortised cost per point.
 //
 // Emptiness is detected in O(1) before mutating: along every edge the linear
 // functional g(m, b) = t*m + b (for the incoming t) is strictly increasing
@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -39,13 +39,11 @@ struct DualPoint {
 /// alpha_k <= t_k*m + b <= omega_k with strictly increasing t_k.
 class FeasiblePolygon {
  public:
-  FeasiblePolygon() = default;
-
-  /// Removes all constraints.
+  /// Removes all constraints (keeping the chains' storage).
   void Reset() {
     num_constraints_ = 0;
-    top_.clear();
-    bottom_.clear();
+    top_.Clear();
+    bottom_.Clear();
   }
 
   /// Tries to add the constraint alpha <= t*m + b <= omega.
@@ -69,8 +67,8 @@ class FeasiblePolygon {
       DualPoint rv = Corner(strip_alpha_, t, omega);     // on lower0, upper1
       DualPoint top_mid = Corner(strip_omega_, t, omega);
       DualPoint bottom_mid = Corner(strip_alpha_, t, alpha);
-      top_ = {lv, top_mid, rv};
-      bottom_ = {lv, bottom_mid, rv};
+      for (const DualPoint& p : {lv, top_mid, rv}) top_.push_back(p);
+      for (const DualPoint& p : {lv, bottom_mid, rv}) bottom_.push_back(p);
       ++num_constraints_;
       return true;
     }
@@ -170,12 +168,46 @@ class FeasiblePolygon {
     top_.push_front(cross_top);
   }
 
+  /// A double-ended chain of vertices in a power-of-two ring buffer.
+  class Chain {
+   public:
+    void Clear() { head_ = size_ = 0; }
+    const DualPoint& front() const { return buf_[head_]; }
+    const DualPoint& back() const { return buf_[(head_ + size_ - 1) & mask()]; }
+    void pop_front() { head_ = (head_ + 1) & mask(); --size_; }
+    void pop_back() { --size_; }
+    void push_back(const DualPoint& p) {
+      Grow();
+      buf_[(head_ + size_++) & mask()] = p;
+    }
+    void push_front(const DualPoint& p) {
+      Grow();
+      head_ = (head_ - 1) & mask();
+      buf_[head_] = p;
+      ++size_;
+    }
+
+   private:
+    size_t mask() const { return buf_.size() - 1; }
+    void Grow() {  // doubles the capacity when full, unwrapping the ring
+      if (size_ < buf_.size()) return;
+      std::vector<DualPoint> grown(buf_.empty() ? 16 : 2 * buf_.size());
+      for (size_t i = 0; i < size_; ++i) grown[i] = buf_[(head_ + i) & mask()];
+      buf_.swap(grown);
+      head_ = 0;
+    }
+
+    std::vector<DualPoint> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   size_t num_constraints_ = 0;
   long double strip_t_ = 0;
   long double strip_alpha_ = 0;
   long double strip_omega_ = 0;
-  std::deque<DualPoint> top_;     // concave chain, shared extremes with bottom_
-  std::deque<DualPoint> bottom_;  // convex chain
+  Chain top_;     // concave chain, shared extremes with bottom_
+  Chain bottom_;  // convex chain
 };
 
 }  // namespace neats

@@ -56,10 +56,10 @@ struct NeatsOptions {
   PartitionOptions partition;
   StartsIndex starts_index = StartsIndex::kEliasFano;
 
-  /// Threads used during compression. 1 = serial, 0 = all hardware threads.
-  /// Without chunking this parallelizes the partitioner's Phase-1 edge
-  /// rebuilds (bit-identical output for every thread count); with
-  /// `chunk_size` set it additionally partitions the chunks concurrently.
+  /// Threads that partition the chunks concurrently when `chunk_size` is
+  /// set (bit-identical output for every thread count). 1 = serial, 0 = all
+  /// hardware threads. Without chunking the partition is one serial sweep
+  /// and this option has no effect.
   int num_threads = 1;
 
   /// When non-zero, the series is cut into disjoint blocks of this many
@@ -365,7 +365,6 @@ class Neats {
 
     PartitionOptions popts = options.partition;
     popts.epsilons = epsilons;
-    if (popts.num_threads == 1) popts.num_threads = options.num_threads;
     std::vector<Fragment> fragments =
         options.chunk_size > 0
             ? PartitionLosslessChunked(sv.shifted, options.chunk_size,

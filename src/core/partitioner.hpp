@@ -21,8 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -76,11 +74,6 @@ struct PartitionOptions {
   /// Whether to emit suffix edges (disabling them is an ablation; the result
   /// is still a valid partition, just possibly larger).
   bool use_suffix_edges = true;
-
-  /// Threads used for Phase-1 edge rebuilds, which are independent across
-  /// the (kind, eps) active pairs. 1 = serial, 0 = all hardware threads.
-  /// The partition produced is bit-identical for every thread count.
-  int num_threads = 1;
 };
 
 /// Derives the default E set from the data: {0} ∪ {2^i : i <= ⌈log Δ⌉}.
@@ -100,6 +93,20 @@ inline std::vector<int64_t> DefaultEpsilons(std::span<const int64_t> values) {
 }
 
 namespace internal {
+
+/// Requires a non-empty (kind, eps) search set — `pairs`, else kinds ×
+/// `epsilons` — whose every eps lies in [0, kMaxAbsValue].
+inline void RequireValidSearchSet(const PartitionOptions& options,
+                                  const std::vector<int64_t>& epsilons) {
+  const bool by_pairs = !options.pairs.empty();
+  NEATS_REQUIRE(by_pairs || (!options.kinds.empty() && !epsilons.empty()),
+                "empty (kind, eps) search set");
+  auto valid = [](int64_t eps) { return eps >= 0 && eps <= kMaxAbsValue; };
+  auto eps_of = [](const auto& pair) { return pair.second; };
+  NEATS_REQUIRE(by_pairs ? std::ranges::all_of(options.pairs, valid, eps_of)
+                         : std::ranges::all_of(epsilons, valid),
+                "epsilon outside [0, 2^61]");
+}
 
 /// Weight of the lossless encoding of a fragment: corrections + parameters
 /// + per-fragment metadata (w_{f,eps}(i, j) of the paper).
@@ -126,10 +133,32 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
                                     const PartitionOptions& options,
                                     const std::vector<int64_t>& epsilons,
                                     WeightFn&& weight) {
+  RequireValidSearchSet(options, epsilons);
   const uint64_t n = values.size();
   if (n == 0) return {};
-  NEATS_REQUIRE(!options.kinds.empty(), "need at least one function kind");
 
+  // Active fragment per (f, eps) pair; end <= k triggers a rebuild.
+  struct Active {
+    FragmentBuilder builder;  // restarted by each rebuild: no allocation
+    Fragment frag;            // valid iff frag.length() > 0
+    uint64_t next_k = 0;      // node at which to rebuild
+  };
+  std::vector<Active> active;
+  auto add_pair = [&](FunctionKind kind, int64_t eps) {
+    active.push_back({FragmentBuilder(0, kind, eps, values[0]), Fragment{}});
+  };
+  if (!options.pairs.empty()) {
+    active.reserve(options.pairs.size());
+    for (const auto& [kind, eps] : options.pairs) add_pair(kind, eps);
+  } else {
+    active.reserve(options.kinds.size() * epsilons.size());
+    for (FunctionKind kind : options.kinds) {
+      for (int64_t eps : epsilons) add_pair(kind, eps);
+    }
+  }
+
+  // Allocated after the builders: the opposite order raised peak RSS by
+  // ~1.5 MiB (glibc heap placement) with two threads compressing shards.
   struct PrevEntry {
     uint64_t from = 0;
     Fragment frag;  // length() == 0 marks "unset"
@@ -138,28 +167,6 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
   std::vector<uint64_t> distance(n + 1, kInf);
   std::vector<PrevEntry> previous(n + 1);
   distance[0] = 0;
-
-  // Active fragment per (f, eps) pair; end <= k triggers a rebuild.
-  struct Active {
-    FunctionKind kind;
-    int64_t eps;
-    Fragment frag;   // valid iff frag.length() > 0
-    uint64_t next_k; // node at which to rebuild
-  };
-  std::vector<Active> active;
-  if (!options.pairs.empty()) {
-    active.reserve(options.pairs.size());
-    for (const auto& [kind, eps] : options.pairs) {
-      active.push_back({kind, eps, Fragment{}, 0});
-    }
-  } else {
-    active.reserve(options.kinds.size() * epsilons.size());
-    for (FunctionKind kind : options.kinds) {
-      for (int64_t eps : epsilons) {
-        active.push_back({kind, eps, Fragment{}, 0});
-      }
-    }
-  }
 
   auto relax = [&](uint64_t i, uint64_t j, const Fragment& frag) {
     if (distance[i] >= kInf) return;
@@ -170,53 +177,17 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
     }
   };
 
-  // Pool for Phase-1 rebuilds; rebuilds of distinct (kind, eps) pairs touch
-  // disjoint Active entries and only read `values`, so running them
-  // concurrently is safe and the result is bit-identical to the serial
-  // sweep (relaxation order below is unchanged).
-  std::unique_ptr<ThreadPool> pool;
-  if (ResolveNumThreads(options.num_threads) > 1 && active.size() > 1) {
-    pool = std::make_unique<ThreadPool>(
-        std::min<int>(ResolveNumThreads(options.num_threads),
-                      static_cast<int>(active.size())));
-  }
-  std::vector<uint32_t> rebuild;  // indices of pairs exhausted at node k
-  rebuild.reserve(active.size());
-  // Hoisted out of the k loop so the per-dispatch std::function conversion
-  // (a heap allocation) is paid once, not per rebuild event.
-  uint64_t rebuild_k = 0;
-  const std::function<void(size_t)> rebuild_one = [&](size_t j) {
-    Active& a = active[rebuild[j]];
-    a.frag = LongestFragment(values, rebuild_k, a.kind, a.eps);
-    a.next_k = (a.frag.length() == 0) ? rebuild_k + 1 : a.frag.end;
-  };
-
   for (uint64_t k = 0; k < n; ++k) {
     // Phase 1 (paper lines 8-15): rebuild exhausted edges; relax prefix
     // edges of the still-active ones into node k.
-    rebuild.clear();
-    for (uint32_t idx = 0; idx < active.size(); ++idx) {
-      if (active[idx].next_k <= k) rebuild.push_back(idx);
-    }
-    rebuild_k = k;
-    if (pool != nullptr && rebuild.size() > 1) {
-      pool->ParallelFor(rebuild.size(), rebuild_one);
-    } else {
-      for (size_t j = 0; j < rebuild.size(); ++j) rebuild_one(j);
-    }
-    {
-      size_t next_rebuilt = 0;  // rebuild[] is sorted by construction
-      for (uint32_t idx = 0; idx < active.size(); ++idx) {
-        if (next_rebuilt < rebuild.size() && rebuild[next_rebuilt] == idx) {
-          ++next_rebuilt;  // just rebuilt at k: no prefix edge into k
-          continue;
-        }
-        Active& a = active[idx];
-        if (a.frag.length() > 0 && a.frag.start < k) {
-          Fragment prefix = a.frag;
-          prefix.end = k;
-          relax(prefix.start, k, prefix);
-        }
+    for (Active& a : active) {
+      if (a.next_k <= k) {
+        a.frag = LongestFragment(values, k, &a.builder);
+        a.next_k = (a.frag.length() == 0) ? k + 1 : a.frag.end;
+      } else if (a.frag.length() > 0 && a.frag.start < k) {
+        Fragment prefix = a.frag;
+        prefix.end = k;
+        relax(prefix.start, k, prefix);
       }
     }
     // Phase 2 (paper lines 16-20): relax suffix edges leaving node k. The
@@ -282,8 +253,7 @@ inline bool TryMergeAtBoundary(std::span<const int64_t> values,
   if (a.kind != b.kind || a.epsilon != b.epsilon || a.end != b.start) {
     return false;
   }
-  FragmentBuilder builder(a.start, a.kind, a.epsilon,
-                          values[a.start]);
+  FragmentBuilder builder(a.start, a.kind, a.epsilon, values[a.start]);
   for (uint64_t k = a.start; k < b.end; ++k) {
     if (!builder.TryExtend(k, values[k])) return false;
   }
@@ -343,7 +313,8 @@ inline std::vector<Fragment> PartitionLosslessChunked(
   if (chunk_options.epsilons.empty()) {
     chunk_options.epsilons = DefaultEpsilons(values);
   }
-  chunk_options.num_threads = 1;  // parallelism lives across blocks here
+  // Validated here: a throw inside a pool worker would terminate.
+  internal::RequireValidSearchSet(chunk_options, chunk_options.epsilons);
 
   const size_t num_chunks = static_cast<size_t>(CeilDiv(n, chunk_size));
   std::vector<std::vector<Fragment>> per_chunk(num_chunks);

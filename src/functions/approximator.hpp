@@ -50,8 +50,17 @@ class FragmentBuilder {
  public:
   FragmentBuilder(uint64_t start, FunctionKind kind, int64_t eps,
                   int64_t y_first)
-      : start_(start), kind_(kind), eps_(eps), y_first_(y_first) {
-    applicable_ = KindApplicableAtStart(kind, y_first, eps);
+      : kind_(kind), eps_(eps) {
+    Restart(start, y_first);
+  }
+
+  /// Starts a new fragment at `start` (value `y_first`), keeping storage.
+  void Restart(uint64_t start, int64_t y_first) {
+    start_ = start;
+    y_first_ = y_first;
+    applicable_ = KindApplicableAtStart(kind_, y_first, eps_);
+    covered_ = 0;
+    polygon_.Reset();
   }
 
   /// Tries to extend the fragment with values[index] == y, where index must
@@ -72,12 +81,6 @@ class FragmentBuilder {
     ++covered_;
     return true;
   }
-
-  /// Number of points covered so far.
-  uint64_t covered() const { return covered_; }
-
-  /// True if the kind is applicable at the start point at all.
-  bool applicable() const { return applicable_; }
 
   /// Returns the fitted fragment for the covered prefix (length >= 1 unless
   /// the kind was inapplicable, in which case end == start).
@@ -112,39 +115,33 @@ class FragmentBuilder {
   }
 
  private:
-  uint64_t start_;
   FunctionKind kind_;
   int64_t eps_;
-  int64_t y_first_;
+  uint64_t start_ = 0;
+  int64_t y_first_ = 0;
   bool applicable_ = true;
   uint64_t covered_ = 0;
   FeasiblePolygon polygon_;
 };
 
-/// MAKEAPPROXIMATION of the paper: the longest fragment of `kind` starting at
-/// `start` under error bound `eps`. Runs in O(fragment length).
+/// MAKEAPPROXIMATION of the paper: restarts `builder` at `start` and returns
+/// the longest fragment of its (kind, eps) from there, in O(fragment length)
+/// and without allocating once the builder's polygon has grown.
 inline Fragment LongestFragment(std::span<const int64_t> values, uint64_t start,
-                                FunctionKind kind, int64_t eps) {
+                                FragmentBuilder* builder) {
   NEATS_DCHECK(start < values.size());
-  FragmentBuilder builder(start, kind, eps, values[start]);
+  builder->Restart(start, values[start]);
   for (uint64_t k = start; k < values.size(); ++k) {
-    if (!builder.TryExtend(k, values[k])) break;
+    if (!builder->TryExtend(k, values[k])) break;
   }
-  return builder.Finish();
+  return builder->Finish();
 }
 
-/// Fits `kind` on the exact range [start, end); the caller must know the
-/// range is feasible (e.g. it is a sub-range of a fragment returned by
-/// LongestFragment with the same kind and eps). Used by the partitioner to
-/// re-express suffix fragments in their own local coordinates.
-inline Fragment FitRange(std::span<const int64_t> values, uint64_t start,
-                         uint64_t end, FunctionKind kind, int64_t eps) {
+/// LongestFragment of `kind` and `eps` from `start`, on a fresh builder.
+inline Fragment LongestFragment(std::span<const int64_t> values, uint64_t start,
+                                FunctionKind kind, int64_t eps) {
   FragmentBuilder builder(start, kind, eps, values[start]);
-  for (uint64_t k = start; k < end; ++k) {
-    bool ok = builder.TryExtend(k, values[k]);
-    NEATS_REQUIRE(ok, "FitRange on an infeasible range");
-  }
-  return builder.Finish();
+  return LongestFragment(values, start, &builder);
 }
 
 /// Corollary 1: the piecewise eps-approximation of the whole series with the

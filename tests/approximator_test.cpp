@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -107,8 +108,6 @@ TEST(Approximator, LinearFragmentIsMaximal) {
   Fragment frag = LongestFragment(values, 0, FunctionKind::kLinear, 2);
   // The fragment may include a couple of points past the corner (a line can
   // still fit them within eps), but extending to its end+1 must fail.
-  Fragment retry = FitRange(values, 0, frag.end, FunctionKind::kLinear, 2);
-  EXPECT_EQ(retry.end, frag.end);
   FragmentBuilder builder(0, FunctionKind::kLinear, 2, values[0]);
   for (uint64_t k = 0; k < frag.end; ++k) {
     ASSERT_TRUE(builder.TryExtend(k, values[k]));
@@ -253,6 +252,48 @@ TEST(Approximator, GreedyMatchesDPPieceCount) {
       }
     }
     EXPECT_EQ(greedy.size(), static_cast<size_t>(dp[n])) << "trial " << trial;
+  }
+}
+
+// A reused builder (the partitioner keeps one per (kind, eps) pair and
+// restarts it at every rebuild) must fit exactly what a fresh builder fits —
+// after long fragments, after inapplicable starts, and right after a failed
+// TryExtend. The series mixes regimes: a line, a parabola, non-positive
+// values (exponential/power/Gaussian inapplicable), an exponential, small
+// positive noise (y - eps <= 0 for the larger eps) and a large sqrt trend.
+TEST(Approximator, ReusedBuilderMatchesFreshBuilder) {
+  std::mt19937_64 rng(5);
+  std::vector<int64_t> values;
+  for (int i = 0; i < 60; ++i) values.push_back(1000 + 3 * i);
+  for (int i = 0; i < 60; ++i) values.push_back(1200 + i * i / 2);
+  for (int i = 0; i < 40; ++i) values.push_back(-5 + i % 7 - 3);
+  for (int i = 0; i < 60; ++i) {
+    values.push_back(std::llround(50 * std::exp(0.03 * i)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    values.push_back(1 + static_cast<int64_t>(rng() % 40));
+  }
+  for (int i = 0; i < 60; ++i) {
+    values.push_back(1000000 + std::llround(900 * std::sqrt(i + 1.0)));
+  }
+
+  for (int id = 0; id < kNumFunctionKinds; ++id) {
+    const FunctionKind kind = static_cast<FunctionKind>(id);
+    for (int64_t eps : {0, 1, 8, 500}) {
+      FragmentBuilder reused(0, kind, eps, values[0]);
+      for (uint64_t start = 0; start < values.size(); ++start) {
+        Fragment got = LongestFragment(values, start, &reused);
+        Fragment want = LongestFragment(values, start, kind, eps);
+        ASSERT_EQ(got.start, want.start);
+        ASSERT_EQ(got.end, want.end)
+            << KindName(kind) << " eps=" << eps << " start=" << start;
+        ASSERT_EQ(got.origin, want.origin);
+        ASSERT_EQ(got.kind, want.kind);
+        ASSERT_EQ(got.epsilon, want.epsilon);
+        ASSERT_EQ(std::memcmp(got.params, want.params, sizeof(got.params)), 0)
+            << KindName(kind) << " eps=" << eps << " start=" << start;
+      }
+    }
   }
 }
 

@@ -77,7 +77,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (auto& h : hits) h.store(0);
   pool.ParallelFor(kCount, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-  // Repeated jobs on the same pool (the partitioner fires many).
+  // Repeated jobs on the same pool.
   std::atomic<size_t> sum{0};
   for (int round = 0; round < 50; ++round) {
     pool.ParallelFor(97, [&](size_t i) { sum.fetch_add(i + 1); });
@@ -91,17 +91,6 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   size_t sum = 0;  // no atomics needed: everything runs on this thread
   pool.ParallelFor(100, [&](size_t i) { sum += i; });
   EXPECT_EQ(sum, 4950u);
-}
-
-TEST(Neats, ParallelPartitionerIsBitIdentical) {
-  std::vector<int64_t> values = MixedKindSeries(6000, 1);
-  NeatsOptions serial;
-  NeatsOptions parallel;
-  parallel.num_threads = 4;
-  std::vector<uint8_t> bytes_serial, bytes_parallel;
-  Neats::Compress(values, serial).Serialize(&bytes_serial);
-  Neats::Compress(values, parallel).Serialize(&bytes_parallel);
-  EXPECT_EQ(bytes_serial, bytes_parallel);
 }
 
 TEST(Neats, ChunkedCompressionIsDeterministicAndLossless) {
@@ -118,6 +107,15 @@ TEST(Neats, ChunkedCompressionIsDeterministicAndLossless) {
   c1.Serialize(&bytes1);
   c4.Serialize(&bytes4);
   EXPECT_EQ(bytes1, bytes4);
+
+  // Without chunking the partition is one serial sweep: num_threads must
+  // not change a byte.
+  NeatsOptions global4;
+  global4.num_threads = 4;
+  std::vector<uint8_t> global_serial, global_threads;
+  Neats::Compress(values).Serialize(&global_serial);
+  Neats::Compress(values, global4).Serialize(&global_threads);
+  EXPECT_EQ(global_serial, global_threads);
 
   std::vector<int64_t> decoded;
   c4.Decompress(&decoded);

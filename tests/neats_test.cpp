@@ -8,6 +8,7 @@
 
 #include "core/neats_lossy.hpp"
 #include "core/variants.hpp"
+#include "neats/neats.hpp"
 
 namespace neats {
 namespace {
@@ -123,6 +124,26 @@ TEST(Neats, LargeMagnitudeValues) {
   for (int i = 0; i < 300; ++i) values.push_back(base + i * 1000);
   for (int i = 0; i < 300; ++i) values.push_back(-base + i * 777);
   CheckRoundTrip(values);
+}
+
+// A negative epsilon is an options error: the Status facade reports it
+// instead of compressing with wrapped correction widths.
+TEST(Neats, NegativeEpsilonIsAFailedStatus) {
+  std::vector<int64_t> values = RandomWalk(3000, 8, 5);
+  NeatsOptions by_eps;
+  by_eps.partition.epsilons = {-1, 4};
+  NeatsOptions by_pairs;
+  by_pairs.partition.pairs = {{FunctionKind::kLinear, 2},
+                              {FunctionKind::kRadical, -3}};
+  for (NeatsOptions options : {by_eps, by_pairs}) {
+    for (uint64_t chunk : {uint64_t{0}, uint64_t{1000}}) {
+      options.chunk_size = chunk;
+      options.num_threads = 2;
+      auto compress = [&] { return Neats::Compress(values, options); };
+      EXPECT_FALSE(Checked(compress).ok()) << "chunk_size=" << chunk;
+    }
+  }
+  EXPECT_FALSE(Checked([&] { return NeatsLossy::Compress(values, -1); }).ok());
 }
 
 TEST(Neats, BitVectorStartsVariant) {

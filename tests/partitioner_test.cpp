@@ -201,6 +201,41 @@ TEST(Partitioner, ExplicitPairsRestrictTheSearch) {
   }
 }
 
+TEST(Partitioner, ExplicitPairsNeedNoKinds) {
+  // `kinds` is unused when `pairs` is set, so an empty `kinds` is fine.
+  auto values = RandomWalk(2000, 41, 6);
+  PartitionOptions options;
+  options.kinds.clear();
+  options.pairs = {{FunctionKind::kQuadratic, 2}, {FunctionKind::kLinear, 8}};
+  auto fragments = PartitionLossless(values, options);
+  CheckContiguousCover(fragments, values.size());
+  CheckApproximation(values, fragments);
+  EXPECT_FALSE(PartitionLossy(values, 8, options).empty());
+  // Without pairs, an empty kinds list leaves nothing to search.
+  options.pairs.clear();
+  EXPECT_THROW(PartitionLossless(values, options), Error);
+}
+
+TEST(Partitioner, RejectsEpsilonOutsideRange) {
+  auto values = RandomWalk(3000, 43, 6);
+  for (int64_t bad : {int64_t{-1}, kMaxAbsValue + 1}) {
+    PartitionOptions by_eps;
+    by_eps.epsilons = {bad, 4};
+    EXPECT_THROW(PartitionLossless(values, by_eps), Error) << bad;
+    EXPECT_THROW(PartitionLosslessChunked(values, 1000, 2, by_eps), Error);
+    PartitionOptions by_pairs;
+    by_pairs.pairs = {{FunctionKind::kLinear, 4}, {FunctionKind::kLinear, bad}};
+    EXPECT_THROW(PartitionLossless(values, by_pairs), Error) << bad;
+    EXPECT_THROW(PartitionLosslessChunked(values, 1000, 2, by_pairs), Error);
+    EXPECT_THROW(PartitionLossy(values, bad), Error) << bad;
+  }
+  // The range's ends are valid.
+  PartitionOptions edges;
+  edges.kinds = {FunctionKind::kLinear};
+  edges.epsilons = {0, kMaxAbsValue};
+  CheckContiguousCover(PartitionLossless(values, edges), values.size());
+}
+
 TEST(Partitioner, NegativeValuesHandled) {
   std::vector<int64_t> values;
   for (int i = 0; i < 2000; ++i) {

@@ -167,5 +167,89 @@ TEST(FeasiblePolygon, ManyCollinearConstraintsStayFeasible) {
   EXPECT_NEAR(static_cast<double>(p.m), -2.5, 1e-6);
 }
 
+// Slabs tangent on both sides to a disk around (m0, b0) whose radius
+// shrinks by `q` per slab, with slab directions sweeping (-1.5, 1.5) rad.
+// Each slab cuts both ends of the polygon, and the shrinking radius makes
+// it drop old vertices as well: both chains settle at ~100-200 vertices
+// while their heads and tails each travel one slot per slab, i.e. wrap
+// around the ring many times.
+void AppendSpiralSlabs(std::vector<Constraint>* cs, int count, long double m0,
+                       long double b0, long double r, long double q) {
+  for (int k = 0; k < count; ++k, r *= q) {
+    long double t = tanl(-1.5L + 3.0L * k / count);
+    long double center = t * m0 + b0;
+    long double half = r * sqrtl(t * t + 1.0L);
+    cs->push_back({t, center - half, center + half});
+  }
+}
+
+// Noisy points of the line b0 + m0*t from t = 15 on (past every spiral
+// slab): the polygon shrinks to a sliver clipped at both ends. Every
+// `outlier_every`-th point is far off the line and must be rejected.
+void AppendNoisyLine(std::vector<Constraint>* cs, int count, long double m0,
+                     long double b0, long double eps, uint64_t seed,
+                     int outlier_every) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> noise(-0.95, 0.95);
+  long double t = 15;
+  for (int i = 1; i <= count; ++i, t += 0.37L) {
+    long double y = t * m0 + b0 + eps * static_cast<long double>(noise(rng));
+    if (i % outlier_every == 0) y += 1000 * eps;
+    cs->push_back({t, y - eps, y + eps});
+  }
+}
+
+struct Step {
+  bool accepted;
+  DualPoint picked;
+};
+
+std::vector<Step> Replay(FeasiblePolygon* poly,
+                         const std::vector<Constraint>& cs) {
+  std::vector<Step> steps;
+  std::vector<Constraint> accepted;
+  for (const Constraint& c : cs) {
+    bool ok = poly->AddConstraint(c.t, c.alpha, c.omega);
+    if (ok) accepted.push_back(c);
+    steps.push_back({ok, poly->PickPoint()});
+  }
+  EXPECT_TRUE(PointSatisfiesAll(accepted, poly->PickPoint(), 1e-9L));
+  return steps;
+}
+
+void ExpectSameSteps(const std::vector<Step>& got,
+                     const std::vector<Step>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].accepted, want[i].accepted) << i;
+    ASSERT_EQ(got[i].picked.m, want[i].picked.m) << i;
+    ASSERT_EQ(got[i].picked.b, want[i].picked.b) << i;
+  }
+}
+
+TEST(FeasiblePolygon, RingGrowthAndReuseMatchFreshPolygon) {
+  // A grows both chains far past the initial ring capacity (16), through
+  // several doublings taken while the rings are wrapped, then laps them.
+  std::vector<Constraint> a;
+  AppendSpiralSlabs(&a, 3000, 2.0L, 7.0L, 50.0L, 0.993L);
+  AppendNoisyLine(&a, 5000, 2.0L, 7.0L, 3.0L, 1, 97);
+  // B is a different sequence: another center, radius, shrink rate and
+  // line, and more frequent rejected outliers.
+  std::vector<Constraint> b;
+  AppendSpiralSlabs(&b, 2000, -1.5L, 300.0L, 20.0L, 0.99L);
+  AppendNoisyLine(&b, 3000, -1.5L, 300.0L, 0.5L, 2, 13);
+
+  FeasiblePolygon reused;
+  std::vector<Step> first = Replay(&reused, a);
+  for (const std::vector<Constraint>* cs : {&b, &a, &b}) {
+    reused.Reset();
+    EXPECT_EQ(reused.num_constraints(), 0u);
+    FeasiblePolygon fresh;
+    ExpectSameSteps(Replay(&reused, *cs), Replay(&fresh, *cs));
+  }
+  reused.Reset();
+  ExpectSameSteps(Replay(&reused, a), first);
+}
+
 }  // namespace
 }  // namespace neats
