@@ -4,7 +4,7 @@
 // |decoded - original| <= eps + 1. This codec makes it exact the same way
 // NeaTS itself treats its learned functions: keep the lossy approximation as
 // the predictor and bit-pack the per-value residuals at one fixed width next
-// to it. Random access stays O(1) on top of the lossy predecessor scan (one
+// to it. Random access stays O(1) on top of the lossy predecessor lookup (one
 // extra ReadBits), and the representation degrades gracefully — a series the
 // partitioner approximates tightly stores near-zero-width residuals.
 //

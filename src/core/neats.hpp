@@ -16,7 +16,7 @@
 //      offset of its parameters in its kind's P array.
 //
 // The directory is the only copy of B/O/K/D. Queries resolve the fragment
-// with one Elias-Fano predecessor scan on S and then read a single directory
+// with one Elias-Fano predecessor lookup on S and then read a single directory
 // record instead of probing four separate structures. Because queries read
 // the records unchecked, the loader validates every record against S, C and
 // P in one O(m) walk (ValidateDirectory).
@@ -109,7 +109,7 @@ class Neats {
 
   /// Algorithm 3: the value at index k, in O(rank) time. On the Elias-Fano
   /// starts index the fragment index and its start position come out of one
-  /// fused predecessor scan; everything else the decode needs — kind,
+  /// fused predecessor lookup; everything else the decode needs — kind,
   /// parameter offset, displacement, correction width and correction offset —
   /// is a single directory record, so the metadata resolution costs one
   /// extra cache line.
@@ -128,14 +128,13 @@ class Neats {
   /// first, as NeatsStore::AccessBatch does) — into out[0..idx.size()).
   /// Consecutive probes covered by the same fragment decode from one cached
   /// state: the fragment is resolved by the Elias-Fano PredecessorScanner
-  /// (a forward high-bits walk between nearby probes, a plain bucket scan
-  /// across far jumps — never more than scalar Access pays) and its
+  /// (the O(1) bucket-index predecessor, as scalar Access pays) and its
   /// directory record is read once per fragment run, so the per-probe cost
-  /// of a dense sorted batch approaches the predict + correction read
-  /// alone. Unlike the cursor path, the fragment *end* is never computed —
-  /// the scanner itself reports when a probe crosses into the next
-  /// fragment, saving the extra select per fragment that sparse batches
-  /// would otherwise pay over scalar Access.
+  /// of a dense sorted batch approaches the lookup + predict + correction
+  /// read alone. Unlike the cursor path, the fragment *end* is never
+  /// computed — a change of predecessor index marks a probe crossing into
+  /// the next fragment, saving the extra select per fragment that sparse
+  /// batches would otherwise pay over scalar Access.
   void AccessBatch(std::span<const uint64_t> idx, int64_t* out) const {
     FragState st;
     size_t cur = SIZE_MAX;

@@ -66,7 +66,7 @@ class NeatsLossy {
   size_t num_fragments() const { return m_; }
   int64_t epsilon() const { return eps_; }
 
-  /// The approximated value at index k: one Elias-Fano predecessor scan on
+  /// The approximated value at index k: one Elias-Fano predecessor lookup on
   /// the starts plus a single interleaved directory record read (kind,
   /// parameter offset and displacement together), as in Neats::Access.
   int64_t Access(uint64_t k) const {

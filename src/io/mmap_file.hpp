@@ -119,13 +119,13 @@ class MmapFile {
     kNormal,      // default readahead
     kSequential,  // aggressive readahead, drop-behind (full scans)
     kRandom,      // disable readahead (point queries)
-    kWillNeed,    // prefetch the pages now (an imminent batch/range query)
+    kWillNeed,    // prefetch the pages now (queries are about to read them)
   };
 
   /// Forwards `advice` to madvise over the whole mapping. Purely a hint —
   /// errors are ignored, and the heap-buffer fallback (no POSIX mmap) is a
-  /// no-op. The store layer calls this to prefetch the shard(s) a batched
-  /// query is about to walk (ROADMAP, scale-out).
+  /// no-op. The store layer prefetches each shard's mapping this way once,
+  /// when it opens the shard.
   void Advise(Advice advice) const {
 #if NEATS_HAS_MMAP
     if (data_ == nullptr) return;

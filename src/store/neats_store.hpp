@@ -56,9 +56,8 @@
 //
 //   Access(i)              one shard lookup + one codec Access
 //   AccessBatch(idx, out)  probes of any order: argsorted, grouped per
-//                          shard (with an mmap WILLNEED prefetch hint per
-//                          routed shard), then resolved by the shard
-//                          codec's batch kernel
+//                          shard, then resolved by the shard codec's
+//                          batch kernel
 //   DecompressRange(s)     per-shard scans, stitched; consecutive ranges
 //                          covered by the same shard go to the codec as one
 //                          DecompressRanges call, so one cursor serves the
@@ -747,9 +746,8 @@ class NeatsStore {
 
   /// Batched point queries, any probe order, duplicates allowed. Probes are
   /// argsorted, grouped per shard, and each shard group is resolved by the
-  /// shard codec's batch kernel (after a WILLNEED prefetch hint on the
-  /// shard's mapping); out[j] receives the value at idx[j] (the sort is
-  /// internal, results come back in input order).
+  /// shard codec's batch kernel; out[j] receives the value at idx[j] (the
+  /// sort is internal, results come back in input order).
   void AccessBatch(std::span<const uint64_t> idx,
                    std::span<int64_t> out) const {
     NEATS_DCHECK(idx.size() == out.size());
@@ -805,9 +803,6 @@ class NeatsStore {
         local.push_back(idx[order[q]] - s.first);
         ++q;
       }
-      // Probes are sorted, so each routed shard forms exactly one group:
-      // one WILLNEED hint per shard per call, never per probe.
-      s.map.Advise(MmapFile::Advice::kWillNeed);
       local_out.resize(local.size());
       const uint64_t bv =
           cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
@@ -863,8 +858,7 @@ class NeatsStore {
   /// covered by the same sealed shard are batched into one codec-level
   /// DecompressRanges call, so the codec reuses a single cursor across the
   /// group (its monotone-seek hop chain) instead of paying a fresh rank per
-  /// range; each routed shard also gets a WILLNEED prefetch hint before its
-  /// group is decoded.
+  /// range.
   void DecompressRanges(std::span<const IndexRange> ranges,
                         int64_t* out) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
@@ -949,7 +943,6 @@ class NeatsStore {
   void DecompressRangesLocked(std::span<const IndexRange> ranges,
                               int64_t* out) const {
     std::vector<ShardGroup> groups;
-    std::vector<const Shard*> advised;  // one WILLNEED per shard per call
     const Shard* cur = nullptr;  // group-continuity: an unsealed span or a
                                  // shard switch ends the open group
     for (const IndexRange& r : ranges) {
@@ -962,13 +955,6 @@ class NeatsStore {
           const uint64_t take = std::min(len, s.first + s.count - from);
           if (cur != &s) {
             cur = &s;
-            // Unsorted ranges can revisit a shard in a later group; advise
-            // each routed shard once per call, not once per group.
-            if (std::find(advised.begin(), advised.end(), &s) ==
-                advised.end()) {
-              advised.push_back(&s);
-              s.map.Advise(MmapFile::Advice::kWillNeed);
-            }
             groups.push_back(ShardGroup{&s, out, {}, 0});
           }
           groups.back().local.push_back({from - s.first, take});
@@ -1284,7 +1270,6 @@ class NeatsStore {
     if (from < sealed_total_) {
       const Shard& s = HealthyShardOf(from);
       const uint64_t take = std::min(len, s.first + s.count - from);
-      s.map.Advise(MmapFile::Advice::kWillNeed);
       s.series->DecompressRange(from - s.first, take, out);
       return take;
     }
@@ -1697,6 +1682,9 @@ class NeatsStore {
     // mapping; drop it so the address space mirrors what actually serves.
     s->map = CodecRegistry::ZeroCopyView(s->codec) ? std::move(map)
                                                    : io::MappedRegion();
+    // Queries read the mapping from here on: prefetch it once, at open,
+    // rather than hinting on every batch or range call.
+    s->map.Advise(MmapFile::Advice::kWillNeed);
   }
 
   void Quarantine(size_t index, const std::string& why) {

@@ -149,47 +149,22 @@ class RankSelect {
     return (w << 6) + static_cast<size_t>(SelectInWord(~words_[w], static_cast<int>(rem)));
   }
 
-  /// Length of the run of consecutive 1 bits starting at position `pos`
-  /// (which must be a set bit), scanning word-at-a-time. This is the
-  /// bucket-size primitive behind the word-wise Elias-Fano rank.
-  size_t OnesRunLength(size_t pos) const {
-    NEATS_DCHECK(pos < nbits_ && Get(pos));
-    size_t w = pos >> 6;
-    NEATS_TOUCH(words_.data() + w);
-    // Zeros (and any padding past size()) terminate the run, so the scan
-    // never walks beyond the logical bitvector. Invert before shifting: the
-    // zeros the shift feeds in at the top then mean "run continues past this
-    // word", not a spurious terminator.
-    uint64_t inv = (~words_[w]) >> (pos & 63);
-    if (inv != 0) return static_cast<size_t>(CountTrailingZeros(inv));
-    size_t run = 64 - (pos & 63);
-    while (++w < words_.size()) {
-      NEATS_TOUCH(words_.data() + w);
-      inv = ~words_[w];
-      if (inv != 0) return run + static_cast<size_t>(CountTrailingZeros(inv));
-      run += 64;
-    }
-    return run;
-  }
-
-  /// Position of the first 1 bit at or after `pos`, scanning word-at-a-time.
-  /// Precondition: such a bit exists (pos <= position of the last 1). This is
-  /// the forward-iteration primitive behind EliasFano::PredecessorScanner —
-  /// stepping to the next element's high bit without paying a Select1.
-  size_t NextOne(size_t pos) const {
+  /// Position of the last 1 bit at or before `pos`, scanning word-at-a-time
+  /// backward. Precondition: such a bit exists. This is how EliasFano finds
+  /// a predecessor's high part across a run of empty buckets (zeros)
+  /// without paying a Select1.
+  size_t PrevOne(size_t pos) const {
     NEATS_DCHECK(pos < nbits_);
     size_t w = pos >> 6;
     NEATS_TOUCH(words_.data() + w);
-    uint64_t cur = words_[w] >> (pos & 63);
-    if (cur != 0) return pos + static_cast<size_t>(CountTrailingZeros(cur));
-    while (true) {
-      ++w;
-      NEATS_DCHECK(w < words_.size());
+    uint64_t cur = words_[w] & (~uint64_t{0} >> (63 - (pos & 63)));
+    while (cur == 0) {
+      NEATS_DCHECK(w > 0);
+      --w;
       NEATS_TOUCH(words_.data() + w);
-      if (words_[w] != 0) {
-        return (w << 6) + static_cast<size_t>(CountTrailingZeros(words_[w]));
-      }
+      cur = words_[w];
     }
+    return (w << 6) + static_cast<size_t>(BitWidth(cur)) - 1;
   }
 
   bool Get(size_t i) const {
@@ -236,7 +211,7 @@ class RankSelect {
     rs.sel0_ = r.GetArray<uint64_t>();
     NEATS_REQUIRE(rs.words_.size() == CeilDiv(rs.nbits_, 64),
                   "corrupt NeaTS blob");
-    // Padding bits past size() must be zero — the select/run scans rely on
+    // Padding bits past size() must be zero — the select scans rely on
     // it, and a nonzero pad would let "ones" exist beyond the bitvector.
     NEATS_REQUIRE((rs.nbits_ & 63) == 0 || rs.words_.empty() ||
                       (rs.words_[rs.words_.size() - 1] >>

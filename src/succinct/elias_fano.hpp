@@ -2,13 +2,15 @@
 //
 // A sequence of m values in [0, u) takes m*ceil(log(u/m)) + 2m + o(m) bits and
 // supports Access in O(1) (one sampled Select1) and Rank — the number of
-// elements <= x — via one sampled Select0 plus a word-at-a-time bucket scan:
-// the bucket of elements sharing the high part of x is a run of consecutive
-// 1 bits in the high bitvector, so its size comes from popcount/ctz on whole
-// words (RankSelect::OnesRunLength) and the in-bucket low-part search is a
-// linear probe for small buckets or a binary search for pile-ups — never a
-// per-bit Get loop. These are exactly the operations the NeaTS layout needs
-// on the S (fragment starts) and O (correction offsets) arrays (Sec. III-C).
+// elements <= x — in O(1) plus an in-bucket search. Elements sharing a high
+// part form a bucket; a bucket index built at construction and at Load (a
+// PackedArray with one BitWidth(m)-bit entry per high bucket, O(m) entries)
+// gives x's bucket bounds in one table read, and the in-bucket search is
+// a linear probe for small buckets or a binary search for pile-ups. The
+// index lives in memory only: it is rebuilt from the high bits on every
+// open, so the serialized bytes and SizeInBits() are those of the plain
+// encoding. These are exactly the operations the NeaTS layout needs on the
+// S (fragment starts) array (Sec. III-C).
 
 #pragma once
 
@@ -56,6 +58,7 @@ class EliasFano {
       high.Set((values[i] >> low_bits_) + i);
     }
     high_ = RankSelect(std::move(high));
+    BuildBucketIndex();
   }
 
   /// Value at index `i`, in O(1).
@@ -68,99 +71,49 @@ class EliasFano {
   /// Number of elements <= x (the S.rank(k) operation of the paper).
   size_t Rank(uint64_t x) const {
     if (size_ == 0) return 0;
-    return Scan(x).rank;
+    return RankIn(BucketOf(x), x);
   }
 
   size_t size() const { return size_; }
 
   /// Fused Rank + Access of the predecessor: returns {i, Access(i)} for the
-  /// largest element <= x, reusing the bucket scan's knowledge of the high
-  /// part so the common case pays no extra select. This is the
-  /// fragment-lookup primitive of Algorithm 3 (index AND start in one pass).
-  /// Precondition: at least one element <= x (Rank(x) >= 1).
+  /// largest element <= x. The bucket index gives x's bucket in one table
+  /// read; when the predecessor lies inside it, its value follows from x's
+  /// high part, and otherwise one backward word scan of the high bits
+  /// recovers the earlier bucket's high part — no select either way. This
+  /// is the fragment-lookup primitive of Algorithm 3 (index AND start in
+  /// one pass). Precondition: at least one element <= x (Rank(x) >= 1).
   std::pair<size_t, uint64_t> Predecessor(uint64_t x) const {
     NEATS_DCHECK(size_ > 0);
-    ScanResult s = Scan(x);
-    NEATS_DCHECK(s.rank > 0);
-    if (s.rank > s.start) {
-      // The predecessor sits inside bucket hb: its value is known without
-      // touching the high bitvector again.
-      return {s.rank - 1, (s.hb << low_bits_) | low_[s.rank - 1]};
+    const Bucket b = BucketOf(x);
+    const size_t r = RankIn(b, x);
+    NEATS_DCHECK(r > 0);
+    uint64_t hb = b.hb;
+    if (r == b.lo) {
+      // Nothing in x's bucket is <= x: element r-1 closes an earlier bucket.
+      // Bucket hb's bits start at position lo + hb, and an element's high
+      // part is the number of zeros before its high bit.
+      hb = high_.PrevOne(b.lo + b.hb - 1) - (r - 1);
     }
-    // Predecessor lives in an earlier bucket; one select recovers it.
-    return {s.rank - 1, Access(s.rank - 1)};
+    return {r - 1, (hb << low_bits_) | low_[r - 1]};
   }
 
-  /// Stateful batched predecessor — the entry point behind Neats::AccessBatch.
-  ///
-  /// Feed non-decreasing queries to Next(); each returns {i, Access(i)} for
-  /// the largest element <= x, like Predecessor(x). The first query (and any
-  /// query that jumps far ahead) pays one full bucket scan — nothing more, so
-  /// a batch of far-apart probes costs the same as scalar Predecessor calls —
-  /// while nearby queries advance a forward cursor over the high bitvector
-  /// instead: one Select1 to park the cursor after a reseed (lazy, only once
-  /// a walk actually happens), then a word-wise NextOne per skipped element.
-  /// A dense sorted batch therefore resolves in O(elements walked) total
-  /// rather than O(scan) per probe.
+  /// Batched predecessor — the entry point behind Neats::AccessBatch.
+  /// Next(x) returns Predecessor(x); queries must be non-decreasing across
+  /// calls. Each query costs one O(1) bucket lookup, so the scanner keeps
+  /// no cursor: a forward walk between probes would cost one word scan per
+  /// skipped element, more than the lookup it replaces.
   class PredecessorScanner {
    public:
     explicit PredecessorScanner(const EliasFano& ef) : ef_(&ef) {}
 
-    /// Predecessor {index, value} of `x`. Queries must be non-decreasing
-    /// across calls; precondition as Predecessor (some element <= x).
-    std::pair<size_t, uint64_t> Next(uint64_t x) {
-      NEATS_DCHECK(ef_->size_ > 0);
-      if (idx_ == kUnseeded) {
-        Reseed(x);
-        return cur_;
-      }
-      if (idx_ >= ef_->size_) {  // already at the last element
-        NEATS_DCHECK(cur_.second <= x);
-        return cur_;
-      }
-      // Reseed when x skips more than kResyncBuckets high-bit buckets past
-      // the current predecessor — beyond that, walking the gap element-by-
-      // element could cost more than the O(1) sampled-select scan.
-      if ((x >> ef_->low_bits_) >
-          (cur_.second >> ef_->low_bits_) + kResyncBuckets) {
-        Reseed(x);
-        return cur_;
-      }
-      if (!pos_valid_) {  // first walk since the last reseed: park the cursor
-        pos_ = ef_->high_.Select1(idx_);
-        pos_valid_ = true;
-      }
-      while (idx_ < ef_->size_) {
-        uint64_t succ = ((pos_ - idx_) << ef_->low_bits_) | ef_->low_[idx_];
-        if (succ > x) break;
-        cur_ = {idx_, succ};
-        ++idx_;
-        if (idx_ < ef_->size_) pos_ = ef_->high_.NextOne(pos_ + 1);
-      }
-      NEATS_DCHECK(cur_.second <= x);
-      return cur_;
+    /// Predecessor {index, value} of `x`; precondition as Predecessor.
+    std::pair<size_t, uint64_t> Next(uint64_t x) const {
+      return ef_->Predecessor(x);
     }
 
    private:
-    static constexpr uint64_t kResyncBuckets = 64;
-    static constexpr size_t kUnseeded = SIZE_MAX;
-
-    void Reseed(uint64_t x) {
-      ScanResult s = ef_->Scan(x);
-      NEATS_DCHECK(s.rank > 0);
-      cur_.first = s.rank - 1;
-      cur_.second = s.rank > s.start ? (s.hb << ef_->low_bits_) |
-                                           ef_->low_[s.rank - 1]
-                                     : ef_->Access(s.rank - 1);
-      idx_ = s.rank;
-      pos_valid_ = false;
-    }
-
     const EliasFano* ef_;
-    size_t idx_ = kUnseeded;  // index of the successor candidate
-    size_t pos_ = 0;          // position of idx_'s high bit (if pos_valid_)
-    bool pos_valid_ = false;
-    std::pair<size_t, uint64_t> cur_{0, 0};
   };
 
   /// Payload size in bits.
@@ -187,50 +140,61 @@ class EliasFano {
     ef.high_ = RankSelect::Load(r);
     NEATS_REQUIRE(ef.low_.size() == ef.size_ && ef.high_.ones() == ef.size_,
                   "corrupt NeaTS blob");
+    // The bucket index holds one entry per high zero. A builder writes at
+    // most 2*size+1 of them and always ends the high bits with one (it
+    // closes the last bucket); demanding both keeps a forged blob from
+    // sizing the index far beyond the blob itself.
+    const size_t zeros = ef.high_.size() - ef.size_;
+    NEATS_REQUIRE(zeros <= 2 * ef.size_ + 1 &&
+                      (ef.size_ == 0 || !ef.high_.Get(ef.high_.size() - 1)),
+                  "corrupt NeaTS blob");
+    ef.BuildBucketIndex();
     return ef;
   }
 
  private:
-  struct ScanResult {
-    size_t rank;   // number of elements <= x
-    size_t start;  // index of the first element with high part >= x's
-    uint64_t hb;   // x's high part; rank > start iff the predecessor is in
-                   // bucket hb (so its value is (hb << low_bits) | low)
+  /// Bucket hb: the elements whose high part is hb, as the index range
+  /// [lo, hi). A high part past the last bucket clamps hb to the bucket
+  /// count, leaving the empty range at size_ whose bits would start at the
+  /// end of the high bitvector.
+  struct Bucket {
+    size_t lo, hi;
+    uint64_t hb;
   };
 
-  /// The bucket scan shared by Rank and Predecessor. Precondition: size_ > 0.
-  ScanResult Scan(uint64_t x) const {
-    uint64_t hb = x >> low_bits_;
-    // Index of the first element whose high part is >= hb.
-    size_t high_zeros = high_.size() - high_.ones();
-    size_t start;
-    if (hb == 0) {
-      start = 0;
-    } else if (hb > high_zeros) {
-      return {size_, size_, hb};  // all high parts are < hb
-    } else {
-      start = high_.Select0(hb - 1) - (hb - 1);
-    }
-    if (start >= size_) return {size_, start, hb};
-    // The elements with high part == hb are a run of consecutive 1 bits
-    // beginning right after the (hb-1)-th zero; measure it word-wise.
-    size_t pos = start + static_cast<size_t>(hb);
-    if (!high_.Get(pos)) return {start, start, hb};  // empty bucket
-    size_t len = high_.OnesRunLength(pos);
-    return {start + CountLowsAtMost(x, start, len), start, hb};
+  /// One read of the bucket index. Precondition: size_ > 0.
+  Bucket BucketOf(uint64_t x) const {
+    const uint64_t hb = x >> low_bits_;
+    const size_t buckets = first_.size() - 1;
+    if (hb >= buckets) return {size_, size_, buckets};
+    return {first_[hb], first_[hb + 1], hb};
   }
 
-  /// Number of elements in the bucket [start, start+len) — all sharing x's
-  /// high part — whose low part is <= x's low part. The lows inside a bucket
-  /// are non-decreasing: probe linearly when the bucket is small,
-  /// binary-search single-bucket pile-ups.
-  size_t CountLowsAtMost(uint64_t x, size_t start, size_t len) const {
-    if (low_bits_ == 0) return len;  // every element equals x's high part
-    uint64_t xl = x & LowMask(low_bits_);
-    size_t lo = start, hi = start + len;
-    if (len <= 16) {
+  /// Fills first_: first_[h] is the index of the first element whose high
+  /// part is >= h, for h in [0, zeros]. Zero k of the high bits closes
+  /// bucket k, so first_[k + 1] is the number of ones before it. One pass
+  /// over the bits, O(size_) by the Load bound on the zero count.
+  void BuildBucketIndex() {
+    std::vector<uint64_t> first;
+    first.reserve(high_.size() - size_ + 1);
+    first.push_back(0);
+    for (size_t pos = 0; pos < high_.size(); ++pos) {
+      if (!high_.Get(pos)) first.push_back(pos - (first.size() - 1));
+    }
+    first_ = PackedArray(first, BitWidth(size_));
+  }
+
+  /// Rank of x given x's bucket: b.lo plus the number of the bucket's
+  /// elements — all sharing x's high part — whose low part is <= x's. The
+  /// lows inside a bucket are non-decreasing: probe linearly when the bucket
+  /// is small, binary-search single-bucket pile-ups.
+  size_t RankIn(Bucket b, uint64_t x) const {
+    if (low_bits_ == 0) return b.hi;  // every element equals x's high part
+    const uint64_t xl = x & LowMask(low_bits_);
+    size_t lo = b.lo, hi = b.hi;
+    if (hi - lo <= 16) {
       while (lo < hi && low_[lo] <= xl) ++lo;
-      return lo - start;
+      return lo;
     }
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
@@ -240,13 +204,14 @@ class EliasFano {
         hi = mid;
       }
     }
-    return lo - start;
+    return lo;
   }
 
   size_t size_ = 0;
   int low_bits_ = 0;
   PackedArray low_;
   RankSelect high_;
+  PackedArray first_;  // bucket index, rebuilt at load; never serialized
 };
 
 }  // namespace neats

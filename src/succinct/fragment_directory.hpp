@@ -8,7 +8,7 @@
 // B (packed widths), D (packed displacements), O (Elias-Fano offsets) — those
 // lookups scatter over ~10 cache lines per query. This directory interleaves
 // all five into one bit-packed record per fragment, so after the single
-// Elias-Fano predecessor scan on S the rest of the metadata resolves inside
+// Elias-Fano predecessor lookup on S the rest of the metadata resolves inside
 // one (rarely two, when a record straddles a line boundary) cache line.
 //
 // Records are packed with per-structure minimal field widths, exactly like

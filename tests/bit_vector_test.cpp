@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -119,6 +120,32 @@ TEST(RankSelect, SparseLargeGaps) {
   }
   EXPECT_EQ(rs.ones(), count);
   EXPECT_EQ(rs.Rank1(bits.size()), count);
+}
+
+// PrevOne against a backward bit-by-bit search: at every position of
+// bitvectors with word-straddling runs, a long all-zero stretch (many
+// whole words between ones) and a final word that is only partly used.
+TEST(RankSelect, PrevOneMatchesBackwardSearch) {
+  std::mt19937_64 rng(23);
+  for (size_t n : {1u, 63u, 64u, 65u, 700u, 5000u}) {
+    for (int density : {2, 50, 98}) {
+      std::vector<bool> bits(n);
+      for (size_t i = 0; i < n; ++i) {
+        bits[i] = static_cast<int>(rng() % 100) < density;
+      }
+      bits[0] = true;  // every position then has a 1 at or before it
+      if (n == 5000) {
+        std::fill(bits.begin() + 100, bits.begin() + 4900, false);
+      }
+      RankSelect rs(MakeBitVector(bits));
+      size_t last_one = 0;
+      for (size_t pos = 0; pos < n; ++pos) {
+        if (bits[pos]) last_one = pos;
+        ASSERT_EQ(rs.PrevOne(pos), last_one)
+            << "n=" << n << " density=" << density << " pos=" << pos;
+      }
+    }
+  }
 }
 
 TEST(BitVector, PushBackMatchesSet) {

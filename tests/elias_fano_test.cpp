@@ -14,23 +14,57 @@ size_t NaiveRank(const std::vector<uint64_t>& values, uint64_t x) {
       std::upper_bound(values.begin(), values.end(), x) - values.begin());
 }
 
-void CheckSequence(const std::vector<uint64_t>& values) {
-  EliasFano ef(values);
+// Rank, Predecessor and PredecessorScanner::Next against std::upper_bound.
+// The bucket index behind them is rebuilt at every load, so each sequence
+// is checked as built by the constructor, Loaded from its bytes into owned
+// storage, and Loaded borrowing them (the View path).
+void CheckQueries(const EliasFano& ef, const std::vector<uint64_t>& values,
+                  const std::vector<uint64_t>& sorted_probes, const char* how) {
+  SCOPED_TRACE(how);
   ASSERT_EQ(ef.size(), values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    ASSERT_EQ(ef.Access(i), values[i]) << "access at " << i;
+  EliasFano::PredecessorScanner scanner(ef);
+  for (uint64_t x : sorted_probes) {
+    const size_t r = NaiveRank(values, x);
+    ASSERT_EQ(ef.Rank(x), r) << "rank of " << x;
+    if (r == 0) continue;  // no predecessor: outside the scanner contract
+    const std::pair<size_t, uint64_t> expected{r - 1, values[r - 1]};
+    ASSERT_EQ(ef.Predecessor(x), expected) << "predecessor of " << x;
+    ASSERT_EQ(scanner.Next(x), expected) << "scanner at " << x;
   }
-  // Rank probes: all values, their neighbours, and extremes.
-  std::vector<uint64_t> probes = {0, 1};
+}
+
+/// Checks a non-empty sequence: Access on the built EF, then every query on
+/// all three open paths. Probes are `extra_probes` plus every value, its
+/// neighbours, and probes past the last bucket.
+void CheckSequence(const std::vector<uint64_t>& values, uint64_t universe = 0,
+                   std::vector<uint64_t> extra_probes = {}) {
+  EliasFano built(values, universe);
+  ASSERT_EQ(built.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(built.Access(i), values[i]) << "access at " << i;
+  }
+  std::vector<uint64_t> probes = std::move(extra_probes);
   for (uint64_t v : values) {
     if (v > 0) probes.push_back(v - 1);
     probes.push_back(v);
     probes.push_back(v + 1);
   }
-  if (!values.empty()) probes.push_back(values.back() + 100);
-  for (uint64_t x : probes) {
-    ASSERT_EQ(ef.Rank(x), NaiveRank(values, x)) << "rank of " << x;
+  for (uint64_t x : {uint64_t{0}, uint64_t{1}, values.back() + 100,
+                     values.back() + (uint64_t{1} << 20), ~uint64_t{0}}) {
+    probes.push_back(x);
   }
+  std::sort(probes.begin(), probes.end());
+
+  std::vector<uint8_t> bytes;
+  WordWriter w(&bytes);
+  built.Serialize(w);
+  WordReader copy(bytes, /*borrow=*/false);
+  const EliasFano loaded = EliasFano::Load(copy);
+  WordReader borrow(bytes, /*borrow=*/true);
+  const EliasFano viewed = EliasFano::Load(borrow);
+  CheckQueries(built, values, probes, "built");
+  CheckQueries(loaded, values, probes, "loaded");
+  CheckQueries(viewed, values, probes, "viewed");
 }
 
 TEST(EliasFano, Empty) {
@@ -42,21 +76,56 @@ TEST(EliasFano, Empty) {
 TEST(EliasFano, SingleElement) {
   CheckSequence({0});
   CheckSequence({5});
+  CheckSequence({5}, 1000, {999});
   CheckSequence({1ULL << 40});
 }
 
 TEST(EliasFano, DenseConsecutive) {
+  // universe == size: low_bits is 0 and each bucket holds one value.
   std::vector<uint64_t> values(2000);
   for (size_t i = 0; i < values.size(); ++i) values[i] = i;
   CheckSequence(values);
+  // Still low_bits 0, with duplicates and gaps: buckets of 0..3 values.
+  std::mt19937_64 rng(3);
+  uint64_t cur = 0;
+  for (auto& v : values) v = (cur += rng() % 3 == 0 ? 0 : rng() % 2);
+  CheckSequence(values, values.size());
 }
 
 TEST(EliasFano, WithDuplicates) {
   CheckSequence({3, 3, 3, 3});
-  CheckSequence({0, 0, 1, 1, 1, 7, 7, 100, 100});
+  CheckSequence({0, 0, 1, 1, 1, 7, 7, 100, 100}, 0, {50, 99});
 }
 
 TEST(EliasFano, AllZeros) { CheckSequence(std::vector<uint64_t>(100, 0)); }
+
+TEST(EliasFano, SingleBucketPileUps) {
+  // Buckets far past the linear-probe length take the binary search.
+  std::vector<uint64_t> values;
+  for (uint64_t v : {uint64_t{0}, uint64_t{9000}, uint64_t{1} << 33}) {
+    for (uint64_t i = 0; i < 900; ++i) values.push_back(v + i / 150);
+  }
+  CheckSequence(values, 0, {4500, uint64_t{1} << 32});
+  CheckSequence(std::vector<uint64_t>(2000, 42));
+}
+
+TEST(EliasFano, ClusteredWithThousandsOfEmptyBuckets) {
+  // Two dense clusters at the ends of a 2^30 universe: a probe in the gap
+  // finds its predecessor with a backward word scan across hundreds of
+  // all-zero words.
+  const uint64_t u = uint64_t{1} << 30;
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < 10000; ++i) values.push_back(i);
+  for (uint64_t i = 0; i < 10000; ++i) values.push_back(u - 10000 + i);
+  // low_bits is BitWidth(u / m) - 1 = 15, so the clusters' buckets are
+  // 0 and 32767 and the 32766 buckets between them are empty.
+  ASSERT_EQ(BitWidth(u / values.size()) - 1, 15);
+  std::mt19937_64 rng(5);
+  std::vector<uint64_t> probes;
+  for (int t = 0; t < 3000; ++t) probes.push_back(rng() % (u + 100));
+  for (uint64_t x = 10000; x < u; x += u / 64) probes.push_back(x);
+  CheckSequence(values, u, probes);
+}
 
 class EliasFanoRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -69,7 +138,9 @@ TEST_P(EliasFanoRandomTest, RandomMonotoneWithGapScale) {
     cur += rng() % (gap_scale + 1);
     values.push_back(cur);
   }
-  CheckSequence(values);
+  std::vector<uint64_t> probes;
+  for (int t = 0; t < 2000; ++t) probes.push_back(rng() % (cur + 2 * gap_scale + 2));
+  CheckSequence(values, 0, probes);
 }
 
 INSTANTIATE_TEST_SUITE_P(GapScales, EliasFanoRandomTest,
@@ -83,43 +154,6 @@ TEST(EliasFano, ExplicitUniverse) {
   EXPECT_EQ(ef.Rank(0), 0u);
   EXPECT_EQ(ef.Rank(5), 2u);
   EXPECT_EQ(ef.Rank(999), 3u);
-}
-
-// The batched predecessor entry point must agree with the scalar
-// Predecessor on every query of a non-decreasing batch — across dense,
-// sparse and pile-up shapes, and across local steps, long jumps (which
-// trigger the scanner's resync rescan) and repeated queries.
-TEST(EliasFano, PredecessorScannerMatchesScalarPredecessor) {
-  std::mt19937_64 rng(17);
-  for (uint64_t gap_scale : {uint64_t{1}, uint64_t{3}, uint64_t{1000},
-                             uint64_t{1} << 20}) {
-    std::vector<uint64_t> values = {0};  // anchor so every query has a pred
-    uint64_t cur = 0;
-    for (int i = 0; i < 4000; ++i) {
-      cur += rng() % (gap_scale + 1);
-      values.push_back(cur);
-    }
-    // A pile-up: many equal elements in one bucket.
-    for (int i = 0; i < 200; ++i) values.push_back(cur + 5);
-    EliasFano ef(values);
-    std::vector<uint64_t> queries;
-    uint64_t q = 0;
-    const uint64_t top = values.back() + 2 * gap_scale + 10;
-    while (q < top) {
-      queries.push_back(q);
-      if (rng() % 8 == 0) q += top / 7;  // long jump: resync path
-      else q += rng() % (2 * gap_scale + 2);
-      if (rng() % 5 == 0 && !queries.empty()) queries.push_back(queries.back());
-    }
-    queries.push_back(top + 1000);  // past the last element
-    EliasFano::PredecessorScanner scanner(ef);
-    for (uint64_t x : queries) {
-      auto expected = ef.Predecessor(x);
-      auto got = scanner.Next(x);
-      ASSERT_EQ(got.first, expected.first) << "x=" << x;
-      ASSERT_EQ(got.second, expected.second) << "x=" << x;
-    }
-  }
 }
 
 TEST(EliasFano, SpaceIsNearOptimal) {

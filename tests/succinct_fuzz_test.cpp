@@ -3,7 +3,9 @@
 //     single-bucket pile-up and empty distributions (the word-wise bucket
 //     scan and the sampled select directories both get exercised),
 //   - RankSelect sampled Select1/Select0 at scale via rank/select inverse
-//     invariants, plus OnesRunLength on constructed runs,
+//     invariants,
+//   - the EliasFano bucket index's load-time bound on the high zero count,
+//     at the EF level and forged into NeaTS and LeCo blobs,
 //   - NeaTS format v4: canonical bytes on every open path, rejection of
 //     v1/v2/v3 blobs (loaders, facade, store), one forged directory record
 //     per check of the loader's validation walk, and a clobber sweep over
@@ -19,6 +21,7 @@
 #include <random>
 #include <vector>
 
+#include "baselines/leco.hpp"
 #include "core/neats.hpp"
 #include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
@@ -183,21 +186,110 @@ TEST(RankSelectSampled, ClusteredRuns) {
   CheckSelectInverse(rs);
 }
 
-TEST(RankSelectSampled, OnesRunLength) {
-  BitVector bv(1000);
-  // Runs at word-straddling offsets: [5,9), [60,200), [500,1000).
-  for (size_t i = 5; i < 9; ++i) bv.Set(i);
-  for (size_t i = 60; i < 200; ++i) bv.Set(i);
-  for (size_t i = 500; i < 1000; ++i) bv.Set(i);
-  RankSelect rs{std::move(bv)};
-  EXPECT_EQ(rs.OnesRunLength(5), 4u);
-  EXPECT_EQ(rs.OnesRunLength(7), 2u);
-  EXPECT_EQ(rs.OnesRunLength(60), 140u);
-  EXPECT_EQ(rs.OnesRunLength(63), 137u);
-  EXPECT_EQ(rs.OnesRunLength(64), 136u);
-  EXPECT_EQ(rs.OnesRunLength(199), 1u);
-  EXPECT_EQ(rs.OnesRunLength(500), 500u);  // run ends at the vector's end
-  EXPECT_EQ(rs.OnesRunLength(999), 1u);
+// ---------------------------------------------------------------------------
+// EliasFano bucket index: Load bounds the high zero count.
+// ---------------------------------------------------------------------------
+
+/// Serialized Elias-Fano section for `values` at `low_bits`, with a high
+/// bitvector of `high_len` bits. The builder writes
+/// size + (last >> low_bits) + 1 bits; longer means forged trailing zeros,
+/// one shorter leaves the last element's high bit at the very end.
+std::vector<uint8_t> ForgedEliasFano(const std::vector<uint64_t>& values,
+                                     int low_bits, size_t high_len) {
+  std::vector<uint64_t> lows;
+  BitVector high(high_len);
+  for (size_t i = 0; i < values.size(); ++i) {
+    lows.push_back(values[i] & LowMask(low_bits));
+    high.Set((values[i] >> low_bits) + i);
+  }
+  std::vector<uint8_t> bytes;
+  WordWriter w(&bytes);
+  w.Put(values.size());
+  w.Put(static_cast<uint64_t>(low_bits));
+  PackedArray(lows, low_bits).Serialize(w);
+  RankSelect(std::move(high)).Serialize(w);
+  return bytes;
+}
+
+/// `blob` with the Elias-Fano section at byte offset `at` re-serialized
+/// with `extra` more high zeros. Every directory stays consistent with the
+/// payload, so only the zero-count bound can reject the result.
+std::vector<uint8_t> WithExtraHighZeros(const std::vector<uint8_t>& blob,
+                                        size_t at, size_t extra) {
+  const std::span<const uint8_t> section(blob.data() + at, blob.size() - at);
+  WordReader r(section, /*borrow=*/false);
+  const EliasFano ef = EliasFano::Load(r);
+  uint64_t low_bits;
+  std::memcpy(&low_bits, section.data() + 8, 8);
+  std::vector<uint64_t> values(ef.size());
+  for (size_t i = 0; i < values.size(); ++i) values[i] = ef.Access(i);
+  const std::vector<uint8_t> forged = ForgedEliasFano(
+      values, static_cast<int>(low_bits),
+      values.size() + (values.back() >> low_bits) + 1 + extra);
+  std::vector<uint8_t> out(blob.begin(), blob.begin() + static_cast<ptrdiff_t>(at));
+  out.insert(out.end(), forged.begin(), forged.end());
+  out.insert(out.end(), section.begin() + static_cast<ptrdiff_t>(r.position()),
+             section.end());
+  return out;
+}
+
+TEST(EliasFanoIndex, LoadBoundsTheHighZeroCount) {
+  const std::vector<uint64_t> values = {0, 3, 9, 9, 20, 21};
+  const size_t m = values.size();
+  const int low_bits = 1;  // BitWidth(22 / 6) - 1: 11 high zeros
+  auto load = [](const std::vector<uint8_t>& bytes) {
+    WordReader r(bytes, /*borrow=*/false);
+    return EliasFano::Load(r);
+  };
+  const size_t canonical = m + (values.back() >> low_bits) + 1;
+  {
+    EliasFano ef(values);
+    std::vector<uint8_t> bytes;
+    WordWriter w(&bytes);
+    ef.Serialize(w);
+    ASSERT_EQ(ForgedEliasFano(values, low_bits, canonical), bytes);
+  }
+  // Up to 2m+1 zeros loads and answers like the builder's encoding...
+  const EliasFano at_bound =
+      load(ForgedEliasFano(values, low_bits, m + 2 * m + 1));
+  for (uint64_t x = 0; x < 40; ++x) {
+    const size_t r = static_cast<size_t>(
+        std::upper_bound(values.begin(), values.end(), x) - values.begin());
+    ASSERT_EQ(at_bound.Rank(x), r) << x;
+    ASSERT_EQ(at_bound.Predecessor(x).second, values[r - 1]) << x;
+  }
+  // ... one more is rejected, as is a last high bit that is a one.
+  EXPECT_NEATS_ERROR(load(ForgedEliasFano(values, low_bits, m + 2 * m + 2)),
+                     "corrupt NeaTS blob");
+  EXPECT_NEATS_ERROR(load(ForgedEliasFano(values, low_bits, canonical - 1)),
+                     "corrupt NeaTS blob");
+}
+
+TEST(EliasFanoIndex, ForgedZeroCountsInBlobsAreRejected) {
+  // 4096 extra zeros grow every RankSelect array by whole 64-byte lines
+  // (64 payload words, 8 superblocks, 64 relative counts, 8 select-0
+  // samples), so the NeaTS directory keeps its alignment and the forgery
+  // differs from a valid blob only in the zero count.
+  Dataset ds = MakeDataset("ECG", 6000);
+  std::vector<uint8_t> neats_blob;
+  Neats::Compress(ds.values).Serialize(&neats_blob);
+  uint64_t kinds;
+  std::memcpy(&kinds, neats_blob.data() + 6 * 8, 8);
+  const size_t neats_at = (7 + kinds) * 8;  // header words, then S
+  ASSERT_EQ(WithExtraHighZeros(neats_blob, neats_at, 0), neats_blob);
+  const std::vector<uint8_t> forged_neats =
+      WithExtraHighZeros(neats_blob, neats_at, 16 * 4096);
+  EXPECT_NEATS_ERROR(Neats::Deserialize(forged_neats), "corrupt NeaTS blob");
+  EXPECT_NEATS_ERROR(Neats::View(forged_neats), "corrupt NeaTS blob");
+
+  std::vector<uint8_t> leco_blob;
+  Leco::Compress(ds.values).Serialize(&leco_blob);
+  const size_t leco_at = 4 * 8;  // magic, version, n, m; then the starts
+  ASSERT_EQ(WithExtraHighZeros(leco_blob, leco_at, 0), leco_blob);
+  const std::vector<uint8_t> forged_leco =
+      WithExtraHighZeros(leco_blob, leco_at, 16 * 4096);
+  EXPECT_NEATS_ERROR(Leco::Deserialize(forged_leco), "corrupt NeaTS blob");
+  EXPECT_NEATS_ERROR(Leco::View(forged_leco), "corrupt NeaTS blob");
 }
 
 // ---------------------------------------------------------------------------
