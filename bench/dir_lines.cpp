@@ -14,12 +14,9 @@
 // object itself and are excluded — they are resident after the first query
 // anyway.
 //
-//   $ ./build/bench_dir_lines [--tsv]
+//   $ ./build/bench_dir_lines
 //
-// --tsv emits one machine-readable "CODE dir" line per dataset;
-// bench_bench_report shells out to this mode to fill the dir_lines_touched
-// column of BENCH_neats.json. Environment:
-// NEATS_BENCH_N caps dataset sizes exactly as in bench_report.
+// Environment: NEATS_BENCH_N caps dataset sizes (bench/harness.hpp).
 
 #ifndef NEATS_PROFILE_TOUCH
 #error "dir_lines.cpp must be compiled with -DNEATS_PROFILE_TOUCH"
@@ -27,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -59,7 +55,7 @@ size_t DistinctLines(Op&& op) {
 double MeasureDataset(const DatasetSpec& spec) {
   Dataset ds = LoadDataset(spec);
   Neats compressed = Neats::Compress(ds.values);
-  std::mt19937_64 rng(42);  // same probe distribution as bench_report
+  std::mt19937_64 rng(42);
   std::vector<uint64_t> idx(1 << 12);
   for (auto& i : idx) i = rng() % ds.values.size();
   double lines = 0;
@@ -75,19 +71,16 @@ double MeasureDataset(const DatasetSpec& spec) {
 }  // namespace
 }  // namespace neats::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace neats;
   using namespace neats::bench;
-  const bool tsv = argc > 1 && std::strcmp(argv[1], "--tsv") == 0;
-  if (!tsv) {
-    std::printf("avg distinct cache lines per random access\n");
-    std::printf("%-5s %8s\n", "set", "dir");
-  }
+  std::printf("avg distinct cache lines per random access\n");
+  std::printf("%-5s %8s\n", "set", "dir");
   for (const DatasetSpec& spec : kDatasetSpecs) {
     std::string code = spec.code;
     if (code != "CT" && code != "DP" && code != "UK" && code != "ECG") continue;
     double lines = MeasureDataset(spec);
-    std::printf(tsv ? "%s %.2f\n" : "%-5s %8.2f\n", spec.code, lines);
+    std::printf("%-5s %8.2f\n", spec.code, lines);
     std::fflush(stdout);
   }
   return 0;

@@ -72,8 +72,7 @@ class IntAdapter : public AnyCompressed {
   size_t SizeInBits() const override { return c_.SizeInBits(); }
   uint64_t DecompressAll() const override {
     // Every codec pays the same O(n) materialization here so the cross-codec
-    // comparison stays apples-to-apples; the no-materialization cursor scan
-    // is a separate metric (CursorScanChecksum, bench_report.cpp).
+    // comparison stays apples-to-apples.
     std::vector<int64_t> out;
     c_.Decompress(&out);
     uint64_t checksum = 0;
@@ -191,23 +190,6 @@ inline std::vector<Compressor> LosslessRoster() {
         Neats::Compress(ds.values)));
   }});
   return roster;
-}
-
-/// Checksum of a full sequential scan through a compressor's Cursor,
-/// decoding into a fixed 4096-value buffer — the streaming counterpart of
-/// AnyCompressed::DecompressAll, with no O(n) output materialization.
-template <typename C>
-uint64_t CursorScanChecksum(const C& compressed) {
-  typename C::Cursor cursor(compressed);
-  int64_t buffer[4096];
-  uint64_t checksum = 0;
-  while (!cursor.done()) {
-    uint64_t got = cursor.Read(4096, buffer);
-    for (uint64_t j = 0; j < got; ++j) {
-      checksum += static_cast<uint64_t>(buffer[j]);
-    }
-  }
-  return checksum;
 }
 
 /// Compression ratio in percent (compressed bits / raw 64-bit values).

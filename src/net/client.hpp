@@ -1,5 +1,5 @@
 // Blocking client for the neats wire protocol — the counterpart of
-// src/net/server.hpp used by tests, tools, and the loadgen driver.
+// src/net/server.hpp used by tests, tools, and perfbench/.
 //
 // Two layers:
 //   - Typed calls (Access, AccessBatch, DecompressRange(s), RangeSum,
@@ -9,8 +9,8 @@
 //     quarantined shard would in-process).
 //   - Raw SendRequest/ReadResponse for pipelining: keep several requests
 //     in flight on one connection and match responses by id. This is what
-//     the loadgen uses, and what makes the server's coalescing window
-//     fill — a closed-loop one-at-a-time client never batches.
+//     makes the server's coalescing window fill — a closed-loop
+//     one-at-a-time client never batches.
 
 #pragma once
 

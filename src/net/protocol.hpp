@@ -1,12 +1,14 @@
 // The wire protocol of the neats serving front-end (src/net/server.hpp).
 //
-// One port, three self-announcing dialects, distinguished by the first byte
+// One port, two self-announcing dialects, distinguished by the first byte
 // a connection sends:
 //
 //   'N' (0x4E)  binary frames — the production protocol (below)
-//   '{' (0x7B)  line-delimited JSON — same operations, human-debuggable
 //   'G' (0x47)  "GET ..." — a minimal HTTP/1.0 responder for the stats
 //               route, so `curl http://host:port/stats` works
+//
+// Any other first byte is answered with a kBadRequest frame ("unrecognized
+// protocol") and the connection is closed.
 //
 // Binary framing: a 24-byte little-endian header followed by the payload,
 // the whole frame covered by a CRC32C (io/checksum.hpp — the same
@@ -34,15 +36,9 @@
 
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
-#include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -290,247 +286,5 @@ class PayloadReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
-
-// --------------------------------------------------------------------------
-// Minimal JSON for the line-delimited debug dialect. Parses the subset the
-// protocol needs (objects, arrays, numbers, strings, true/false/null) with
-// a hard depth limit; anything else is a clean parse failure, never UB.
-// --------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  int64_t integer = 0;   // exact when `integral`
-  bool integral = false;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; null when absent or not an object.
-  const JsonValue* Find(std::string_view key) const {
-    if (kind != Kind::kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  /// The value as a uint64 index/length; false when not an integral
-  /// non-negative number.
-  bool AsU64(uint64_t* out) const {
-    if (kind != Kind::kNumber || !integral || integer < 0) return false;
-    *out = static_cast<uint64_t>(integer);
-    return true;
-  }
-};
-
-namespace json_internal {
-
-inline constexpr int kMaxDepth = 16;
-
-struct Parser {
-  std::string_view text;
-  size_t pos = 0;
-
-  bool Fail() { return false; }
-  void SkipWs() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\r' ||
-            text[pos] == '\n')) {
-      ++pos;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Eat('"')) return false;
-    out->clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        char e = text[pos++];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Decode \uXXXX as Latin-1 where it fits; the protocol never
-            // needs more, and rejecting surrogates keeps this tiny.
-            if (text.size() - pos < 4) return false;
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text[pos++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            if (v > 0xFF) return false;
-            out->push_back(static_cast<char>(v));
-            break;
-          }
-          default: return false;
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      out->push_back(c);
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    SkipWs();
-    const size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    size_t digits = 0;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-      ++pos;
-      ++digits;
-    }
-    if (digits == 0) return false;
-    bool integral = true;
-    if (pos < text.size() && text[pos] == '.') {
-      integral = false;
-      ++pos;
-      size_t frac = 0;
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-        ++pos;
-        ++frac;
-      }
-      if (frac == 0) return false;
-    }
-    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-      integral = false;
-      ++pos;
-      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      size_t exp = 0;
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-        ++pos;
-        ++exp;
-      }
-      if (exp == 0) return false;
-    }
-    const std::string token(text.substr(start, pos - start));
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(token.c_str(), nullptr);
-    out->integral = false;
-    if (integral && token.size() <= 19) {  // int64 never needs more digits
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
-        out->integer = v;
-        out->integral = true;
-      }
-    }
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return false;
-    SkipWs();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWs();
-      if (Eat('}')) return true;
-      while (true) {
-        std::string key;
-        if (!ParseString(&key)) return false;
-        if (!Eat(':')) return false;
-        JsonValue v;
-        if (!ParseValue(&v, depth + 1)) return false;
-        out->object.emplace_back(std::move(key), std::move(v));
-        if (Eat(',')) continue;
-        return Eat('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWs();
-      if (Eat(']')) return true;
-      while (true) {
-        JsonValue v;
-        if (!ParseValue(&v, depth + 1)) return false;
-        out->array.push_back(std::move(v));
-        if (Eat(',')) continue;
-        return Eat(']');
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->string);
-    }
-    if (text.substr(pos, 4) == "true") {
-      pos += 4;
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return true;
-    }
-    if (text.substr(pos, 5) == "false") {
-      pos += 5;
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (text.substr(pos, 4) == "null") {
-      pos += 4;
-      out->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return ParseNumber(out);
-  }
-};
-
-}  // namespace json_internal
-
-/// Parses one JSON document from `text` (trailing whitespace allowed,
-/// trailing garbage rejected). Returns false on any syntax error or when
-/// nesting exceeds a small hard limit — hostile input fails cleanly.
-inline bool ParseJson(std::string_view text, JsonValue* out) {
-  json_internal::Parser p{text};
-  *out = JsonValue{};
-  if (!p.ParseValue(out, 0)) return false;
-  p.SkipWs();
-  return p.pos == p.text.size();
-}
-
-/// Appends `s` as a quoted JSON string (escaping quotes, backslashes, and
-/// control characters).
-inline void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 }  // namespace neats::net

@@ -5,7 +5,7 @@
 // Shape (docs/ARCHITECTURE.md, "Network layer"):
 //
 //   accept ─▶ [ IO thread: epoll/poll event loop ]
-//                │  nonblocking reads ─▶ frame/line parser ─▶ per-conn
+//                │  nonblocking reads ─▶ frame parser ─▶ per-conn
 //                │  request queue (admission gate sheds kOverloaded here)
 //                │
 //                │  dispatch: one work item per connection at a time —
@@ -31,15 +31,16 @@
 // max-inflight admission shedding typed kOverloaded responses instead of
 // queueing unboundedly, idle-connection timeouts, graceful drain (stop
 // accepting, finish queued work, flush, close), and malformed-frame
-// hardening — oversized length words, bad CRCs, truncations, hostile JSON
-// all produce a typed error or a clean close, never a crash
+// hardening — oversized length words, bad CRCs, truncations, unknown
+// first bytes all produce a typed error or a clean close, never a crash
 // (tests/net_test.cpp sweeps every truncation point and clobbers every
 // header byte).
 //
-// Dialects: binary frames (src/net/protocol.hpp), line-delimited JSON on
-// the same port (first byte '{'), and a minimal HTTP GET responder so
-// `curl http://host:port/stats` returns the stats document — the
-// observability layer's StatsSnapshot()/MetricsJson wired to a route.
+// Dialects: binary frames (src/net/protocol.hpp) and, on the same port, a
+// minimal HTTP GET responder so `curl http://host:port/stats` returns the
+// stats document — the observability layer's StatsSnapshot()/MetricsJson
+// wired to a route. Any other first byte gets a typed kBadRequest frame
+// and the connection closes.
 
 #pragma once
 
@@ -49,7 +50,6 @@
 #include <sys/epoll.h>
 #endif
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -98,7 +98,7 @@ struct NeatsServerOptions {
 
   /// Frame payload cap, both directions: a request announcing more is
   /// rejected and the connection closed; a query whose response would
-  /// exceed it gets kBadRequest. Also caps a JSON line.
+  /// exceed it gets kBadRequest.
   size_t max_frame_bytes = size_t{16} << 20;
 
   /// Admission gate: total requests queued + executing across every
@@ -276,8 +276,7 @@ struct ServerObs {
   obs::MetricsRegistry registry;
   obs::CounterId c_accepted, c_closed, c_rejected, c_idle_closed,
       c_requests, c_errors, c_shed, c_bytes_in, c_bytes_out, c_bad_frames,
-      c_json_requests, c_http_requests, c_coalesced_batches,
-      c_coalesced_probes;
+      c_http_requests, c_coalesced_batches, c_coalesced_probes;
   obs::CounterId c_op[kMaxOpcode + 1];
   obs::GaugeId g_connections, g_inflight;
   obs::HistogramId h_op[kMaxOpcode + 1];
@@ -294,7 +293,6 @@ struct ServerObs {
     c_bytes_in = registry.AddCounter("bytes.in");
     c_bytes_out = registry.AddCounter("bytes.out");
     c_bad_frames = registry.AddCounter("frames.malformed");
-    c_json_requests = registry.AddCounter("req.json");
     c_http_requests = registry.AddCounter("req.http");
     c_coalesced_batches = registry.AddCounter("coalesce.batches");
     c_coalesced_probes = registry.AddCounter("coalesce.probes");
@@ -310,7 +308,7 @@ struct ServerObs {
   }
 };
 
-/// One parsed request, normalized across the binary and JSON dialects.
+/// One parsed request.
 struct Request {
   Opcode op = Opcode::kPing;
   uint64_t id = 0;
@@ -323,7 +321,7 @@ struct Request {
 /// One connection. The IO thread owns everything except `handoff`/`busy`,
 /// which carry worker results back under `hand_mu`.
 struct Conn {
-  enum class Mode { kUnknown, kBinary, kJson, kHttp };
+  enum class Mode { kUnknown, kBinary, kHttp };
 
   int fd = -1;
   Mode mode = Mode::kUnknown;
@@ -434,9 +432,9 @@ class NeatsServer {
     return ob.registry.Snapshot();
   }
 
-  /// The stats document the kStats opcode, the JSON dialect, and the HTTP
-  /// route all serve: {"server": <server metrics>, "store": <store
-  /// metrics>} in the obs::MetricsJson schema.
+  /// The stats document the kStats opcode and the HTTP route both serve:
+  /// {"server": <server metrics>, "store": <store metrics>} in the
+  /// obs::MetricsJson schema.
   std::string StatsJson() const {
     std::string out = "{\n\"server\":\n";
     out += obs::MetricsJson(StatsSnapshot());
@@ -660,8 +658,6 @@ class NeatsServer {
       const uint8_t first = conn->in[0];
       if (first == 0x4E) {  // 'N' — binary magic
         conn->mode = Conn::Mode::kBinary;
-      } else if (first == '{') {
-        conn->mode = Conn::Mode::kJson;
       } else if (first == 'G') {
         conn->mode = Conn::Mode::kHttp;
       } else {
@@ -675,7 +671,6 @@ class NeatsServer {
     }
     switch (conn->mode) {
       case Conn::Mode::kBinary: ParseBinary(conn, now); break;
-      case Conn::Mode::kJson: ParseJsonLines(conn, now); break;
       case Conn::Mode::kHttp: ParseHttp(conn, now); break;
       case Conn::Mode::kUnknown: break;
     }
@@ -776,114 +771,6 @@ class NeatsServer {
     }
     if (!r.ok() || !r.AtEnd()) {
       *error = "malformed payload";
-      return false;
-    }
-    return true;
-  }
-
-  void ParseJsonLines(const std::shared_ptr<Conn>& conn, uint64_t now) {
-    while (!conn->closed) {
-      const auto nl =
-          std::find(conn->in.begin(), conn->in.end(), uint8_t{'\n'});
-      if (nl == conn->in.end()) {
-        if (conn->in.size() > options_.max_frame_bytes) {
-          HardProtocolError(conn, 0, "JSON line exceeds max_frame_bytes");
-        }
-        break;
-      }
-      const std::string_view line(
-          reinterpret_cast<const char*>(conn->in.data()),
-          static_cast<size_t>(nl - conn->in.begin()));
-      obs_->registry.Count(obs_->c_json_requests);
-      Request req;
-      std::string error;
-      const bool ok = ParseJsonRequest(line, &req, &error);
-      conn->in.erase(conn->in.begin(), nl + 1);
-      if (!ok) {
-        obs_->registry.Count(obs_->c_bad_frames);
-        SendError(conn, req.op, req.id, WireStatus::kBadRequest, error);
-        continue;
-      }
-      Admit(conn, std::move(req));
-    }
-    TryDispatch(conn, now);
-    FlushOut(conn);
-    if (!conn->closed) UpdateInterest(conn, false);
-  }
-
-  bool ParseJsonRequest(std::string_view line, Request* req,
-                        std::string* error) {
-    JsonValue v;
-    if (!ParseJson(line, &v) || v.kind != JsonValue::Kind::kObject) {
-      *error = "not a JSON object";
-      return false;
-    }
-    if (const JsonValue* id = v.Find("id")) {
-      if (id->integral) req->id = static_cast<uint64_t>(id->integer);
-    }
-    const JsonValue* op = v.Find("op");
-    if (op == nullptr || op->kind != JsonValue::Kind::kString) {
-      *error = "missing \"op\"";
-      return false;
-    }
-    auto u64_field = [&](const char* name, uint64_t* out) {
-      const JsonValue* f = v.Find(name);
-      if (f == nullptr || !f->AsU64(out)) {
-        *error = std::string("missing or invalid \"") + name + "\"";
-        return false;
-      }
-      return true;
-    };
-    const std::string& name = op->string;
-    if (name == "ping") {
-      req->op = Opcode::kPing;
-    } else if (name == "size") {
-      req->op = Opcode::kSize;
-    } else if (name == "stats") {
-      req->op = Opcode::kStats;
-    } else if (name == "access") {
-      req->op = Opcode::kAccess;
-      if (!u64_field("i", &req->a)) return false;
-    } else if (name == "access_batch") {
-      req->op = Opcode::kAccessBatch;
-      const JsonValue* idx = v.Find("idx");
-      if (idx == nullptr || idx->kind != JsonValue::Kind::kArray) {
-        *error = "missing or invalid \"idx\"";
-        return false;
-      }
-      req->idx.reserve(idx->array.size());
-      for (const JsonValue& e : idx->array) {
-        uint64_t i;
-        if (!e.AsU64(&i)) {
-          *error = "\"idx\" holds a non-index value";
-          return false;
-        }
-        req->idx.push_back(i);
-      }
-    } else if (name == "range" || name == "range_sum") {
-      req->op = name == "range" ? Opcode::kDecompressRange
-                                : Opcode::kRangeSum;
-      if (!u64_field("from", &req->a) || !u64_field("len", &req->b)) {
-        return false;
-      }
-    } else if (name == "ranges") {
-      req->op = Opcode::kDecompressRanges;
-      const JsonValue* rs = v.Find("ranges");
-      if (rs == nullptr || rs->kind != JsonValue::Kind::kArray) {
-        *error = "missing or invalid \"ranges\"";
-        return false;
-      }
-      for (const JsonValue& e : rs->array) {
-        uint64_t from, len;
-        if (e.kind != JsonValue::Kind::kArray || e.array.size() != 2 ||
-            !e.array[0].AsU64(&from) || !e.array[1].AsU64(&len)) {
-          *error = "\"ranges\" entries must be [from, len]";
-          return false;
-        }
-        req->ranges.push_back({from, len});
-      }
-    } else {
-      *error = "unknown op \"" + name + "\"";
       return false;
     }
     return true;
@@ -1072,7 +959,7 @@ class NeatsServer {
                    std::vector<Request>& items) {
     std::string out;
     if (items.size() > 1) {
-      ExecuteCoalesced(mode, items, &out);
+      ExecuteCoalesced(items, &out);
     } else {
       const uint64_t t0 = obs::NowNs();
       ExecuteOne(mode, items[0], &out);
@@ -1099,8 +986,7 @@ class NeatsServer {
   /// request order, out-of-range probes answered individually). The run's
   /// service time lands in the "op.access" histogram once, its size in
   /// "coalesce.batch".
-  void ExecuteCoalesced(Conn::Mode mode, std::vector<Request>& items,
-                        std::string* out) {
+  void ExecuteCoalesced(std::vector<Request>& items, std::string* out) {
     const uint64_t t0 = obs::NowNs();
     obs_->registry.Count(obs_->c_coalesced_batches);
     obs_->registry.Count(obs_->c_coalesced_probes, items.size());
@@ -1130,16 +1016,17 @@ class NeatsServer {
     size_t at = 0;
     for (const Request& r : items) {
       if (r.a >= size) {
-        AppendError(mode, r.op, r.id, WireStatus::kOutOfRange,
-                    "index past store size", out);
+        AppendError(Conn::Mode::kBinary, r.op, r.id,
+                    WireStatus::kOutOfRange, "index past store size", out);
         continue;
       }
       if (failure != WireStatus::kOk) {
-        AppendError(mode, r.op, r.id, failure, failure_msg, out);
+        AppendError(Conn::Mode::kBinary, r.op, r.id, failure, failure_msg,
+                    out);
         ++at;
         continue;
       }
-      AppendValueResponse(mode, r.id, values[at++], out);
+      AppendValueResponse(r.id, values[at++], out);
     }
     obs_->registry.Record(obs_->h_op[static_cast<uint8_t>(Opcode::kAccess)],
                           obs::NowNs() - t0);
@@ -1149,20 +1036,14 @@ class NeatsServer {
     try {
       switch (req.op) {
         case Opcode::kPing: {
-          AppendOk(mode, req.op, req.id, {}, "", out);
+          AppendOk(req.op, req.id, {}, out);
           return;
         }
         case Opcode::kSize: {
-          const uint64_t size = store_.size();
-          if (mode == Conn::Mode::kBinary) {
-            std::vector<uint8_t> payload;
-            PayloadWriter w(&payload);
-            w.U64(size);
-            AppendOk(mode, req.op, req.id, payload, "", out);
-          } else {
-            AppendOk(mode, req.op, req.id, {},
-                     "\"size\": " + std::to_string(size), out);
-          }
+          std::vector<uint8_t> payload;
+          PayloadWriter w(&payload);
+          w.U64(store_.size());
+          AppendOk(req.op, req.id, payload, out);
           return;
         }
         case Opcode::kStats: {
@@ -1172,18 +1053,11 @@ class NeatsServer {
                     "Content-Length: " +
                     std::to_string(stats.size()) +
                     "\r\nConnection: close\r\n\r\n" + stats;
-          } else if (mode == Conn::Mode::kBinary) {
-            AppendOk(mode, req.op, req.id,
+          } else {
+            AppendOk(req.op, req.id,
                      {reinterpret_cast<const uint8_t*>(stats.data()),
                       stats.size()},
-                     "", out);
-          } else {
-            // Stats is itself a JSON object; embed it (newlines stripped,
-            // since the dialect is line-delimited).
-            std::string flat = stats;
-            std::erase(flat, '\n');
-            AppendOk(mode, req.op, req.id, {},
-                     "\"stats\": " + flat, out);
+                     out);
           }
           return;
         }
@@ -1193,7 +1067,7 @@ class NeatsServer {
                         "index past store size", out);
             return;
           }
-          AppendValueResponse(mode, req.id, store_.Access(req.a), out);
+          AppendValueResponse(req.id, store_.Access(req.a), out);
           return;
         }
         case Opcode::kAccessBatch: {
@@ -1207,7 +1081,7 @@ class NeatsServer {
           }
           std::vector<int64_t> values(req.idx.size());
           store_.AccessBatch(req.idx, values);
-          AppendValuesResponse(mode, req.op, req.id, values, out);
+          AppendValuesResponse(req.op, req.id, values, out);
           return;
         }
         case Opcode::kDecompressRange:
@@ -1237,8 +1111,8 @@ class NeatsServer {
             }
           }
           if (req.op == Opcode::kRangeSum) {
-            AppendValueResponse(mode, req.id, store_.RangeSum(req.a, req.b),
-                                out, /*sum=*/true);
+            AppendValueResponse(req.id, store_.RangeSum(req.a, req.b), out,
+                                /*sum=*/true);
             return;
           }
           std::vector<int64_t> values(total);
@@ -1247,7 +1121,7 @@ class NeatsServer {
           } else {
             store_.DecompressRanges(ranges, values.data());
           }
-          AppendValuesResponse(mode, req.op, req.id, values, out);
+          AppendValuesResponse(req.op, req.id, values, out);
           return;
         }
       }
@@ -1267,92 +1141,54 @@ class NeatsServer {
 
   // --- Response formatting (worker or IO thread; writes to a local) --------
 
-  /// Success envelope. Binary: a kOk frame carrying `payload`. JSON: an
-  /// {"id", "ok": true, ...} line carrying `json_fields` (pre-rendered
-  /// `"key": value` text, may be empty).
-  void AppendOk(Conn::Mode mode, Opcode op, uint64_t id,
-                std::span<const uint8_t> payload,
-                const std::string& json_fields, std::string* out) {
-    if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> frame;
-      AppendFrame(&frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
-                  payload);
-      out->append(reinterpret_cast<const char*>(frame.data()),
-                  frame.size());
-      return;
-    }
-    *out += "{\"id\": " + std::to_string(id) + ", \"ok\": true";
-    if (!json_fields.empty()) *out += ", " + json_fields;
-    *out += "}\n";
+  /// Success envelope: a kOk frame carrying `payload`.
+  void AppendOk(Opcode op, uint64_t id, std::span<const uint8_t> payload,
+                std::string* out) {
+    std::vector<uint8_t> frame;
+    AppendFrame(&frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+                payload);
+    out->append(reinterpret_cast<const char*>(frame.data()), frame.size());
   }
 
-  void AppendValueResponse(Conn::Mode mode, uint64_t id, int64_t value,
-                           std::string* out, bool sum = false) {
-    if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> payload;
-      PayloadWriter w(&payload);
-      w.I64(value);
-      AppendOk(mode, sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload,
-               "", out);
-      return;
-    }
-    AppendOk(mode, Opcode::kAccess, id, {},
-             std::string(sum ? "\"sum\": " : "\"value\": ") +
-                 std::to_string(value),
-             out);
+  void AppendValueResponse(uint64_t id, int64_t value, std::string* out,
+                           bool sum = false) {
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.I64(value);
+    AppendOk(sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload, out);
   }
 
-  void AppendValuesResponse(Conn::Mode mode, Opcode op, uint64_t id,
+  void AppendValuesResponse(Opcode op, uint64_t id,
                             std::span<const int64_t> values,
                             std::string* out) {
-    if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> payload;
-      PayloadWriter w(&payload);
-      w.I64Span(values);
-      AppendOk(mode, op, id, payload, "", out);
-      return;
-    }
-    std::string field = "\"values\": [";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) field += ", ";
-      field += std::to_string(values[i]);
-    }
-    field += "]";
-    AppendOk(mode, op, id, {}, field, out);
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.I64Span(values);
+    AppendOk(op, id, payload, out);
   }
 
+  /// Error envelope. Binary: a frame with status `s` carrying `message`.
+  /// HTTP: a bare 503 (the one HTTP route, /stats, failed).
   void AppendError(Conn::Mode mode, Opcode op, uint64_t id, WireStatus s,
                    const std::string& message, std::string* out) {
     obs_->registry.Count(obs_->c_errors);
-    if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> frame;
-      AppendFrame(&frame, op, static_cast<uint16_t>(s), id,
-                  {reinterpret_cast<const uint8_t*>(message.data()),
-                   message.size()});
-      out->append(reinterpret_cast<const char*>(frame.data()),
-                  frame.size());
-      return;
-    }
     if (mode == Conn::Mode::kHttp) {
       *out += "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n"
               "Connection: close\r\n\r\n";
       return;
     }
-    *out += "{\"id\": " + std::to_string(id) +
-            ", \"ok\": false, \"status\": \"";
-    *out += WireStatusName(s);
-    *out += "\", \"error\": ";
-    AppendJsonString(out, message);
-    *out += "}\n";
+    std::vector<uint8_t> frame;
+    AppendFrame(&frame, op, static_cast<uint16_t>(s), id,
+                {reinterpret_cast<const uint8_t*>(message.data()),
+                 message.size()});
+    out->append(reinterpret_cast<const char*>(frame.data()), frame.size());
   }
 
   /// IO-thread-side immediate error (sheds, parse failures): same
   /// formatting, straight into the connection's out buffer.
   void SendError(const std::shared_ptr<Conn>& conn, Opcode op, uint64_t id,
                  WireStatus s, const std::string& message) {
-    Conn::Mode mode = conn->mode;
-    if (mode == Conn::Mode::kUnknown) mode = Conn::Mode::kBinary;
-    AppendError(mode, op, id, s, message, &conn->out);
+    AppendError(conn->mode, op, id, s, message, &conn->out);
   }
 
   const NeatsStore& store_;

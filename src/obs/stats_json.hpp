@@ -1,10 +1,10 @@
-// Serializers for a MetricsSnapshot: a JSON object (the payload shape a
-// future server stats endpoint returns, what `neats_cli stats` prints, and
-// what bench_report / the scenario runner embed) and a human-readable text
-// table. Histograms are emitted under "ops" with the same field names the
-// scenario engine's per-op JSON uses (count / p50_ns / p99_ns / p999_ns /
-// max_ns), so dashboards read workload-side and store-side percentiles
-// with one schema.
+// Serializers for a MetricsSnapshot: a JSON object (what the server's
+// stats endpoint returns, what `neats_cli stats` prints, and what the
+// scenario runner embeds) and a human-readable text table. Histograms are
+// emitted under "ops" with the same field names the scenario engine's
+// per-op JSON uses (count / p50_ns / p99_ns / p999_ns / max_ns), so
+// dashboards read workload-side and store-side percentiles with one
+// schema.
 
 #pragma once
 

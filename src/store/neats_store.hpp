@@ -179,9 +179,9 @@ struct NeatsStoreOptions {
 
   /// Maintain the store's metrics registry and flight recorder: per-op
   /// latency histograms, op/WAL/seal/quarantine counters, StatsSnapshot()
-  /// and TraceDump(). Recording is per-thread relaxed-atomic — the
-  /// bench_report overhead guard holds the scalar-access cost under 3% —
-  /// but a store that wants the last nanosecond can turn it all off.
+  /// and TraceDump(). Recording is per-thread relaxed-atomic — perfbench's
+  /// obs.access_overhead_ratio gate (CI) budgets the scalar-access cost at
+  /// 3% — but a store that wants the last nanosecond can turn it all off.
   bool metrics = true;
 
   /// Scalar Access latency sampling: 1 in `latency_sample_every` accesses
@@ -724,8 +724,8 @@ class NeatsStore {
     try {
       // The counter is exact; the clock pair is sampled (1 in sample_every
       // per thread) so timing costs a fraction of a nanosecond amortized.
-      // One combined slab lookup — the bench report's metrics_overhead
-      // gate holds this whole branch to <3% of the access itself.
+      // One combined slab lookup — perfbench's obs.access_overhead_ratio
+      // gate budgets this whole branch at 3% of the access itself.
       if (!ob->registry.CountAndTick(ob->c_access, ob->h_access,
                                      ob->sample_every)) {
         return AccessLocked(i, nullptr);

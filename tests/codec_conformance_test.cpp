@@ -31,6 +31,7 @@
 #include "core/codec_id.hpp"
 #include "core/neats.hpp"
 #include "core/series_codec.hpp"
+#include "datasets/generators.hpp"
 #include "require_error.hpp"
 
 namespace neats {
@@ -135,6 +136,35 @@ TYPED_TEST(CodecConformanceTest, SortedAccessBatchMatchesScalar) {
     }
   }
   c.AccessBatch(std::span<const uint64_t>(), nullptr);  // empty batch legal
+
+  // The generator shapes of the paper-rung datasets: smooth sensor trend
+  // (CT), high-precision noise (DP), stock ticks (UK), quasi-periodic
+  // signal (ECG), each at its 8192-capped size and at 8192 values. 4096
+  // seeded probes are answered in sorted blocks of 512.
+  for (const char* code : {"CT", "DP", "UK", "ECG"}) {
+    size_t default_n = 0;
+    for (const DatasetSpec& spec : kDatasetSpecs) {
+      if (std::string(spec.code) == code) default_n = spec.default_n;
+    }
+    for (size_t n : {std::min<size_t>(default_n, 8192), size_t{8192}}) {
+      const std::vector<int64_t> values = MakeDataset(code, n).values;
+      TypeParam d = TypeParam::Compress(values, {});
+      std::mt19937_64 probe_rng(42);
+      std::vector<uint64_t> idx(4096);
+      for (auto& k : idx) k = probe_rng() % values.size();
+      constexpr size_t kBatch = 512;
+      std::vector<int64_t> out(kBatch);
+      for (size_t at = 0; at < idx.size(); at += kBatch) {
+        std::sort(idx.begin() + static_cast<ptrdiff_t>(at),
+                  idx.begin() + static_cast<ptrdiff_t>(at + kBatch));
+        d.AccessBatch({idx.data() + at, kBatch}, out.data());
+        for (size_t j = 0; j < kBatch; ++j) {
+          ASSERT_EQ(out[j], values[idx[at + j]])
+              << code << " n=" << n << " probe " << idx[at + j];
+        }
+      }
+    }
+  }
 }
 
 TYPED_TEST(CodecConformanceTest, DecompressRangesAndRangeSums) {

@@ -1,5 +1,6 @@
 // Tests for the network layer (src/net/): wire-protocol units, the
-// client/server loopback round trip for every opcode and dialect,
+// client/server loopback round trip for every opcode and dialect, the
+// typed rejection of unrecognized first bytes,
 // admission-control shedding, graceful drain, the poll(2) fallback
 // backend, protocol hardening (the clobber/truncation/forged-length
 // sweeps mirroring the WAL/manifest fuzz pattern), and the multi-client
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "json_doc.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -21,6 +23,9 @@
 
 namespace neats::net {
 namespace {
+
+using testing::JsonValue;
+using testing::ParseJson;
 
 // --- Protocol units -------------------------------------------------------
 
@@ -72,22 +77,21 @@ TEST(Protocol, PayloadReaderBoundsChecks) {
   EXPECT_TRUE(v.empty());
 }
 
-TEST(Protocol, JsonParserAcceptsAndRejects) {
+// The stats-document checks below are only as strict as this parser.
+TEST(StatsJsonParser, AcceptsAndRejects) {
   JsonValue v;
-  ASSERT_TRUE(ParseJson(R"({"op":"access","i":5,"id":9})", &v));
-  ASSERT_NE(v.Find("i"), nullptr);
-  uint64_t i = 0;
-  EXPECT_TRUE(v.Find("i")->AsU64(&i));
-  EXPECT_EQ(i, 5u);
+  ASSERT_TRUE(ParseJson(R"({"a":[1,true,null,"s\u0041"],"x":-3.5e2})", &v));
+  ASSERT_NE(v.Find("a"), nullptr);
+  EXPECT_EQ(v.Find("a")->array.size(), 4u);
+  EXPECT_EQ(v.Find("a")->array[3].string, "sA");
+  EXPECT_EQ(v.Find("x")->number, -350.0);
 
   EXPECT_FALSE(ParseJson("{", &v));
   EXPECT_FALSE(ParseJson(R"({"a":1} trailing)", &v));
   EXPECT_FALSE(ParseJson(R"({"a":)", &v));
+  EXPECT_FALSE(ParseJson(R"({"a":1.})", &v));
   std::string deep(100, '[');
   EXPECT_FALSE(ParseJson(deep, &v));  // past the depth limit, cleanly
-  ASSERT_TRUE(ParseJson(R"({"x":-3.5e2,"y":12})", &v));
-  EXPECT_FALSE(v.Find("x")->AsU64(&i));  // not integral
-  EXPECT_TRUE(v.Find("y")->AsU64(&i));
 }
 
 // --- Loopback fixture -----------------------------------------------------
@@ -242,41 +246,31 @@ TEST_F(NetTest, AdmissionGateShedsWithTypedOverload) {
             1.0);
 }
 
-TEST_F(NetTest, JsonDialectServesAndRejects) {
+// A first byte that names no dialect ('{' included: the server speaks no
+// JSON) is answered with one typed kBadRequest frame, then the server
+// closes the connection and keeps serving everyone else.
+TEST_F(NetTest, UnrecognizedFirstByteGetsTypedErrorAndClose) {
   StartServer();
-  const int fd = ConnectTo("127.0.0.1", server_->port());
-  auto ask = [&](const std::string& line) {
-    SendAll(fd, {reinterpret_cast<const uint8_t*>(line.data()),
-                 line.size()});
-    std::string response;
-    uint8_t b;
-    while (RecvAll(fd, {&b, 1}) && b != '\n') {
-      response.push_back(static_cast<char>(b));
-    }
-    return response;
-  };
-  JsonValue v;
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"access\",\"i\":7,\"id\":3}\n"), &v));
-  EXPECT_TRUE(v.Find("ok")->boolean);
-  EXPECT_EQ(v.Find("value")->integer, Truth(7));
-  EXPECT_EQ(v.Find("id")->integer, 3);
-
-  ASSERT_TRUE(
-      ParseJson(ask("{\"op\":\"range_sum\",\"from\":0,\"len\":3}\n"), &v));
-  EXPECT_EQ(v.Find("sum")->integer, Truth(0) + Truth(1) + Truth(2));
-
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"nope\"}\n"), &v));
-  EXPECT_FALSE(v.Find("ok")->boolean);
-  EXPECT_EQ(v.Find("status")->string, "bad_request");
-
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"stats\"}\n"), &v));
-  EXPECT_TRUE(v.Find("ok")->boolean);
-  ASSERT_NE(v.Find("stats"), nullptr);
-  EXPECT_NE(v.Find("stats")->Find("server"), nullptr);
-
-  ASSERT_TRUE(ParseJson(ask("not json at all\n"), &v));
-  EXPECT_FALSE(v.Find("ok")->boolean);
-  ::close(fd);
+  for (const std::string& opening :
+       {std::string("{\"op\":\"access\",\"i\":7}\n"),
+        std::string("\x01\x02hello\n")}) {
+    const int fd = ConnectTo("127.0.0.1", server_->port());
+    SendAll(fd, {reinterpret_cast<const uint8_t*>(opening.data()),
+                 opening.size()});
+    uint8_t header[kFrameHeaderBytes];
+    ASSERT_TRUE(RecvAll(fd, header)) << "no frame for " << opening;
+    FrameHeader h;
+    ASSERT_TRUE(DecodeFrameHeader(header, &h));
+    EXPECT_EQ(h.status, static_cast<uint16_t>(WireStatus::kBadRequest));
+    std::vector<uint8_t> payload(h.payload_len);
+    ASSERT_TRUE(RecvAll(fd, payload));
+    EXPECT_TRUE(VerifyFrameCrc(header, payload));
+    EXPECT_EQ(std::string(payload.begin(), payload.end()),
+              "unrecognized protocol");
+    uint8_t more;
+    EXPECT_LE(::recv(fd, &more, 1, 0), 0) << "connection left open";
+    ::close(fd);
+  }
   ExpectServerAlive();
 }
 
@@ -432,21 +426,13 @@ TEST_F(NetTest, ForgedLengthWordsSurvive) {
   shortframe.resize(shortframe.size() + 64, 0xEE);
   FeedHostileBytes(server_->port(), shortframe);
 
-  // Random-garbage openings in every dialect's first-byte class.
+  // Random-garbage openings in each dialect's first-byte class and in
+  // bytes that name no dialect.
   for (uint8_t lead : {uint8_t{'N'}, uint8_t{'{'}, uint8_t{'G'},
                        uint8_t{0x00}, uint8_t{0xFF}}) {
     std::vector<uint8_t> garbage(64, lead);
     FeedHostileBytes(server_->port(), garbage);
   }
-  ExpectServerAlive();
-}
-
-TEST_F(NetTest, OversizedJsonLineCloses) {
-  NeatsServerOptions options;
-  options.max_frame_bytes = 4096;  // small cap to keep the test quick
-  StartServer(options);
-  std::vector<uint8_t> line(options.max_frame_bytes + 512, '{');
-  FeedHostileBytes(server_->port(), line);  // no newline, over the cap
   ExpectServerAlive();
 }
 

@@ -1,8 +1,8 @@
 // neats_server — the networked serving front-end (ROADMAP item 1).
 //
-// Fronts one NeatsStore over TCP: binary frames, line-delimited JSON, and
-// an HTTP GET /stats route on the same port (src/net/server.hpp has the
-// protocol and threading story). Serves either a store directory or a
+// Fronts one NeatsStore over TCP: binary frames and an HTTP GET /stats
+// route on the same port (src/net/server.hpp has the protocol and
+// threading story). Serves either a store directory or a
 // synthetic dataset, so a demo needs no data files:
 //
 //   ./neats_server --synthetic 200000                # ECG-shaped data
