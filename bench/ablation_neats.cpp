@@ -1,11 +1,9 @@
-// Ablations over the NeaTS design choices called out in DESIGN.md:
-//   (a) S as Elias-Fano vs plain bitvector with rank9 (Sec. III-C: the
-//       bitvector gives O(1) random access at a space cost),
-//   (b) the function set F (linear-only vs the paper's four kinds vs the
+// Ablations over the NeaTS design choices:
+//   (a) the function set F (linear-only vs the paper's four kinds vs the
 //       full catalogue with 3-parameter kinds),
-//   (c) suffix edges in the partitioner on/off,
-//   (d) the error-bound set E (dense powers of two vs sparse),
-//   (e) model-selection sample size for SNeaTS.
+//   (b) suffix edges in the partitioner on/off,
+//   (c) the error-bound set E (dense powers of two vs sparse),
+//   (d) model-selection sample size for SNeaTS.
 
 #include <cstdio>
 #include <random>
@@ -53,13 +51,7 @@ int main() {
   std::printf("%-34s %10s %12s %16s\n", "variant", "ratio(%)", "comp(s)",
               "access(MB/s)");
 
-  // (a) S representation.
-  NeatsOptions ef, bv;
-  bv.starts_index = StartsIndex::kBitVector;
-  Print(Measure("S = Elias-Fano (default)", ds, ef));
-  Print(Measure("S = plain bitvector + rank9", ds, bv));
-
-  // (b) function set.
+  // (a) function set.
   NeatsOptions lin, four, full;
   lin.partition.kinds = {FunctionKind::kLinear};
   four.partition.kinds = {FunctionKind::kLinear, FunctionKind::kExponential,
@@ -75,12 +67,12 @@ int main() {
   Print(Measure("F = paper's 4 kinds (default)", ds, four));
   Print(Measure("F = full catalogue (11 kinds)", ds, full));
 
-  // (c) suffix edges.
+  // (b) suffix edges.
   NeatsOptions nosuffix;
   nosuffix.partition.use_suffix_edges = false;
   Print(Measure("no suffix edges", ds, nosuffix));
 
-  // (d) E density.
+  // (c) E density.
   NeatsOptions sparse;
   auto dense_eps = DefaultEpsilons(ds.values);
   for (size_t i = 0; i < dense_eps.size(); i += 2) {
@@ -88,7 +80,7 @@ int main() {
   }
   Print(Measure("E = every other power of two", ds, sparse));
 
-  // (e) model selection sample.
+  // (d) model selection sample.
   for (double frac : {0.01, 0.1, 0.25}) {
     Timer t;
     Neats blob = Neats::CompressWithModelSelection(ds.values, {}, frac, 5);

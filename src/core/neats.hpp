@@ -3,9 +3,8 @@
 // Compressed layout (format v4) — the tuple ⟨S, B, O, C, K, P⟩ of the paper,
 // plus a per-fragment displacement D introduced by this implementation:
 //
-//   S  fragment start positions; Elias-Fano (O(1) access, O(log) rank) or,
-//      optionally, a plain bitvector with rank9 for O(1)-time random access
-//      (both variants are described in the paper).
+//   S  fragment start positions, Elias-Fano coded (O(1) access and, through
+//      its load-time bucket index, O(1) predecessor).
 //   C  the corrections themselves, bit-packed back to back.
 //   P  per-kind concatenation of the function parameters.
 //   the fragment directory (src/succinct/fragment_directory.hpp): one
@@ -38,23 +37,15 @@
 #include "functions/approximator.hpp"
 #include "functions/kinds.hpp"
 #include "succinct/bit_stream.hpp"
-#include "succinct/bit_vector.hpp"
 #include "succinct/elias_fano.hpp"
 #include "succinct/fragment_directory.hpp"
 #include "succinct/storage.hpp"
 
 namespace neats {
 
-/// How the S array (fragment starts) is represented.
-enum class StartsIndex {
-  kEliasFano,  // compressed, rank in O(min(log m, log n/m))
-  kBitVector,  // plain n-bit vector with rank9, rank in O(1)
-};
-
 /// Compression options for Neats::Compress.
 struct NeatsOptions {
   PartitionOptions partition;
-  StartsIndex starts_index = StartsIndex::kEliasFano;
 
   /// Threads that partition the chunks concurrently when `chunk_size` is
   /// set (bit-identical output for every thread count). 1 = serial, 0 = all
@@ -107,20 +98,15 @@ class Neats {
   /// Number of fragments in the partition.
   size_t num_fragments() const { return m_; }
 
-  /// Algorithm 3: the value at index k, in O(rank) time. On the Elias-Fano
-  /// starts index the fragment index and its start position come out of one
-  /// fused predecessor lookup; everything else the decode needs — kind,
-  /// parameter offset, displacement, correction width and correction offset —
-  /// is a single directory record, so the metadata resolution costs one
-  /// extra cache line.
+  /// Algorithm 3: the value at index k, in O(rank) time. The fragment index
+  /// and its start position come out of one fused Elias-Fano predecessor
+  /// lookup; everything else the decode needs — kind, parameter offset,
+  /// displacement, correction width and correction offset — is a single
+  /// directory record, so the metadata resolution costs one extra cache line.
   int64_t Access(uint64_t k) const {
     NEATS_DCHECK(k < n_);
-    if (starts_mode_ == StartsIndex::kEliasFano) {
-      auto [i, start] = starts_ef_.Predecessor(k);
-      return DecodeAt(i, start, k);
-    }
-    size_t i = FragmentIndexOf(k);
-    return DecodeAt(i, FragmentStart(i), k);
+    auto [i, start] = starts_.Predecessor(k);
+    return DecodeAt(i, start, k);
   }
 
   /// Batched Algorithm 3: decodes the values at positions `idx` — which must
@@ -138,24 +124,12 @@ class Neats {
   void AccessBatch(std::span<const uint64_t> idx, int64_t* out) const {
     FragState st;
     size_t cur = SIZE_MAX;
-    if (starts_mode_ == StartsIndex::kEliasFano) {
-      EliasFano::PredecessorScanner scanner(starts_ef_);
-      for (size_t p = 0; p < idx.size(); ++p) {
-        NEATS_DCHECK(idx[p] < n_ && (p == 0 || idx[p - 1] <= idx[p]));
-        auto [i, start] = scanner.Next(idx[p]);
-        if (i != cur) {
-          st = LoadFragmentState(i, start);
-          cur = i;
-        }
-        out[p] = DecodeFragValue(st, idx[p]);
-      }
-      return;
-    }
+    EliasFano::PredecessorScanner scanner(starts_);
     for (size_t p = 0; p < idx.size(); ++p) {
       NEATS_DCHECK(idx[p] < n_ && (p == 0 || idx[p - 1] <= idx[p]));
-      size_t i = FragmentIndexOf(idx[p]);
+      auto [i, start] = scanner.Next(idx[p]);
       if (i != cur) {
-        st = LoadFragmentState(i, FragmentStart(i));
+        st = LoadFragmentState(i, start);
         cur = i;
       }
       out[p] = DecodeFragValue(st, idx[p]);
@@ -189,10 +163,7 @@ class Neats {
   size_t SizeInBits() const {
     size_t bits = HeaderSizeInBits() + 64 + corrections_.size() * 64 + 64;
     for (const auto& p : params_) bits += 64 + p.size() * 64;
-    if (m_ > 0) {
-      bits += starts_mode_ == StartsIndex::kEliasFano ? starts_ef_.SizeInBits()
-                                                      : starts_bv_.SizeInBits();
-    }
+    if (m_ > 0) bits += starts_.SizeInBits();
     return bits + directory_.SizeInBitsAt(bits);
   }
 
@@ -256,16 +227,10 @@ class Neats {
     w.Put(n_);
     w.Put(static_cast<uint64_t>(m_));
     w.Put(static_cast<uint64_t>(shift_));
-    w.Put(starts_mode_ == StartsIndex::kEliasFano ? 0 : 1);
+    w.Put(0);  // reserved; Load rejects any other value
     w.Put(kind_table_.size());
     for (FunctionKind kind : kind_table_) w.Put(static_cast<uint64_t>(kind));
-    if (m_ > 0) {
-      if (starts_mode_ == StartsIndex::kEliasFano) {
-        starts_ef_.Serialize(w);
-      } else {
-        starts_bv_.Serialize(w);
-      }
-    }
+    if (m_ > 0) starts_.Serialize(w);
     w.PutArray(corrections_);
     w.Put(params_.size());
     for (const auto& p : params_) w.PutArray(p);
@@ -356,7 +321,6 @@ class Neats {
                             const std::vector<int64_t>& epsilons) {
     Neats out;
     out.n_ = values.size();
-    out.starts_mode_ = options.starts_index;
     if (values.empty()) return out;
 
     ShiftedValues sv = ShiftView(values);
@@ -391,8 +355,7 @@ class Neats {
                       (out.m_ > 0) == (out.n_ > 0),
                   "corrupt NeaTS blob");
     out.shift_ = static_cast<int64_t>(r.Get());
-    out.starts_mode_ = r.Get() == 0 ? StartsIndex::kEliasFano
-                                    : StartsIndex::kBitVector;
+    NEATS_REQUIRE(r.Get() == 0, "corrupt NeaTS blob");  // reserved word
     size_t kinds = r.Get();
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS blob");
@@ -403,21 +366,13 @@ class Neats {
       out.kind_table_.push_back(static_cast<FunctionKind>(kind));
     }
     if (out.m_ > 0) {
-      if (out.starts_mode_ == StartsIndex::kEliasFano) {
-        out.starts_ef_ = EliasFano::Load(r);
-        // Fragment 0 must start at value 0 and the last start must lie in
-        // [0, n): Access relies on both (a rank of 0 would underflow).
-        NEATS_REQUIRE(out.starts_ef_.size() == out.m_ &&
-                          out.starts_ef_.Access(0) == 0 &&
-                          out.starts_ef_.Access(out.m_ - 1) < out.n_,
-                      "corrupt NeaTS blob");
-      } else {
-        out.starts_bv_ = RankSelect::Load(r);
-        NEATS_REQUIRE(out.starts_bv_.size() == out.n_ &&
-                          out.starts_bv_.ones() == out.m_ &&
-                          out.starts_bv_.Get(0),
-                      "corrupt NeaTS blob");
-      }
+      out.starts_ = EliasFano::Load(r);
+      // Fragment 0 must start at value 0 and the last start must lie in
+      // [0, n): Access relies on both (a rank of 0 would underflow).
+      NEATS_REQUIRE(out.starts_.size() == out.m_ &&
+                        out.starts_.Access(0) == 0 &&
+                        out.starts_.Access(out.m_ - 1) < out.n_,
+                    "corrupt NeaTS blob");
     }
     out.corrections_ = r.GetArray<uint64_t>();
     size_t n_params = r.Get();
@@ -520,13 +475,7 @@ class Neats {
       }
     }
 
-    if (starts_mode_ == StartsIndex::kEliasFano) {
-      starts_ef_ = EliasFano(starts, n_);
-    } else {
-      BitVector bv(n_);
-      for (uint64_t s : starts) bv.Set(s);
-      starts_bv_ = RankSelect(std::move(bv));
-    }
+    starts_ = EliasFano(starts, n_);
     corrections_ = Storage<uint64_t>(corrections.TakeWords());
     directory_ = FragmentDirectory(std::move(records));
     params_.reserve(params.size());
@@ -534,18 +483,9 @@ class Neats {
   }
 
   /// Index of the fragment covering position k (S.rank(k) - 1).
-  size_t FragmentIndexOf(uint64_t k) const {
-    if (starts_mode_ == StartsIndex::kEliasFano) {
-      return starts_ef_.Rank(k) - 1;
-    }
-    return static_cast<size_t>(starts_bv_.Rank1(k + 1)) - 1;
-  }
+  size_t FragmentIndexOf(uint64_t k) const { return starts_.Rank(k) - 1; }
 
-  uint64_t FragmentStart(size_t i) const {
-    return starts_mode_ == StartsIndex::kEliasFano
-               ? starts_ef_.Access(i)
-               : starts_bv_.Select1(i);
-  }
+  uint64_t FragmentStart(size_t i) const { return starts_.Access(i); }
   uint64_t FragmentEnd(size_t i) const {
     return i + 1 < m_ ? FragmentStart(i + 1) : n_;
   }
@@ -691,9 +631,10 @@ class Neats {
     }
   }
 
-  /// Bits of the serialized header: magic, version, n, m, shift, starts
-  /// mode, kind-table length, and one word per kind-table entry (matches the
-  /// fixed-size prefix Serialize emits before the section list).
+  /// Bits of the serialized header: magic, version, n, m, shift, the
+  /// reserved zero word, kind-table length, and one word per kind-table
+  /// entry (matches the fixed-size prefix Serialize emits before the
+  /// section list).
   size_t HeaderSizeInBits() const { return (7 + kind_table_.size()) * 64; }
 
   // The v1 magic, kept only so a v1 blob is rejected as an old version
@@ -709,10 +650,8 @@ class Neats {
   uint64_t n_ = 0;
   size_t m_ = 0;
   int64_t shift_ = 0;
-  StartsIndex starts_mode_ = StartsIndex::kEliasFano;
 
-  EliasFano starts_ef_;   // S (Elias-Fano variant)
-  RankSelect starts_bv_;  // S (plain bitvector variant)
+  EliasFano starts_;  // S
 
   Storage<uint64_t> corrections_;  // C
   FragmentDirectory directory_;    // B/O/K/D + param offsets, one record each

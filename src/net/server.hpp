@@ -110,17 +110,6 @@ struct NeatsServerOptions {
   /// monopolize the admission budget); over it, requests shed kOverloaded.
   size_t max_queued_per_conn = 512;
 
-  /// Access-coalescing window in microseconds: when a connection's queue
-  /// holds only Access requests and fewer than coalesce_max_batch of them,
-  /// dispatch waits up to this long for more probes to arrive so they ride
-  /// one AccessBatch call. 0 = dispatch as soon as a worker is free
-  /// (pipelined probes still coalesce naturally — everything that arrived
-  /// while the previous item executed forms the next batch).
-  uint32_t coalesce_window_us = 0;
-
-  /// Largest coalesced Access run fed to one store AccessBatch call.
-  uint32_t coalesce_max_batch = 512;
-
   /// Connections idle (no requests in flight, nothing buffered) longer
   /// than this are closed. 0 = never.
   uint32_t idle_timeout_ms = 60000;
@@ -334,7 +323,6 @@ struct Conn {
   bool want_read = true;      // cached poller interest
   bool want_write = false;
   uint64_t last_activity = 0;
-  uint64_t defer_since = 0;   // coalesce-window start (0 = not deferring)
 
   std::mutex hand_mu;
   std::string handoff;  // worker-produced responses, pending pickup
@@ -363,7 +351,6 @@ class NeatsServer {
         workers_(std::make_unique<ThreadPool>(options_.worker_threads + 1)) {
     NEATS_REQUIRE(options_.max_frame_bytes >= 64,
                   "max_frame_bytes too small to carry any request");
-    if (options_.coalesce_max_batch == 0) options_.coalesce_max_batch = 1;
   }
 
   NeatsServer(const NeatsServer&) = delete;
@@ -457,8 +444,7 @@ class NeatsServer {
     uint64_t drain_deadline = 0;
     bool draining = false;
     while (true) {
-      const bool any_deferred = deferred_ > 0;
-      poller.Wait(&events, any_deferred ? 1 : 50);
+      poller.Wait(&events, 50);
       const uint64_t now = obs::NowNs();
       for (const Poller::Event& ev : events) {
         if (ev.fd == wake_r_) {
@@ -484,7 +470,7 @@ class NeatsServer {
         if (conn->closed) continue;
         if (ev.writable) FlushOut(conn);
         if (conn->closed) continue;
-        TryDispatch(conn, now);
+        TryDispatch(conn);
         MaybeFinish(conn);
         if (!conn->closed) UpdateInterest(conn, draining);
       }
@@ -498,16 +484,6 @@ class NeatsServer {
         listen_fd_ = -1;
         // Stop reading everywhere; queued work keeps executing.
         for (auto& [fd, conn] : conns_) UpdateInterest(conn, draining);
-      }
-      if (deferred_ > 0) {
-        // Re-visit coalesce-deferred connections; their window may be up
-        // (or draining flushes them immediately).
-        for (auto& [fd, conn] : conns_) {
-          if (conn->defer_since != 0) {
-            TryDispatch(conn, draining ? ~uint64_t{0} : now);
-            if (!conn->closed) UpdateInterest(conn, draining);
-          }
-        }
       }
       if (draining) {
         bool all_idle = true;
@@ -602,10 +578,6 @@ class NeatsServer {
       inflight_.fetch_sub(conn->queue.size(), std::memory_order_relaxed);
       conn->queue.clear();
     }
-    if (conn->defer_since != 0) {
-      conn->defer_since = 0;
-      --deferred_;
-    }
     open_conns_.fetch_sub(1, std::memory_order_relaxed);
     obs_->registry.Count(obs_->c_closed);
   }
@@ -647,12 +619,12 @@ class NeatsServer {
       conn->last_activity = now;
       if (static_cast<size_t>(n) < sizeof(buf)) break;
     }
-    if (!conn->closed) ParseInput(conn, now);
+    if (!conn->closed) ParseInput(conn);
   }
 
   // --- Parsing (IO thread) -------------------------------------------------
 
-  void ParseInput(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseInput(const std::shared_ptr<Conn>& conn) {
     if (conn->mode == Conn::Mode::kUnknown) {
       if (conn->in.empty()) return;
       const uint8_t first = conn->in[0];
@@ -670,13 +642,13 @@ class NeatsServer {
       }
     }
     switch (conn->mode) {
-      case Conn::Mode::kBinary: ParseBinary(conn, now); break;
-      case Conn::Mode::kHttp: ParseHttp(conn, now); break;
+      case Conn::Mode::kBinary: ParseBinary(conn); break;
+      case Conn::Mode::kHttp: ParseHttp(conn); break;
       case Conn::Mode::kUnknown: break;
     }
   }
 
-  void ParseBinary(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseBinary(const std::shared_ptr<Conn>& conn) {
     while (!conn->closed && conn->in.size() >= kFrameHeaderBytes) {
       FrameHeader h;
       if (!DecodeFrameHeader(conn->in, &h)) {
@@ -724,7 +696,7 @@ class NeatsServer {
       conn->in.erase(conn->in.begin(),
                      conn->in.begin() + static_cast<ptrdiff_t>(frame));
     }
-    TryDispatch(conn, now);
+    TryDispatch(conn);
     FlushOut(conn);
     if (!conn->closed) UpdateInterest(conn, false);
   }
@@ -776,7 +748,7 @@ class NeatsServer {
     return true;
   }
 
-  void ParseHttp(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseHttp(const std::shared_ptr<Conn>& conn) {
     static constexpr std::string_view kEnd = "\r\n\r\n";
     const std::string_view text(
         reinterpret_cast<const char*>(conn->in.data()), conn->in.size());
@@ -814,7 +786,7 @@ class NeatsServer {
     Request req;
     req.op = Opcode::kStats;
     Admit(conn, std::move(req));
-    TryDispatch(conn, now);
+    TryDispatch(conn);
     if (!conn->closed) UpdateInterest(conn, false);
   }
 
@@ -858,9 +830,10 @@ class NeatsServer {
 
   /// Starts the next work item if the connection is free: a coalesced run
   /// of leading Access requests (one store AccessBatch call), or a single
-  /// request of any other opcode. Passing `now = ~0` flushes any pending
-  /// coalesce window (used while draining).
-  void TryDispatch(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  /// request of any other opcode. Everything that arrived while the
+  /// previous item executed forms the next run, so pipelining clients
+  /// batch without any wait.
+  void TryDispatch(const std::shared_ptr<Conn>& conn) {
     if (conn->closed || conn->queue.empty()) return;
     {
       std::lock_guard<std::mutex> lk(conn->hand_mu);
@@ -869,28 +842,8 @@ class NeatsServer {
     size_t run = 0;
     while (run < conn->queue.size() &&
            conn->queue[run].op == Opcode::kAccess &&
-           run < options_.coalesce_max_batch) {
+           run < kMaxCoalescedRun) {
       ++run;
-    }
-    if (run > 0 && run == conn->queue.size() &&
-        run < options_.coalesce_max_batch &&
-        options_.coalesce_window_us > 0 && !conn->read_shut &&
-        now != ~uint64_t{0}) {
-      // The whole queue is a still-growing Access run: hold it open for
-      // the coalescing window before spending a batch call on it.
-      if (conn->defer_since == 0) {
-        conn->defer_since = now;
-        ++deferred_;
-        return;
-      }
-      if (now - conn->defer_since <
-          uint64_t{options_.coalesce_window_us} * 1000) {
-        return;
-      }
-    }
-    if (conn->defer_since != 0) {
-      conn->defer_since = 0;
-      --deferred_;
     }
     const size_t take = run > 0 ? run : 1;
     std::vector<Request> items;
@@ -945,7 +898,7 @@ class NeatsServer {
         conn->handoff.clear();
       }
       conn->last_activity = now;
-      TryDispatch(conn, draining ? ~uint64_t{0} : now);
+      TryDispatch(conn);
       FlushOut(conn);
       if (conn->closed) continue;
       MaybeFinish(conn);
@@ -1191,6 +1144,9 @@ class NeatsServer {
     AppendError(conn->mode, op, id, s, message, &conn->out);
   }
 
+  /// Largest coalesced Access run fed to one store AccessBatch call.
+  static constexpr size_t kMaxCoalescedRun = 512;
+
   const NeatsStore& store_;
   NeatsServerOptions options_;
   std::unique_ptr<ServerObs> obs_;
@@ -1208,7 +1164,6 @@ class NeatsServer {
   // IO-thread state.
   Poller* poller_ = nullptr;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
-  size_t deferred_ = 0;  // connections holding a coalesce window open
 
   // Worker -> IO completion handoff.
   std::mutex comp_mu_;

@@ -88,6 +88,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -158,15 +159,6 @@ struct NeatsStoreOptions {
   /// acknowledged values.
   bool wal = true;
 
-  /// Parallel query fan-out: a DecompressRanges / RangeSum spanning
-  /// several sealed shards and at least this many sealed values dispatches
-  /// one task per covered shard on the seal pool (queries stay sequential
-  /// below the threshold — fan-out has dispatch overhead, and small
-  /// queries are cursor-bound, not core-bound). 0 disables fan-out. Only
-  /// helps with seal_threads > 1: the pool the sealer shares is the pool
-  /// the fan-out rides.
-  uint64_t parallel_query_values = uint64_t{1} << 17;
-
   /// Byte budget of the decoded-block LRU cache (store/block_cache.hpp)
   /// consulted by Access/AccessBatch before any block-structured codec
   /// (ALP, Gorilla, Chimp) decode; 0 disables it. Shards of codecs with
@@ -190,11 +182,6 @@ struct NeatsStoreOptions {
   /// amortized. 1 = time every access.
   uint32_t latency_sample_every = 64;
 
-  /// Flight-recorder ring capacity in events (rounded up to a power of
-  /// two); 0 disables trace recording. Sampled ops, cold ops, and every
-  /// error land in the ring; see NeatsStore::TraceDump().
-  size_t trace_events = 256;
-
   /// Structured log hook for quarantine / Scrub / WAL-replay events
   /// (obs::LogSink). Default (empty) prints one line per event to stderr;
   /// obs::NullLogSink() silences them. Ignored when metrics = false.
@@ -209,6 +196,10 @@ namespace store_internal {
 /// sink. Heap-owned by the store so background seal tasks can capture the
 /// stable pointer across store moves.
 struct StoreObs {
+  /// Flight-recorder ring capacity in events. Sampled ops, cold ops, and
+  /// every error land in the ring; see NeatsStore::TraceDump().
+  static constexpr size_t kTraceEvents = 256;
+
   obs::MetricsRegistry registry;
   obs::FlightRecorder recorder;
   obs::LogSink sink;
@@ -227,11 +218,10 @@ struct StoreObs {
   obs::HistogramId h_access, h_batch, h_range, h_sum, h_append, h_flush,
       h_seal, h_scrub;
 
-  StoreObs(uint32_t sample, size_t trace_events, obs::LogSink log_sink)
-      : recorder(trace_events == 0 ? 2 : trace_events),
+  StoreObs(uint32_t sample, obs::LogSink log_sink)
+      : recorder(kTraceEvents),
         sink(log_sink ? std::move(log_sink) : obs::LogSink(obs::StderrLog)),
-        sample_every(sample == 0 ? 1 : sample),
-        trace_enabled_(trace_events > 0) {
+        sample_every(sample == 0 ? 1 : sample) {
     c_access = registry.AddCounter("access.ops");
     c_batch_calls = registry.AddCounter("access_batch.calls");
     c_batch_probes = registry.AddCounter("access_batch.probes");
@@ -275,14 +265,10 @@ struct StoreObs {
     h_scrub = registry.AddHistogram("scrub");
   }
 
-  bool trace_enabled() const { return trace_enabled_; }
-
   void Trace(obs::EventId op, obs::TraceTier tier, uint16_t status,
              uint32_t codec, uint64_t shard, uint64_t arg, uint64_t len,
              uint64_t dur_ns) {
-    if (trace_enabled_) {
-      recorder.Record(op, tier, status, codec, shard, arg, len, dur_ns);
-    }
+    recorder.Record(op, tier, status, codec, shard, arg, len, dur_ns);
   }
 
   /// A recovery-class event: counted into the trace ring AND reported
@@ -312,15 +298,14 @@ struct StoreObs {
                        why + "; recent operations:\n" +
                            obs::TraceText(recorder.Dump())});
   }
-
- private:
-  bool trace_enabled_;
 };
 
 }  // namespace store_internal
 
 /// A sharded, append-able, randomly-accessible compressed series store.
 class NeatsStore {
+  using StoreObs = store_internal::StoreObs;
+
  public:
   /// What OpenDir()/Scrub() found wrong with a store directory and what
   /// they did about it. Empty everywhere = a fully healthy store.
@@ -342,6 +327,14 @@ class NeatsStore {
     std::vector<std::string> warnings;    // non-fatal recovery notes
   };
 
+  /// Parallel query fan-out: a DecompressRange(s) / RangeSum spanning
+  /// several sealed shards and at least this many sealed values runs one
+  /// task per covered shard on the seal pool (smaller queries stay
+  /// sequential — fan-out has dispatch overhead, and small queries are
+  /// cursor-bound, not core-bound). Only stores with seal_threads > 1 fan
+  /// out: the pool the sealer shares is the pool the fan-out rides.
+  static constexpr uint64_t kParallelQueryValues = uint64_t{1} << 17;
+
   NeatsStore() : NeatsStore(NeatsStoreOptions{}) {}
 
   explicit NeatsStore(const NeatsStoreOptions& options)
@@ -355,8 +348,7 @@ class NeatsStore {
     }
     if (options_.metrics) {
       obs_ = std::make_unique<store_internal::StoreObs>(
-          options_.latency_sample_every, options_.trace_events,
-          options_.log_sink);
+          options_.latency_sample_every, options_.log_sink);
     }
     // Validated here, where the caller can catch — a bad id discovered
     // inside a background seal task would terminate the process instead.
@@ -496,32 +488,18 @@ class NeatsStore {
   /// anything else — when Append returns, the data survives a crash.
   void Append(std::span<const int64_t> values) {
     std::unique_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) {
-      PromoteSealed();
-      LogToWal(values);
-      AppendImpl(values);
-      return;
-    }
-    const uint64_t at = SizeImpl();
-    try {
-      const uint64_t t0 = obs::NowNs();
-      PromoteSealed();
-      LogToWal(values);
-      AppendImpl(values);
-      const uint64_t dur = obs::NowNs() - t0;
-      // Counted after the body so the counters mean *acked* appends (a
-      // failed WAL write rethrows without mutating the store).
+    Observed(obs::EventId::kAppend, &StoreObs::h_append, SizeImpl(),
+             values.size(), [&] {
+               PromoteSealed();
+               LogToWal(values);
+               AppendImpl(values);
+             });
+    // Counted after the body so the counters mean *acked* appends (a
+    // failed WAL write rethrows without mutating the store).
+    if (StoreObs* ob = obs_.get()) {
       ob->registry.Count(ob->c_append_calls);
       ob->registry.Count(ob->c_append_values, values.size());
       ob->registry.Count(ob->c_bytes_in, values.size() * sizeof(int64_t));
-      ob->registry.Record(ob->h_append, dur);
-      ob->Trace(obs::EventId::kAppend, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, at, values.size(),
-                dur);
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kAppend, at, static_cast<uint16_t>(e.code()));
-      throw;
     }
   }
 
@@ -532,24 +510,10 @@ class NeatsStore {
   /// shards, manifest rewritten by the next Flush).
   void Flush() {
     std::unique_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    const uint64_t t0 = ob != nullptr ? obs::NowNs() : 0;
-    try {
-      FlushLocked();
-    } catch (const Error& e) {
-      if (ob != nullptr) {
-        ob->Error(obs::EventId::kFlush, SizeImpl(),
-                  static_cast<uint16_t>(e.code()));
-      }
-      throw;
-    }
-    if (ob != nullptr) {
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Count(ob->c_flush);
-      ob->registry.Record(ob->h_flush, dur);
-      ob->Trace(obs::EventId::kFlush, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, SizeImpl(), 0, dur);
-    }
+    // A flush moves values between tiers but never changes SizeImpl().
+    Observed(obs::EventId::kFlush, &StoreObs::h_flush, SizeImpl(), 0,
+             [&] { FlushLocked(); });
+    if (obs_ != nullptr) obs_->registry.Count(obs_->c_flush);
   }
 
   // --- Recovery -----------------------------------------------------------
@@ -688,10 +652,9 @@ class NeatsStore {
     return snap;
   }
 
-  /// The flight recorder's surviving trace events, oldest-first; empty
-  /// when metrics or tracing (NeatsStoreOptions::trace_events = 0) are
-  /// off. The store dumps the same ring through the log sink whenever a
-  /// shard is quarantined at runtime.
+  /// The flight recorder's last StoreObs::kTraceEvents events,
+  /// oldest-first; empty when metrics are off. The store dumps the same
+  /// ring through the log sink whenever a shard is quarantined at runtime.
   std::vector<obs::TraceEvent> TraceDump() const {
     return obs_ != nullptr ? obs_->recorder.Dump()
                            : std::vector<obs::TraceEvent>{};
@@ -753,26 +716,12 @@ class NeatsStore {
     NEATS_DCHECK(idx.size() == out.size());
     if (idx.empty()) return;
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) {
-      AccessBatchLocked(idx, out);
-      return;
+    if (StoreObs* ob = obs_.get()) {
+      ob->registry.Count(ob->c_batch_calls);
+      ob->registry.Count(ob->c_batch_probes, idx.size());
     }
-    ob->registry.Count(ob->c_batch_calls);
-    ob->registry.Count(ob->c_batch_probes, idx.size());
-    try {
-      const uint64_t t0 = obs::NowNs();
-      AccessBatchLocked(idx, out);
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Record(ob->h_batch, dur);
-      ob->Trace(obs::EventId::kAccessBatch, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, idx[0], idx.size(),
-                dur);
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kAccessBatch, idx[0],
-                static_cast<uint16_t>(e.code()));
-      throw;
-    }
+    Observed(obs::EventId::kAccessBatch, &StoreObs::h_batch, idx[0],
+             idx.size(), [&] { AccessBatchLocked(idx, out); });
   }
 
  private:
@@ -831,26 +780,17 @@ class NeatsStore {
  public:
   /// Decompresses values[from, from + len) into out, stitching across shard
   /// boundaries (per-shard scans; raw memcpy past the sealed prefix).
+  /// A single long range gets the same per-shard fan-out as a multi-range
+  /// query.
   void DecompressRange(uint64_t from, uint64_t len, int64_t* out) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) {
-      DecompressRangeImpl(from, len, out);
-      return;
+    if (StoreObs* ob = obs_.get()) {
+      ob->registry.Count(ob->c_range_calls);
+      ob->registry.Count(ob->c_range_values, len);
     }
-    ob->registry.Count(ob->c_range_calls);
-    ob->registry.Count(ob->c_range_values, len);
-    try {
-      const uint64_t t0 = obs::NowNs();
-      DecompressRangeImpl(from, len, out);
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Record(ob->h_range, dur);
-      ob->Trace(obs::EventId::kRange, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, from, len, dur);
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kRange, from, static_cast<uint16_t>(e.code()));
-      throw;
-    }
+    const IndexRange one{from, len};
+    Observed(obs::EventId::kRange, &StoreObs::h_range, from, len,
+             [&] { DecompressRangesLocked({&one, 1}, out); });
   }
 
   /// Multi-range decompression: every range's values, concatenated into
@@ -862,28 +802,15 @@ class NeatsStore {
   void DecompressRanges(std::span<const IndexRange> ranges,
                         int64_t* out) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) {
-      DecompressRangesLocked(ranges, out);
-      return;
-    }
     uint64_t values = 0;
-    for (const IndexRange& r : ranges) values += r.len;
-    ob->registry.Count(ob->c_range_calls);
-    ob->registry.Count(ob->c_range_values, values);
-    try {
-      const uint64_t t0 = obs::NowNs();
-      DecompressRangesLocked(ranges, out);
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Record(ob->h_range, dur);
-      ob->Trace(obs::EventId::kRange, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard,
-                ranges.empty() ? 0 : ranges[0].from, values, dur);
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kRange, ranges.empty() ? 0 : ranges[0].from,
-                static_cast<uint16_t>(e.code()));
-      throw;
+    if (StoreObs* ob = obs_.get()) {
+      for (const IndexRange& r : ranges) values += r.len;
+      ob->registry.Count(ob->c_range_calls);
+      ob->registry.Count(ob->c_range_values, values);
     }
+    Observed(obs::EventId::kRange, &StoreObs::h_range,
+             ranges.empty() ? 0 : ranges[0].from, values,
+             [&] { DecompressRangesLocked(ranges, out); });
   }
 
  private:
@@ -898,34 +825,30 @@ class NeatsStore {
     const Shard* shard = nullptr;
     int64_t* out = nullptr;
     std::vector<IndexRange> local;  // shard-local coordinates
-    uint64_t values = 0;
   };
 
-  /// Runs the per-shard groups of a multi-range query, fanning out one
-  /// task per group on the seal pool when the query is big enough (see
-  /// NeatsStoreOptions::parallel_query_values). Quarantine was already
-  /// rejected during routing (HealthyShardOf throws before any task is
-  /// spawned), so body exceptions are the rare codec/I/O kind — captured
-  /// and rethrown on the calling thread, because pool bodies must not
-  /// throw. Sequential and parallel execution produce identical bytes;
-  /// only scheduling differs.
-  void ExecuteShardGroups(std::span<ShardGroup> groups) const {
-    uint64_t sealed_values = 0;
-    for (const ShardGroup& g : groups) sealed_values += g.values;
-    const uint64_t threshold = options_.parallel_query_values;
-    if (threshold == 0 || groups.size() < 2 || sealed_values < threshold ||
+  /// Runs task(0) .. task(count - 1), one per covered sealed shard: on the
+  /// seal pool when the query spans at least two shards and
+  /// kParallelQueryValues sealed values and the pool has two threads or
+  /// more, inline otherwise. Quarantine was already rejected during
+  /// routing (HealthyShardOf throws before any task runs), so task
+  /// exceptions are the rare codec/I/O kind; pool bodies must not throw, so
+  /// the first one is captured and rethrown on the calling thread. Each
+  /// task writes only its own output, so both schedules give identical
+  /// results.
+  template <class Task>
+  void RunShardTasks(size_t count, uint64_t sealed_values,
+                     const Task& task) const {
+    if (count < 2 || sealed_values < kParallelQueryValues ||
         pool_ == nullptr || pool_->num_threads() < 2) {
-      for (const ShardGroup& g : groups) {
-        g.shard->series->DecompressRanges(g.local, g.out);
-      }
+      for (size_t i = 0; i < count; ++i) task(i);
       return;
     }
     std::mutex err_mu;
     std::exception_ptr err;
-    pool_->ParallelFor(groups.size(), [&](size_t i) {
+    pool_->ParallelFor(count, [&](size_t i) {
       try {
-        const ShardGroup& g = groups[i];
-        g.shard->series->DecompressRanges(g.local, g.out);
+        task(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(err_mu);
         if (!err) err = std::current_exception();
@@ -934,15 +857,16 @@ class NeatsStore {
     if (err) std::rethrow_exception(err);
   }
 
-  /// DecompressRanges body under the reader lock (either side: RebuildWal
+  /// DecompressRange(s) body under the reader lock (either side: RebuildWal
   /// calls in here holding the writer lock). Builds the per-shard groups
   /// sequentially — routing errors (quarantine) surface here, before any
-  /// parallel work starts — then executes them via ExecuteShardGroups.
+  /// parallel work starts — then runs them through RunShardTasks.
   /// Not-yet-sealed spans decode inline during the build; they live in
   /// plain buffers and are bounded by the tail, never worth a task.
   void DecompressRangesLocked(std::span<const IndexRange> ranges,
                               int64_t* out) const {
     std::vector<ShardGroup> groups;
+    uint64_t sealed_values = 0;
     const Shard* cur = nullptr;  // group-continuity: an unsealed span or a
                                  // shard switch ends the open group
     for (const IndexRange& r : ranges) {
@@ -955,10 +879,10 @@ class NeatsStore {
           const uint64_t take = std::min(len, s.first + s.count - from);
           if (cur != &s) {
             cur = &s;
-            groups.push_back(ShardGroup{&s, out, {}, 0});
+            groups.push_back(ShardGroup{&s, out, {}});
           }
           groups.back().local.push_back({from - s.first, take});
-          groups.back().values += take;
+          sealed_values += take;
           out += take;
           from += take;
           len -= take;
@@ -971,38 +895,29 @@ class NeatsStore {
         out += took;
       }
     }
-    ExecuteShardGroups(groups);
+    RunShardTasks(groups.size(), sealed_values, [&](size_t i) {
+      groups[i].shard->series->DecompressRanges(groups[i].local,
+                                                groups[i].out);
+    });
   }
 
  public:
   /// Exact sum over values[from, from + len), combined across shards.
   int64_t RangeSum(uint64_t from, uint64_t len) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) return RangeSumLocked(from, len);
-    ob->registry.Count(ob->c_sum_calls);
-    ob->registry.Count(ob->c_sum_values, len);
-    try {
-      const uint64_t t0 = obs::NowNs();
-      const int64_t sum = RangeSumLocked(from, len);
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Record(ob->h_sum, dur);
-      ob->Trace(obs::EventId::kRangeSum, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, from, len, dur);
-      return sum;
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kRangeSum, from,
-                static_cast<uint16_t>(e.code()));
-      throw;
+    if (StoreObs* ob = obs_.get()) {
+      ob->registry.Count(ob->c_sum_calls);
+      ob->registry.Count(ob->c_sum_values, len);
     }
+    return Observed(obs::EventId::kRangeSum, &StoreObs::h_sum, from, len,
+                    [&] { return RangeSumLocked(from, len); });
   }
 
  private:
   /// RangeSum body under the reader lock. A sum spanning several sealed
-  /// shards fans out one partial sum per shard on the seal pool (same
-  /// threshold policy as ExecuteShardGroups); int64 addition is
-  /// associative, so per-shard partials accumulated in segment order give
-  /// the exact sequential answer.
+  /// shards takes one partial sum per shard through RunShardTasks; int64
+  /// addition is associative, so the partials accumulated in segment order
+  /// give the exact sequential answer.
   int64_t RangeSumLocked(uint64_t from, uint64_t len) const {
     NEATS_DCHECK(from + len <= SizeImpl());
     struct Segment {
@@ -1026,29 +941,11 @@ class NeatsStore {
       for (uint64_t k = from; k < from + len; ++k) sum += AccessUnsealed(k);
       break;
     }
-    const uint64_t threshold = options_.parallel_query_values;
-    if (threshold == 0 || segments.size() < 2 ||
-        sealed_values < threshold || pool_ == nullptr ||
-        pool_->num_threads() < 2) {
-      for (const Segment& g : segments) {
-        sum += g.shard->series->RangeSum(g.local_from, g.take);
-      }
-      return sum;
-    }
     std::vector<int64_t> partial(segments.size(), 0);
-    std::mutex err_mu;
-    std::exception_ptr err;
-    pool_->ParallelFor(segments.size(), [&](size_t i) {
-      try {
-        partial[i] =
-            segments[i].shard->series->RangeSum(segments[i].local_from,
-                                                segments[i].take);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
+    RunShardTasks(segments.size(), sealed_values, [&](size_t i) {
+      partial[i] = segments[i].shard->series->RangeSum(segments[i].local_from,
+                                                       segments[i].take);
     });
-    if (err) std::rethrow_exception(err);
     for (int64_t p : partial) sum += p;
     return sum;
   }
@@ -1061,22 +958,10 @@ class NeatsStore {
   Neats::ApproximateAggregate ApproximateRangeSum(uint64_t from,
                                                   uint64_t len) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) return ApproximateRangeSumLocked(from, len);
-    ob->registry.Count(ob->c_approx_calls);
-    try {
-      const uint64_t t0 = obs::NowNs();
-      const Neats::ApproximateAggregate agg =
-          ApproximateRangeSumLocked(from, len);
-      ob->Trace(obs::EventId::kApproxRangeSum, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, from, len,
-                obs::NowNs() - t0);
-      return agg;
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kApproxRangeSum, from,
-                static_cast<uint16_t>(e.code()));
-      throw;
-    }
+    if (obs_ != nullptr) obs_->registry.Count(obs_->c_approx_calls);
+    // Traced but kept out of the latency histograms.
+    return Observed(obs::EventId::kApproxRangeSum, nullptr, from, len,
+                    [&] { return ApproximateRangeSumLocked(from, len); });
   }
 
  private:
@@ -1120,14 +1005,39 @@ class NeatsStore {
     return false;
   }
 
-  /// DecompressRange body — shared by the public query (reader lock) and
-  /// RebuildWal (writer lock). Delegates to the multi-range body so a
-  /// single long range spanning several sealed shards gets the same
-  /// per-shard fan-out as a multi-range query.
-  void DecompressRangeImpl(uint64_t from, uint64_t len, int64_t* out) const {
-    NEATS_DCHECK(from + len <= SizeImpl());
-    const IndexRange one{from, len};
-    DecompressRangesLocked({&one, 1}, out);
+  /// The metrics wrapper of every public op but scalar Access (which keeps
+  /// its sampled fast path). With metrics off it runs `body` bare. With
+  /// metrics on it times the body into histogram `hist` (none when null),
+  /// traces one `op` event carrying `arg` and `len`, and on an Error counts
+  /// it, traces it with its status and rethrows. Op counters stay with the
+  /// callers: queries count every call, Append only acked ones.
+  template <class Body>
+  std::invoke_result_t<const Body&> Observed(obs::EventId op,
+                                             obs::HistogramId StoreObs::*hist,
+                                             uint64_t arg, uint64_t len,
+                                             const Body& body) const {
+    StoreObs* ob = obs_.get();
+    if (ob == nullptr) return body();
+    try {
+      const uint64_t t0 = obs::NowNs();
+      const auto finish = [&] {
+        const uint64_t dur = obs::NowNs() - t0;
+        if (hist != nullptr) ob->registry.Record(ob->*hist, dur);
+        ob->Trace(op, obs::TraceTier::kNone, 0, obs::TraceEvent::kNoCodec,
+                  obs::kNoShard, arg, len, dur);
+      };
+      if constexpr (std::is_void_v<std::invoke_result_t<const Body&>>) {
+        body();
+        finish();
+      } else {
+        auto result = body();
+        finish();
+        return result;
+      }
+    } catch (const Error& e) {
+      ob->Error(op, arg, static_cast<uint16_t>(e.code()));
+      throw;
+    }
   }
 
   /// Access body under the reader lock. `ev` is null on the untimed fast
@@ -1449,27 +1359,33 @@ class NeatsStore {
     }
     std::vector<uint8_t> bytes;
     manifest.Serialize(&bytes);
-    // Write-to-temp + rename: a process crash mid-Flush can never destroy
-    // the previous manifest — until the atomic rename lands, OpenDir keeps
-    // routing by the old file (which only names fully-written blobs, since
-    // shards are written and fsync'd before the manifest). The temp file is
-    // fsync'd before the rename and the directory after it, so a completed
-    // Flush also survives power loss (ROADMAP, scale-out durability).
-    const std::string path = dir_ + "/" + StoreManifest::FileName();
+    // A process crash mid-Flush can never destroy the previous manifest:
+    // until the atomic rename lands, OpenDir keeps routing by the old file
+    // (which only names fully-written blobs, since shards are written and
+    // fsync'd before the manifest).
+    ReplaceFileDurably(dir_ + "/" + StoreManifest::FileName(), bytes);
+    manifest_total_ = manifest.total();
+  }
+
+  /// Replaces `path` with `bytes`: temp file written and fsync'd, atomic
+  /// rename, directory fsync — so a crash leaves the old file or the new
+  /// one, and a completed replace survives power loss. A failed write or
+  /// rename removes the temp file (best effort) before rethrowing.
+  void ReplaceFileDurably(const std::string& path,
+                          std::span<const uint8_t> bytes) {
     const std::string tmp = path + ".tmp";
-    io::WriteFileDurableTo(*fs_, tmp, {bytes.data(), bytes.size()});
     try {
+      io::WriteFileDurableTo(*fs_, tmp, bytes);
       fs_->Rename(tmp, path);
-    } catch (...) {
+    } catch (const std::exception&) {
       try {
-        fs_->Remove(tmp);  // no orphaned temp file after a failed rename
-      } catch (...) {
-        // The cleanup is best-effort; the rename failure is the error.
+        fs_->Remove(tmp);
+      } catch (const std::exception&) {
+        // The cleanup is best-effort; the first failure is the error.
       }
       throw;
     }
     fs_->SyncDir(dir_);
-    manifest_total_ = manifest.total();
   }
 
   // --- Durability helpers -------------------------------------------------
@@ -1559,15 +1475,13 @@ class NeatsStore {
     std::vector<uint8_t> bytes;
     AppendWalHeader(&bytes);
     if (SizeImpl() > manifest_total_) {
-      std::vector<int64_t> values(SizeImpl() - manifest_total_);
-      DecompressRangeImpl(manifest_total_, values.size(), values.data());
+      const IndexRange suffix{manifest_total_, SizeImpl() - manifest_total_};
+      std::vector<int64_t> values(suffix.len);
+      DecompressRangesLocked({&suffix, 1}, values.data());
       AppendWalRecord(&bytes, manifest_total_,
                       {values.data(), values.size()});
     }
-    const std::string tmp = WalPath() + ".tmp";
-    io::WriteFileDurableTo(*fs_, tmp, {bytes.data(), bytes.size()});
-    fs_->Rename(tmp, WalPath());
-    fs_->SyncDir(dir_);
+    ReplaceFileDurably(WalPath(), bytes);
     wal_ = fs_->OpenAppend(WalPath());
     wal_dirty_ = false;
   }
@@ -1622,10 +1536,7 @@ class NeatsStore {
         AppendWalRecord(&bytes, rec.first,
                         {rec.values.data(), rec.values.size()});
       }
-      const std::string tmp = WalPath() + ".tmp";
-      io::WriteFileDurableTo(*fs_, tmp, {bytes.data(), bytes.size()});
-      fs_->Rename(tmp, WalPath());
-      fs_->SyncDir(dir_);
+      ReplaceFileDurably(WalPath(), bytes);
     }
     wal_ = fs_->OpenAppend(WalPath());
   }

@@ -422,6 +422,27 @@ TEST(CrashRecovery, TransientWalFailureRecoversOnRetry) {
   EXPECT_NE(status.message().find("injected I/O failure"), std::string::npos);
   EXPECT_EQ(store.size(), 100u);  // the failed append acked nothing
 
+  // The retry rebuilds the dirty WAL through a temp file (create, write,
+  // sync, rename); fail the rename. The append fails typed, acks nothing,
+  // and leaves no temp file behind.
+  const uint64_t rename_op = fs.op_count() + 4;
+  fs.FailAtOp(rename_op, "injected rename failure");
+  status = CheckedStatus([&] { store.Append({values.data() + 100, 100}); });
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIo);
+  EXPECT_NE(status.message().find("injected rename failure"),
+            std::string::npos);
+  EXPECT_EQ(store.size(), 100u);
+  const std::string wal_tmp = std::string(kDir) + "/" + WalFileName() + ".tmp";
+  bool saw_rename = false;
+  for (const io::FaultFs::OpRecord& op : fs.trace()) {
+    if (op.index == rename_op) {
+      saw_rename = op.kind == io::FaultFs::OpKind::kRename && op.path == wal_tmp;
+    }
+  }
+  EXPECT_TRUE(saw_rename) << "op " << rename_op << " was not the WAL rename";
+  EXPECT_FALSE(fs.Exists(wal_tmp));
+
   // Retry: the dirty WAL is rebuilt wholesale, then ingest proceeds.
   store.Append({values.data() + 100, values.size() - 100});
   store.Flush();

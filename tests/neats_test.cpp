@@ -146,25 +146,6 @@ TEST(Neats, NegativeEpsilonIsAFailedStatus) {
   EXPECT_FALSE(Checked([&] { return NeatsLossy::Compress(values, -1); }).ok());
 }
 
-TEST(Neats, BitVectorStartsVariant) {
-  NeatsOptions options;
-  options.starts_index = StartsIndex::kBitVector;
-  CheckRoundTrip(RandomWalk(8000, 7, 30), options);
-}
-
-TEST(Neats, BothStartsVariantsAgreeOnSize) {
-  auto values = RandomWalk(20000, 13, 40);
-  NeatsOptions ef, bv;
-  bv.starts_index = StartsIndex::kBitVector;
-  Neats a = Neats::Compress(values, ef);
-  Neats b = Neats::Compress(values, bv);
-  EXPECT_EQ(a.num_fragments(), b.num_fragments());
-  // Same corrections and fragments; only the S representation differs.
-  for (size_t k = 0; k < values.size(); k += 97) {
-    EXPECT_EQ(a.Access(k), b.Access(k));
-  }
-}
-
 TEST(Neats, DecompressRangeMatchesSlices) {
   auto values = RandomWalk(30000, 17, 25);
   Neats compressed = Neats::Compress(values);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,8 +238,19 @@ std::string TempDir(const char* tag) {
       .string();
 }
 
+// The trace events of `op` in `trace`, oldest first.
+std::vector<obs::TraceEvent> EventsOf(const std::vector<obs::TraceEvent>& trace,
+                                      obs::EventId op) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : trace) {
+    if (e.op == op) out.push_back(e);
+  }
+  return out;
+}
+
 // With latency_sample_every=1 every op is timed, so the store's counters
-// AND histogram counts must equal the exact number of ops the test issued.
+// AND histogram counts must equal the exact number of ops the test issued,
+// and the trace ring holds one event per op with its argument and length.
 TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   const std::vector<int64_t> values = RampSeries(4096);
   NeatsStoreOptions options;
@@ -248,6 +260,25 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   store.Append({values.data(), 2000});
   store.Append({values.data() + 2000, values.size() - 2000});
   store.Flush();
+
+  // The write ops' events, read before the accesses below lap the ring.
+  {
+    const std::vector<obs::TraceEvent> trace = store.TraceDump();
+    const std::vector<obs::TraceEvent> appends =
+        EventsOf(trace, obs::EventId::kAppend);
+    ASSERT_EQ(appends.size(), 2u);
+    EXPECT_EQ(appends[0].arg, 0u);
+    EXPECT_EQ(appends[0].len, 2000u);
+    EXPECT_EQ(appends[1].arg, 2000u);
+    EXPECT_EQ(appends[1].len, values.size() - 2000);
+    const std::vector<obs::TraceEvent> flushes =
+        EventsOf(trace, obs::EventId::kFlush);
+    ASSERT_EQ(flushes.size(), 1u);
+    EXPECT_EQ(flushes[0].arg, values.size());
+    EXPECT_EQ(flushes[0].len, 0u);
+    for (const obs::TraceEvent& e : appends) EXPECT_EQ(e.status, 0u);
+    EXPECT_EQ(flushes[0].status, 0u);
+  }
 
   constexpr uint64_t kAccesses = 300;
   for (uint64_t i = 0; i < kAccesses; ++i) {
@@ -260,6 +291,10 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   std::vector<int64_t> range(512);
   store.DecompressRange(1000, range.size(), range.data());
   (void)store.RangeSum(100, 700);
+  const std::vector<IndexRange> ranges = {{10, 20}, {3000, 1000}};
+  std::vector<int64_t> multi(20 + 1000);
+  store.DecompressRanges(ranges, multi.data());
+  (void)store.ApproximateRangeSum(200, 2500);
 
   ASSERT_TRUE(store.metrics_enabled());
   const obs::MetricsSnapshot snap = store.StatsSnapshot();
@@ -268,10 +303,15 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   EXPECT_EQ(*snap.counter("access_batch.calls"), 1u);
   EXPECT_EQ(*snap.counter("access_batch.probes"), idx.size());
   EXPECT_EQ(snap.histogram("access_batch")->count(), 1u);
-  EXPECT_EQ(*snap.counter("range.calls"), 1u);
-  EXPECT_EQ(*snap.counter("range.values"), range.size());
+  EXPECT_EQ(*snap.counter("range.calls"), 2u);
+  EXPECT_EQ(*snap.counter("range.values"), range.size() + multi.size());
+  EXPECT_EQ(snap.histogram("range")->count(), 2u);
   EXPECT_EQ(*snap.counter("range_sum.calls"), 1u);
   EXPECT_EQ(*snap.counter("range_sum.values"), 700u);
+  EXPECT_EQ(snap.histogram("range_sum")->count(), 1u);
+  EXPECT_EQ(*snap.counter("approx_sum.calls"), 1u);
+  EXPECT_EQ(snap.histogram("append")->count(), 2u);
+  EXPECT_EQ(snap.histogram("flush")->count(), 1u);
   EXPECT_EQ(*snap.counter("append.calls"), 2u);
   EXPECT_EQ(*snap.counter("append.values"), values.size());
   EXPECT_EQ(*snap.counter("bytes.in"), values.size() * sizeof(int64_t));
@@ -283,7 +323,8 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   EXPECT_EQ(*snap.gauge("store.quarantined_shards"), 0);
   // bytes.out is derived from the served-value counters at snapshot time.
   EXPECT_EQ(*snap.counter("bytes.out"),
-            (kAccesses + idx.size() + range.size() + 700) * sizeof(int64_t));
+            (kAccesses + idx.size() + range.size() + 700 + multi.size()) *
+                sizeof(int64_t));
   EXPECT_GT(snap.histogram("access")->p50(), 0u);
   EXPECT_GE(snap.histogram("access")->p99(),
             snap.histogram("access")->p50());
@@ -292,6 +333,38 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   const std::vector<obs::TraceEvent> trace = store.TraceDump();
   ASSERT_FALSE(trace.empty());
   EXPECT_NE(obs::TraceText(trace).find("dur_ns"), std::string::npos);
+
+  // One event per query op, carrying its op id, argument and length.
+  struct Expected {
+    obs::EventId op;
+    uint64_t arg, len;
+  };
+  const std::vector<obs::TraceEvent> batches =
+      EventsOf(trace, obs::EventId::kAccessBatch);
+  ASSERT_EQ(batches.size(), 1u);
+  const std::vector<obs::TraceEvent> range_events =
+      EventsOf(trace, obs::EventId::kRange);
+  ASSERT_EQ(range_events.size(), 2u);
+  const std::vector<obs::TraceEvent> sums =
+      EventsOf(trace, obs::EventId::kRangeSum);
+  ASSERT_EQ(sums.size(), 1u);
+  const std::vector<obs::TraceEvent> approx =
+      EventsOf(trace, obs::EventId::kApproxRangeSum);
+  ASSERT_EQ(approx.size(), 1u);
+  const std::pair<const obs::TraceEvent*, Expected> checks[] = {
+      {&batches[0], {obs::EventId::kAccessBatch, idx[0], idx.size()}},
+      {&range_events[0], {obs::EventId::kRange, 1000, range.size()}},
+      {&range_events[1], {obs::EventId::kRange, 10, multi.size()}},
+      {&sums[0], {obs::EventId::kRangeSum, 100, 700}},
+      {&approx[0], {obs::EventId::kApproxRangeSum, 200, 2500}},
+  };
+  for (const auto& [e, want] : checks) {
+    SCOPED_TRACE(obs::EventName(want.op));
+    EXPECT_EQ(e->op, want.op);
+    EXPECT_EQ(e->arg, want.arg);
+    EXPECT_EQ(e->len, want.len);
+    EXPECT_EQ(e->status, 0u);
+  }
 }
 
 // metrics=false is a true off switch: no registry, empty snapshots, empty
@@ -442,9 +515,54 @@ TEST(NeatsStoreObs, QuarantinedReadsCountErrorsWithoutLogSpam) {
     }
   }
   EXPECT_EQ(unavailable, kProbes);
+
+  // Every other query op aimed into the quarantined shard throws the same
+  // typed error, counts one error and leaves a trace event with its op id,
+  // argument and status.
+  const uint16_t kUnavailableStatus =
+      static_cast<uint16_t>(StatusCode::kUnavailable);
+  const std::vector<uint64_t> idx = {300, 7, 400};
+  std::vector<int64_t> out(idx.size());
+  const std::vector<IndexRange> ranges = {{5, 10}, {300, 10}};
+  std::vector<int64_t> buf(100);
+  struct QueryOp {
+    obs::EventId op;
+    uint64_t arg;
+    std::function<void()> run;
+  };
+  const QueryOp ops[] = {
+      {obs::EventId::kAccessBatch, idx[0],
+       [&] { store.AccessBatch(idx, out); }},
+      {obs::EventId::kRange, 20,
+       [&] { store.DecompressRange(20, 100, buf.data()); }},
+      {obs::EventId::kRange, 5,
+       [&] { store.DecompressRanges(ranges, buf.data()); }},
+      {obs::EventId::kRangeSum, 30, [&] { (void)store.RangeSum(30, 300); }},
+      {obs::EventId::kApproxRangeSum, 40,
+       [&] { (void)store.ApproximateRangeSum(40, 300); }},
+  };
+  uint64_t errors = kProbes;
+  for (const QueryOp& q : ops) {
+    SCOPED_TRACE(obs::EventName(q.op));
+    try {
+      q.run();
+      ADD_FAILURE() << "query into a quarantined shard did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), StatusCode::kUnavailable);
+    }
+    ++errors;
+    EXPECT_EQ(*store.StatsSnapshot().counter("errors"), errors);
+    const std::vector<obs::TraceEvent> trace = store.TraceDump();
+    ASSERT_FALSE(trace.empty());
+    const obs::TraceEvent& last = trace.back();
+    EXPECT_EQ(last.op, q.op);
+    EXPECT_EQ(last.arg, q.arg);
+    EXPECT_EQ(last.status, kUnavailableStatus);
+  }
+
   EXPECT_EQ(events.size(), events_after_open);  // no per-query log spam
   const obs::MetricsSnapshot snap = store.StatsSnapshot();
-  EXPECT_EQ(*snap.counter("errors"), kProbes);
+  EXPECT_EQ(*snap.counter("errors"), kProbes + std::size(ops));
   EXPECT_EQ(*snap.counter("quarantine.entered"), 1u);
   EXPECT_EQ(*snap.gauge("store.quarantined_shards"), 1);
   std::filesystem::remove_all(dir);

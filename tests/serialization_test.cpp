@@ -55,12 +55,6 @@ TEST(Serialization, RandomWalks) {
   CheckSerializationRoundTrip(RandomWalk(20000, 2));
 }
 
-TEST(Serialization, BitVectorStartsVariant) {
-  NeatsOptions options;
-  options.starts_index = StartsIndex::kBitVector;
-  CheckSerializationRoundTrip(RandomWalk(8000, 3), options);
-}
-
 TEST(Serialization, AllDatasets) {
   for (const auto& code : AllDatasetCodes()) {
     Dataset ds = MakeDataset(code, 5000);

@@ -91,36 +91,32 @@ NeatsStore BuildStore(const std::vector<int64_t>& values, uint64_t shard_size,
 
 TEST(NeatsAccessBatch, SortedProbesMatchScalarAccess) {
   std::vector<int64_t> values = MixedSeries(20000, 1);
-  for (StartsIndex mode : {StartsIndex::kEliasFano, StartsIndex::kBitVector}) {
-    NeatsOptions options;
-    options.starts_index = mode;
-    Neats compressed = Neats::Compress(values, options);
-    std::mt19937_64 rng(2);
-    for (int trial = 0; trial < 50; ++trial) {
-      size_t count = 1 + rng() % 700;
-      std::vector<uint64_t> idx(count);
-      for (auto& k : idx) k = rng() % values.size();
-      if (trial % 3 == 0) {  // heavy duplicates
-        for (auto& k : idx) k = idx[0] + k % 40;
-        for (auto& k : idx) k = std::min<uint64_t>(k, values.size() - 1);
-      }
-      std::sort(idx.begin(), idx.end());
-      std::vector<int64_t> out(count);
-      compressed.AccessBatch(idx, out.data());
-      for (size_t j = 0; j < count; ++j) {
-        ASSERT_EQ(out[j], values[idx[j]])
-            << "probe " << idx[j] << " trial " << trial;
-      }
+  Neats compressed = Neats::Compress(values);
+  std::mt19937_64 rng(2);
+  for (int trial = 0; trial < 50; ++trial) {
+    size_t count = 1 + rng() % 700;
+    std::vector<uint64_t> idx(count);
+    for (auto& k : idx) k = rng() % values.size();
+    if (trial % 3 == 0) {  // heavy duplicates
+      for (auto& k : idx) k = idx[0] + k % 40;
+      for (auto& k : idx) k = std::min<uint64_t>(k, values.size() - 1);
     }
-    // Degenerate batches.
-    std::vector<int64_t> one(1);
-    compressed.AccessBatch(std::vector<uint64_t>{0}, one.data());
-    EXPECT_EQ(one[0], values[0]);
-    compressed.AccessBatch(std::vector<uint64_t>{values.size() - 1},
-                           one.data());
-    EXPECT_EQ(one[0], values.back());
-    compressed.AccessBatch(std::span<const uint64_t>(), nullptr);
+    std::sort(idx.begin(), idx.end());
+    std::vector<int64_t> out(count);
+    compressed.AccessBatch(idx, out.data());
+    for (size_t j = 0; j < count; ++j) {
+      ASSERT_EQ(out[j], values[idx[j]])
+          << "probe " << idx[j] << " trial " << trial;
+    }
   }
+  // Degenerate batches.
+  std::vector<int64_t> one(1);
+  compressed.AccessBatch(std::vector<uint64_t>{0}, one.data());
+  EXPECT_EQ(one[0], values[0]);
+  compressed.AccessBatch(std::vector<uint64_t>{values.size() - 1},
+                         one.data());
+  EXPECT_EQ(one[0], values.back());
+  compressed.AccessBatch(std::span<const uint64_t>(), nullptr);
 }
 
 TEST(NeatsDecompressRanges, MatchesPerRangeDecompression) {
@@ -274,49 +270,52 @@ TEST(NeatsStore, RangeSumsAcrossShardBoundaries) {
 }
 
 TEST(NeatsStore, ParallelQueryFanOutMatchesSequential) {
-  // The same multi-shard queries with the fan-out forced on (threshold 1)
-  // and forced off (threshold 0) must agree exactly — per-shard int64
-  // partial sums reassociate without changing the answer, and decode
-  // targets are disjoint output spans. Runs under the TSan CI job.
-  std::vector<int64_t> values = BoundedSeries(40000, 13);
+  // The same multi-shard queries on a one-thread seal pool (always
+  // sequential) and a two-thread pool (fanned out: every query spans more
+  // than kParallelQueryValues sealed values) must agree exactly — per-shard
+  // int64 partial sums reassociate without changing the answer, and decode
+  // targets are disjoint output spans. Gorilla keeps the seals fast; the
+  // test is about the fan-out, not the codec. Runs under the TSan CI job.
+  constexpr uint64_t kFanOut = NeatsStore::kParallelQueryValues;
+  std::vector<int64_t> values = BoundedSeries(3 * kFanOut, 13);
   std::vector<int64_t> prefix(values.size() + 1, 0);
   for (size_t i = 0; i < values.size(); ++i) {
     prefix[i + 1] = prefix[i] + values[i];
   }
-  for (uint64_t threshold : {uint64_t{0}, uint64_t{1}}) {
+  for (int seal_threads : {1, 2}) {
     NeatsStoreOptions options;
-    options.shard_size = 5000;  // eight sealed shards
-    options.seal_threads = 2;
-    options.parallel_query_values = threshold;
+    options.shard_size = kFanOut / 4;  // twelve sealed shards
+    options.seal_threads = seal_threads;
+    options.codec = CodecId::kGorilla;
     NeatsStore store(options);
     store.Append(values);
     store.Flush();
     std::mt19937_64 rng(14);
-    for (int trial = 0; trial < 25; ++trial) {
+    for (int trial = 0; trial < 8; ++trial) {
       std::vector<IndexRange> ranges;
       size_t total = 0;
-      for (int r = 0; r < 5; ++r) {
-        uint64_t from = rng() % values.size();
-        uint64_t len =
-            1 + rng() % std::min<uint64_t>(15000, values.size() - from);
+      for (int r = 0; r < 3; ++r) {
+        uint64_t len = kFanOut / 2 + rng() % (kFanOut / 4);
+        uint64_t from = rng() % (values.size() - len);
         ranges.push_back({from, len});
         total += len;
       }
+      ASSERT_GT(total, kFanOut);
       std::vector<int64_t> got(total);
       store.DecompressRanges(ranges, got.data());
       size_t off = 0;
       for (const IndexRange& r : ranges) {
         for (uint64_t j = 0; j < r.len; ++j) {
           ASSERT_EQ(got[off + j], values[r.from + j])
-              << "threshold=" << threshold << " range [" << r.from << ", +"
-              << r.len << ") at " << j;
+              << "seal_threads=" << seal_threads << " range [" << r.from
+              << ", +" << r.len << ") at " << j;
         }
         off += r.len;
       }
-      const IndexRange& s = ranges[0];
-      ASSERT_EQ(store.RangeSum(s.from, s.len),
-                prefix[s.from + s.len] - prefix[s.from])
-          << "threshold=" << threshold;
+      const uint64_t len = kFanOut + rng() % kFanOut;
+      const uint64_t from = rng() % (values.size() - len);
+      ASSERT_EQ(store.RangeSum(from, len), prefix[from + len] - prefix[from])
+          << "seal_threads=" << seal_threads;
     }
     // The whole series in one call covers every shard at once.
     std::vector<int64_t> all(values.size());

@@ -315,35 +315,31 @@ std::vector<uint8_t> SerializeOf(const Neats& c) {
 
 TEST(FormatV2, ViewMatchesOwnedByteForByte) {
   for (const auto& code : AllDatasetCodes()) {
-    for (auto mode : {StartsIndex::kEliasFano, StartsIndex::kBitVector}) {
-      SCOPED_TRACE(code);
-      Dataset ds = MakeDataset(code, 4000);
-      NeatsOptions options;
-      options.starts_index = mode;
-      Neats original = Neats::Compress(ds.values, options);
-      const std::vector<uint8_t> bytes = SerializeOf(original);
-      EXPECT_EQ(original.SizeInBits(), 8 * bytes.size());
+    SCOPED_TRACE(code);
+    Dataset ds = MakeDataset(code, 4000);
+    Neats original = Neats::Compress(ds.values);
+    const std::vector<uint8_t> bytes = SerializeOf(original);
+    EXPECT_EQ(original.SizeInBits(), 8 * bytes.size());
 
-      Neats owned = Neats::Deserialize(bytes);
-      Neats viewed = Neats::View(bytes);
-      EXPECT_FALSE(owned.borrowed());
-      EXPECT_TRUE(viewed.borrowed());  // no payload copied, no directory built
+    Neats owned = Neats::Deserialize(bytes);
+    Neats viewed = Neats::View(bytes);
+    EXPECT_FALSE(owned.borrowed());
+    EXPECT_TRUE(viewed.borrowed());  // no payload copied, no directory built
 
-      // Identical query results...
-      std::vector<int64_t> a, b;
-      owned.Decompress(&a);
-      viewed.Decompress(&b);
-      ASSERT_EQ(a, b);
-      ASSERT_EQ(a, ds.values);
-      for (size_t k = 0; k < ds.values.size(); k += 97) {
-        ASSERT_EQ(viewed.Access(k), ds.values[k]);
-      }
-      EXPECT_EQ(viewed.RangeSum(7, 1000), owned.RangeSum(7, 1000));
-
-      // ... and byte-identical re-serialization from both open paths.
-      EXPECT_EQ(SerializeOf(owned), bytes);
-      EXPECT_EQ(SerializeOf(viewed), bytes);
+    // Identical query results...
+    std::vector<int64_t> a, b;
+    owned.Decompress(&a);
+    viewed.Decompress(&b);
+    ASSERT_EQ(a, b);
+    ASSERT_EQ(a, ds.values);
+    for (size_t k = 0; k < ds.values.size(); k += 97) {
+      ASSERT_EQ(viewed.Access(k), ds.values[k]);
     }
+    EXPECT_EQ(viewed.RangeSum(7, 1000), owned.RangeSum(7, 1000));
+
+    // ... and byte-identical re-serialization from both open paths.
+    EXPECT_EQ(SerializeOf(owned), bytes);
+    EXPECT_EQ(SerializeOf(viewed), bytes);
   }
 }
 
@@ -368,14 +364,10 @@ TEST(FormatV2, SizeInBitsMatchesSerializedBytes) {
   // SizeInBits is documented as exactly the serialized size; benches and
   // the CLI report it as on-disk footprint.
   for (size_t n : {size_t{0}, size_t{1}, size_t{500}, size_t{12000}}) {
-    for (auto mode : {StartsIndex::kEliasFano, StartsIndex::kBitVector}) {
-      NeatsOptions options;
-      options.starts_index = mode;
-      Neats c = Neats::Compress(TestSeries(n, 13 + n), options);
-      std::vector<uint8_t> bytes;
-      c.Serialize(&bytes);
-      EXPECT_EQ(c.SizeInBits(), bytes.size() * 8) << "n=" << n;
-    }
+    Neats c = Neats::Compress(TestSeries(n, 13 + n));
+    std::vector<uint8_t> bytes;
+    c.Serialize(&bytes);
+    EXPECT_EQ(c.SizeInBits(), bytes.size() * 8) << "n=" << n;
   }
   Dataset ds = MakeDataset("AP", 4000);
   NeatsLossy lossy = NeatsLossy::Compress(ds.values, 50);
@@ -415,6 +407,23 @@ TEST(FormatV2, RejectsTruncatedAndCorruptBlobs) {
     EXPECT_NEATS_ERROR(Neats::Deserialize(evil), "corrupt NeaTS blob");
     EXPECT_NEATS_ERROR(Neats::View(evil), "corrupt NeaTS blob");
   }
+
+  // Header word 5 is reserved and must be 0 (it once selected a plain
+  // bit-vector S); any other value is a corrupt blob on every open path.
+  const std::string path = ::testing::TempDir() + "/neats_word5.blob";
+  for (uint64_t word5 : {uint64_t{1}, uint64_t{2}}) {
+    SCOPED_TRACE("word5 " + std::to_string(word5));
+    std::vector<uint8_t> evil = bytes;
+    std::memcpy(evil.data() + 40, &word5, 8);
+    EXPECT_NEATS_ERROR(Neats::Deserialize(evil), "corrupt NeaTS blob");
+    EXPECT_NEATS_ERROR(Neats::View(evil), "corrupt NeaTS blob");
+    WriteFile(path, evil);
+    Result<MappedSeries> opened = OpenSeriesFile(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().message().find("corrupt NeaTS blob"),
+              std::string::npos);
+  }
+  std::remove(path.c_str());
 
   // Clobbering a count/size word must either be caught by a loader
   // REQUIRE (throw) or — when the word was plain payload — load fine and

@@ -7,7 +7,7 @@
 //
 //   ./neats_server --synthetic 200000                # ECG-shaped data
 //   ./neats_server --dir /var/lib/neats/series0     # a flushed store
-//   ./neats_server --port 7777 --workers 8 --coalesce-window-us 50
+//   ./neats_server --port 7777 --workers 8 --max-inflight 4096
 //
 // Prints "listening on HOST:PORT" once ready (with --port-file the port
 // also lands in a file — CI's ephemeral-port smoke step uses that), then
@@ -43,8 +43,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--dir DIR | --synthetic N] [--dataset CODE] [--host H]\n"
       "          [--port P] [--port-file FILE] [--workers N]\n"
-      "          [--max-inflight N] [--coalesce-window-us U]\n"
-      "          [--idle-timeout-ms MS] [--use-poll]\n",
+      "          [--max-inflight N] [--idle-timeout-ms MS] [--use-poll]\n",
       argv0);
   return 2;
 }
@@ -83,9 +82,6 @@ int main(int argc, char** argv) {
       options.worker_threads = std::atoi(next());
     } else if (arg == "--max-inflight") {
       options.max_inflight = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--coalesce-window-us") {
-      options.coalesce_window_us =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--idle-timeout-ms") {
       options.idle_timeout_ms =
           static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
