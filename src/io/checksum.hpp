@@ -14,32 +14,108 @@
 // but the CRC disagrees — bit rot or a torn write). Every manifest and
 // shard blob is written with a trailer, so readers accept kValid only:
 // kAbsent is a failure just like kCorrupt.
+//
+// Crc32c has two implementations behind one entry point, both computing the
+// same reflected Castagnoli polynomial 0x82F63B78, so every byte a store or
+// frame carries is independent of the host that wrote it:
+//
+//   - Crc32cHardware: the SSE4.2 `crc32` instruction, 8 bytes per step
+//     (unaligned memcpy loads), then a byte tail. Compiled for SSE4.2 through
+//     a function-level target attribute, so the build needs no -m flag.
+//   - Crc32cPortable: slicing-by-8 over eight 256-entry tables.
+//
+// The choice is made once per process, at the first call, from
+// __builtin_cpu_supports("sse4.2") and cached; hosts other than x86-64
+// always take the portable path.
 
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define NEATS_CRC32C_HW 1
+#endif
+
 namespace neats {
 
 namespace internal {
 
-inline const std::array<uint32_t, 256>& Crc32cTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+/// Slicing-by-8 tables: tables[0] is the classic bytewise table, and
+/// tables[k][b] is the CRC of byte b followed by k zero bytes.
+inline const std::array<std::array<uint32_t, 256>, 8>& Crc32cTables() {
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+/// Portable CRC32C (slicing-by-8), continuing from `crc` like Crc32c.
+/// The 8-byte loads assume a little-endian host, as the wire and blob
+/// formats do.
+inline uint32_t Crc32cPortable(const uint8_t* p, size_t n, uint32_t crc) {
+  const auto& t = Crc32cTables();
+  crc = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    w ^= crc;
+    crc = t[7][w & 0xFF] ^ t[6][(w >> 8) & 0xFF] ^ t[5][(w >> 16) & 0xFF] ^
+          t[4][(w >> 24) & 0xFF] ^ t[3][(w >> 32) & 0xFF] ^
+          t[2][(w >> 40) & 0xFF] ^ t[1][(w >> 48) & 0xFF] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+#ifdef NEATS_CRC32C_HW
+/// SSE4.2 CRC32C, continuing from `crc` like Crc32c. Call it only where
+/// HasHardwareCrc32c() is true.
+__attribute__((target("sse4.2"))) inline uint32_t Crc32cHardware(
+    const uint8_t* p, size_t n, uint32_t crc) {
+  uint64_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    c = _mm_crc32_u64(c, w);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
+
+/// True when this process runs Crc32cHardware (decided once, cached).
+inline bool HasHardwareCrc32c() {
+#ifdef NEATS_CRC32C_HW
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
 }
 
 }  // namespace internal
@@ -47,12 +123,12 @@ inline const std::array<uint32_t, 256>& Crc32cTable() {
 /// CRC32C over `bytes`, continuing from `crc` (pass the previous return
 /// value to checksum a file in pieces; 0 starts a fresh checksum).
 inline uint32_t Crc32c(std::span<const uint8_t> bytes, uint32_t crc = 0) {
-  const auto& table = internal::Crc32cTable();
-  crc = ~crc;
-  for (uint8_t b : bytes) {
-    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+#ifdef NEATS_CRC32C_HW
+  if (internal::HasHardwareCrc32c()) {
+    return internal::Crc32cHardware(bytes.data(), bytes.size(), crc);
   }
-  return ~crc;
+#endif
+  return internal::Crc32cPortable(bytes.data(), bytes.size(), crc);
 }
 
 /// ASCII "NCK1" — the high half of the trailer's second word.

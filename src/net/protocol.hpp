@@ -12,7 +12,9 @@
 //
 // Binary framing: a 24-byte little-endian header followed by the payload,
 // the whole frame covered by a CRC32C (io/checksum.hpp — the same
-// polynomial the storage layer trailers use):
+// polynomial the storage layer trailers use). FinishFrame is the one frame
+// builder: AppendFrame copies a payload in and calls it, and the server
+// calls it on frames whose payload it wrote in place:
 //
 //   offset  size  field
 //   0       4     magic "NETS" (0x5354454E)
@@ -159,25 +161,34 @@ inline uint64_t GetU64(const uint8_t* p) {
 
 }  // namespace wire_internal
 
+/// Completes the frame that starts at `frame`, whose `payload_len` payload
+/// bytes are already written at frame + kFrameHeaderBytes: fills the header
+/// and computes the CRC in place. Lets a producer build the payload where
+/// it will be sent instead of copying it in.
+inline void FinishFrame(uint8_t* frame, Opcode op, uint16_t status,
+                        uint64_t id, size_t payload_len) {
+  using namespace wire_internal;
+  PutU32(frame, kFrameMagic);
+  frame[4] = kProtocolVersion;
+  frame[5] = static_cast<uint8_t>(op);
+  PutU16(frame + 6, status);
+  PutU64(frame + 8, id);
+  PutU32(frame + 16, static_cast<uint32_t>(payload_len));
+  const uint32_t crc = Crc32c({frame, 20});
+  PutU32(frame + 20,
+         Crc32c({frame + kFrameHeaderBytes, payload_len}, crc));
+}
+
 /// Appends one complete frame (header + payload) to `out`.
 inline void AppendFrame(std::vector<uint8_t>* out, Opcode op, uint16_t status,
                         uint64_t id, std::span<const uint8_t> payload) {
-  using namespace wire_internal;
   const size_t at = out->size();
   out->resize(at + kFrameHeaderBytes + payload.size());
-  uint8_t* h = out->data() + at;
-  PutU32(h, kFrameMagic);
-  h[4] = kProtocolVersion;
-  h[5] = static_cast<uint8_t>(op);
-  PutU16(h + 6, status);
-  PutU64(h + 8, id);
-  PutU32(h + 16, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32c({h, 20});
-  crc = Crc32c(payload, crc);
-  PutU32(h + 20, crc);
+  uint8_t* frame = out->data() + at;
   if (!payload.empty()) {
-    std::memcpy(h + kFrameHeaderBytes, payload.data(), payload.size());
+    std::memcpy(frame + kFrameHeaderBytes, payload.data(), payload.size());
   }
+  FinishFrame(frame, op, status, id, payload.size());
 }
 
 /// Decodes the 24-byte header at `bytes` (must hold at least

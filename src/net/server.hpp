@@ -16,12 +16,20 @@
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
 //                │  executes against the store under its shared reader
 //                │  lock — many connections read concurrently with a
-//                │  live Append()er — then hands the response bytes back
+//                │  live Append()er — into one response buffer per work
+//                │  item, then moves that buffer to the connection
 //                ▼
-//             [ IO thread: write buffers, backpressure, timeouts ]
+//             [ IO thread: send queue, backpressure, timeouts ]
+//
+// One buffer per response: a worker reserves the 24-byte frame header,
+// lets the store decode values straight into the payload behind it, and
+// finishes the frame in place (protocol.hpp FinishFrame: header fields,
+// then the CRC over the bytes where they lie). The buffer is moved — never
+// copied — into the connection's handoff, then into its send queue, and
+// sendmsg(2) sends it from an offset until the socket has taken it all.
 //
 // Threading contract: the IO thread owns every socket, buffer, and queue;
-// workers only ever touch a connection's mutex-guarded handoff buffer and
+// workers only ever touch a connection's mutex-guarded handoff list and
 // never a file descriptor. Completions travel through a wake pipe, so the
 // loop is never polled blind. One work item per connection keeps responses
 // in request order (sheds are the documented exception — they answer
@@ -45,6 +53,8 @@
 #pragma once
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/epoll.h>
@@ -307,6 +317,10 @@ struct Request {
   std::vector<IndexRange> ranges;  // multi-range query
 };
 
+/// A response buffer: one or more complete frames (or one HTTP response),
+/// built by whoever answers and moved, never copied, to the socket.
+using Buffer = std::vector<uint8_t>;
+
 /// One connection. The IO thread owns everything except `handoff`/`busy`,
 /// which carry worker results back under `hand_mu`.
 struct Conn {
@@ -315,7 +329,9 @@ struct Conn {
   int fd = -1;
   Mode mode = Mode::kUnknown;
   std::vector<uint8_t> in;    // unparsed input bytes
-  std::string out;            // response bytes awaiting the socket
+  std::deque<Buffer> out;     // response buffers awaiting the socket
+  size_t out_sent = 0;        // bytes of out.front() already sent
+  size_t out_bytes = 0;       // unsent bytes across `out`
   std::deque<Request> queue;  // parsed, admitted, not yet dispatched
   bool closed = false;        // fd closed, conn detached from the map
   bool read_shut = false;     // peer sent FIN (or HTTP request complete)
@@ -325,8 +341,30 @@ struct Conn {
   uint64_t last_activity = 0;
 
   std::mutex hand_mu;
-  std::string handoff;  // worker-produced responses, pending pickup
-  bool busy = false;    // a work item is executing (guarded by hand_mu)
+  std::vector<Buffer> handoff;  // worker-produced responses, pending pickup
+  bool busy = false;  // a work item is executing (guarded by hand_mu)
+
+  /// Queues `buf` behind every response already awaiting the socket.
+  void Queue(Buffer buf) {
+    if (buf.empty()) return;
+    out_bytes += buf.size();
+    out.push_back(std::move(buf));
+  }
+
+  /// Drops the first `n` unsent bytes (the socket took them).
+  void Consume(size_t n) {
+    out_bytes -= n;
+    while (n > 0) {
+      const size_t left = out.front().size() - out_sent;
+      if (n < left) {
+        out_sent += n;
+        return;
+      }
+      n -= left;
+      out.pop_front();
+      out_sent = 0;
+    }
+  }
 };
 
 }  // namespace server_internal
@@ -341,6 +379,7 @@ class NeatsServer {
   using Poller = server_internal::Poller;
   using Request = server_internal::Request;
   using ServerObs = server_internal::ServerObs;
+  using Buffer = server_internal::Buffer;
 
  public:
   explicit NeatsServer(const NeatsStore& store,
@@ -585,7 +624,7 @@ class NeatsServer {
   void UpdateInterest(const std::shared_ptr<Conn>& conn, bool draining) {
     const bool read =
         !draining && !conn->read_shut &&
-        conn->out.size() < options_.max_frame_bytes * 2 &&
+        conn->out_bytes < options_.max_frame_bytes * 2 &&
         conn->in.size() < options_.max_frame_bytes + kFrameHeaderBytes;
     const bool write = !conn->out.empty();
     if (read != conn->want_read || write != conn->want_write) {
@@ -756,7 +795,7 @@ class NeatsServer {
     if (end == std::string_view::npos) {
       if (conn->in.size() > 8192) {
         obs_->registry.Count(obs_->c_bad_frames);
-        conn->out += "HTTP/1.0 400 Bad Request\r\n\r\n";
+        conn->Queue(Text("HTTP/1.0 400 Bad Request\r\n\r\n"));
         conn->close_after_drain = true;
         conn->read_shut = true;
         FlushOut(conn);
@@ -773,9 +812,8 @@ class NeatsServer {
                           request_line.rfind("GET /metrics", 0) == 0 ||
                           request_line.rfind("GET / ", 0) == 0;
     if (!is_stats) {
-      conn->out +=
-          "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n"
-          "Connection: close\r\n\r\n";
+      conn->Queue(Text("HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n"
+                       "Connection: close\r\n\r\n"));
       FlushOut(conn);
       if (!conn->closed) {
         MaybeFinish(conn);
@@ -869,10 +907,23 @@ class NeatsServer {
     }
   }
 
+  /// Sends queued buffers in place: one sendmsg gathers up to kMaxIov of
+  /// them, the first from its unsent offset, until the socket pushes back.
   void FlushOut(const std::shared_ptr<Conn>& conn) {
     while (!conn->out.empty()) {
-      const ssize_t n = ::send(conn->fd, conn->out.data(),
-                               conn->out.size(), MSG_NOSIGNAL);
+      iovec iov[kMaxIov];
+      size_t k = 0;
+      for (const Buffer& buf : conn->out) {
+        if (k == kMaxIov) break;
+        const size_t skip = k == 0 ? conn->out_sent : 0;
+        iov[k].iov_base = const_cast<uint8_t*>(buf.data() + skip);
+        iov[k].iov_len = buf.size() - skip;
+        ++k;
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = k;
+      const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -880,7 +931,7 @@ class NeatsServer {
         return;
       }
       obs_->registry.Count(obs_->c_bytes_out, static_cast<uint64_t>(n));
-      conn->out.erase(0, static_cast<size_t>(n));
+      conn->Consume(static_cast<size_t>(n));
     }
   }
 
@@ -894,7 +945,7 @@ class NeatsServer {
       if (conn->closed) continue;
       {
         std::lock_guard<std::mutex> lk(conn->hand_mu);
-        conn->out += conn->handoff;
+        for (Buffer& buf : conn->handoff) conn->Queue(std::move(buf));
         conn->handoff.clear();
       }
       conn->last_activity = now;
@@ -910,7 +961,7 @@ class NeatsServer {
 
   void ExecuteItem(const std::shared_ptr<Conn>& conn, Conn::Mode mode,
                    std::vector<Request>& items) {
-    std::string out;
+    Buffer out;
     if (items.size() > 1) {
       ExecuteCoalesced(items, &out);
     } else {
@@ -922,7 +973,7 @@ class NeatsServer {
     }
     {
       std::lock_guard<std::mutex> lk(conn->hand_mu);
-      conn->handoff += out;
+      conn->handoff.push_back(std::move(out));
       conn->busy = false;
     }
     inflight_.fetch_sub(items.size(), std::memory_order_relaxed);
@@ -939,7 +990,7 @@ class NeatsServer {
   /// request order, out-of-range probes answered individually). The run's
   /// service time lands in the "op.access" histogram once, its size in
   /// "coalesce.batch".
-  void ExecuteCoalesced(std::vector<Request>& items, std::string* out) {
+  void ExecuteCoalesced(std::vector<Request>& items, Buffer* out) {
     const uint64_t t0 = obs::NowNs();
     obs_->registry.Count(obs_->c_coalesced_batches);
     obs_->registry.Count(obs_->c_coalesced_probes, items.size());
@@ -985,7 +1036,10 @@ class NeatsServer {
                           obs::NowNs() - t0);
   }
 
-  void ExecuteOne(Conn::Mode mode, const Request& req, std::string* out) {
+  /// Answers one request into `out`, which arrives empty: a value-carrying
+  /// response is then the buffer's first frame, so its payload starts 24
+  /// bytes into a fresh heap block and the store decodes into it directly.
+  void ExecuteOne(Conn::Mode mode, const Request& req, Buffer* out) {
     try {
       switch (req.op) {
         case Opcode::kPing: {
@@ -1002,10 +1056,11 @@ class NeatsServer {
         case Opcode::kStats: {
           const std::string stats = StatsJson();
           if (mode == Conn::Mode::kHttp) {
-            *out += "HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
-                    "Content-Length: " +
-                    std::to_string(stats.size()) +
-                    "\r\nConnection: close\r\n\r\n" + stats;
+            AppendText(out,
+                       "HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                       "Content-Length: " + std::to_string(stats.size()) +
+                           "\r\nConnection: close\r\n\r\n");
+            AppendText(out, stats);
           } else {
             AppendOk(req.op, req.id,
                      {reinterpret_cast<const uint8_t*>(stats.data()),
@@ -1032,9 +1087,11 @@ class NeatsServer {
               return;
             }
           }
-          std::vector<int64_t> values(req.idx.size());
-          store_.AccessBatch(req.idx, values);
-          AppendValuesResponse(req.op, req.id, values, out);
+          AppendValuesResponse(req.op, req.id, req.idx.size(), out,
+                               [&](int64_t* values) {
+                                 store_.AccessBatch(
+                                     req.idx, {values, req.idx.size()});
+                               });
           return;
         }
         case Opcode::kDecompressRange:
@@ -1068,13 +1125,15 @@ class NeatsServer {
                                 /*sum=*/true);
             return;
           }
-          std::vector<int64_t> values(total);
-          if (req.op == Opcode::kDecompressRange) {
-            store_.DecompressRange(req.a, req.b, values.data());
-          } else {
-            store_.DecompressRanges(ranges, values.data());
-          }
-          AppendValuesResponse(req.op, req.id, values, out);
+          AppendValuesResponse(req.op, req.id, total, out,
+                               [&](int64_t* values) {
+                                 if (req.op == Opcode::kDecompressRange) {
+                                   store_.DecompressRange(req.a, req.b,
+                                                          values);
+                                 } else {
+                                   store_.DecompressRanges(ranges, values);
+                                 }
+                               });
           return;
         }
       }
@@ -1096,56 +1155,78 @@ class NeatsServer {
 
   /// Success envelope: a kOk frame carrying `payload`.
   void AppendOk(Opcode op, uint64_t id, std::span<const uint8_t> payload,
-                std::string* out) {
-    std::vector<uint8_t> frame;
-    AppendFrame(&frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+                Buffer* out) {
+    AppendFrame(out, op, static_cast<uint16_t>(WireStatus::kOk), id,
                 payload);
-    out->append(reinterpret_cast<const char*>(frame.data()), frame.size());
   }
 
-  void AppendValueResponse(uint64_t id, int64_t value, std::string* out,
+  void AppendValueResponse(uint64_t id, int64_t value, Buffer* out,
                            bool sum = false) {
-    std::vector<uint8_t> payload;
-    PayloadWriter w(&payload);
-    w.I64(value);
+    uint8_t payload[8];
+    wire_internal::PutU64(payload, static_cast<uint64_t>(value));
     AppendOk(sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload, out);
   }
 
-  void AppendValuesResponse(Opcode op, uint64_t id,
-                            std::span<const int64_t> values,
-                            std::string* out) {
-    std::vector<uint8_t> payload;
-    PayloadWriter w(&payload);
-    w.I64Span(values);
-    AppendOk(op, id, payload, out);
+  /// A kOk frame of `n` int64 values that `fill` writes straight into the
+  /// frame's payload (the wire's little-endian int64 is the host layout).
+  /// If `fill` throws, `out` is left as it was.
+  template <class Fill>
+  void AppendValuesResponse(Opcode op, uint64_t id, size_t n, Buffer* out,
+                            const Fill& fill) {
+    const size_t at = out->size();
+    out->resize(at + kFrameHeaderBytes + n * 8);
+    uint8_t* frame = out->data() + at;
+    uint8_t* payload = frame + kFrameHeaderBytes;
+    NEATS_DCHECK(reinterpret_cast<uintptr_t>(payload) % alignof(int64_t) ==
+                 0);
+    try {
+      fill(reinterpret_cast<int64_t*>(payload));
+    } catch (...) {
+      out->resize(at);
+      throw;
+    }
+    FinishFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+                n * 8);
+  }
+
+  static void AppendText(Buffer* out, std::string_view text) {
+    out->insert(out->end(), text.begin(), text.end());
+  }
+
+  static Buffer Text(std::string_view text) {
+    return Buffer(text.begin(), text.end());
   }
 
   /// Error envelope. Binary: a frame with status `s` carrying `message`.
   /// HTTP: a bare 503 (the one HTTP route, /stats, failed).
   void AppendError(Conn::Mode mode, Opcode op, uint64_t id, WireStatus s,
-                   const std::string& message, std::string* out) {
+                   const std::string& message, Buffer* out) {
     obs_->registry.Count(obs_->c_errors);
     if (mode == Conn::Mode::kHttp) {
-      *out += "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n"
-              "Connection: close\r\n\r\n";
+      AppendText(out,
+                 "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n"
+                 "Connection: close\r\n\r\n");
       return;
     }
-    std::vector<uint8_t> frame;
-    AppendFrame(&frame, op, static_cast<uint16_t>(s), id,
+    AppendFrame(out, op, static_cast<uint16_t>(s), id,
                 {reinterpret_cast<const uint8_t*>(message.data()),
                  message.size()});
-    out->append(reinterpret_cast<const char*>(frame.data()), frame.size());
   }
 
   /// IO-thread-side immediate error (sheds, parse failures): same
-  /// formatting, straight into the connection's out buffer.
+  /// formatting, queued on the connection as its own buffer.
   void SendError(const std::shared_ptr<Conn>& conn, Opcode op, uint64_t id,
                  WireStatus s, const std::string& message) {
-    AppendError(conn->mode, op, id, s, message, &conn->out);
+    Buffer out;
+    AppendError(conn->mode, op, id, s, message, &out);
+    conn->Queue(std::move(out));
   }
 
   /// Largest coalesced Access run fed to one store AccessBatch call.
   static constexpr size_t kMaxCoalescedRun = 512;
+
+  /// Most queued buffers one sendmsg gathers.
+  static constexpr size_t kMaxIov = 64;
 
   const NeatsStore& store_;
   NeatsServerOptions options_;

@@ -537,30 +537,26 @@ class NeatsStore {
   /// records is re-compressed with its original codec, written durably,
   /// and returned to service; the manifest is rewritten when anything was
   /// repaired. Returns the updated report — `repaired` lists the shards
-  /// brought back, `quarantined` what is still down.
+  /// brought back, `quarantined` what is still down. Every call counts in
+  /// `scrub.calls`; one that throws (a repair's blob write failing, say)
+  /// also counts an error and traces its status.
   const RepairReport& Scrub() {
     std::unique_lock<std::shared_mutex> lock(*mu_);
     NEATS_REQUIRE(!dir_.empty(), "Scrub requires a directory-backed store");
-    store_internal::StoreObs* ob = obs_.get();
-    const uint64_t t0 = ob != nullptr ? obs::NowNs() : 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s].series == nullptr) continue;
-      try {
-        OpenShardBlob(s, &shards_[s]);
-      } catch (const std::exception& e) {
-        Quarantine(s, e.what());
-      }
-    }
-    RepairFromWal();
-    RebuildQuarantineList();
-    if (ob != nullptr) {
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Count(ob->c_scrub_calls);
-      ob->registry.Record(ob->h_scrub, dur);
-      ob->Trace(obs::EventId::kScrub, obs::TraceTier::kNone, 0,
-                obs::TraceEvent::kNoCodec, obs::kNoShard, shards_.size(),
-                report_.repaired.size(), dur);
-    }
+    if (obs_ != nullptr) obs_->registry.Count(obs_->c_scrub_calls);
+    Observed(obs::EventId::kScrub, &StoreObs::h_scrub, shards_.size(), 0,
+             [&] {
+               for (size_t s = 0; s < shards_.size(); ++s) {
+                 if (shards_[s].series == nullptr) continue;
+                 try {
+                   OpenShardBlob(s, &shards_[s]);
+                 } catch (const std::exception& e) {
+                   Quarantine(s, e.what());
+                 }
+               }
+               RepairFromWal();
+               RebuildQuarantineList();
+             });
     return report_;
   }
 

@@ -26,6 +26,7 @@
 
 #include "io/fault_fs.hpp"
 #include "neats/neats.hpp"
+#include "store/wal.hpp"
 
 namespace neats {
 namespace {
@@ -453,6 +454,63 @@ TEST(CrashRecovery, TransientWalFailureRecoversOnRetry) {
   ASSERT_EQ(again.size(), values.size());
   for (size_t k = 0; k < values.size(); k += 7) {
     ASSERT_EQ(again.Access(k), values[k]) << k;
+  }
+}
+
+// A Scrub whose repair fails (the re-sealed blob's first write fails
+// transiently) throws kIo and is observed like every other failed op: it
+// counts in `errors` and `scrub.calls` and leaves a kScrub trace event with
+// its status. The shard stays quarantined; the next Scrub repairs it.
+TEST(CrashRecovery, FailedScrubCountsAnErrorAndTracesIt) {
+  const std::vector<int64_t> values = Series(1200, 25);
+  io::FaultFs fs;
+  {
+    NeatsStore store = NeatsStore::CreateDir(kDir, BaseOptions(&fs));
+    store.Append({values.data(), values.size()});
+    store.Flush();
+  }
+  // WAL records covering shard 0's range: the copy Scrub repairs from.
+  std::vector<uint8_t> wal;
+  AppendWalHeader(&wal);
+  AppendWalRecord(&wal, 0, {values.data(), 512});
+  fs.SetRaw(std::string(kDir) + "/" + WalFileName(), wal);
+
+  NeatsStore store = NeatsStore::OpenDir(kDir, BaseOptions(&fs));
+  ASSERT_FALSE(store.degraded());
+  const uint64_t errors_before = *store.StatsSnapshot().counter("errors");
+  fs.CorruptByte(std::string(kDir) + "/" + StoreManifest::ShardFileName(0),
+                 100, 0x40);
+
+  fs.FailAtOp(fs.op_count() + 1, "injected repair failure");
+  const Status failed = CheckedStatus([&] { (void)store.Scrub(); });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIo);
+  EXPECT_NE(failed.message().find("injected repair failure"),
+            std::string::npos);
+  EXPECT_TRUE(store.degraded());
+
+  obs::MetricsSnapshot snap = store.StatsSnapshot();
+  EXPECT_EQ(*snap.counter("errors"), errors_before + 1);
+  EXPECT_EQ(*snap.counter("scrub.calls"), 1u);
+  EXPECT_EQ(*snap.counter("scrub.repaired"), 0u);
+  size_t failed_scrubs = 0;
+  for (const obs::TraceEvent& e : store.TraceDump()) {
+    if (e.op != obs::EventId::kScrub) continue;
+    EXPECT_EQ(e.status, static_cast<uint16_t>(StatusCode::kIo));
+    ++failed_scrubs;
+  }
+  EXPECT_EQ(failed_scrubs, 1u);
+
+  // The retry repairs the shard and is observed as a success.
+  const NeatsStore::RepairReport& report = store.Scrub();
+  ASSERT_EQ(report.repaired.size(), 1u);
+  EXPECT_FALSE(store.degraded());
+  snap = store.StatsSnapshot();
+  EXPECT_EQ(*snap.counter("errors"), errors_before + 1);
+  EXPECT_EQ(*snap.counter("scrub.calls"), 2u);
+  EXPECT_EQ(snap.histogram("scrub")->count(), 1u);
+  for (size_t k = 0; k < values.size(); k += 23) {
+    ASSERT_EQ(store.Access(k), values[k]) << k;
   }
 }
 

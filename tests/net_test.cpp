@@ -1,6 +1,7 @@
-// Tests for the network layer (src/net/): wire-protocol units, the
-// client/server loopback round trip for every opcode and dialect, the
-// typed rejection of unrecognized first bytes,
+// Tests for the network layer (src/net/): wire-protocol units (frames built
+// in place match AppendFrame byte for byte), the client/server loopback
+// round trip for every opcode and dialect, a slow small-window reader that
+// forces partial sends, the typed rejection of unrecognized first bytes,
 // admission-control shedding, graceful drain, the poll(2) fallback
 // backend, protocol hardening (the clobber/truncation/forged-length
 // sweeps mirroring the WAL/manifest fuzz pattern), and the multi-client
@@ -8,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +63,50 @@ TEST(Protocol, CrcCatchesEveryBitFlipPosition) {
         {bad.data(), kFrameHeaderBytes},
         {bad.data() + kFrameHeaderBytes, bad.size() - kFrameHeaderBytes}))
         << "flip at byte " << i << " went undetected";
+  }
+}
+
+// FinishFrame on a payload already in place produces exactly AppendFrame's
+// bytes, and both match the header layout of docs/FORMAT.md with the CRC
+// taken over one contiguous copy of header[0, 20) ++ payload.
+TEST(Protocol, FrameBuiltInPlaceIsByteIdenticalToAppendFrame) {
+  std::mt19937_64 rng(11);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{8}, size_t{1000},
+                   size_t{32768}}) {
+    std::vector<uint8_t> payload(n);
+    for (uint8_t& b : payload) b = static_cast<uint8_t>(rng());
+    for (uint8_t op = 1; op <= kMaxOpcode; ++op) {
+      for (uint16_t status : {uint16_t{0}, uint16_t{4}}) {
+        for (uint64_t id : {uint64_t{0}, uint64_t{77}, ~uint64_t{0}}) {
+          std::vector<uint8_t> appended = {0xAA, 0xBB, 0xCC};  // a prefix
+          AppendFrame(&appended, static_cast<Opcode>(op), status, id,
+                      payload);
+
+          std::vector<uint8_t> in_place = {0xAA, 0xBB, 0xCC};
+          in_place.resize(in_place.size() + kFrameHeaderBytes + n);
+          if (n > 0) std::memcpy(in_place.data() + 3 + 24, payload.data(), n);
+          FinishFrame(in_place.data() + 3, static_cast<Opcode>(op), status,
+                      id, n);
+          ASSERT_EQ(in_place, appended) << "op " << int{op} << " n " << n;
+
+          std::vector<uint8_t> want(kFrameHeaderBytes);
+          wire_internal::PutU32(want.data(), kFrameMagic);
+          want[4] = kProtocolVersion;
+          want[5] = op;
+          wire_internal::PutU16(want.data() + 6, status);
+          wire_internal::PutU64(want.data() + 8, id);
+          wire_internal::PutU32(want.data() + 16, static_cast<uint32_t>(n));
+          std::vector<uint8_t> covered(want.begin(), want.begin() + 20);
+          covered.insert(covered.end(), payload.begin(), payload.end());
+          wire_internal::PutU32(want.data() + 20, Crc32c(covered));
+          want.insert(want.end(), payload.begin(), payload.end());
+          ASSERT_EQ(std::vector<uint8_t>(appended.begin() + 3,
+                                         appended.end()),
+                    want)
+              << "op " << int{op} << " n " << n;
+        }
+      }
+    }
   }
 }
 
@@ -346,6 +394,114 @@ TEST_F(NetTest, PollBackendServesTheSameProtocol) {
   std::vector<uint64_t> idx = {1, 2, 3};
   EXPECT_EQ(c.AccessBatch(idx).size(), 3u);
   EXPECT_EQ(c.Size(), kInitial);
+  ExpectServerAlive();
+}
+
+// A reader with a small receive window that drains slowly: the pipelined
+// responses (ranges of max_frame_bytes / 8 values between scalar accesses
+// and batches, ~8 MiB in all — twice Linux's default 4 MiB send-buffer
+// ceiling) cannot fit in the socket buffers, so the server sends each
+// response buffer in pieces, resuming from an offset. Every byte must
+// arrive exactly as AppendFrame builds the expected response, in request
+// order, with a valid CRC.
+TEST_F(NetTest, SlowReaderGetsPipelinedResponsesByteExact) {
+  NeatsServerOptions options;
+  options.max_frame_bytes = size_t{128} << 10;
+  StartServer(options);
+  const uint64_t range_len = options.max_frame_bytes / 8;
+  ASSERT_LT(range_len, kInitial);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;  // before connect, so the window starts small
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  const timeval timeout{30, 0};  // lost bytes fail the test, not hang it
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+      0);
+  sockaddr_in addr = MakeAddr("127.0.0.1", server_->port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  std::vector<uint8_t> requests;
+  std::vector<uint8_t> want;  // the expected response stream
+  uint64_t id = 1;
+  auto expect_values = [&](Opcode op, const std::vector<int64_t>& values) {
+    std::vector<uint8_t> payload;
+    PayloadWriter(&payload).I64Span(values);
+    AppendFrame(&want, op, 0, id++, payload);
+  };
+  for (uint64_t round = 0; round < 64; ++round) {
+    const uint64_t from = round * 37 % (kInitial - range_len);
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.U64(from);
+    w.U64(range_len);
+    AppendFrame(&requests, Opcode::kDecompressRange, 0, id, payload);
+    std::vector<int64_t> values;
+    for (uint64_t k = from; k < from + range_len; ++k) {
+      values.push_back(Truth(k));
+    }
+    expect_values(Opcode::kDecompressRange, values);
+
+    for (uint64_t k = 0; k < 3; ++k) {
+      const uint64_t i = (round * 1009 + k * 7919) % kInitial;
+      payload.clear();
+      PayloadWriter(&payload).U64(i);
+      AppendFrame(&requests, Opcode::kAccess, 0, id, payload);
+      expect_values(Opcode::kAccess, {Truth(i)});
+    }
+
+    std::vector<uint64_t> idx = {round, kInitial - 1 - round, round * 311};
+    payload.clear();
+    PayloadWriter b(&payload);
+    b.U32(static_cast<uint32_t>(idx.size()));
+    values.clear();
+    for (uint64_t i : idx) {
+      b.U64(i);
+      values.push_back(Truth(i));
+    }
+    AppendFrame(&requests, Opcode::kAccessBatch, 0, id, payload);
+    expect_values(Opcode::kAccessBatch, values);
+  }
+  SendAll(fd, requests);
+
+  std::vector<uint8_t> got;
+  got.reserve(want.size());
+  uint8_t buf[2048];
+  size_t next_pause = 0;
+  while (got.size() < want.size()) {
+    if (got.size() >= next_pause) {  // a 2 ms stall every 64 KiB
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      next_pause += size_t{64} << 10;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection ended after " << got.size() << " of "
+                    << want.size() << " bytes";
+    got.insert(got.end(), buf, buf + n);
+  }
+  ::close(fd);
+  ASSERT_EQ(got.size(), want.size());
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+  EXPECT_TRUE(diff.first == got.end())
+      << "first differing byte at " << (diff.first - got.begin());
+
+  // Walk the frames: each one is in order and carries a valid CRC.
+  size_t at = 0;
+  for (uint64_t want_id = 1; want_id < id; ++want_id) {
+    ASSERT_LE(at + kFrameHeaderBytes, got.size());
+    FrameHeader h;
+    ASSERT_TRUE(DecodeFrameHeader({got.data() + at, kFrameHeaderBytes}, &h));
+    ASSERT_EQ(h.id, want_id);
+    ASSERT_EQ(h.status, 0u);
+    ASSERT_LE(at + kFrameHeaderBytes + h.payload_len, got.size());
+    EXPECT_TRUE(VerifyFrameCrc({got.data() + at, kFrameHeaderBytes},
+                               {got.data() + at + kFrameHeaderBytes,
+                                h.payload_len}));
+    at += kFrameHeaderBytes + h.payload_len;
+  }
+  EXPECT_EQ(at, got.size());
   ExpectServerAlive();
 }
 
