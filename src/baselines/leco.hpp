@@ -9,10 +9,15 @@
 // fragment, residuals bit-packed with a per-fragment frame of reference,
 // greedy growth in steps while the marginal cost decreases, then a merge
 // pass. Random access reads one fragment header and one residual.
+//
+// The model is evaluated with NeaTS's pinned linear kind (Fma(slope, x,
+// intercept), floored and clamped to ±2^61; src/functions/kinds.hpp) at
+// x = k - start, so blobs decode identically in every build, and range
+// decode runs on the same decode lanes as NeaTS.
 
 #pragma once
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -20,6 +25,7 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
+#include "functions/decode_lanes.hpp"
 #include "succinct/bit_stream.hpp"
 #include "succinct/elias_fano.hpp"
 #include "succinct/packed_array.hpp"
@@ -100,7 +106,13 @@ class Leco {
     uint64_t o = offsets_.Access(f) +
                  (i - start) * static_cast<uint64_t>(bits);
     uint64_t r = ReadBits(residual_words_.data(), o, bits);
-    return Reassemble(PredictAt(f, i - start), bases_[f], r);
+    const double model[2] = {slopes_[f], intercepts_[f]};
+    const int64_t pred = PredictFloor(FunctionKind::kLinear, model,
+                                      static_cast<int64_t>(i - start));
+    // Unsigned adds, as in the decode lanes: a forged base or residual word
+    // wraps (defined) instead of overflowing a signed add (UB).
+    return static_cast<int64_t>(static_cast<uint64_t>(pred) +
+                                static_cast<uint64_t>(bases_[f]) + r);
   }
 
   void Decompress(std::vector<int64_t>* out) const {
@@ -121,17 +133,21 @@ class Leco {
       uint64_t end = f + 1 < m ? starts_.Access(f + 1) : n_;
       uint64_t lo = std::max<uint64_t>(from + produced, start);
       uint64_t hi = std::min<uint64_t>(from + len, end);
-      int bits = static_cast<int>(widths_[f]);
-      uint64_t o = offsets_.Access(f) +
-                   (lo - start) * static_cast<uint64_t>(bits);
-      int64_t base = bases_[f];
-      double slope = slopes_[f], intercept = intercepts_[f];
-      for (uint64_t k = lo; k < hi; ++k, o += static_cast<uint64_t>(bits)) {
-        int64_t pred = FloorToInt64(
-            slope * static_cast<double>(k - start) + intercept);
-        out[produced++] =
-            Reassemble(pred, base, ReadBits(residual_words_.data(), o, bits));
-      }
+      const double model[2] = {slopes_[f], intercepts_[f]};
+      FragmentRun run;
+      run.kind = FunctionKind::kLinear;
+      run.params = model;
+      run.x0 = static_cast<int64_t>(lo - start);
+      run.count = hi - lo;
+      run.words = residual_words_.data();
+      run.num_words = residual_words_.size();
+      run.bits = static_cast<int>(widths_[f]);
+      run.bit_offset =
+          offsets_.Access(f) + (lo - start) * static_cast<uint64_t>(run.bits);
+      run.add = static_cast<uint64_t>(bases_[f]);
+      run.out = out + produced;
+      DecodeFragmentRun(run);
+      produced += hi - lo;
       ++f;
     }
   }
@@ -255,14 +271,27 @@ class Leco {
     fit.intercept = (sy - fit.slope * sx) / nd;
     fit.min_r = INT64_MAX;
     fit.max_r = INT64_MIN;
-    for (uint64_t k = start; k < end; ++k) {
-      int64_t pred = static_cast<int64_t>(std::floor(
-          fit.slope * static_cast<double>(k - start) + fit.intercept));
-      int64_t r = values[k] - pred;
+    ForEachResidual(values, start, end, fit, [&](int64_t r) {
       fit.min_r = std::min(fit.min_r, r);
       fit.max_r = std::max(fit.max_r, r);
-    }
+    });
     return fit;
+  }
+
+  /// Calls f(values[k] - prediction) for k in [start, end) in order, predicting
+  /// in chunks on the decode lanes with the pinned linear evaluation.
+  template <typename F>
+  static void ForEachResidual(std::span<const int64_t> values, uint64_t start,
+                              uint64_t end, const Fit& fit, F&& f) {
+    constexpr uint64_t kChunk = 256;
+    int64_t pred[kChunk];
+    const double model[2] = {fit.slope, fit.intercept};
+    for (uint64_t k = start; k < end; k += kChunk) {
+      const uint64_t n = std::min(kChunk, end - k);
+      PredictFloorRun(FunctionKind::kLinear, model,
+                      static_cast<int64_t>(k - start), n, pred);
+      for (uint64_t j = 0; j < n; ++j) f(values[k + j] - pred[j]);
+    }
   }
 
   /// Estimated bit cost of one fragment (header + packed residuals).
@@ -293,12 +322,9 @@ class Leco {
       bases[f] = fit.min_r;
       widths[f] = static_cast<uint64_t>(bits);
       offsets[f] = residuals.bit_size();
-      for (uint64_t k = start; k < end; ++k) {
-        int64_t pred = static_cast<int64_t>(std::floor(
-            fit.slope * static_cast<double>(k - start) + fit.intercept));
-        residuals.Append(static_cast<uint64_t>(values[k] - pred - fit.min_r),
-                         bits);
-      }
+      ForEachResidual(values, start, end, fit, [&](int64_t r) {
+        residuals.Append(static_cast<uint64_t>(r - fit.min_r), bits);
+      });
     }
     offsets[m] = residuals.bit_size();
     starts_ = EliasFano(starts, n_);
@@ -310,35 +336,10 @@ class Leco {
     bases_ = Storage<int64_t>(std::move(bases));
   }
 
-  int64_t PredictAt(size_t f, uint64_t local) const {
-    return FloorToInt64(slopes_[f] * static_cast<double>(local) +
-                        intercepts_[f]);
-  }
-
-  /// Range-guarded floor-to-int64. The guard never fires for models this
-  /// encoder fitted (predictions stay near the data); it exists for forged
-  /// blobs, whose stored slope/intercept doubles are arbitrary — an
-  /// out-of-range or NaN cast would be UB.
-  static int64_t FloorToInt64(double x) {
-    double fl = std::floor(x);
-    if (!(fl >= -9223372036854775808.0 && fl < 9223372036854775808.0)) {
-      return 0;
-    }
-    return static_cast<int64_t>(fl);
-  }
-
-  /// prediction + base + residual via unsigned adds: wraparound (possible
-  /// only with forged base/residual words) is defined, signed overflow
-  /// would be UB.
-  static int64_t Reassemble(int64_t pred, int64_t base, uint64_t residual) {
-    return static_cast<int64_t>(static_cast<uint64_t>(pred) +
-                                static_cast<uint64_t>(base) + residual);
-  }
-
   // Little-endian "NEATSLC\0" — ASCII-readable at the head of the blob,
   // like the other magics of the format family.
   static constexpr uint64_t kMagic = 0x00434C535441454EULL;
-  static constexpr uint64_t kFormatVersion = 1;
+  static constexpr uint64_t kFormatVersion = 2;
 
   size_t n_ = 0;
   EliasFano starts_;

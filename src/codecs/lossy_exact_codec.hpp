@@ -10,7 +10,7 @@
 //
 // Wire format (flat word grammar of docs/FORMAT.md): magic "NEATSLX",
 // version, n, residual base, residual width, the packed residual words, then
-// the embedded NeaTS-L v2 blob (length-prefixed, word-aligned). View opens
+// the embedded NeaTS-L v3 blob (length-prefixed, word-aligned). View opens
 // the residuals and the nested lossy blob zero-copy.
 
 #pragma once
@@ -148,7 +148,7 @@ class NeatsLossyExact : public ScalarCodecBase<NeatsLossyExact> {
   }
 
   static constexpr uint64_t kMagic = MagicWord("NEATSLX\0");
-  static constexpr uint64_t kFormatVersion = 1;
+  static constexpr uint64_t kFormatVersion = 2;
 
   uint64_t n_ = 0;
   int64_t base_ = 0;

@@ -1,6 +1,6 @@
 // The NeaTS lossless compressor (paper, Sec. III-C).
 //
-// Compressed layout (format v4) — the tuple ⟨S, B, O, C, K, P⟩ of the paper,
+// Compressed layout (format v5) — the tuple ⟨S, B, O, C, K, P⟩ of the paper,
 // plus a per-fragment displacement D introduced by this implementation:
 //
 //   S  fragment start positions, Elias-Fano coded (O(1) access and, through
@@ -35,6 +35,7 @@
 #include "common/touch_probe.hpp"
 #include "core/partitioner.hpp"
 #include "functions/approximator.hpp"
+#include "functions/decode_lanes.hpp"
 #include "functions/kinds.hpp"
 #include "succinct/bit_stream.hpp"
 #include "succinct/elias_fano.hpp"
@@ -214,7 +215,7 @@ class Neats {
   /// fixed-size chunks — no O(len) allocation.
   int64_t RangeSum(uint64_t from, uint64_t len) const;
 
-  /// Serializes the compressed representation to bytes in format v4
+  /// Serializes the compressed representation to bytes in format v5
   /// (docs/FORMAT.md): a flat, 8-byte-aligned little-endian word stream of
   /// header, S, C, P and the fragment directory. Every succinct structure is
   /// stored together with its rank/select directories, so View can open the
@@ -227,7 +228,6 @@ class Neats {
     w.Put(n_);
     w.Put(static_cast<uint64_t>(m_));
     w.Put(static_cast<uint64_t>(shift_));
-    w.Put(0);  // reserved; Load rejects any other value
     w.Put(kind_table_.size());
     for (FunctionKind kind : kind_table_) w.Put(static_cast<uint64_t>(kind));
     if (m_ > 0) starts_.Serialize(w);
@@ -238,7 +238,7 @@ class Neats {
   }
 
   /// Rebuilds a Neats object from Serialize output, copying the payload into
-  /// owned storage. Only format v4 is read: a blob of any other version
+  /// owned storage. Only format v5 is read: a blob of any other version
   /// throws "unsupported NeaTS format version".
   static Neats Deserialize(std::span<const uint8_t> bytes) {
     return LoadFlat(bytes, /*borrow=*/false);
@@ -355,7 +355,6 @@ class Neats {
                       (out.m_ > 0) == (out.n_ > 0),
                   "corrupt NeaTS blob");
     out.shift_ = static_cast<int64_t>(r.Get());
-    NEATS_REQUIRE(r.Get() == 0, "corrupt NeaTS blob");  // reserved word
     size_t kinds = r.Get();
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS blob");
@@ -438,6 +437,7 @@ class Neats {
     std::vector<uint64_t> starts(m);
     std::vector<FragmentDirectory::Record> records(m);
     BitWriter corrections;
+    std::vector<int64_t> pred;  // one fragment's predictions
 
     for (size_t i = 0; i < m; ++i) {
       const Fragment& frag = fragments[i];
@@ -457,9 +457,11 @@ class Neats {
         kind_params.push_back(frag.params[j]);
       }
       // Residual pass 1: actual range (floating-point-safe width).
+      pred.resize(frag.length());
+      frag.PredictRun(frag.start, frag.length(), pred.data());
       int64_t lo = 0, hi = 0;
       for (uint64_t k = frag.start; k < frag.end; ++k) {
-        int64_t r = shifted[k] - frag.Predict(k);
+        int64_t r = shifted[k] - pred[k - frag.start];
         lo = std::min(lo, r);
         hi = std::max(hi, r);
       }
@@ -470,7 +472,7 @@ class Neats {
       // Residual pass 2: emit with bias 2^(bits-1).
       int64_t bias = bits == 0 ? 0 : (int64_t{1} << (bits - 1));
       for (uint64_t k = frag.start; k < frag.end; ++k) {
-        int64_t r = shifted[k] - frag.Predict(k);
+        int64_t r = shifted[k] - pred[k - frag.start];
         corrections.Append(static_cast<uint64_t>(r + bias), bits);
       }
     }
@@ -566,76 +568,30 @@ class Neats {
     return pred + c - shift_;
   }
 
-  // Tight per-kind decode loop; KIND is a compile-time constant so the
-  // dispatch inside PredictFloor folds away. Corrections are unpacked in
-  // bulk (UnpackBitsRun) into a small stack buffer instead of paying an
-  // unaligned ReadBits per element.
-  template <FunctionKind KIND>
-  void DecodeLoop(const double* params, uint64_t origin, uint64_t from,
-                  uint64_t to, int bits, uint64_t bit_offset,
-                  int64_t* out) const {
-    if (bits == 0) {  // pure function: no corrections stored at all
-      for (uint64_t k = from; k < to; ++k) {
-        out[k - from] =
-            PredictFloor(KIND, params, static_cast<int64_t>(k - origin) + 1) -
-            shift_;
-      }
-      return;
-    }
-    const int64_t base = (int64_t{1} << (bits - 1)) + shift_;
-    const uint64_t* words = corrections_.data();
-    constexpr uint64_t kRun = 128;
-    uint64_t corr[kRun];
-    uint64_t k = from;
-    uint64_t o = bit_offset;
-    while (k < to) {
-      const uint64_t run = std::min<uint64_t>(kRun, to - k);
-      UnpackBitsRun(words, o, bits, run, corr);
-      for (uint64_t j = 0; j < run; ++j) {
-        int64_t pred =
-            PredictFloor(KIND, params, static_cast<int64_t>(k + j - origin) + 1);
-        out[k + j - from] = pred + static_cast<int64_t>(corr[j]) - base;
-      }
-      k += run;
-      o += run * static_cast<uint64_t>(bits);
-    }
-  }
-
-  /// Decodes values[from, to) of a loaded fragment (kind-dispatched loop).
+  /// Decodes values[from, to) of a loaded fragment on the active decode
+  /// lane (src/functions/decode_lanes.hpp): predictions, corrections and the
+  /// bias/shift offset in one pass.
   void DecodeRun(const FragState& s, uint64_t from, uint64_t to,
                  int64_t* out) const {
-    uint64_t o = s.corr_base + (from - s.start) * static_cast<uint64_t>(s.bits);
-    switch (s.kind) {
-      case FunctionKind::kLinear:
-        return DecodeLoop<FunctionKind::kLinear>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadratic:
-        return DecodeLoop<FunctionKind::kQuadratic>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kRadical:
-        return DecodeLoop<FunctionKind::kRadical>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kExponential:
-        return DecodeLoop<FunctionKind::kExponential>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kPower:
-        return DecodeLoop<FunctionKind::kPower>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kLogarithm:
-        return DecodeLoop<FunctionKind::kLogarithm>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadMixed:
-        return DecodeLoop<FunctionKind::kQuadMixed>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kCubicOdd:
-        return DecodeLoop<FunctionKind::kCubicOdd>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kCubicMixed:
-        return DecodeLoop<FunctionKind::kCubicMixed>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadraticFull:
-        return DecodeLoop<FunctionKind::kQuadraticFull>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kGaussian:
-        return DecodeLoop<FunctionKind::kGaussian>(s.params, s.origin, from, to, s.bits, o, out);
-    }
+    FragmentRun run;
+    run.kind = s.kind;
+    run.params = s.params;
+    run.x0 = static_cast<int64_t>(from - s.origin) + 1;
+    run.count = to - from;
+    run.words = corrections_.data();
+    run.num_words = corrections_.size();
+    run.bit_offset =
+        s.corr_base + (from - s.start) * static_cast<uint64_t>(s.bits);
+    run.bits = s.bits;
+    run.add = 0 - static_cast<uint64_t>(s.bias) - static_cast<uint64_t>(shift_);
+    run.out = out;
+    DecodeFragmentRun(run);
   }
 
-  /// Bits of the serialized header: magic, version, n, m, shift, the
-  /// reserved zero word, kind-table length, and one word per kind-table
-  /// entry (matches the fixed-size prefix Serialize emits before the
-  /// section list).
-  size_t HeaderSizeInBits() const { return (7 + kind_table_.size()) * 64; }
+  /// Bits of the serialized header: magic, version, n, m, shift,
+  /// kind-table length, and one word per kind-table entry (matches the
+  /// fixed-size prefix Serialize emits before the section list).
+  size_t HeaderSizeInBits() const { return (6 + kind_table_.size()) * 64; }
 
   // The v1 magic, kept only so a v1 blob is rejected as an old version
   // rather than as foreign bytes.
@@ -645,7 +601,7 @@ class Neats {
   // names the format family; revisions bump the version word, and only the
   // current version is read (docs/FORMAT.md).
   static constexpr uint64_t kMagicV2 = 0x003276535441454EULL;
-  static constexpr uint64_t kFormatVersion = 4;
+  static constexpr uint64_t kFormatVersion = 5;
 
   uint64_t n_ = 0;
   size_t m_ = 0;

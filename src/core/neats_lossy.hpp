@@ -19,6 +19,7 @@
 #include "common/touch_probe.hpp"
 #include "core/partitioner.hpp"
 #include "functions/approximator.hpp"
+#include "functions/decode_lanes.hpp"
 #include "functions/kinds.hpp"
 #include "succinct/elias_fano.hpp"
 #include "succinct/fragment_directory.hpp"
@@ -104,32 +105,19 @@ class NeatsLossy {
       uint64_t start = starts_.Access(i);
       uint64_t end = i + 1 < m_ ? starts_.Access(i + 1) : n_;
       const FragmentDirectory::Record& rec = directory_[i];
-      FunctionKind kind = kind_table_[rec.kind];
-      const double* params = params_[rec.kind].data() + rec.param_index;
       uint64_t origin = start - rec.displacement;
-      int64_t* dst = out->data() + start;
-      switch (kind) {
-#define NEATS_LOSSY_CASE(K)                                          \
-  case FunctionKind::K:                                              \
-    PredictLoop<FunctionKind::K>(params, origin, start, end, dst);   \
-    break;
-        NEATS_LOSSY_CASE(kLinear)
-        NEATS_LOSSY_CASE(kQuadratic)
-        NEATS_LOSSY_CASE(kRadical)
-        NEATS_LOSSY_CASE(kExponential)
-        NEATS_LOSSY_CASE(kPower)
-        NEATS_LOSSY_CASE(kLogarithm)
-        NEATS_LOSSY_CASE(kQuadMixed)
-        NEATS_LOSSY_CASE(kCubicOdd)
-        NEATS_LOSSY_CASE(kCubicMixed)
-        NEATS_LOSSY_CASE(kQuadraticFull)
-        NEATS_LOSSY_CASE(kGaussian)
-#undef NEATS_LOSSY_CASE
-      }
+      FragmentRun run;
+      run.kind = kind_table_[rec.kind];
+      run.params = params_[rec.kind].data() + rec.param_index;
+      run.x0 = static_cast<int64_t>(start - origin) + 1;
+      run.count = end - start;
+      run.add = 0 - static_cast<uint64_t>(shift_);
+      run.out = out->data() + start;
+      DecodeFragmentRun(run);
     }
   }
 
-  /// Size of the lossy representation in bits — exactly the v2 serialized
+  /// Size of the lossy representation in bits — exactly the v3 serialized
   /// size (8 * Serialize output bytes).
   size_t SizeInBits() const {
     size_t bits = (7 + kind_table_.size()) * 64 + 64;  // header + params count
@@ -139,11 +127,12 @@ class NeatsLossy {
            kinds_wt_.SizeInBits();
   }
 
-  /// Format v2 (flat, word-aligned; same section grammar as Neats). Unlike
+  /// Format v3 (flat, word-aligned; same section grammar as Neats). Unlike
   /// the lossless format, the interleaved directory is *not* serialized:
   /// the lossy layout competes with PLA byte-for-byte on parameter storage
-  /// alone, and its three-field records rebuild in O(m) at open time, so
-  /// the wire format stays at version 2 (see docs/FORMAT.md).
+  /// alone, and its three-field records rebuild in O(m) at open time. v3 is
+  /// v2 with the pinned model evaluation and without the select-0 samples
+  /// (see docs/FORMAT.md).
   void Serialize(std::vector<uint8_t>* out) const {
     out->clear();
     WordWriter w(out);
@@ -235,17 +224,6 @@ class NeatsLossy {
     }
     return records;
   }
-  // Tight per-kind loop; KIND is compile-time so the dispatch inside
-  // PredictFloor folds away and polynomial kinds vectorise.
-  template <FunctionKind KIND>
-  void PredictLoop(const double* params, uint64_t origin, uint64_t from,
-                   uint64_t to, int64_t* dst) const {
-    for (uint64_t k = from; k < to; ++k) {
-      dst[k - from] =
-          PredictFloor(KIND, params, static_cast<int64_t>(k - origin) + 1) -
-          shift_;
-    }
-  }
 
   void Build(const std::vector<Fragment>& fragments) {
     m_ = fragments.size();
@@ -285,7 +263,7 @@ class NeatsLossy {
 
   // Little-endian "NEATSL2\0" — ASCII-readable at the head of the blob.
   static constexpr uint64_t kMagicV2 = 0x00324C535441454EULL;
-  static constexpr uint64_t kFormatVersion = 2;
+  static constexpr uint64_t kFormatVersion = 3;
 
   uint64_t n_ = 0;
   size_t m_ = 0;

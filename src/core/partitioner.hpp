@@ -225,9 +225,11 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
 inline uint64_t StoredFragmentBits(std::span<const int64_t> values,
                                    const Fragment& frag,
                                    const PartitionOptions& options) {
+  std::vector<int64_t> pred(frag.length());
+  frag.PredictRun(frag.start, frag.length(), pred.data());
   int64_t lo = 0, hi = 0;
   for (uint64_t k = frag.start; k < frag.end; ++k) {
-    int64_t r = values[k] - frag.Predict(k);
+    int64_t r = values[k] - pred[k - frag.start];
     lo = std::min(lo, r);
     hi = std::max(hi, r);
   }

@@ -13,6 +13,7 @@
 
 #include "common/assert.hpp"
 #include "convex/polygon.hpp"
+#include "functions/decode_lanes.hpp"
 #include "functions/kinds.hpp"
 
 namespace neats {
@@ -38,6 +39,13 @@ struct Fragment {
   /// Prediction ⌊f(k)⌋ at global index k (must satisfy k >= origin).
   int64_t Predict(uint64_t k) const {
     return PredictFloor(kind, params, static_cast<int64_t>(k - origin) + 1);
+  }
+
+  /// Predictions for indices [from, from + count) into out (from >= origin),
+  /// on the active decode lane.
+  void PredictRun(uint64_t from, uint64_t count, int64_t* out) const {
+    PredictFloorRun(kind, params, static_cast<int64_t>(from - origin) + 1,
+                    count, out);
   }
 };
 

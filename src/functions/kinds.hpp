@@ -31,12 +31,12 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string_view>
 
 #include "common/assert.hpp"
+#include "functions/pinned_math.hpp"
 
 namespace neats {
 
@@ -173,46 +173,67 @@ inline bool KindApplicableAtStart(FunctionKind kind, int64_t y_first,
   }
 }
 
-/// Evaluates the approximation of `kind` with stored parameters `params`
-/// (as produced by the approximator) at fragment-local coordinate `xi`.
-/// Deterministic double-precision arithmetic: the compressor and the
-/// decompressor call this exact routine, so residuals computed at encode
-/// time reproduce bit-exactly at decode time.
-inline double PredictValue(FunctionKind kind, const double* params,
-                           int64_t xi) {
-  const double x = static_cast<double>(xi);
+/// Largest magnitude the compressor accepts for input values; predictions are
+/// clamped to this band so residuals never overflow int64.
+inline constexpr int64_t kMaxAbsValue = int64_t{1} << 61;
+static_assert(static_cast<double>(kMaxAbsValue) == pinned::kClamp);
+
+/// f(x) of `kind` with stored parameters `params` at the fragment-local
+/// coordinate x — the pinned definition (src/functions/pinned_math.hpp):
+/// every multiply feeding an add is an explicit Fma and exp/log are the
+/// in-repo ones, so writer and reader round identically in every build. The
+/// vector decode lanes (src/functions/decode_lanes.hpp) run the same
+/// operation sequence per lane.
+template <FunctionKind KIND>
+NEATS_PINNED_INLINE double EvalKind(const double* params, double x) {
+  using pinned::Exp;
+  using pinned::Fma;
+  using pinned::Log;
   const double m = params[0];
   const double b = params[1];
-  switch (kind) {
-    case FunctionKind::kLinear: return m * x + b;
-    case FunctionKind::kQuadratic: return m * x * x + b;
-    case FunctionKind::kRadical: return m * std::sqrt(x) + b;
-    case FunctionKind::kExponential: return std::exp(m * x + b);
-    case FunctionKind::kPower: return std::exp(m * std::log(x) + b);
-    case FunctionKind::kLogarithm: return m * std::log(x) + b;
-    case FunctionKind::kQuadMixed: return (m * x + b) * x;
-    case FunctionKind::kCubicOdd: return (m * x * x + b) * x;
-    case FunctionKind::kCubicMixed: return (m * x + b) * x * x;
-    case FunctionKind::kQuadraticFull: return (m * x + b) * x + params[2];
-    case FunctionKind::kGaussian: return std::exp((m * x + b) * x + params[2]);
+  switch (KIND) {
+    case FunctionKind::kLinear: return Fma(m, x, b);
+    case FunctionKind::kQuadratic: return Fma(m, x * x, b);
+    case FunctionKind::kRadical: return Fma(m, pinned::Sqrt(x), b);
+    case FunctionKind::kExponential: return Exp(Fma(m, x, b));
+    case FunctionKind::kPower: return Exp(Fma(m, Log(x), b));
+    case FunctionKind::kLogarithm: return Fma(m, Log(x), b);
+    case FunctionKind::kQuadMixed: return Fma(m, x, b) * x;
+    case FunctionKind::kCubicOdd: return Fma(m, x * x, b) * x;
+    case FunctionKind::kCubicMixed: return Fma(m, x, b) * x * x;
+    case FunctionKind::kQuadraticFull: return Fma(Fma(m, x, b), x, params[2]);
+    case FunctionKind::kGaussian: return Exp(Fma(Fma(m, x, b), x, params[2]));
   }
   return 0.0;
 }
 
-/// Largest magnitude the compressor accepts for input values; predictions are
-/// clamped to this band so residuals never overflow int64.
-inline constexpr int64_t kMaxAbsValue = int64_t{1} << 61;
+/// ⌊f(xi)⌋ of KIND, clamped to ±kMaxAbsValue with NaN mapped to 0: the
+/// prediction Algorithms 2 and 3 add a correction to.
+template <FunctionKind KIND>
+NEATS_PINNED_INLINE int64_t PredictFloorKind(const double* params, int64_t xi) {
+  return pinned::FloorClamped(EvalKind<KIND>(params, static_cast<double>(xi)));
+}
 
-/// Floor of the prediction, clamped to the valid band (NaN maps to 0).
-/// This is the ⌊f(x)⌋ of the paper, shared by Algorithms 2 and 3.
-/// Written branchlessly so the per-fragment decode loops vectorise.
-inline int64_t PredictFloor(FunctionKind kind, const double* params,
-                            int64_t xi) {
-  double v = PredictValue(kind, params, xi);
-  v = std::isnan(v) ? 0.0 : v;
-  v = std::min(v, static_cast<double>(kMaxAbsValue));
-  v = std::max(v, -static_cast<double>(kMaxAbsValue));
-  return static_cast<int64_t>(std::floor(v));
+/// Expands X(kind) for every FunctionKind, in id order — the one list every
+/// runtime-kind to compile-time-kind switch and per-kind table is built from.
+#define NEATS_FOR_EACH_KIND(X)                                              \
+  X(kLinear) X(kQuadratic) X(kRadical) X(kExponential) X(kPower)           \
+  X(kLogarithm) X(kQuadMixed) X(kCubicOdd) X(kCubicMixed) X(kQuadraticFull) \
+  X(kGaussian)
+
+/// Evaluates the approximation of `kind` with stored parameters `params`
+/// (as produced by the approximator) at fragment-local coordinate `xi`, with
+/// the pinned arithmetic above.
+inline double PredictValue(FunctionKind kind, const double* params,
+                           int64_t xi) {
+  const double x = static_cast<double>(xi);
+  switch (kind) {
+#define NEATS_EVAL_CASE(K) \
+  case FunctionKind::K: return EvalKind<FunctionKind::K>(params, x);
+    NEATS_FOR_EACH_KIND(NEATS_EVAL_CASE)
+#undef NEATS_EVAL_CASE
+  }
+  return 0.0;
 }
 
 }  // namespace neats

@@ -6,11 +6,11 @@
 // a serialized blob (zero-copy View; see storage.hpp and docs/FORMAT.md).
 //
 // The rank index follows the rank9 layout idea: absolute counts every 512-bit
-// superblock plus per-word relative counts, giving O(1) Rank1. Select1 and
-// Select0 use sampled select directories — the bit position of every 512th
-// 1 (resp. 0) — to jump straight to a narrow superblock window, so a select
-// is a couple of directory probes plus an in-superblock word scan instead of
-// the former binary search over all superblocks.
+// superblock plus per-word relative counts, giving O(1) Rank1. Select1 uses a
+// sampled select directory — the bit position of every 512th 1 — to jump
+// straight to a narrow superblock window, so a select is a couple of
+// directory probes plus an in-superblock word scan instead of a binary
+// search over all superblocks.
 
 #pragma once
 
@@ -79,7 +79,6 @@ class RankSelect {
     super_ = Storage<uint64_t>(std::move(dirs.super));
     rel_ = Storage<uint16_t>(std::move(dirs.rel));
     sel1_ = Storage<uint64_t>(std::move(dirs.sel1));
-    sel0_ = Storage<uint64_t>(std::move(dirs.sel0));
   }
 
   /// Number of 1 bits in positions [0, i). `i` may equal size().
@@ -102,10 +101,7 @@ class RankSelect {
   /// Position of the k-th (0-based) 1 bit. Precondition: k < ones().
   size_t Select1(uint64_t k) const {
     NEATS_DCHECK(k < ones_);
-    size_t s = FindSuperblock(k, sel1_, [this](size_t sb) {
-      NEATS_TOUCH(super_.data() + sb);
-      return super_[sb];
-    });
+    size_t s = FindSuperblock(k);
     // Start the word scan at the later of the superblock start and the
     // sampled bit's own word — both have rank <= k, and rel_ recovers the
     // rank at any word boundary, so the scan skips up to 7 words.
@@ -123,30 +119,6 @@ class RankSelect {
       ++w;
     }
     return (w << 6) + static_cast<size_t>(SelectInWord(words_[w], static_cast<int>(rem)));
-  }
-
-  /// Position of the k-th (0-based) 0 bit. Precondition: k < size() - ones().
-  size_t Select0(uint64_t k) const {
-    NEATS_DCHECK(k < nbits_ - ones_);
-    // Zeros before superblock s start: s*512 - super_[s].
-    size_t s = FindSuperblock(k, sel0_, [this](size_t sb) {
-      NEATS_TOUCH(super_.data() + sb);
-      return sb * kSuperBits - super_[sb];
-    });
-    size_t w = s * kWordsPerSuper;
-    size_t ws = static_cast<size_t>(sel0_[k / kSelectSample] >> 6);
-    if (ws > w) w = ws;
-    NEATS_TOUCH(super_.data() + w / kWordsPerSuper);
-    NEATS_TOUCH(rel_.data() + w);
-    uint64_t rem = k - (w * 64 - super_[w / kWordsPerSuper] - rel_[w]);
-    while (true) {
-      NEATS_TOUCH(words_.data() + w);
-      int zc = 64 - Popcount(words_[w]);
-      if (rem < static_cast<uint64_t>(zc)) break;
-      rem -= static_cast<uint64_t>(zc);
-      ++w;
-    }
-    return (w << 6) + static_cast<size_t>(SelectInWord(~words_[w], static_cast<int>(rem)));
   }
 
   /// Position of the last 1 bit at or before `pos`, scanning word-at-a-time
@@ -178,16 +150,15 @@ class RankSelect {
   /// True when the payload is borrowed from an external buffer.
   bool borrowed() const { return words_.borrowed(); }
 
-  /// Size in bits, exactly as serialized: nbits + ones + five counted
+  /// Size in bits, exactly as serialized: nbits + ones + four counted
   /// arrays (payload words, rank superblocks, word-padded relative ranks,
-  /// and both select directories).
+  /// and the select directory).
   size_t SizeInBits() const {
-    return 7 * 64 + words_.size() * 64 + super_.size() * 64 +
-           CeilDiv(rel_.size() * 16, 64) * 64 +
-           (sel1_.size() + sel0_.size()) * 64;
+    return 6 * 64 + words_.size() * 64 + super_.size() * 64 +
+           CeilDiv(rel_.size() * 16, 64) * 64 + sel1_.size() * 64;
   }
 
-  /// Format v2: all directories are serialized; Load verifies them against
+  /// Every directory is serialized; Load verifies them against
   /// the payload (one popcount pass) instead of rebuilding owned copies, so
   /// a borrow-mode open keeps the payload and directories zero-copy.
   void Serialize(WordWriter& w) const {
@@ -197,7 +168,6 @@ class RankSelect {
     w.PutArray(super_);
     w.PutArray(rel_);
     w.PutArray(sel1_);
-    w.PutArray(sel0_);
   }
 
   static RankSelect Load(WordReader& r) {
@@ -208,7 +178,6 @@ class RankSelect {
     rs.super_ = r.GetArray<uint64_t>();
     rs.rel_ = r.GetArray<uint16_t>();
     rs.sel1_ = r.GetArray<uint64_t>();
-    rs.sel0_ = r.GetArray<uint64_t>();
     NEATS_REQUIRE(rs.words_.size() == CeilDiv(rs.nbits_, 64),
                   "corrupt NeaTS blob");
     // Padding bits past size() must be zero — the select scans rely on
@@ -231,9 +200,7 @@ class RankSelect {
         std::equal(dirs.rel.begin(), dirs.rel.end(), rs.rel_.data(),
                    rs.rel_.data() + rs.rel_.size()) &&
             std::equal(dirs.sel1.begin(), dirs.sel1.end(), rs.sel1_.data(),
-                       rs.sel1_.data() + rs.sel1_.size()) &&
-            std::equal(dirs.sel0.begin(), dirs.sel0.end(), rs.sel0_.data(),
-                       rs.sel0_.data() + rs.sel0_.size()),
+                       rs.sel1_.data() + rs.sel1_.size()),
         "corrupt NeaTS blob");
     return rs;
   }
@@ -246,7 +213,7 @@ class RankSelect {
   struct Directories {
     std::vector<uint64_t> super;
     std::vector<uint16_t> rel;
-    std::vector<uint64_t> sel1, sel0;
+    std::vector<uint64_t> sel1;
     uint64_t ones = 0;
   };
 
@@ -260,7 +227,6 @@ class RankSelect {
     d.rel.assign(n_words + 1, 0);
     uint64_t total = 0;   // ones so far
     uint64_t next1 = 0;   // next sampled 1-rank
-    uint64_t next0 = 0;   // next sampled 0-rank
     for (size_t w = 0; w < n_words; ++w) {
       if (w % kWordsPerSuper == 0) d.super[w / kWordsPerSuper] = total;
       d.rel[w] = static_cast<uint16_t>(total - d.super[w / kWordsPerSuper]);
@@ -270,12 +236,6 @@ class RankSelect {
         d.sel1.push_back((w << 6) +
                          static_cast<uint64_t>(SelectInWord(word, static_cast<int>(next1 - total))));
         next1 += kSelectSample;
-      }
-      const uint64_t zeros = w * 64 - total;
-      while (next0 < zeros + (64 - pc)) {
-        d.sel0.push_back((w << 6) +
-                         static_cast<uint64_t>(SelectInWord(~word, static_cast<int>(next0 - zeros))));
-        next0 += kSelectSample;
       }
       total += pc;
     }
@@ -287,24 +247,25 @@ class RankSelect {
     return d;
   }
 
-  /// Locates the superblock containing the k-th target bit using the sampled
-  /// directory `samples` (position of every kSelectSample-th target bit) and
-  /// the monotone per-superblock count `count_before`. The two samples
-  /// bracketing k narrow the search to a window that is a couple of
-  /// superblocks wide in practice; a bounded binary search covers the
-  /// pathological sparse case.
-  template <typename CountBefore>
-  size_t FindSuperblock(uint64_t k, const Storage<uint64_t>& samples,
-                        CountBefore count_before) const {
+  /// Locates the superblock containing the k-th 1 bit using the sampled
+  /// directory (position of every kSelectSample-th 1 bit) and the
+  /// superblock ranks. The two samples bracketing k narrow the search to a
+  /// window that is a couple of superblocks wide in practice; a bounded
+  /// binary search covers the pathological sparse case.
+  size_t FindSuperblock(uint64_t k) const {
     const size_t n_sb = CeilDiv(words_.size(), kWordsPerSuper);
     const size_t j = static_cast<size_t>(k / kSelectSample);
-    NEATS_TOUCH(samples.data() + j);
-    size_t lo = static_cast<size_t>(samples[j] / kSuperBits);
+    NEATS_TOUCH(sel1_.data() + j);
+    size_t lo = static_cast<size_t>(sel1_[j] / kSuperBits);
     size_t hi = n_sb - 1;
-    if (j + 1 < samples.size()) {
-      NEATS_TOUCH(samples.data() + j + 1);
-      hi = std::min(hi, static_cast<size_t>(samples[j + 1] / kSuperBits));
+    if (j + 1 < sel1_.size()) {
+      NEATS_TOUCH(sel1_.data() + j + 1);
+      hi = std::min(hi, static_cast<size_t>(sel1_[j + 1] / kSuperBits));
     }
+    const auto count_before = [this](size_t sb) {
+      NEATS_TOUCH(super_.data() + sb);
+      return super_[sb];
+    };
     if (hi - lo > 8) {
       while (lo < hi) {
         size_t mid = (lo + hi + 1) / 2;
@@ -326,7 +287,6 @@ class RankSelect {
   Storage<uint64_t> super_;  // absolute rank at each superblock start
   Storage<uint16_t> rel_;    // per-word rank relative to superblock
   Storage<uint64_t> sel1_;   // position of every kSelectSample-th 1 bit
-  Storage<uint64_t> sel0_;   // position of every kSelectSample-th 0 bit
 };
 
 }  // namespace neats

@@ -20,7 +20,7 @@
 // mmap'd blob (page-aligned) reads records at predictable line offsets.
 //
 // The directory is the only per-fragment metadata of a NeaTS blob (format
-// v4): there is no separate B/O/K/D structure to rebuild it from. Queries
+// v5): there is no separate B/O/K/D structure to rebuild it from. Queries
 // trust the records without bounds checks, so the loader validates every
 // record in one O(m) walk against the other sections
 // (Neats::ValidateDirectory) and then asks CanonicalFor whether the stored

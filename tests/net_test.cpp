@@ -1,7 +1,7 @@
 // Tests for the network layer (src/net/): wire-protocol units (frames built
 // in place match AppendFrame byte for byte), the client/server loopback
 // round trip for every opcode and dialect, a slow small-window reader that
-// forces partial sends, the typed rejection of unrecognized first bytes,
+// forces partial sends, a pipelined burst of small frames, the typed rejection of unrecognized first bytes,
 // admission-control shedding, graceful drain, the poll(2) fallback
 // backend, protocol hardening (the clobber/truncation/forged-length
 // sweeps mirroring the WAL/manifest fuzz pattern), and the multi-client
@@ -502,6 +502,79 @@ TEST_F(NetTest, SlowReaderGetsPipelinedResponsesByteExact) {
     at += kFrameHeaderBytes + h.payload_len;
   }
   EXPECT_EQ(at, got.size());
+  ExpectServerAlive();
+}
+
+// A burst of small pipelined frames, written in two pieces split inside a
+// frame, is parsed from a read offset with one compaction per readable
+// event: every response comes back in request order, byte for byte.
+TEST_F(NetTest, PipelinedBurstAnswersEveryFrameByteExact) {
+  NeatsServerOptions options;
+  options.worker_threads = 2;
+  options.max_inflight = size_t{1} << 16;  // admit the whole burst
+  options.max_queued_per_conn = size_t{1} << 16;
+  StartServer(options);
+
+  constexpr uint64_t kFrames = 8192;
+  std::vector<uint8_t> requests;
+  std::vector<uint8_t> want;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    std::vector<uint8_t> payload;
+    std::vector<uint8_t> answer;
+    PayloadWriter w(&payload);
+    PayloadWriter a(&answer);
+    Opcode op = Opcode::kPing;
+    const uint64_t i = id * 7919 % (kInitial - 8);
+    switch (id % 4) {
+      case 0:
+        break;
+      case 1:
+        op = Opcode::kAccess;
+        w.U64(i);
+        a.I64Span(std::vector<int64_t>{Truth(i)});
+        break;
+      case 2:
+        op = Opcode::kSize;
+        a.U64(kInitial);
+        break;
+      default: {
+        op = Opcode::kDecompressRange;
+        w.U64(i);
+        w.U64(5);
+        std::vector<int64_t> values;
+        for (uint64_t k = i; k < i + 5; ++k) values.push_back(Truth(k));
+        a.I64Span(values);
+        break;
+      }
+    }
+    AppendFrame(&requests, op, 0, id, payload);
+    AppendFrame(&want, op, 0, id, answer);
+  }
+
+  const int fd = ConnectTo("127.0.0.1", server_->port());
+  const timeval timeout{30, 0};  // lost bytes fail the test, not hang it
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+      0);
+  const size_t split = requests.size() / 2 + 3;  // inside a frame
+  SendAll(fd, std::span<const uint8_t>(requests).first(split));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  SendAll(fd, std::span<const uint8_t>(requests).subspan(split));
+
+  std::vector<uint8_t> got;
+  got.reserve(want.size());
+  uint8_t buf[64 * 1024];
+  while (got.size() < want.size()) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection ended after " << got.size() << " of "
+                    << want.size() << " bytes";
+    got.insert(got.end(), buf, buf + n);
+  }
+  ::close(fd);
+  ASSERT_EQ(got.size(), want.size());
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+  EXPECT_TRUE(diff.first == got.end())
+      << "first differing byte at " << (diff.first - got.begin());
   ExpectServerAlive();
 }
 

@@ -2,12 +2,13 @@
 //   - EliasFano::Rank/Access fuzz against std::upper_bound on dense, sparse,
 //     single-bucket pile-up and empty distributions (the word-wise bucket
 //     scan and the sampled select directories both get exercised),
-//   - RankSelect sampled Select1/Select0 at scale via rank/select inverse
+//   - RankSelect sampled Select1 at scale via rank/select inverse
 //     invariants,
 //   - the EliasFano bucket index's load-time bound on the high zero count,
 //     at the EF level and forged into NeaTS and LeCo blobs,
-//   - NeaTS format v4: canonical bytes on every open path, rejection of
-//     v1/v2/v3 blobs (loaders, facade, store), one forged directory record
+//   - NeaTS format v5: canonical bytes on every open path, rejection of
+//     v1-v4 blobs (loaders, facade, store; a genuine v4 blob too) and of the
+//     previous NeaTS-L/NeaTS-LX/LeCo versions, one forged directory record
 //     per check of the loader's validation walk, and a clobber sweep over
 //     the directory section,
 //   - Cursor::Seek backward hops against Access ground truth.
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "baselines/leco.hpp"
+#include "codecs/lossy_exact_codec.hpp"
 #include "core/neats.hpp"
 #include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
@@ -135,7 +137,6 @@ TEST(EliasFanoFuzz, MixedAdversarialRounds) {
 
 void CheckSelectInverse(const RankSelect& rs) {
   const uint64_t ones = rs.ones();
-  const uint64_t zeros = rs.size() - ones;
   // Dense probe of the first/last few plus a stride across the middle; the
   // inverse invariants pin Select to the exact bit.
   auto probe1 = [&](uint64_t k) {
@@ -143,17 +144,9 @@ void CheckSelectInverse(const RankSelect& rs) {
     ASSERT_TRUE(rs.Get(pos)) << "select1(" << k << ")";
     ASSERT_EQ(rs.Rank1(pos), k);
   };
-  auto probe0 = [&](uint64_t k) {
-    size_t pos = rs.Select0(k);
-    ASSERT_FALSE(rs.Get(pos)) << "select0(" << k << ")";
-    ASSERT_EQ(rs.Rank0(pos), k);
-  };
   for (uint64_t k = 0; k < std::min<uint64_t>(ones, 700); ++k) probe1(k);
   for (uint64_t k = 0; k < ones; k += 509) probe1(k);
   if (ones > 0) probe1(ones - 1);
-  for (uint64_t k = 0; k < std::min<uint64_t>(zeros, 700); ++k) probe0(k);
-  for (uint64_t k = 0; k < zeros; k += 509) probe0(k);
-  if (zeros > 0) probe0(zeros - 1);
 }
 
 TEST(RankSelectSampled, LargeAtExtremeDensities) {
@@ -267,15 +260,15 @@ TEST(EliasFanoIndex, LoadBoundsTheHighZeroCount) {
 
 TEST(EliasFanoIndex, ForgedZeroCountsInBlobsAreRejected) {
   // 4096 extra zeros grow every RankSelect array by whole 64-byte lines
-  // (64 payload words, 8 superblocks, 64 relative counts, 8 select-0
-  // samples), so the NeaTS directory keeps its alignment and the forgery
+  // (64 payload words, 8 superblocks, 64 relative counts), so the NeaTS
+  // directory keeps its alignment and the forgery
   // differs from a valid blob only in the zero count.
   Dataset ds = MakeDataset("ECG", 6000);
   std::vector<uint8_t> neats_blob;
   Neats::Compress(ds.values).Serialize(&neats_blob);
   uint64_t kinds;
-  std::memcpy(&kinds, neats_blob.data() + 6 * 8, 8);
-  const size_t neats_at = (7 + kinds) * 8;  // header words, then S
+  std::memcpy(&kinds, neats_blob.data() + 5 * 8, 8);
+  const size_t neats_at = (6 + kinds) * 8;  // header words, then S
   ASSERT_EQ(WithExtraHighZeros(neats_blob, neats_at, 0), neats_blob);
   const std::vector<uint8_t> forged_neats =
       WithExtraHighZeros(neats_blob, neats_at, 16 * 4096);
@@ -293,7 +286,7 @@ TEST(EliasFanoIndex, ForgedZeroCountsInBlobsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Format v4: canonical bytes and zero-copy views.
+// Format v5: canonical bytes and zero-copy views.
 // ---------------------------------------------------------------------------
 
 std::vector<int64_t> TestSeries(size_t n, uint64_t seed) {
@@ -408,13 +401,13 @@ TEST(FormatV2, RejectsTruncatedAndCorruptBlobs) {
     EXPECT_NEATS_ERROR(Neats::View(evil), "corrupt NeaTS blob");
   }
 
-  // Header word 5 is reserved and must be 0 (it once selected a plain
-  // bit-vector S); any other value is a corrupt blob on every open path.
-  const std::string path = ::testing::TempDir() + "/neats_word5.blob";
-  for (uint64_t word5 : {uint64_t{1}, uint64_t{2}}) {
-    SCOPED_TRACE("word5 " + std::to_string(word5));
+  // Header word 5 is the kind-table length: more kinds than the catalogue
+  // holds is a corrupt blob on every open path.
+  const std::string path = ::testing::TempDir() + "/neats_kinds.blob";
+  for (uint64_t kinds : {uint64_t{kNumFunctionKinds + 1}, uint64_t{1} << 40}) {
+    SCOPED_TRACE("kinds " + std::to_string(kinds));
     std::vector<uint8_t> evil = bytes;
-    std::memcpy(evil.data() + 40, &word5, 8);
+    std::memcpy(evil.data() + 40, &kinds, 8);
     EXPECT_NEATS_ERROR(Neats::Deserialize(evil), "corrupt NeaTS blob");
     EXPECT_NEATS_ERROR(Neats::View(evil), "corrupt NeaTS blob");
     WriteFile(path, evil);
@@ -462,7 +455,8 @@ TEST(FormatV2, RejectsOtherFormatVersions) {
   const std::vector<int64_t> values = TestSeries(3000, 44);
   const std::vector<uint8_t> bytes = SerializeOf(Neats::Compress(values));
   const std::string path = ::testing::TempDir() + "/neats_old_version.blob";
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{5}}) {
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{4},
+                           uint64_t{6}}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const std::vector<uint8_t> old = AsOldVersion(bytes, version);
     EXPECT_NEATS_ERROR(Neats::Deserialize(old),
@@ -488,13 +482,80 @@ TEST(FormatV2, RejectsOtherFormatVersions) {
   EXPECT_NEATS_ERROR(Neats::Deserialize(junk), "not a NeaTS blob");
 }
 
+// A genuine format-v4 blob, as the previous writer serialized 40 values
+// (two fragments, unpinned double evaluation, select-0 samples and the
+// reserved header word 5). Its layout is intact, so only the version word
+// stands between it and a reader that would decode it with the wrong model
+// arithmetic: every open path must reject it with the typed version error.
+constexpr uint64_t kGenuineV4Blob[] = {
+    0x003276535441454eULL, 0x0000000000000004ULL, 0x0000000000000028ULL,
+    0x0000000000000002ULL, 0x0000000000000001ULL, 0x0000000000000000ULL,
+    0x0000000000000002ULL, 0x0000000000000000ULL, 0x0000000000000001ULL,
+    0x0000000000000002ULL, 0x0000000000000004ULL, 0x0000000000000002ULL,
+    0x0000000000000004ULL, 0x0000000000000080ULL, 0x0000000000000004ULL,
+    0x0000000000000002ULL, 0x0000000000000001ULL, 0x0000000000000005ULL,
+    0x0000000000000002ULL, 0x0000000000000000ULL, 0x0000000000000002ULL,
+    0x0000000000000002ULL, 0x0000000000020000ULL, 0x0000000000000001ULL,
+    0x0000000000000000ULL, 0x0000000000000001ULL, 0x0000000000000001ULL,
+    0x0000000000000002ULL, 0xa975e79e79e79e79ULL, 0x0000789abcccccbbULL,
+    0x0000000000000002ULL, 0x0000000000000002ULL, 0x4008000000000000ULL,
+    0x4058c00000000000ULL, 0x0000000000000002ULL, 0xbfec62433b79890dULL,
+    0x40794f31219dbcc5ULL, 0x0000000000000002ULL, 0x0000000000000006ULL,
+    0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000001ULL,
+    0x0000000000000003ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+    0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+    0x000000000009c100ULL,
+};
+
+TEST(FormatV5, GenuineV4BlobIsRejectedTyped) {
+  std::vector<uint8_t> v4(sizeof(kGenuineV4Blob));
+  std::memcpy(v4.data(), kGenuineV4Blob, v4.size());
+  EXPECT_NEATS_ERROR(Neats::Deserialize(v4), "unsupported NeaTS format version");
+  EXPECT_NEATS_ERROR(Neats::View(v4), "unsupported NeaTS format version");
+  const std::string path = ::testing::TempDir() + "/neats_genuine_v4.blob";
+  WriteFile(path, v4);
+  Result<MappedSeries> opened = OpenSeriesFile(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("unsupported NeaTS format version"),
+            std::string::npos);
+  EXPECT_FALSE(LoadSeriesFile(path).ok());
+  std::remove(path.c_str());
+}
+
+// NeaTS-L v2, NeaTS-LX v1 and LeCo v1 were the previous formats of the
+// other learned codecs (unpinned evaluation, select-0 samples); each is
+// rejected with its typed version error.
+TEST(FormatV5, PreviousLearnedCodecVersionsAreRejected) {
+  Dataset ds = MakeDataset("ECG", 3000);
+  auto with_version = [](std::vector<uint8_t> blob, uint64_t version) {
+    std::memcpy(blob.data() + 8, &version, 8);
+    return blob;
+  };
+  std::vector<uint8_t> lossy;
+  NeatsLossy::Compress(ds.values, 20).Serialize(&lossy);
+  EXPECT_NEATS_ERROR(NeatsLossy::Deserialize(with_version(lossy, 2)),
+                     "unsupported NeaTS-L format version");
+  EXPECT_NEATS_ERROR(NeatsLossy::View(with_version(lossy, 2)),
+                     "unsupported NeaTS-L format version");
+  std::vector<uint8_t> exact;
+  NeatsLossyExact::Compress(ds.values).Serialize(&exact);
+  EXPECT_NEATS_ERROR(NeatsLossyExact::Deserialize(with_version(exact, 1)),
+                     "unsupported NeaTS-LX format version");
+  std::vector<uint8_t> leco;
+  Leco::Compress(ds.values).Serialize(&leco);
+  EXPECT_NEATS_ERROR(Leco::Deserialize(with_version(leco, 1)),
+                     "unsupported LeCo format version");
+  EXPECT_NEATS_ERROR(Leco::View(with_version(leco, 1)),
+                     "unsupported LeCo format version");
+}
+
 // A shard blob of an older format behind a valid CRC trailer and manifest
 // row passes every checksum, so only the loader's version check stands
 // between it and the query path: OpenDir must quarantine the shard and
 // reads routed into it must fail typed.
 TEST(FormatV2, StoreQuarantinesOldVersionShards) {
   const std::vector<int64_t> values = TestSeries(12000, 45);
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{4}}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) /
@@ -567,7 +628,7 @@ TEST(FormatV2, LossyRoundTripAndView) {
 }
 
 // ---------------------------------------------------------------------------
-// Format v4: the fragment directory and the loader's validation walk.
+// Format v5: the fragment directory and the loader's validation walk.
 // ---------------------------------------------------------------------------
 
 using Record = FragmentDirectory::Record;
