@@ -87,11 +87,10 @@ class Alp {
   }
 
   // Block geometry, for wrappers that decode vector-at-a-time themselves
-  // (AlpCodec's hybrid batch kernel, the store's decoded-block cache).
+  // (AlpCodec's hybrid batch kernel).
   size_t num_blocks() const { return blocks_.size(); }
-  size_t block_count(size_t b) const { return blocks_[b].count; }
 
-  /// Fully decodes vector b into out (sized block_count(b)).
+  /// Fully decodes vector b into out (sized kVector).
   void DecodeBlockInto(size_t b, double* out) const {
     DecodeBlock(blocks_[b], out);
   }

@@ -14,6 +14,16 @@
 // probed vector is decoded once and all its probes answered from the
 // buffer. DecompressRange decodes each covered vector once.
 //
+// Because a point query never decodes a vector, ALP exposes no block
+// surface (it is not a BlockStructuredCodec) and NeatsStore serves ALP
+// shards straight from Access/AccessBatch, never through the decoded-block
+// cache. A cache in front of ALP costs more than it saves even when every
+// lookup hits: on in-memory stores of 1 Mi values in 16 shards (metrics
+// off, 4096 random probes, best of 60 rounds, 4-thread x86-64 host) store
+// Access took 76 ns through the warm cache and 49 ns natively on US (ECG
+// 76 vs 47 ns, IT 77 vs 47 ns), and a 256-probe AccessBatch 78 vs 51
+// ns/probe (US).
+//
 // Format v2 appends a per-vector word-offset index after the ALP payload
 // (FORMAT.md "ALP blob"): offsets are re-derived while parsing and the
 // stored section is validated against them, giving the load a structural
@@ -63,29 +73,6 @@ class AlpCodec : public ScalarCodecBase<AlpCodec> {
 
   uint64_t size() const { return n_; }
   size_t num_exceptions() const { return exc_pos_.size(); }
-
-  /// Values per independently-decodable block (the store's decoded-block
-  /// cache keys on this geometry).
-  uint64_t BlockValues() const { return Alp::kVector; }
-
-  /// Fully decodes vector b into out (sized BlockValues()), patching the
-  /// codec-level int64 exceptions; returns how many values it held.
-  uint64_t DecodeBlock(uint64_t b, int64_t* out) const {
-    const uint64_t first = b * Alp::kVector;
-    const size_t count = alp_.block_count(b);
-    double buf[Alp::kVector];
-    alp_.DecodeBlockInto(b, buf);
-    auto it = std::lower_bound(exc_pos_.begin(), exc_pos_.end(), first);
-    for (size_t j = 0; j < count; ++j) {
-      if (it != exc_pos_.end() && *it == first + j) {
-        out[j] = exc_val_[static_cast<size_t>(it - exc_pos_.begin())];
-        ++it;
-      } else {
-        out[j] = CastBack(buf[j]);
-      }
-    }
-    return count;
-  }
 
   int64_t Access(uint64_t k) const {
     NEATS_DCHECK(k < n_);

@@ -58,8 +58,9 @@ class SealedSeries {
   virtual void Serialize(std::vector<uint8_t>* out) const = 0;
 
   /// Block surface (core/series_codec.hpp, BlockStructuredCodec): values
-  /// per independently-decodable block, or 0 when the codec is not
-  /// block-structured — the store's decoded-block cache keys on this.
+  /// per independently-decodable block, or 0 when point access needs no
+  /// block decode (every codec but Gorilla and Chimp) — the store's
+  /// decoded-block cache serves exactly the shards where this is non-zero.
   virtual uint64_t BlockValues() const { return 0; }
 
   /// Fully decodes block b into out (sized BlockValues()); returns the

@@ -1,8 +1,12 @@
 // The decoded-block LRU cache behind NeatsStore's point-query paths.
 //
-// Block-structured codecs (ALP, Gorilla, Chimp — anything answering
-// SealedSeries::BlockValues() > 0) decode whole blocks; repeated point
-// queries into the same block should not repeat that work. The store keeps
+// The XOR stream codecs (Gorilla, Chimp — the codecs answering
+// SealedSeries::BlockValues() > 0) must decode inside a block to answer a
+// point query; repeated point queries into the same block should not repeat
+// that work. Codecs with real random access (Neats, LeCo, ALP) never come
+// here: for them a cache lookup costs more than the codec's own Access
+// (a warm-cache ALP store Access took 76 ns, a native one 49 ns — see
+// codecs/alp_codec.hpp). The store keeps
 // one process-wide-per-store cache of decoded blocks keyed by
 // (shard, codec, block): Access/AccessBatch consult it before any decode
 // and insert what they had to decode, bounded by a byte budget with
@@ -92,13 +96,6 @@ class DecodedBlockCache {
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return {hits_, misses_, evictions_, lru_.size(), bytes_};
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    bytes_ = 0;
   }
 
  private:

@@ -160,10 +160,11 @@ struct NeatsStoreOptions {
   bool wal = true;
 
   /// Byte budget of the decoded-block LRU cache (store/block_cache.hpp)
-  /// consulted by Access/AccessBatch before any block-structured codec
-  /// (ALP, Gorilla, Chimp) decode; 0 disables it. Shards of codecs with
-  /// native point access (Neats, LeCo) never touch the cache. The default
-  /// holds ~1M decoded values — enough to pin the hot blocks of a
+  /// consulted by Access/AccessBatch before a Gorilla or Chimp block
+  /// decode; 0 disables it. Only those stream codecs must decode inside a
+  /// block to answer a point query; shards of codecs with native random
+  /// access (Neats, NeatsLossyExact, LeCo, ALP) never touch the cache. The
+  /// default holds ~1M decoded values — enough to pin the hot blocks of a
   /// point-lookup storm while staying small next to the mapped blobs.
   uint64_t block_cache_bytes = uint64_t{8} << 20;
 
@@ -672,7 +673,7 @@ class NeatsStore {
 
   /// The value at global index i: one routing lookup, then the covering
   /// shard codec's Access (or a raw read from a pending chunk / the tail).
-  /// Block-structured shards answer from the decoded-block cache when it
+  /// Gorilla/Chimp shards answer from the decoded-block cache when it
   /// holds the containing block (a hash probe + one array read — Neats-class
   /// latency), decoding and caching the block otherwise.
   int64_t Access(uint64_t i) const {
@@ -752,8 +753,8 @@ class NeatsStore {
       const uint64_t bv =
           cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
       if (bv > 0) {
-        // Block-structured shard: answer each touched block's probes from
-        // one cached (or once-decoded) block.
+        // Gorilla/Chimp shard: answer each touched block's probes from one
+        // cached (or once-decoded) block.
         size_t a = 0;
         while (a < local.size()) {
           const uint64_t blk = local[a] / bv;
@@ -853,11 +854,42 @@ class NeatsStore {
     if (err) std::rethrow_exception(err);
   }
 
+  /// The one split of values[from, from + len) across the tiers, in index
+  /// order: on_shard(shard, local_from, take) for every sealed piece, then
+  /// on_raw(span) for every contiguous run of a pending chunk or the tail.
+  /// Sealed pieces route through HealthyShardOf, so a quarantined shard
+  /// throws here, before a caller starts any fan-out.
+  template <class OnShard, class OnRaw>
+  void ForEachPiece(uint64_t from, uint64_t len, const OnShard& on_shard,
+                    const OnRaw& on_raw) const {
+    NEATS_DCHECK(from + len <= SizeImpl());
+    const uint64_t end = from + len;
+    while (from < end && from < sealed_total_) {
+      const Shard& s = HealthyShardOf(from);
+      const uint64_t take = std::min(end, s.first + s.count) - from;
+      on_shard(s, from - s.first, take);
+      from += take;
+    }
+    for (const auto& c : pending_) {
+      if (from >= end) return;
+      const uint64_t c_end = c->first + c->values.size();
+      if (from >= c_end) continue;
+      const uint64_t take = std::min(end, c_end) - from;
+      on_raw(std::span<const int64_t>(c->values).subspan(from - c->first,
+                                                          take));
+      from += take;
+    }
+    if (from < end) {
+      on_raw(std::span<const int64_t>(tail_).subspan(
+          from - sealed_total_ - pending_total_, end - from));
+    }
+  }
+
   /// DecompressRange(s) body under the reader lock (either side: RebuildWal
   /// calls in here holding the writer lock). Builds the per-shard groups
   /// sequentially — routing errors (quarantine) surface here, before any
   /// parallel work starts — then runs them through RunShardTasks.
-  /// Not-yet-sealed spans decode inline during the build; they live in
+  /// Not-yet-sealed spans are copied inline during the build; they live in
   /// plain buffers and are bounded by the tail, never worth a task.
   void DecompressRangesLocked(std::span<const IndexRange> ranges,
                               int64_t* out) const {
@@ -866,30 +898,21 @@ class NeatsStore {
     const Shard* cur = nullptr;  // group-continuity: an unsealed span or a
                                  // shard switch ends the open group
     for (const IndexRange& r : ranges) {
-      uint64_t from = r.from;
-      uint64_t len = r.len;
-      NEATS_DCHECK(from + len <= SizeImpl());
-      while (len > 0) {
-        if (from < sealed_total_) {
-          const Shard& s = HealthyShardOf(from);
-          const uint64_t take = std::min(len, s.first + s.count - from);
-          if (cur != &s) {
-            cur = &s;
-            groups.push_back(ShardGroup{&s, out, {}});
-          }
-          groups.back().local.push_back({from - s.first, take});
-          sealed_values += take;
-          out += take;
-          from += take;
-          len -= take;
-          continue;
-        }
-        cur = nullptr;
-        const uint64_t took = DecompressPrefix(from, len, out);
-        from += took;
-        len -= took;
-        out += took;
-      }
+      ForEachPiece(
+          r.from, r.len,
+          [&](const Shard& s, uint64_t local_from, uint64_t take) {
+            if (cur != &s) {
+              cur = &s;
+              groups.push_back(ShardGroup{&s, out, {}});
+            }
+            groups.back().local.push_back({local_from, take});
+            sealed_values += take;
+            out += take;
+          },
+          [&](std::span<const int64_t> raw) {
+            cur = nullptr;
+            out = std::copy(raw.begin(), raw.end(), out);
+          });
     }
     RunShardTasks(groups.size(), sealed_values, [&](size_t i) {
       groups[i].shard->series->DecompressRanges(groups[i].local,
@@ -915,7 +938,6 @@ class NeatsStore {
   /// addition is associative, so the partials accumulated in segment order
   /// give the exact sequential answer.
   int64_t RangeSumLocked(uint64_t from, uint64_t len) const {
-    NEATS_DCHECK(from + len <= SizeImpl());
     struct Segment {
       const Shard* shard;
       uint64_t local_from;
@@ -924,19 +946,15 @@ class NeatsStore {
     std::vector<Segment> segments;
     int64_t sum = 0;
     uint64_t sealed_values = 0;
-    while (len > 0) {
-      if (from < sealed_total_) {
-        const Shard& s = HealthyShardOf(from);
-        const uint64_t take = std::min(len, s.first + s.count - from);
-        segments.push_back({&s, from - s.first, take});
-        sealed_values += take;
-        from += take;
-        len -= take;
-        continue;
-      }
-      for (uint64_t k = from; k < from + len; ++k) sum += AccessUnsealed(k);
-      break;
-    }
+    ForEachPiece(
+        from, len,
+        [&](const Shard& s, uint64_t local_from, uint64_t take) {
+          segments.push_back({&s, local_from, take});
+          sealed_values += take;
+        },
+        [&](std::span<const int64_t> raw) {
+          for (int64_t v : raw) sum += v;
+        });
     std::vector<int64_t> partial(segments.size(), 0);
     RunShardTasks(segments.size(), sealed_values, [&](size_t i) {
       partial[i] = segments[i].shard->series->RangeSum(segments[i].local_from,
@@ -964,25 +982,18 @@ class NeatsStore {
   /// ApproximateRangeSum body under the reader lock.
   Neats::ApproximateAggregate ApproximateRangeSumLocked(uint64_t from,
                                                         uint64_t len) const {
-    NEATS_DCHECK(from + len <= SizeImpl());
     Neats::ApproximateAggregate agg{0.0, 0.0};
-    while (len > 0) {
-      if (from < sealed_total_) {
-        const Shard& s = HealthyShardOf(from);
-        const uint64_t take = std::min(len, s.first + s.count - from);
-        Neats::ApproximateAggregate part =
-            s.series->ApproximateRangeSum(from - s.first, take);
-        agg.value += part.value;
-        agg.error_bound += part.error_bound;
-        from += take;
-        len -= take;
-        continue;
-      }
-      for (uint64_t k = from; k < from + len; ++k) {
-        agg.value += static_cast<double>(AccessUnsealed(k));
-      }
-      break;
-    }
+    ForEachPiece(
+        from, len,
+        [&](const Shard& s, uint64_t local_from, uint64_t take) {
+          const Neats::ApproximateAggregate part =
+              s.series->ApproximateRangeSum(local_from, take);
+          agg.value += part.value;
+          agg.error_bound += part.error_bound;
+        },
+        [&](std::span<const int64_t> raw) {
+          for (int64_t v : raw) agg.value += static_cast<double>(v);
+        });
     return agg;
   }
 
@@ -1142,7 +1153,7 @@ class NeatsStore {
   /// The decoded block serving (shard-local) block `block` of shard `s`,
   /// from the cache when present, decoding (outside the cache lock) and
   /// inserting on a miss. Only called when cache_ is non-null and the
-  /// shard's codec is block-structured (BlockValues() > 0).
+  /// shard's codec is block-structured (BlockValues() > 0: Gorilla, Chimp).
   DecodedBlockCache::BlockPtr CachedBlock(const Shard& s, uint64_t block,
                                           bool* was_hit = nullptr) const {
     const uint64_t shard_index =
@@ -1168,28 +1179,6 @@ class NeatsStore {
       if (i < c->first + c->values.size()) return c->values[i - c->first];
     }
     return tail_[i - sealed_total_ - pending_total_];
-  }
-
-  /// Decompresses as much of [from, from + len) as one contiguous source
-  /// (shard, pending chunk, or tail) covers; returns how many values.
-  uint64_t DecompressPrefix(uint64_t from, uint64_t len, int64_t* out) const {
-    if (from < sealed_total_) {
-      const Shard& s = HealthyShardOf(from);
-      const uint64_t take = std::min(len, s.first + s.count - from);
-      s.series->DecompressRange(from - s.first, take, out);
-      return take;
-    }
-    for (const auto& c : pending_) {
-      if (from < c->first + c->values.size()) {
-        const uint64_t at = from - c->first;
-        const uint64_t take = std::min<uint64_t>(len, c->values.size() - at);
-        std::copy_n(c->values.data() + at, take, out);
-        return take;
-      }
-    }
-    const uint64_t at = from - sealed_total_ - pending_total_;
-    std::copy_n(tail_.data() + at, len, out);
-    return len;
   }
 
   /// Compresses one chunk per the seal policy: kFixed uses the configured
@@ -1704,7 +1693,7 @@ class NeatsStore {
   // is destroyed after pool_ (declared later) drains.
   std::unique_ptr<store_internal::StoreObs> obs_;
 
-  // Decoded-block LRU over the block-structured codecs' shards; null when
+  // Decoded-block LRU over the Gorilla/Chimp shards; null when
   // options_.block_cache_bytes is 0. The cache itself is mutex-guarded, so
   // const query paths may populate it concurrently.
   std::unique_ptr<DecodedBlockCache> cache_;

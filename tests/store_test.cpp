@@ -64,24 +64,60 @@ std::string TempStoreDir(const char* tag) {
       .string();
 }
 
-// Builds an in-memory store by appending `values` in ragged slices. With
-// `flush` false the store is left mid-ingest: sealed shards, pending seals
-// and a non-empty hot tail all present (shard_size chosen accordingly).
+// The tiers a test store is left holding values in.
+enum class Tiers {
+  // Background seals (seal_threads = 2): sealed shards and a hot tail, plus
+  // whatever seals are still running — that part depends on timing.
+  kMidIngest,
+  // Inline seals (seal_threads = 1): they stay pending until the next
+  // Append, and the last Append cuts at least two chunks, so the store
+  // deterministically holds sealed shards, >= 2 pending chunks and a tail.
+  kPending,
+  // Everything sealed.
+  kFlushed,
+};
+constexpr Tiers kAllTiers[] = {Tiers::kMidIngest, Tiers::kPending,
+                               Tiers::kFlushed};
+
+const char* TiersName(Tiers tiers) {
+  switch (tiers) {
+    case Tiers::kMidIngest: return "mid-ingest";
+    case Tiers::kPending: return "pending";
+    case Tiers::kFlushed: return "flushed";
+  }
+  return "?";
+}
+
+// Builds an in-memory store by appending `values` in ragged slices and
+// leaves it in `tiers` (shard_size chosen so that every tier is present;
+// kPending needs at least 2.5 shards of values).
 NeatsStore BuildStore(const std::vector<int64_t>& values, uint64_t shard_size,
-                      bool flush) {
+                      Tiers tiers) {
   NeatsStoreOptions options;
   options.shard_size = shard_size;
-  options.seal_threads = 2;
+  options.seal_threads = tiers == Tiers::kPending ? 1 : 2;
   NeatsStore store(options);
+  // kPending holds back 2.5 shards for one last Append: whatever the tail
+  // holds before it, that Append cuts at least two chunks.
+  const size_t last =
+      tiers == Tiers::kPending ? static_cast<size_t>(5 * shard_size / 2) : 0;
+  const size_t head = values.size() - std::min(last, values.size());
   size_t at = 0;
   const size_t slices[] = {997, 2011, 499, 3517};
   size_t s = 0;
-  while (at < values.size()) {
-    size_t n = std::min(slices[s++ % 4], values.size() - at);
+  while (at < head) {
+    size_t n = std::min(slices[s++ % 4], head - at);
     store.Append({values.data() + at, n});
     at += n;
   }
-  if (flush) store.Flush();
+  if (at < values.size()) {
+    store.Append({values.data() + at, values.size() - at});
+  }
+  if (tiers == Tiers::kPending) {
+    EXPECT_GE(store.num_pending_seals(), 2u);
+    EXPECT_GT(store.tail_size(), 0u);
+  }
+  if (tiers == Tiers::kFlushed) store.Flush();
   return store;
 }
 
@@ -152,9 +188,9 @@ TEST(NeatsDecompressRanges, MatchesPerRangeDecompression) {
 
 TEST(NeatsStore, AccessBatchFuzzAllTiers) {
   std::vector<int64_t> values = MixedSeries(30000, 5);
-  // Mid-ingest: ~3 sealed shards, pending seals, and a hot tail.
-  for (bool flush : {false, true}) {
-    NeatsStore store = BuildStore(values, 7000, flush);
+  // Every tier mix (see Tiers), flushed last.
+  for (Tiers tiers : kAllTiers) {
+    NeatsStore store = BuildStore(values, 7000, tiers);
     ASSERT_EQ(store.size(), values.size());
     std::mt19937_64 rng(6);
     for (int trial = 0; trial < 40; ++trial) {
@@ -176,7 +212,7 @@ TEST(NeatsStore, AccessBatchFuzzAllTiers) {
       std::vector<int64_t> out(count);
       store.AccessBatch(idx, out);
       for (size_t j = 0; j < count; ++j) {
-        ASSERT_EQ(out[j], values[idx[j]]) << "flush=" << flush << " probe "
+        ASSERT_EQ(out[j], values[idx[j]]) << TiersName(tiers) << " probe "
                                           << idx[j] << " trial " << trial;
         ASSERT_EQ(store.Access(idx[j]), values[idx[j]]);
       }
@@ -186,28 +222,45 @@ TEST(NeatsStore, AccessBatchFuzzAllTiers) {
 
 TEST(NeatsStore, DecompressRangesAcrossShardsAndTiers) {
   std::vector<int64_t> values = MixedSeries(30000, 7);
-  for (bool flush : {false, true}) {
-    NeatsStore store = BuildStore(values, 7000, flush);
+  for (Tiers tiers : kAllTiers) {
+    NeatsStore store = BuildStore(values, 7000, tiers);
     std::mt19937_64 rng(8);
-    for (int trial = 0; trial < 30; ++trial) {
+    for (int trial = 0; trial < 31; ++trial) {
       std::vector<IndexRange> ranges;
-      size_t total = 0;
-      for (int r = 0; r < 6; ++r) {
+      if (trial == 30) {
+        // Pinned to the kPending layout — shard [0, 7000), pending chunks
+        // [7000, 28000) cut at 14000 and 21000, tail [28000, 30000): spans
+        // starting, ending and crossing inside pending chunks.
+        ranges = {{7500, 100},  {6990, 20},   {13990, 20},  {8000, 12500},
+                  {20000, 8500}, {27990, 2010}, {12000, 3000}, {6999, 23001}};
+      }
+      for (int r = 0; r < 6 && trial < 30; ++r) {
         uint64_t from = rng() % values.size();
         uint64_t len =
             rng() % std::min<uint64_t>(9000, values.size() - from);
         ranges.push_back({from, len});
-        total += len;
       }
+      size_t total = 0;
+      for (const IndexRange& r : ranges) total += r.len;
       std::vector<int64_t> got(total);
       store.DecompressRanges(ranges, got.data());
       size_t off = 0;
       for (const IndexRange& r : ranges) {
         for (uint64_t j = 0; j < r.len; ++j) {
           ASSERT_EQ(got[off + j], values[r.from + j])
-              << "flush=" << flush << " range [" << r.from << ", +" << r.len
+              << TiersName(tiers) << " range [" << r.from << ", +" << r.len
               << ") at " << j;
         }
+        off += r.len;
+      }
+      // The same ranges one DecompressRange call at a time.
+      off = 0;
+      for (const IndexRange& r : ranges) {
+        std::vector<int64_t> one(r.len);
+        store.DecompressRange(r.from, r.len, one.data());
+        ASSERT_TRUE(std::equal(one.begin(), one.end(), got.begin() + off))
+            << TiersName(tiers) << " range [" << r.from << ", +" << r.len
+            << ")";
         off += r.len;
       }
     }
@@ -239,10 +292,12 @@ TEST(NeatsStore, RangeSumsAcrossShardBoundaries) {
   for (size_t i = 0; i < values.size(); ++i) {
     prefix[i + 1] = prefix[i] + values[i];
   }
-  for (bool flush : {false, true}) {
-    NeatsStore store = BuildStore(values, 7000, flush);
+  for (Tiers tiers : kAllTiers) {
+    NeatsStore store = BuildStore(values, 7000, tiers);
     // Spans pinned to shard boundaries, spanning several shards, plus the
-    // whole series.
+    // whole series. Under kPending, [7000, 28000) is three pending chunks
+    // and [28000, 30000) the tail, so the same spans start, end and cross
+    // inside pending chunks.
     std::vector<IndexRange> spans = {
         {6999, 2},          // exactly straddles the first boundary
         {7000, 7000},       // exactly one shard
@@ -250,6 +305,11 @@ TEST(NeatsStore, RangeSumsAcrossShardBoundaries) {
         {3500, 21000},      // misaligned, four shards
         {0, values.size()}, // everything, including pending + tail
         {20999, 2},         {13999, 7002},
+        {7500, 100},        // inside one pending chunk
+        {12000, 3000},      // across two pending chunks
+        {20000, 8500},      // pending into the tail
+        {27990, 2010},      // the last pending values and the whole tail
+        {28500, 1000},      // inside the tail
     };
     std::mt19937_64 rng(10);
     for (int t = 0; t < 20; ++t) {
@@ -260,11 +320,11 @@ TEST(NeatsStore, RangeSumsAcrossShardBoundaries) {
     for (const IndexRange& s : spans) {
       ASSERT_EQ(store.RangeSum(s.from, s.len),
                 prefix[s.from + s.len] - prefix[s.from])
-          << "flush=" << flush << " span [" << s.from << ", +" << s.len << ")";
+          << TiersName(tiers) << " span [" << s.from << ", +" << s.len << ")";
       Neats::ApproximateAggregate agg = store.ApproximateRangeSum(s.from, s.len);
       double exact = static_cast<double>(prefix[s.from + s.len] - prefix[s.from]);
       ASSERT_LE(std::abs(agg.value - exact), agg.error_bound + 1e-6)
-          << "flush=" << flush << " span [" << s.from << ", +" << s.len << ")";
+          << TiersName(tiers) << " span [" << s.from << ", +" << s.len << ")";
     }
   }
 }
