@@ -11,9 +11,15 @@
 //     in flight on one connection and match responses by id. This is what
 //     makes the server's coalescing window fill — a closed-loop
 //     one-at-a-time client never batches.
+//
+// Responses arrive through one receive buffer the connection owns, so a
+// pipelined round of small responses costs about one recv(2), not two per
+// frame.
 
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,15 +58,15 @@ class Client {
     return Client(ConnectTo(host, port));
   }
 
-  Client(Client&& other) noexcept : fd_(other.fd_), next_id_(other.next_id_) {
-    other.fd_ = -1;
-  }
+  Client(Client&& other) noexcept { *this = std::move(other); }
   Client& operator=(Client&& other) noexcept {
     if (this != &other) {
       Close();
-      fd_ = other.fd_;
+      fd_ = std::exchange(other.fd_, -1);
       next_id_ = other.next_id_;
-      other.fd_ = -1;
+      rx_ = std::move(other.rx_);
+      rx_begin_ = std::exchange(other.rx_begin_, 0);
+      rx_end_ = std::exchange(other.rx_end_, 0);
     }
     return *this;
   }
@@ -75,6 +81,8 @@ class Client {
     }
   }
 
+  /// The socket, for sending raw frames only: reading from it directly
+  /// would skip what the receive buffer already holds.
   int fd() const { return fd_; }
 
   // --- Typed surface (one request, one response) ---------------------------
@@ -167,25 +175,33 @@ class Client {
   /// Reads one response frame (blocking). Throws on connection loss, torn
   /// frames, or CRC mismatch — a client never trusts a damaged stream.
   Response ReadResponse() {
-    uint8_t header[kFrameHeaderBytes];
-    NEATS_REQUIRE(RecvAll(fd_, header),
-                  "server closed the connection");
+    if (!Fill(kFrameHeaderBytes)) {
+      NEATS_REQUIRE(rx_end_ > rx_begin_, "server closed the connection");
+      throw Error("connection closed mid-response", StatusCode::kIo);
+    }
+    const std::span<const uint8_t> header(rx_.data() + rx_begin_,
+                                          kFrameHeaderBytes);
     FrameHeader h;
     NEATS_REQUIRE(DecodeFrameHeader(header, &h), "bad response magic");
     NEATS_REQUIRE(h.version == kProtocolVersion,
                   "unsupported response version");
     NEATS_REQUIRE(h.payload_len <= kMaxResponseBytes,
                   "response exceeds sanity bound");
-    Response r;
-    r.payload.resize(h.payload_len);
-    if (h.payload_len > 0 && !RecvAll(fd_, r.payload)) {
+    const size_t frame = kFrameHeaderBytes + h.payload_len;
+    if (!Fill(frame)) {
       throw Error("connection closed mid-response", StatusCode::kIo);
     }
-    NEATS_REQUIRE(VerifyFrameCrc(header, r.payload),
+    const uint8_t* at = rx_.data() + rx_begin_;
+    const std::span<const uint8_t> payload(at + kFrameHeaderBytes,
+                                           h.payload_len);
+    NEATS_REQUIRE(VerifyFrameCrc({at, kFrameHeaderBytes}, payload),
                   "response CRC mismatch");
+    Response r;
     r.op = static_cast<Opcode>(h.opcode);
     r.status = static_cast<WireStatus>(h.status);
     r.id = h.id;
+    r.payload.assign(payload.begin(), payload.end());
+    rx_begin_ += frame;
     return r;
   }
 
@@ -199,6 +215,10 @@ class Client {
 
  private:
   static constexpr uint32_t kMaxResponseBytes = 1u << 30;
+
+  /// Smallest receive buffer: one recv takes a whole pipelined round of
+  /// small responses.
+  static constexpr size_t kMinReceiveBuffer = size_t{64} << 10;
 
   explicit Client(int fd) : fd_(fd) {}
 
@@ -220,8 +240,36 @@ class Client {
     return values;
   }
 
+  /// Receives until `n` bytes from rx_begin_ are buffered, first making
+  /// room for them (unread bytes move to the front, the buffer only grows).
+  /// Returns false if the server closed the connection first.
+  bool Fill(size_t n) {
+    if (rx_end_ - rx_begin_ >= n) return true;
+    if (rx_begin_ > 0 &&
+        (rx_begin_ == rx_end_ || rx_begin_ + n > rx_.size())) {
+      std::copy(rx_.begin() + static_cast<ptrdiff_t>(rx_begin_),
+                rx_.begin() + static_cast<ptrdiff_t>(rx_end_), rx_.begin());
+      rx_end_ -= rx_begin_;
+      rx_begin_ = 0;
+    }
+    if (n > rx_.size()) {
+      rx_.resize(std::max({n, kMinReceiveBuffer, 2 * rx_.size()}));
+    }
+    while (rx_end_ - rx_begin_ < n) {
+      const ssize_t got =
+          ::recv(fd_, rx_.data() + rx_end_, rx_.size() - rx_end_, 0);
+      if (got == 0) return false;
+      if (got < 0 && errno != EINTR) ThrowErrno("recv");
+      if (got > 0) rx_end_ += static_cast<size_t>(got);
+    }
+    return true;
+  }
+
   int fd_ = -1;
   uint64_t next_id_ = 1;
+  std::vector<uint8_t> rx_;  // rx_[rx_begin_, rx_end_) is received, unread
+  size_t rx_begin_ = 0;
+  size_t rx_end_ = 0;
 };
 
 }  // namespace neats::net

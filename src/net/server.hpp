@@ -4,34 +4,45 @@
 //
 // Shape (docs/ARCHITECTURE.md, "Network layer"):
 //
-//   accept ─▶ [ IO thread: epoll/poll event loop ]
+//   accept ─▶ [ IO thread: epoll event loop ]
 //                │  nonblocking reads ─▶ frame parser ─▶ per-conn
 //                │  request queue (admission gate sheds kOverloaded here)
 //                │
-//                │  dispatch: one work item per connection at a time —
-//                │  a run of consecutive Access requests coalesces into
-//                │  ONE store AccessBatch call (the wire layer inherits
-//                │  the B>=64 batch-kernel win), anything else runs alone
+//                │  dispatch, in queue order, one loop per connection:
+//                │   - ping, and a run of consecutive Access requests of
+//                │     up to kMaxInlineRun probes, run to completion right
+//                │     here: ONE non-blocking store TryAccessBatch call,
+//                │     responses queued straight onto the send queue
+//                │   - everything else — and a run that found the store's
+//                │     writer holding its lock — becomes the connection's
+//                │     one work item on the pool
 //                ▼
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
 //                │  executes against the store under its shared reader
-//                │  lock — many connections read concurrently with a
-//                │  live Append()er — into one response buffer per work
-//                │  item, then moves that buffer to the connection
+//                │  lock (waiting out a live Append()er if it must) into
+//                │  one response buffer, then hands that buffer back
+//                │  through the completion list + wake pipe
 //                ▼
 //             [ IO thread: send queue, backpressure, timeouts ]
 //
-// One buffer per response: a worker reserves the 24-byte frame header,
-// lets the store decode values straight into the payload behind it, and
-// finishes the frame in place (protocol.hpp FinishFrame: header fields,
-// then the CRC over the bytes where they lie). The buffer is moved — never
-// copied — into the connection's handoff, then into its send queue, and
-// sendmsg(2) sends it from an offset until the socket has taken it all.
+// The IO thread never waits on the store's writer lock: Append holds it
+// across the WAL fsync and Flush for its whole drain, and a stalled IO
+// thread would stall every connection. A short read whose try-lock fails
+// simply takes the pool path.
 //
-// Threading contract: the IO thread owns every socket, buffer, and queue;
-// workers only ever touch a connection's mutex-guarded handoff list and
-// never a file descriptor. Completions travel through a wake pipe, so the
-// loop is never polled blind. One work item per connection keeps responses
+// One buffer per response: whoever answers reserves the 24-byte frame
+// header, lets the store decode values straight into the payload behind
+// it, and finishes the frame in place (protocol.hpp FinishFrame: header
+// fields, then the CRC over the bytes where they lie). The buffer is moved
+// — never copied — into the connection's send queue, and sendmsg(2) sends
+// it from an offset until the socket has taken it all.
+//
+// Threading contract: the IO thread owns every connection — socket,
+// buffers, queues, the busy flag. Workers never touch one: a work item
+// carries its connection's shared_ptr only to return it, with the
+// response buffer, on the mutex-guarded completion list, and the wake
+// pipe tells the loop to pick it up. One work item per connection at a
+// time, and inline answers only while none is in flight, keep responses
 // in request order (sheds are the documented exception — they answer
 // immediately, which is the point; match by frame id).
 //
@@ -52,13 +63,10 @@
 
 #pragma once
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <atomic>
 #include <cstddef>
@@ -66,6 +74,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -94,9 +103,11 @@ struct NeatsServerOptions {
   /// port() after Start()).
   uint16_t port = 0;
 
-  /// Request-executing worker threads (the IO loop is one more thread on
-  /// top). 0 runs every request inline on the IO thread — single-threaded
-  /// mode, still correct, useful for deterministic tests.
+  /// Worker threads for the requests the IO thread does not answer itself
+  /// (everything but ping and short Access runs, plus short runs that
+  /// found the store's writer busy). 0 runs those inline on the IO thread
+  /// too — single-threaded mode, still correct, useful for deterministic
+  /// tests.
   int worker_threads = 3;
 
   /// listen(2) backlog.
@@ -127,17 +138,11 @@ struct NeatsServerOptions {
   /// Graceful-drain budget: after RequestStop(), queued work gets this
   /// long to finish and flush before remaining connections are closed.
   uint32_t drain_timeout_ms = 5000;
-
-  /// Force the poll(2) backend (the epoll backend is default on Linux).
-  /// The fallback is always compiled; this knob exists so tests cover it.
-  bool use_poll = false;
 };
 
 namespace server_internal {
 
-/// Readiness poller with two backends behind one interface: epoll on
-/// Linux, poll(2) everywhere (and on Linux when forced, so the fallback
-/// stays tested). Level-triggered in both.
+/// Level-triggered epoll readiness poller.
 class Poller {
  public:
   struct Event {
@@ -147,125 +152,53 @@ class Poller {
     bool hangup = false;
   };
 
-  explicit Poller(bool use_poll) : use_poll_(use_poll) {
-#ifdef __linux__
-    if (!use_poll_) {
-      ep_ = ::epoll_create1(0);
-      if (ep_ < 0) ThrowErrno("epoll_create1");
-    }
-#else
-    use_poll_ = true;
-#endif
+  Poller() : ep_(::epoll_create1(0)) {
+    if (ep_ < 0) ThrowErrno("epoll_create1");
   }
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  ~Poller() {
-    if (ep_ >= 0) ::close(ep_);
-  }
+  ~Poller() { ::close(ep_); }
 
   void Add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event ev = MakeEpoll(fd, want_read, want_write);
-      if (::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-        ThrowErrno("epoll_ctl(ADD)");
-      }
-      return;
-    }
-#endif
-    pfds_.push_back({fd, Events(want_read, want_write), 0});
+    Ctl(EPOLL_CTL_ADD, fd, want_read, want_write, "epoll_ctl(ADD)");
   }
 
   void Update(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event ev = MakeEpoll(fd, want_read, want_write);
-      if (::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-        ThrowErrno("epoll_ctl(MOD)");
-      }
-      return;
-    }
-#endif
-    for (pollfd& p : pfds_) {
-      if (p.fd == fd) {
-        p.events = Events(want_read, want_write);
-        return;
-      }
-    }
+    Ctl(EPOLL_CTL_MOD, fd, want_read, want_write, "epoll_ctl(MOD)");
   }
 
-  void Remove(int fd) {
-#ifdef __linux__
-    if (!use_poll_) {
-      ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-      return;
-    }
-#endif
-    for (size_t i = 0; i < pfds_.size(); ++i) {
-      if (pfds_[i].fd == fd) {
-        pfds_[i] = pfds_.back();
-        pfds_.pop_back();
-        return;
-      }
-    }
-  }
+  void Remove(int fd) { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
   /// Waits up to timeout_ms (-1 = forever) and appends ready fds to *out.
   void Wait(std::vector<Event>* out, int timeout_ms) {
     out->clear();
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event evs[64];
-      const int n = ::epoll_wait(ep_, evs, 64, timeout_ms);
-      if (n < 0) {
-        if (errno == EINTR) return;
-        ThrowErrno("epoll_wait");
-      }
-      for (int i = 0; i < n; ++i) {
-        Event e;
-        e.fd = evs[i].data.fd;
-        e.readable = (evs[i].events & EPOLLIN) != 0;
-        e.writable = (evs[i].events & EPOLLOUT) != 0;
-        e.hangup = (evs[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-        out->push_back(e);
-      }
-      return;
-    }
-#endif
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
+    epoll_event evs[64];
+    const int n = ::epoll_wait(ep_, evs, 64, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) return;
-      ThrowErrno("poll");
+      ThrowErrno("epoll_wait");
     }
-    for (const pollfd& p : pfds_) {
-      if (p.revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
       Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+      e.fd = evs[i].data.fd;
+      e.readable = (evs[i].events & EPOLLIN) != 0;
+      e.writable = (evs[i].events & EPOLLOUT) != 0;
+      e.hangup = (evs[i].events & (EPOLLHUP | EPOLLERR)) != 0;
       out->push_back(e);
     }
   }
 
  private:
-  static short Events(bool r, bool w) {
-    return static_cast<short>((r ? POLLIN : 0) | (w ? POLLOUT : 0));
-  }
-#ifdef __linux__
-  static epoll_event MakeEpoll(int fd, bool r, bool w) {
+  void Ctl(int op, int fd, bool r, bool w, const char* what) {
     epoll_event ev{};
     ev.events = (r ? EPOLLIN : 0u) | (w ? EPOLLOUT : 0u);
     ev.data.fd = fd;
-    return ev;
+    if (::epoll_ctl(ep_, op, fd, &ev) < 0) ThrowErrno(what);
   }
-#endif
 
-  bool use_poll_;
-  int ep_ = -1;
-  std::vector<pollfd> pfds_;
+  int ep_;
 };
 
 /// The server's wiring into the observability layer — its own registry
@@ -275,7 +208,8 @@ struct ServerObs {
   obs::MetricsRegistry registry;
   obs::CounterId c_accepted, c_closed, c_rejected, c_idle_closed,
       c_requests, c_errors, c_shed, c_bytes_in, c_bytes_out, c_bad_frames,
-      c_http_requests, c_coalesced_batches, c_coalesced_probes;
+      c_http_requests, c_coalesced_batches, c_coalesced_probes,
+      c_exec_inline, c_exec_writer_busy;
   obs::CounterId c_op[kMaxOpcode + 1];
   obs::GaugeId g_connections, g_inflight;
   obs::HistogramId h_op[kMaxOpcode + 1];
@@ -295,6 +229,8 @@ struct ServerObs {
     c_http_requests = registry.AddCounter("req.http");
     c_coalesced_batches = registry.AddCounter("coalesce.batches");
     c_coalesced_probes = registry.AddCounter("coalesce.probes");
+    c_exec_inline = registry.AddCounter("exec.inline");
+    c_exec_writer_busy = registry.AddCounter("exec.writer_busy");
     for (uint8_t op = 1; op <= kMaxOpcode; ++op) {
       c_op[op] = registry.AddCounter(
           std::string("req.") + OpcodeName(static_cast<Opcode>(op)));
@@ -321,8 +257,7 @@ struct Request {
 /// built by whoever answers and moved, never copied, to the socket.
 using Buffer = std::vector<uint8_t>;
 
-/// One connection. The IO thread owns everything except `handoff`/`busy`,
-/// which carry worker results back under `hand_mu`.
+/// One connection, owned by the IO thread.
 struct Conn {
   enum class Mode { kUnknown, kBinary, kHttp };
 
@@ -333,16 +268,13 @@ struct Conn {
   size_t out_sent = 0;        // bytes of out.front() already sent
   size_t out_bytes = 0;       // unsent bytes across `out`
   std::deque<Request> queue;  // parsed, admitted, not yet dispatched
+  bool busy = false;          // a work item is on the pool
   bool closed = false;        // fd closed, conn detached from the map
   bool read_shut = false;     // peer sent FIN (or HTTP request complete)
   bool close_after_drain = false;
   bool want_read = true;      // cached poller interest
   bool want_write = false;
   uint64_t last_activity = 0;
-
-  std::mutex hand_mu;
-  std::vector<Buffer> handoff;  // worker-produced responses, pending pickup
-  bool busy = false;  // a work item is executing (guarded by hand_mu)
 
   /// Queues `buf` behind every response already awaiting the socket.
   void Queue(Buffer buf) {
@@ -474,7 +406,7 @@ class NeatsServer {
   // --- IO loop -------------------------------------------------------------
 
   void IoLoop() {
-    Poller poller(options_.use_poll);
+    Poller poller;
     poller_ = &poller;
     poller.Add(listen_fd_, /*read=*/true, /*write=*/false);
     poller.Add(wake_r_, /*read=*/true, /*write=*/false);
@@ -554,11 +486,8 @@ class NeatsServer {
     poller_ = nullptr;
   }
 
-  bool ConnIdle(const Conn& conn) {
-    if (!conn.queue.empty() || !conn.out.empty()) return false;
-    std::lock_guard<std::mutex> lk(
-        const_cast<std::mutex&>(conn.hand_mu));
-    return !conn.busy && conn.handoff.empty();
+  static bool ConnIdle(const Conn& conn) {
+    return conn.queue.empty() && conn.out.empty() && !conn.busy;
   }
 
   void AcceptNew(uint64_t now) {
@@ -870,38 +799,56 @@ class NeatsServer {
     conn->queue.push_back(std::move(req));
   }
 
-  /// Starts the next work item if the connection is free: a coalesced run
-  /// of leading Access requests (one store AccessBatch call), or a single
-  /// request of any other opcode. Everything that arrived while the
-  /// previous item executed forms the next run, so pipelining clients
-  /// batch without any wait.
+  /// Runs the connection's queue forward while no work item is in flight:
+  /// ping and Access runs of up to kMaxInlineRun are answered here unless
+  /// the store's writer holds its lock; anything else becomes the
+  /// connection's one work item on the pool (an Access run of up to
+  /// kMaxCoalescedRun, or one request of any other opcode). Whatever
+  /// arrived while the previous item executed forms the next run, so
+  /// pipelining clients batch without any wait. A loop over at most
+  /// max_queued_per_conn requests.
   void TryDispatch(const std::shared_ptr<Conn>& conn) {
-    if (conn->closed || conn->queue.empty()) return;
-    {
-      std::lock_guard<std::mutex> lk(conn->hand_mu);
-      if (conn->busy) return;
-    }
-    size_t run = 0;
-    while (run < conn->queue.size() &&
-           conn->queue[run].op == Opcode::kAccess &&
-           run < kMaxCoalescedRun) {
-      ++run;
-    }
-    const size_t take = run > 0 ? run : 1;
-    std::vector<Request> items;
-    items.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      items.push_back(std::move(conn->queue.front()));
-      conn->queue.pop_front();
-    }
-    {
-      std::lock_guard<std::mutex> lk(conn->hand_mu);
+    while (!conn->closed && !conn->busy && !conn->queue.empty()) {
+      if (conn->queue.front().op == Opcode::kPing) {
+        Buffer out;
+        AppendOk(Opcode::kPing, conn->queue.front().id, {}, &out);
+        conn->queue.pop_front();
+        AnsweredInline(conn, 1, std::move(out));
+        continue;
+      }
+      size_t run = 0;
+      while (run < conn->queue.size() &&
+             conn->queue[run].op == Opcode::kAccess &&
+             run < kMaxCoalescedRun) {
+        ++run;
+      }
+      const auto first = conn->queue.begin();
+      const auto last = first + static_cast<ptrdiff_t>(run > 0 ? run : 1);
+      std::vector<Request> items(std::make_move_iterator(first),
+                                 std::make_move_iterator(last));
+      conn->queue.erase(first, last);
+      if (run > 0 && run <= kMaxInlineRun) {
+        Buffer out;
+        if (ExecuteAccessRun(items, /*wait=*/false, &out)) {
+          AnsweredInline(conn, run, std::move(out));
+          continue;
+        }
+        obs_->registry.Count(obs_->c_exec_writer_busy);
+      }
       conn->busy = true;
+      workers_->Submit([this, conn, mode = conn->mode,
+                        items = std::move(items)]() mutable {
+        ExecuteItem(std::move(conn), mode, items);
+      });
     }
-    const auto mode = conn->mode;
-    workers_->Submit([this, conn, mode, items = std::move(items)]() mutable {
-      ExecuteItem(conn, mode, items);
-    });
+  }
+
+  /// Books `n` requests the IO thread answered into `out`.
+  void AnsweredInline(const std::shared_ptr<Conn>& conn, size_t n,
+                      Buffer out) {
+    inflight_.fetch_sub(n, std::memory_order_relaxed);
+    obs_->registry.Count(obs_->c_exec_inline, n);
+    conn->Queue(std::move(out));
   }
 
   /// IO-thread epilogue for a connection that owes nothing more.
@@ -940,18 +887,15 @@ class NeatsServer {
   }
 
   void HandleCompletions(uint64_t now, bool draining) {
-    std::vector<std::shared_ptr<Conn>> done;
+    std::vector<Completion> done;
     {
       std::lock_guard<std::mutex> lk(comp_mu_);
       done.swap(completed_);
     }
-    for (const std::shared_ptr<Conn>& conn : done) {
+    for (auto& [conn, buf] : done) {
       if (conn->closed) continue;
-      {
-        std::lock_guard<std::mutex> lk(conn->hand_mu);
-        for (Buffer& buf : conn->handoff) conn->Queue(std::move(buf));
-        conn->handoff.clear();
-      }
+      conn->busy = false;
+      conn->Queue(std::move(buf));
       conn->last_activity = now;
       TryDispatch(conn);
       FlushOut(conn);
@@ -961,13 +905,13 @@ class NeatsServer {
     }
   }
 
-  // --- Execution (worker threads) ------------------------------------------
+  // --- Execution (worker threads; Access runs on the IO thread too) --------
 
-  void ExecuteItem(const std::shared_ptr<Conn>& conn, Conn::Mode mode,
+  void ExecuteItem(std::shared_ptr<Conn> conn, Conn::Mode mode,
                    std::vector<Request>& items) {
     Buffer out;
-    if (items.size() > 1) {
-      ExecuteCoalesced(items, &out);
+    if (items[0].op == Opcode::kAccess) {
+      ExecuteAccessRun(items, /*wait=*/true, &out);
     } else {
       const uint64_t t0 = obs::NowNs();
       ExecuteOne(mode, items[0], &out);
@@ -975,69 +919,76 @@ class NeatsServer {
           obs_->h_op[static_cast<uint8_t>(items[0].op)],
           obs::NowNs() - t0);
     }
-    {
-      std::lock_guard<std::mutex> lk(conn->hand_mu);
-      conn->handoff.push_back(std::move(out));
-      conn->busy = false;
-    }
     inflight_.fetch_sub(items.size(), std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(comp_mu_);
-      completed_.push_back(conn);
+      completed_.push_back({std::move(conn), std::move(out)});
     }
     const char b = 'c';
     [[maybe_unused]] ssize_t n = ::write(wake_w_, &b, 1);
   }
 
-  /// A coalesced Access run: every in-bounds probe rides one store
-  /// AccessBatch call; each request still gets its own response (values in
-  /// request order, out-of-range probes answered individually). The run's
-  /// service time lands in the "op.access" histogram once, its size in
-  /// "coalesce.batch".
-  void ExecuteCoalesced(std::vector<Request>& items, Buffer* out) {
+  /// A run of Access requests: every probe rides one store batch call,
+  /// bound-checked in the same lock hold, and each request still gets its
+  /// own response in request order: its value, kOutOfRange past the
+  /// store's size, or the store's error if the batch threw. A worker
+  /// (`wait`) takes the reader lock like any query; the IO thread only
+  /// tries it and, while the writer holds it, returns false with `out` and
+  /// every counter untouched. The run's service time lands in the
+  /// "op.access" histogram once; a run of more than one also counts as a
+  /// coalesced batch.
+  bool ExecuteAccessRun(std::span<const Request> items, bool wait,
+                        Buffer* out) {
     const uint64_t t0 = obs::NowNs();
-    obs_->registry.Count(obs_->c_coalesced_batches);
-    obs_->registry.Count(obs_->c_coalesced_probes, items.size());
-    obs_->registry.Record(obs_->h_batch, items.size());
-    const uint64_t size = store_.size();
-    std::vector<uint64_t> idx;
-    idx.reserve(items.size());
-    for (const Request& r : items) {
-      if (r.a < size) idx.push_back(r.a);
-    }
-    std::vector<int64_t> values(idx.size());
+    std::vector<uint64_t> idx(items.size());
+    for (size_t k = 0; k < items.size(); ++k) idx[k] = items[k].a;
+    std::vector<int64_t> values(items.size());
+    uint64_t size = 0;
     WireStatus failure = WireStatus::kOk;
     std::string failure_msg;
-    if (!idx.empty()) {
-      try {
-        store_.AccessBatch(idx, values);
-      } catch (const Error& e) {
-        failure = e.code() == StatusCode::kUnavailable
-                      ? WireStatus::kUnavailable
-                      : WireStatus::kInternal;
-        failure_msg = e.what();
-      } catch (const std::exception& e) {
-        failure = WireStatus::kInternal;
-        failure_msg = e.what();
+    try {
+      if (wait) {
+        size = store_.AccessBatchBounded(idx, values);
+      } else if (const std::optional<uint64_t> s =
+                     store_.TryAccessBatch(idx, values)) {
+        size = *s;
+      } else {
+        return false;
       }
+    } catch (const Error& e) {
+      failure = FailureStatus(e);
+      failure_msg = e.what();
+    } catch (const std::exception& e) {
+      failure = WireStatus::kInternal;
+      failure_msg = e.what();
     }
-    size_t at = 0;
-    for (const Request& r : items) {
-      if (r.a >= size) {
-        AppendError(Conn::Mode::kBinary, r.op, r.id,
-                    WireStatus::kOutOfRange, "index past store size", out);
-        continue;
-      }
+    for (size_t k = 0; k < items.size(); ++k) {
+      const Request& r = items[k];
       if (failure != WireStatus::kOk) {
         AppendError(Conn::Mode::kBinary, r.op, r.id, failure, failure_msg,
                     out);
-        ++at;
-        continue;
+      } else if (r.a >= size) {
+        AppendError(Conn::Mode::kBinary, r.op, r.id, WireStatus::kOutOfRange,
+                    "index past store size", out);
+      } else {
+        AppendValueResponse(r.id, values[k], out);
       }
-      AppendValueResponse(r.id, values[at++], out);
+    }
+    if (items.size() > 1) {
+      obs_->registry.Count(obs_->c_coalesced_batches);
+      obs_->registry.Count(obs_->c_coalesced_probes, items.size());
+      obs_->registry.Record(obs_->h_batch, items.size());
     }
     obs_->registry.Record(obs_->h_op[static_cast<uint8_t>(Opcode::kAccess)],
                           obs::NowNs() - t0);
+    return true;
+  }
+
+  /// The wire status of a store Error: a quarantined shard is kUnavailable,
+  /// anything else kInternal.
+  static WireStatus FailureStatus(const Error& e) {
+    return e.code() == StatusCode::kUnavailable ? WireStatus::kUnavailable
+                                                : WireStatus::kInternal;
   }
 
   /// Answers one request into `out`, which arrives empty: a value-carrying
@@ -1046,10 +997,9 @@ class NeatsServer {
   void ExecuteOne(Conn::Mode mode, const Request& req, Buffer* out) {
     try {
       switch (req.op) {
-        case Opcode::kPing: {
-          AppendOk(req.op, req.id, {}, out);
-          return;
-        }
+        case Opcode::kPing:
+        case Opcode::kAccess:
+          break;  // answered by TryDispatch / ExecuteAccessRun
         case Opcode::kSize: {
           std::vector<uint8_t> payload;
           PayloadWriter w(&payload);
@@ -1071,15 +1021,6 @@ class NeatsServer {
                       stats.size()},
                      out);
           }
-          return;
-        }
-        case Opcode::kAccess: {
-          if (req.a >= store_.size()) {
-            AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
-                        "index past store size", out);
-            return;
-          }
-          AppendValueResponse(req.id, store_.Access(req.a), out);
           return;
         }
         case Opcode::kAccessBatch: {
@@ -1144,11 +1085,7 @@ class NeatsServer {
       AppendError(mode, req.op, req.id, WireStatus::kBadRequest,
                   "unknown opcode", out);
     } catch (const Error& e) {
-      AppendError(mode, req.op, req.id,
-                  e.code() == StatusCode::kUnavailable
-                      ? WireStatus::kUnavailable
-                      : WireStatus::kInternal,
-                  e.what(), out);
+      AppendError(mode, req.op, req.id, FailureStatus(e), e.what(), out);
     } catch (const std::exception& e) {
       AppendError(mode, req.op, req.id, WireStatus::kInternal, e.what(),
                   out);
@@ -1229,6 +1166,11 @@ class NeatsServer {
   /// Largest coalesced Access run fed to one store AccessBatch call.
   static constexpr size_t kMaxCoalescedRun = 512;
 
+  /// Longest Access run the IO thread answers itself: ~8 µs of batch
+  /// decode at the store's per-probe cost, short enough that no other
+  /// connection notices the wait.
+  static constexpr size_t kMaxInlineRun = 64;
+
   /// Most queued buffers one sendmsg gathers.
   static constexpr size_t kMaxIov = 64;
 
@@ -1250,9 +1192,11 @@ class NeatsServer {
   Poller* poller_ = nullptr;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 
-  // Worker -> IO completion handoff.
+  // Worker -> IO completions: each finished work item's connection and
+  // its response buffer.
+  using Completion = std::pair<std::shared_ptr<Conn>, Buffer>;
   std::mutex comp_mu_;
-  std::vector<std::shared_ptr<Conn>> completed_;
+  std::vector<Completion> completed_;
 };
 
 }  // namespace neats::net

@@ -70,10 +70,12 @@
 // any number of threads may run const queries concurrently — with each other,
 // with the background seals, *and* with the writer (queries take the reader
 // side of the same lock, so they see the topology either before or after a
-// mutation, never mid-flight). The scenario engine (src/scenario/) drives
-// exactly this shape — concurrent appenders/readers with every read verified
-// — under ThreadSanitizer in CI. Moves and destruction still require outside
-// quiescence, like any standard container.
+// mutation, never mid-flight). TryAccessBatch is the one query that never
+// waits for the writer: while the writer holds the lock it returns at once,
+// unanswered (the server's IO thread relies on that). The scenario engine
+// (src/scenario/) drives exactly this shape — concurrent appenders/readers
+// with every read verified — under ThreadSanitizer in CI. Moves and
+// destruction still require outside quiescence, like any standard container.
 
 #pragma once
 
@@ -85,6 +87,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -713,6 +716,34 @@ class NeatsStore {
     NEATS_DCHECK(idx.size() == out.size());
     if (idx.empty()) return;
     std::shared_lock<std::shared_mutex> lock(*mu_);
+    ObservedAccessBatchLocked(idx, out);
+  }
+
+  /// AccessBatch over probes that may lie past the end, bound-checked in the
+  /// same reader-lock hold that answers them: out[j] receives the value at
+  /// idx[j] for every idx[j] below the returned size, and the other entries
+  /// are left as they were.
+  uint64_t AccessBatchBounded(std::span<const uint64_t> idx,
+                              std::span<int64_t> out) const {
+    std::shared_lock<std::shared_mutex> lock(*mu_);
+    return AccessBatchBoundedLocked(idx, out);
+  }
+
+  /// AccessBatchBounded for a thread that must never wait on the writer:
+  /// Append holds the writer lock across the WAL fsync and Flush for the
+  /// whole drain, so while the writer holds it this returns nullopt and
+  /// touches nothing (no probe answered, no metric counted).
+  std::optional<uint64_t> TryAccessBatch(std::span<const uint64_t> idx,
+                                         std::span<int64_t> out) const {
+    std::shared_lock<std::shared_mutex> lock(*mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return std::nullopt;
+    return AccessBatchBoundedLocked(idx, out);
+  }
+
+ private:
+  /// AccessBatch's counters and metrics wrapper around AccessBatchLocked.
+  void ObservedAccessBatchLocked(std::span<const uint64_t> idx,
+                                 std::span<int64_t> out) const {
     if (StoreObs* ob = obs_.get()) {
       ob->registry.Count(ob->c_batch_calls);
       ob->registry.Count(ob->c_batch_probes, idx.size());
@@ -721,7 +752,33 @@ class NeatsStore {
              idx.size(), [&] { AccessBatchLocked(idx, out); });
   }
 
- private:
+  /// AccessBatchBounded's body under the reader lock (taken or tried).
+  /// Probes past the end are dropped before the batch kernel sees them.
+  uint64_t AccessBatchBoundedLocked(std::span<const uint64_t> idx,
+                                    std::span<int64_t> out) const {
+    NEATS_DCHECK(idx.size() == out.size());
+    const uint64_t size = SizeImpl();
+    const size_t in = static_cast<size_t>(std::count_if(
+        idx.begin(), idx.end(), [size](uint64_t k) { return k < size; }));
+    if (in == 0) return size;
+    if (in == idx.size()) {
+      ObservedAccessBatchLocked(idx, out);
+      return size;
+    }
+    std::vector<uint64_t> kept;
+    kept.reserve(in);
+    for (uint64_t k : idx) {
+      if (k < size) kept.push_back(k);
+    }
+    std::vector<int64_t> values(in);
+    ObservedAccessBatchLocked(kept, values);
+    size_t at = 0;
+    for (size_t j = 0; j < idx.size(); ++j) {
+      if (idx[j] < size) out[j] = values[at++];
+    }
+    return size;
+  }
+
   /// AccessBatch body under the reader lock (the public wrapper only adds
   /// metrics around it).
   void AccessBatchLocked(std::span<const uint64_t> idx,

@@ -1,23 +1,31 @@
 // Tests for the network layer (src/net/): wire-protocol units (frames built
 // in place match AppendFrame byte for byte), the client/server loopback
-// round trip for every opcode and dialect, a slow small-window reader that
-// forces partial sends, a pipelined burst of small frames, the typed rejection of unrecognized first bytes,
-// admission-control shedding, graceful drain, the poll(2) fallback
-// backend, protocol hardening (the clobber/truncation/forged-length
-// sweeps mirroring the WAL/manifest fuzz pattern), and the multi-client
-// loopback concurrency test that runs under the ThreadSanitizer CI job.
+// round trip for every opcode and dialect, which requests the IO thread
+// answers itself and that it stays live while the store's writer holds its
+// lock, the client's buffered receive across frame and buffer boundaries,
+// a slow small-window reader that forces partial sends, a pipelined burst
+// of small frames, the typed rejection of unrecognized first bytes,
+// admission-control shedding, graceful drain, protocol hardening (the
+// clobber/truncation/forged-length sweeps mirroring the WAL/manifest fuzz
+// pattern), and the multi-client loopback concurrency test that runs under
+// the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "io/fault_fs.hpp"
 #include "json_doc.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
@@ -171,6 +179,44 @@ class NetTest : public ::testing::Test {
 
   Client Connect() { return Client::Connect("127.0.0.1", server_->port()); }
 
+  /// A server-side counter from the live registry.
+  uint64_t ServerCounter(const char* name) const {
+    const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+    const uint64_t* v = snap.counter(name);
+    return v == nullptr ? 0 : *v;
+  }
+
+  /// One write carrying an access frame per index (ids first_id, ...), so
+  /// the server parses them as one run.
+  static void SendAccessRound(const Client& c, std::span<const uint64_t> idx,
+                              uint64_t first_id) {
+    std::vector<uint8_t> frames;
+    for (size_t k = 0; k < idx.size(); ++k) {
+      std::vector<uint8_t> payload;
+      PayloadWriter w(&payload);
+      w.U64(idx[k]);
+      AppendFrame(&frames, Opcode::kAccess, 0, first_id + k, payload);
+    }
+    SendAll(c.fd(), frames);
+  }
+
+  /// Reads the answers to SendAccessRound: in request order, Truth for an
+  /// index below `size`, kOutOfRange past it.
+  static void ExpectAccessAnswers(Client& c, std::span<const uint64_t> idx,
+                                  uint64_t first_id, uint64_t size) {
+    for (size_t k = 0; k < idx.size(); ++k) {
+      const Client::Response r = c.ReadResponse();
+      ASSERT_EQ(r.id, first_id + k) << "responses must keep request order";
+      if (idx[k] >= size) {
+        EXPECT_EQ(r.status, WireStatus::kOutOfRange) << "index " << idx[k];
+        continue;
+      }
+      ASSERT_EQ(r.status, WireStatus::kOk) << "index " << idx[k];
+      PayloadReader reader(r.payload);
+      EXPECT_EQ(reader.I64(), Truth(idx[k])) << "index " << idx[k];
+    }
+  }
+
   /// The hostile-input probe: after feeding the server garbage, a fresh
   /// connection must still serve a correct response.
   void ExpectServerAlive() {
@@ -275,6 +321,246 @@ TEST_F(NetTest, PipelinedAccessesCoalesceAndAnswerInOrder) {
       doc.Find("server")->Find("counters")->Find("coalesce.batches");
   ASSERT_NE(batches, nullptr);
   EXPECT_GE(batches->number, 1.0);
+}
+
+// Ping and short Access runs are answered on the IO thread (exec.inline
+// counts each request); every other opcode, and a run longer than the
+// inline cap, executes on the pool and leaves exec.inline alone.
+TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
+  StartServer();
+  Client c = Connect();
+  std::vector<uint64_t> idx(8);
+  for (size_t k = 0; k < idx.size(); ++k) idx[k] = k * 2503 % kInitial;
+  SendAccessRound(c, idx, 1);
+  ExpectAccessAnswers(c, idx, 1, kInitial);
+  EXPECT_EQ(ServerCounter("exec.inline"), 8u);
+  EXPECT_EQ(ServerCounter("exec.writer_busy"), 0u);
+  c.Ping();
+  EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+
+  const std::vector<uint64_t> probes = {3, 19999, 4096};
+  EXPECT_EQ(c.AccessBatch(probes).size(), probes.size());
+  EXPECT_EQ(c.DecompressRange(4000, 200).size(), 200u);
+  const std::vector<IndexRange> ranges = {{0, 4}, {9000, 4}};
+  EXPECT_EQ(c.DecompressRanges(ranges).size(), 8u);
+  int64_t want = 0;
+  for (uint64_t k = 10; k < 9010; ++k) want += Truth(k);
+  EXPECT_EQ(c.RangeSum(10, 9000), want);
+  EXPECT_EQ(c.Size(), kInitial);
+  (void)c.Stats();
+  EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+
+  // 100 accesses in one write: one run past the inline cap, so the pool
+  // answers it as one coalesced batch.
+  std::vector<uint64_t> long_run(100);
+  for (size_t k = 0; k < long_run.size(); ++k) {
+    long_run[k] = k * 389 % kInitial;
+  }
+  const uint64_t batches = ServerCounter("coalesce.batches");
+  SendAccessRound(c, long_run, 1000);
+  ExpectAccessAnswers(c, long_run, 1000, kInitial);
+  EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+  EXPECT_EQ(ServerCounter("coalesce.batches"), batches + 1);
+  EXPECT_EQ(ServerCounter("exec.writer_busy"), 0u);
+}
+
+// An inline run that mixes in-range and past-size probes answers every
+// request in order, the past-size ones with kOutOfRange.
+TEST_F(NetTest, InlineRunMixingPastSizeProbesAnswersInOrder) {
+  StartServer();
+  Client c = Connect();
+  const std::vector<uint64_t> idx = {kInitial,     7,           kInitial - 1,
+                                     kInitial + 5, uint64_t{0}, ~uint64_t{0},
+                                     12345,        kInitial};
+  SendAccessRound(c, idx, 50);
+  ExpectAccessAnswers(c, idx, 50, kInitial);
+  EXPECT_EQ(ServerCounter("exec.inline"), idx.size());
+  // All past the end: nothing reaches the store, every answer is typed.
+  const std::vector<uint64_t> past = {kInitial, kInitial + 1};
+  SendAccessRound(c, past, 90);
+  ExpectAccessAnswers(c, past, 90, kInitial);
+  EXPECT_EQ(ServerCounter("exec.inline"), idx.size() + past.size());
+}
+
+/// A filesystem whose WAL Sync blocks while the gate is shut, so an Append
+/// parks inside its WAL fsync holding the store's writer lock.
+class GatedWalFs final : public io::FileSystem {
+ public:
+  explicit GatedWalFs(io::FileSystem& base) : base_(base) {}
+
+  void Shut() {
+    std::lock_guard<std::mutex> lk(mu_);
+    shut_ = true;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      shut_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Waits until a WAL Sync is parked at the shut gate.
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return parked_ > 0; });
+  }
+
+  std::unique_ptr<io::WritableFile> Create(const std::string& path) override {
+    return Wrap(path, base_.Create(path));
+  }
+  std::unique_ptr<io::WritableFile> OpenAppend(
+      const std::string& path) override {
+    return Wrap(path, base_.OpenAppend(path));
+  }
+  io::MappedRegion OpenRead(const std::string& path) override {
+    return base_.OpenRead(path);
+  }
+  bool Exists(const std::string& path) override { return base_.Exists(path); }
+  uint64_t FileSize(const std::string& path) override {
+    return base_.FileSize(path);
+  }
+  void Rename(const std::string& from, const std::string& to) override {
+    base_.Rename(from, to);
+  }
+  void Remove(const std::string& path) override { base_.Remove(path); }
+  void SyncDir(const std::string& dir) override { base_.SyncDir(dir); }
+  void CreateDirs(const std::string& dir) override { base_.CreateDirs(dir); }
+
+ private:
+  class GatedFile final : public io::WritableFile {
+   public:
+    GatedFile(GatedWalFs& fs, std::unique_ptr<io::WritableFile> file)
+        : fs_(fs), file_(std::move(file)) {}
+    void Write(std::span<const uint8_t> bytes) override {
+      file_->Write(bytes);
+    }
+    void Sync() override {
+      {
+        std::unique_lock<std::mutex> lk(fs_.mu_);
+        ++fs_.parked_;
+        fs_.cv_.notify_all();
+        fs_.cv_.wait(lk, [&] { return !fs_.shut_; });
+        --fs_.parked_;
+      }
+      file_->Sync();
+    }
+    void Close() override { file_->Close(); }
+
+   private:
+    GatedWalFs& fs_;
+    std::unique_ptr<io::WritableFile> file_;
+  };
+
+  std::unique_ptr<io::WritableFile> Wrap(
+      const std::string& path, std::unique_ptr<io::WritableFile> file) {
+    if (path.find(WalFileName()) == std::string::npos) return file;
+    return std::make_unique<GatedFile>(*this, std::move(file));
+  }
+
+  io::FileSystem& base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool shut_ = false;
+  int parked_ = 0;
+};
+
+// The IO thread never waits on the store's writer lock: while an Append
+// is parked in its WAL fsync, pings still round-trip, and an Access run
+// sent meanwhile goes to the pool (exec.writer_busy) and answers correctly
+// once the writer lets go.
+TEST_F(NetTest, IoThreadStaysLiveWhileTheWriterHoldsTheLock) {
+  io::FaultFs disk;
+  GatedWalFs fs(disk);
+  NeatsStoreOptions store_options;
+  store_options.shard_size = 4096;
+  store_options.log_sink = obs::NullLogSink();
+  store_options.fs = &fs;
+  store_ = std::make_unique<NeatsStore>(
+      NeatsStore::CreateDir("/gated", store_options));
+  std::vector<int64_t> values;
+  for (uint64_t i = 0; i < kInitial; ++i) values.push_back(Truth(i));
+  store_->Append(values);
+  store_->Flush();
+  server_ = std::make_unique<NeatsServer>(*store_);
+  server_->Start();
+  Client pinger = Connect();
+  Client reader = Connect();
+  const timeval timeout{30, 0};  // a stalled IO thread fails, not hangs
+  for (const Client* c : {&pinger, &reader}) {
+    ASSERT_EQ(::setsockopt(c->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+  }
+
+  fs.Shut();
+  std::thread appender([&] {
+    std::vector<int64_t> more;
+    for (uint64_t i = kInitial; i < kInitial + 512; ++i) {
+      more.push_back(Truth(i));
+    }
+    store_->Append(more);
+  });
+  struct Release {  // opens the gate and joins even if an assert returns
+    GatedWalFs& fs;
+    std::thread& t;
+    ~Release() {
+      fs.Open();
+      if (t.joinable()) t.join();
+    }
+  } release{fs, appender};
+  fs.AwaitParked();
+
+  pinger.Ping();
+  std::vector<uint64_t> idx(8);
+  for (size_t k = 0; k < idx.size(); ++k) idx[k] = k * 2503 % kInitial;
+  SendAccessRound(reader, idx, 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (ServerCounter("exec.writer_busy") == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the access run never met the busy writer";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pinger.Ping();  // still live while a worker waits for the lock
+
+  fs.Open();
+  appender.join();
+  ExpectAccessAnswers(reader, idx, 1, kInitial);
+  EXPECT_GE(ServerCounter("exec.writer_busy"), 1u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 2u);  // the two pings
+  EXPECT_EQ(reader.Access(kInitial + 511), Truth(kInitial + 511));
+}
+
+// The client's receive buffer: a pipelined mix of small frames and frames
+// larger than the buffer's starting size, read back frame by frame across
+// refills, moves and growth.
+TEST_F(NetTest, ClientReadsPipelinedFramesAcrossBufferRefills) {
+  StartServer();
+  Client c = Connect();
+  std::vector<uint8_t> frames;
+  std::vector<uint64_t> lens;
+  for (uint64_t k = 0; k < 12; ++k) {
+    const uint64_t len = k % 3 == 0 ? 12000 : 1 + k * 37;  // 96000 B or few
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.U64(k * 500);
+    w.U64(len);
+    AppendFrame(&frames, Opcode::kDecompressRange, 0, 1 + k, payload);
+    lens.push_back(len);
+  }
+  SendAll(c.fd(), frames);
+  Client moved = std::move(c);  // the buffer travels with the connection
+  for (uint64_t k = 0; k < lens.size(); ++k) {
+    const Client::Response r = moved.ReadResponse();
+    ASSERT_EQ(r.id, 1 + k);
+    ASSERT_EQ(r.status, WireStatus::kOk);
+    ASSERT_EQ(r.payload.size(), lens[k] * 8);
+    PayloadReader reader(r.payload);
+    for (uint64_t j = 0; j < lens[k]; ++j) {
+      ASSERT_EQ(reader.I64(), Truth(k * 500 + j));
+    }
+  }
+  EXPECT_EQ(moved.Access(5), Truth(5));
 }
 
 TEST_F(NetTest, AdmissionGateShedsWithTypedOverload) {
@@ -383,18 +669,6 @@ TEST_F(NetTest, GracefulDrainFinishesInFlightWork) {
   server_->Stop();
   // The listener is gone after the drain.
   EXPECT_THROW((void)Client::Connect("127.0.0.1", server_->port()), Error);
-}
-
-TEST_F(NetTest, PollBackendServesTheSameProtocol) {
-  NeatsServerOptions options;
-  options.use_poll = true;
-  StartServer(options);
-  Client c = Connect();
-  EXPECT_EQ(c.Access(11), Truth(11));
-  std::vector<uint64_t> idx = {1, 2, 3};
-  EXPECT_EQ(c.AccessBatch(idx).size(), 3u);
-  EXPECT_EQ(c.Size(), kInitial);
-  ExpectServerAlive();
 }
 
 // A reader with a small receive window that drains slowly: the pipelined

@@ -43,7 +43,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--dir DIR | --synthetic N] [--dataset CODE] [--host H]\n"
       "          [--port P] [--port-file FILE] [--workers N]\n"
-      "          [--max-inflight N] [--idle-timeout-ms MS] [--use-poll]\n",
+      "          [--max-inflight N] [--idle-timeout-ms MS]\n",
       argv0);
   return 2;
 }
@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--idle-timeout-ms") {
       options.idle_timeout_ms =
           static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--use-poll") {
-      options.use_poll = true;
     } else {
       return Usage(argv[0]);
     }
