@@ -14,20 +14,22 @@
 //                │     here: ONE non-blocking store TryAccessBatch call,
 //                │     responses queued straight onto the send queue
 //                │   - everything else — and a run that found the store's
-//                │     writer holding its lock — becomes the connection's
-//                │     one work item on the pool
+//                │     writer holding its lock exclusively — becomes the
+//                │     connection's one work item on the pool
 //                ▼
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
 //                │  executes against the store under its shared reader
-//                │  lock (waiting out a live Append()er if it must) into
+//                │  lock (waiting out a writer's publication if it must),
+//                │  bound check and query in one hold, into
 //                │  one response buffer, then hands that buffer back
 //                │  through the completion list + wake pipe
 //                ▼
 //             [ IO thread: send queue, backpressure, timeouts ]
 //
-// The IO thread never waits on the store's writer lock: Append holds it
-// across the WAL fsync and Flush for its whole drain, and a stalled IO
-// thread would stall every connection. A short read whose try-lock fails
+// The IO thread never waits on the store's writer lock: the writer holds
+// it exclusively only to publish (Append's WAL fsync and Flush's drain run
+// outside it) and Scrub for its whole run, but a stalled IO thread would
+// stall every connection even for that. A short read whose try-lock fails
 // simply takes the pool path.
 //
 // One buffer per response: whoever answers reserves the 24-byte frame
@@ -68,6 +70,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -1024,19 +1027,18 @@ class NeatsServer {
           return;
         }
         case Opcode::kAccessBatch: {
-          const uint64_t size = store_.size();
-          for (uint64_t i : req.idx) {
-            if (i >= size) {
-              AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
-                          "probe past store size", out);
-              return;
-            }
+          // Bound-checked in the batch's own reader-lock hold.
+          const bool answered = AppendValuesResponse(
+              req.op, req.id, req.idx.size(), out, [&](int64_t* values) {
+                const uint64_t size = store_.AccessBatchBounded(
+                    req.idx, {values, req.idx.size()});
+                return std::ranges::all_of(
+                    req.idx, [size](uint64_t i) { return i < size; });
+              });
+          if (!answered) {
+            AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
+                        "probe past store size", out);
           }
-          AppendValuesResponse(req.op, req.id, req.idx.size(), out,
-                               [&](int64_t* values) {
-                                 store_.AccessBatch(
-                                     req.idx, {values, req.idx.size()});
-                               });
           return;
         }
         case Opcode::kDecompressRange:
@@ -1049,36 +1051,51 @@ class NeatsServer {
           } else {
             ranges = {&single, 1};
           }
-          const uint64_t size = store_.size();
+          // The frame cap depends on the request alone; the store's bounds
+          // are checked in the query's own lock hold. The first range that
+          // is past the end or overflows the frame decides the error, the
+          // bound first.
+          const uint64_t cap = req.op == Opcode::kRangeSum
+                                   ? UINT64_MAX
+                                   : options_.max_frame_bytes / 8;
+          size_t fits = 0;  // leading ranges the response frame holds
           uint64_t total = 0;
-          for (const IndexRange& r : ranges) {
-            if (r.len > size || r.from > size - r.len) {
+          while (fits < ranges.size() && ranges[fits].len <= cap - total) {
+            total += ranges[fits++].len;
+          }
+          if (fits < ranges.size()) {
+            const uint64_t size = store_.size();
+            const bool past = std::any_of(
+                ranges.begin(), ranges.begin() + fits + 1,
+                [size](const IndexRange& r) {
+                  return r.len > size || r.from > size - r.len;
+                });
+            if (past) {
               AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
                           "range past store size", out);
-              return;
-            }
-            total += r.len;
-            if (req.op != Opcode::kRangeSum &&
-                total > options_.max_frame_bytes / 8) {
+            } else {
               AppendError(mode, req.op, req.id, WireStatus::kBadRequest,
                           "response would exceed max_frame_bytes", out);
-              return;
             }
-          }
-          if (req.op == Opcode::kRangeSum) {
-            AppendValueResponse(req.id, store_.RangeSum(req.a, req.b), out,
-                                /*sum=*/true);
             return;
           }
-          AppendValuesResponse(req.op, req.id, total, out,
-                               [&](int64_t* values) {
-                                 if (req.op == Opcode::kDecompressRange) {
-                                   store_.DecompressRange(req.a, req.b,
-                                                          values);
-                                 } else {
-                                   store_.DecompressRanges(ranges, values);
-                                 }
-                               });
+          bool answered = false;
+          if (req.op == Opcode::kRangeSum) {
+            if (const std::optional<int64_t> sum =
+                    store_.RangeSumBounded(req.a, req.b)) {
+              AppendValueResponse(req.id, *sum, out, /*sum=*/true);
+              answered = true;
+            }
+          } else {
+            answered = AppendValuesResponse(
+                req.op, req.id, total, out, [&](int64_t* values) {
+                  return store_.DecompressRangesBounded(ranges, values);
+                });
+          }
+          if (!answered) {
+            AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
+                        "range past store size", out);
+          }
           return;
         }
       }
@@ -1110,9 +1127,10 @@ class NeatsServer {
 
   /// A kOk frame of `n` int64 values that `fill` writes straight into the
   /// frame's payload (the wire's little-endian int64 is the host layout).
-  /// If `fill` throws, `out` is left as it was.
+  /// If `fill` returns false (it answered nothing) or throws, `out` is left
+  /// as it was; returns what `fill` did.
   template <class Fill>
-  void AppendValuesResponse(Opcode op, uint64_t id, size_t n, Buffer* out,
+  bool AppendValuesResponse(Opcode op, uint64_t id, size_t n, Buffer* out,
                             const Fill& fill) {
     const size_t at = out->size();
     out->resize(at + kFrameHeaderBytes + n * 8);
@@ -1120,14 +1138,20 @@ class NeatsServer {
     uint8_t* payload = frame + kFrameHeaderBytes;
     NEATS_DCHECK(reinterpret_cast<uintptr_t>(payload) % alignof(int64_t) ==
                  0);
+    bool filled = false;
     try {
-      fill(reinterpret_cast<int64_t*>(payload));
+      filled = fill(reinterpret_cast<int64_t*>(payload));
     } catch (...) {
       out->resize(at);
       throw;
     }
+    if (!filled) {
+      out->resize(at);
+      return false;
+    }
     FinishFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
                 n * 8);
+    return true;
   }
 
   static void AppendText(Buffer* out, std::string_view text) {

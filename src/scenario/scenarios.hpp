@@ -184,7 +184,7 @@ inline void SteadyIngestPointStorm(ScenarioContext& ctx) {
 /// Dashboard refreshes over a flushed ALP store: every refresh is one
 /// DecompressRanges fan-out of several panel ranges plus a RangeSum,
 /// verified value-for-value / against prefix sums, while a trickle
-/// appender keeps the writer lock warm in the background.
+/// appender keeps the writer publishing in the background.
 inline void DashboardFanout(ScenarioContext& ctx) {
   const uint64_t n = 32768 * ctx.scale();
   const uint64_t trickle = 2048 * ctx.scale();

@@ -66,16 +66,24 @@
 //   ApproximateRangeSum    combined across the covered shards
 //
 // Threading contract: single writer, many readers. One thread at a time may
-// mutate the store (Append/Flush/Scrub — they take the store's writer lock);
-// any number of threads may run const queries concurrently — with each other,
-// with the background seals, *and* with the writer (queries take the reader
-// side of the same lock, so they see the topology either before or after a
-// mutation, never mid-flight). TryAccessBatch is the one query that never
-// waits for the writer: while the writer holds the lock it returns at once,
-// unanswered (the server's IO thread relies on that). The scenario engine
-// (src/scenario/) drives exactly this shape — concurrent appenders/readers
-// with every read verified — under ThreadSanitizer in CI. Moves and
-// destruction still require outside quiescence, like any standard container.
+// mutate the store (Append/Flush/Scrub serialize on the store's writer
+// mutex); any number of threads may run const queries concurrently — with
+// each other, with the background seals, *and* with the writer. Queries
+// take the reader side of a second lock, and the writer takes its
+// exclusive side only to publish in-memory state (cut a chunk, promote
+// finished seals, extend the tail), never across IO: Append's WAL write
+// and fsync, Flush's seal drain and its manifest and WAL writes run under
+// the writer mutex alone, so a reader waits at most one publication, not
+// an fsync. Queries see the topology before or after each publication,
+// never mid-flight, and a value becomes visible only once its WAL record
+// is durable. Scrub alone holds the exclusive side for its whole run.
+// TryAccessBatch is the one query that never waits: while the writer
+// publishes (or Scrub runs) it returns at once, unanswered (the server's
+// IO thread relies on that). The "lock.exclusive_hold" histogram times
+// every exclusive hold. The scenario engine (src/scenario/) drives exactly
+// this shape — concurrent appenders/readers with every read verified —
+// under ThreadSanitizer in CI. Moves and destruction still require outside
+// quiescence, like any standard container.
 
 #pragma once
 
@@ -220,7 +228,7 @@ struct StoreObs {
   obs::GaugeId g_size, g_shards, g_pending, g_tail, g_quarantined,
       g_cache_entries, g_cache_bytes;
   obs::HistogramId h_access, h_batch, h_range, h_sum, h_append, h_flush,
-      h_seal, h_scrub;
+      h_seal, h_scrub, h_exclusive_hold;
 
   StoreObs(uint32_t sample, obs::LogSink log_sink)
       : recorder(kTraceEvents),
@@ -267,6 +275,7 @@ struct StoreObs {
     h_flush = registry.AddHistogram("flush");
     h_seal = registry.AddHistogram("seal");
     h_scrub = registry.AddHistogram("scrub");
+    h_exclusive_hold = registry.AddHistogram("lock.exclusive_hold");
   }
 
   void Trace(obs::EventId op, obs::TraceTier tier, uint16_t status,
@@ -445,10 +454,11 @@ class NeatsStore {
   NeatsStore& operator=(NeatsStore&& o) {
     if (this != &o) {
       if (pool_ != nullptr) pool_->DrainTasks();
-      // The destination keeps its own lock object (a moved-from source may
-      // have lost its to a move construction); both stores must be quiescent
-      // here anyway.
+      // The destination keeps its own lock objects (a moved-from source
+      // may have lost its to a move construction); both stores must be
+      // quiescent here anyway.
       if (mu_ == nullptr) mu_ = std::make_unique<std::shared_mutex>();
+      if (writer_mu_ == nullptr) writer_mu_ = std::make_unique<std::mutex>();
       options_ = std::move(o.options_);
       dir_ = std::move(o.dir_);
       fs_ = o.fs_;
@@ -489,13 +499,16 @@ class NeatsStore {
   /// append path on a compressor.
   ///
   /// Directory-backed stores log the values to the WAL and fsync it before
-  /// anything else — when Append returns, the data survives a crash.
+  /// any query can see them — when Append returns, the data survives a
+  /// crash. The log write and fsync hold only the writer mutex, so queries
+  /// keep serving the values acked before them meanwhile.
   void Append(std::span<const int64_t> values) {
-    std::unique_lock<std::shared_mutex> lock(*mu_);
+    std::lock_guard<std::mutex> writer(*writer_mu_);
     Observed(obs::EventId::kAppend, &StoreObs::h_append, SizeImpl(),
              values.size(), [&] {
                PromoteSealed();
                LogToWal(values);
+               ExclusiveHold hold(*this);
                AppendImpl(values);
              });
     // Counted after the body so the counters mean *acked* appends (a
@@ -513,7 +526,7 @@ class NeatsStore {
   /// every value lives in a sealed shard; appending may continue (new
   /// shards, manifest rewritten by the next Flush).
   void Flush() {
-    std::unique_lock<std::shared_mutex> lock(*mu_);
+    std::lock_guard<std::mutex> writer(*writer_mu_);
     // A flush moves values between tiers but never changes SizeImpl().
     Observed(obs::EventId::kFlush, &StoreObs::h_flush, SizeImpl(), 0,
              [&] { FlushLocked(); });
@@ -545,7 +558,8 @@ class NeatsStore {
   /// `scrub.calls`; one that throws (a repair's blob write failing, say)
   /// also counts an error and traces its status.
   const RepairReport& Scrub() {
-    std::unique_lock<std::shared_mutex> lock(*mu_);
+    std::lock_guard<std::mutex> writer(*writer_mu_);
+    ExclusiveHold hold(*this);  // quarantine and repair swap shards in place
     NEATS_REQUIRE(!dir_.empty(), "Scrub requires a directory-backed store");
     if (obs_ != nullptr) obs_->registry.Count(obs_->c_scrub_calls);
     Observed(obs::EventId::kScrub, &StoreObs::h_scrub, shards_.size(), 0,
@@ -730,9 +744,10 @@ class NeatsStore {
   }
 
   /// AccessBatchBounded for a thread that must never wait on the writer:
-  /// Append holds the writer lock across the WAL fsync and Flush for the
-  /// whole drain, so while the writer holds it this returns nullopt and
-  /// touches nothing (no probe answered, no metric counted).
+  /// while the writer holds the lock exclusively — publishing a change, or
+  /// for a whole Scrub — this returns nullopt and touches nothing (no probe
+  /// answered, no metric counted). Append's WAL fsync and Flush's seal
+  /// drain do not hold it, so during those it answers.
   std::optional<uint64_t> TryAccessBatch(std::span<const uint64_t> idx,
                                          std::span<int64_t> out) const {
     std::shared_lock<std::shared_mutex> lock(*mu_, std::try_to_lock);
@@ -856,6 +871,27 @@ class NeatsStore {
   void DecompressRanges(std::span<const IndexRange> ranges,
                         int64_t* out) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
+    ObservedDecompressRangesLocked(ranges, out);
+  }
+
+  /// DecompressRanges over ranges that may reach past the end, bound-checked
+  /// in the same reader-lock hold that decodes them: false, with nothing
+  /// decoded or counted, when any range ends past size().
+  bool DecompressRangesBounded(std::span<const IndexRange> ranges,
+                               int64_t* out) const {
+    std::shared_lock<std::shared_mutex> lock(*mu_);
+    for (const IndexRange& r : ranges) {
+      if (!InBounds(r)) return false;
+    }
+    ObservedDecompressRangesLocked(ranges, out);
+    return true;
+  }
+
+ private:
+  /// DecompressRanges' counters and metrics wrapper around
+  /// DecompressRangesLocked.
+  void ObservedDecompressRangesLocked(std::span<const IndexRange> ranges,
+                                      int64_t* out) const {
     uint64_t values = 0;
     if (StoreObs* ob = obs_.get()) {
       for (const IndexRange& r : ranges) values += r.len;
@@ -867,7 +903,13 @@ class NeatsStore {
              [&] { DecompressRangesLocked(ranges, out); });
   }
 
- private:
+  /// True when r lies inside [0, size()), written so that no from + len
+  /// can wrap.
+  bool InBounds(const IndexRange& r) const {
+    const uint64_t size = SizeImpl();
+    return r.len <= size && r.from <= size - r.len;
+  }
+
   struct Shard;  // defined below, with the rest of the shard machinery
 
   /// One sealed shard's slice of a multi-range query: the shard-local
@@ -942,8 +984,9 @@ class NeatsStore {
     }
   }
 
-  /// DecompressRange(s) body under the reader lock (either side: RebuildWal
-  /// calls in here holding the writer lock). Builds the per-shard groups
+  /// DecompressRange(s) body under the reader lock (or under the writer
+  /// mutex alone: RebuildWal calls in here, and only writers change what
+  /// it reads). Builds the per-shard groups
   /// sequentially — routing errors (quarantine) surface here, before any
   /// parallel work starts — then runs them through RunShardTasks.
   /// Not-yet-sealed spans are copied inline during the build; they live in
@@ -981,6 +1024,20 @@ class NeatsStore {
   /// Exact sum over values[from, from + len), combined across shards.
   int64_t RangeSum(uint64_t from, uint64_t len) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
+    return ObservedRangeSumLocked(from, len);
+  }
+
+  /// RangeSum bound-checked in the same reader-lock hold: nullopt, with
+  /// nothing counted, when the range ends past size().
+  std::optional<int64_t> RangeSumBounded(uint64_t from, uint64_t len) const {
+    std::shared_lock<std::shared_mutex> lock(*mu_);
+    if (!InBounds({from, len})) return std::nullopt;
+    return ObservedRangeSumLocked(from, len);
+  }
+
+ private:
+  /// RangeSum's counters and metrics wrapper around RangeSumLocked.
+  int64_t ObservedRangeSumLocked(uint64_t from, uint64_t len) const {
     if (StoreObs* ob = obs_.get()) {
       ob->registry.Count(ob->c_sum_calls);
       ob->registry.Count(ob->c_sum_values, len);
@@ -989,7 +1046,6 @@ class NeatsStore {
                     [&] { return RangeSumLocked(from, len); });
   }
 
- private:
   /// RangeSum body under the reader lock. A sum spanning several sealed
   /// shards takes one partial sum per shard through RunShardTasks; int64
   /// addition is associative, so the partials accumulated in segment order
@@ -1056,7 +1112,7 @@ class NeatsStore {
 
  private:
   /// size() without the reader lock — for callers already holding either
-  /// side of mu_.
+  /// side of mu_, or the writer mutex (only writers change the size).
   uint64_t SizeImpl() const {
     return sealed_total_ + pending_total_ + tail_.size();
   }
@@ -1344,41 +1400,60 @@ class NeatsStore {
   /// are re-opened zero-copy from the blob the seal task just wrote,
   /// through the verified open, so they never hold the owned
   /// representation; everything else keeps the owned object from the seal.
-  /// The raw chunk memory is released here.
+  /// The raw chunk memory is released here. The shards are made ready
+  /// under the writer mutex alone (readers never look at a chunk's seal
+  /// results), and one exclusive hold publishes them.
   void PromoteSealed() {
-    while (!pending_.empty() &&
-           pending_.front()->done.load(std::memory_order_acquire)) {
-      PendingChunk& c = *pending_.front();
-      // A failed seal — or a written blob that fails the verified open
-      // below — surfaces here, on the caller's thread, as the same
-      // neats::Error contract every loader uses (the facade turns it into
-      // a Status). The chunk stays pending — its raw values keep serving
-      // queries, and every later Append/Flush re-reports the failure.
-      if (!c.error.empty()) {
-        throw Error("background seal failed: " + c.error, c.error_code);
+    std::vector<Shard> ready;
+    std::exception_ptr failure;
+    try {
+      for (const auto& chunk : pending_) {
+        PendingChunk& c = *chunk;
+        if (!c.done.load(std::memory_order_acquire)) break;
+        // A failed seal — or a written blob that fails the verified open
+        // below — surfaces here, on the caller's thread, as the same
+        // neats::Error contract every loader uses (the facade turns it
+        // into a Status). The chunk stays pending — its raw values keep
+        // serving queries, and every later Append/Flush re-reports the
+        // failure; the seals before it are still promoted.
+        if (!c.error.empty()) {
+          throw Error("background seal failed: " + c.error, c.error_code);
+        }
+        Shard s;
+        s.first = c.first;
+        s.count = c.values.size();
+        s.blob_bytes = c.blob_bytes;
+        s.codec = c.codec;
+        s.crc = c.crc;
+        if (!dir_.empty() && CodecRegistry::ZeroCopyView(c.codec)) {
+          OpenShardBlob(c.ordinal, &s);
+        } else {
+          s.series = std::move(c.sealed);
+        }
+        ready.push_back(std::move(s));
       }
-      Shard s;
-      s.first = c.first;
-      s.count = c.values.size();
-      s.blob_bytes = c.blob_bytes;
-      s.codec = c.codec;
-      s.crc = c.crc;
-      if (!dir_.empty() && CodecRegistry::ZeroCopyView(c.codec)) {
-        OpenShardBlob(c.ordinal, &s);
-      } else {
-        s.series = std::move(c.sealed);
-      }
-      sealed_total_ += s.count;
-      pending_total_ -= s.count;
-      shards_.push_back(std::move(s));
-      pending_.pop_front();
+    } catch (...) {
+      failure = std::current_exception();
     }
+    if (!ready.empty()) {
+      ExclusiveHold hold(*this);
+      for (Shard& s : ready) {
+        sealed_total_ += s.count;
+        pending_total_ -= s.count;
+        shards_.push_back(std::move(s));
+        pending_.pop_front();
+      }
+    }
+    if (failure) std::rethrow_exception(failure);
   }
 
-  /// Flush body under the writer lock (the public wrapper only adds
-  /// metrics around it).
+  /// Flush body under the writer mutex (the public wrapper only adds
+  /// metrics around it). Only cutting the tail and promoting take the
+  /// exclusive side of mu_: the drain waits on seal tasks, which never
+  /// touch it, and the manifest and WAL are the writer's alone.
   void FlushLocked() {
     if (!tail_.empty()) {
+      ExclusiveHold hold(*this);
       SealChunk(std::move(tail_));
       tail_ = {};
     }
@@ -1755,13 +1830,46 @@ class NeatsStore {
   // const query paths may populate it concurrently.
   std::unique_ptr<DecodedBlockCache> cache_;
 
-  // The single-writer/multi-reader lock over the store topology: queries
-  // take it shared, Append/Flush/Scrub exclusive. Heap-allocated so the
-  // store stays movable (moves require outside quiescence, as before);
-  // the writer keeps it across a whole mutation — including a Flush's seal
-  // drain — so readers observe every promotion atomically.
+  // Serializes the writers (Append, Flush, Scrub) and guards what only
+  // they touch: wal_, wal_dirty_, manifest_total_, next_ordinal_ and the
+  // pending chunks' seal results. Taken before mu_, never after it.
+  // Heap-allocated, like mu_, so the store stays movable.
+  std::unique_ptr<std::mutex> writer_mu_ = std::make_unique<std::mutex>();
+
+  // The reader/writer lock over the in-memory state queries read (shards_,
+  // the pending queue, the tail and the totals): queries take it shared,
+  // and a writer holding writer_mu_ takes it exclusively only to publish a
+  // change (ExclusiveHold), never across IO — a WAL fsync, a seal drain, a
+  // manifest write — so readers wait at most one publication. Scrub is the
+  // exception: it holds it for its whole run. Heap-allocated so the store
+  // stays movable (moves require outside quiescence, as before).
   mutable std::unique_ptr<std::shared_mutex> mu_ =
       std::make_unique<std::shared_mutex>();
+
+  /// The writer's one way to publish in-memory state: an exclusive hold of
+  /// mu_ (taken under writer_mu_), timed from acquisition to release into
+  /// the "lock.exclusive_hold" histogram — the longest a reader arriving
+  /// meanwhile could have waited.
+  class ExclusiveHold {
+   public:
+    explicit ExclusiveHold(const NeatsStore& store)
+        : obs_(store.obs_.get()),
+          lock_(*store.mu_),
+          t0_(obs_ != nullptr ? obs::NowNs() : 0) {}
+    ExclusiveHold(const ExclusiveHold&) = delete;
+    ExclusiveHold& operator=(const ExclusiveHold&) = delete;
+    ~ExclusiveHold() {
+      if (obs_ == nullptr) return;
+      const uint64_t dur = obs::NowNs() - t0_;
+      lock_.unlock();
+      obs_->registry.Record(obs_->h_exclusive_hold, dur);
+    }
+
+   private:
+    StoreObs* obs_;
+    std::unique_lock<std::shared_mutex> lock_;
+    uint64_t t0_;
+  };
 
   // Declared last so it is destroyed first: no worker can outlive the
   // chunks its tasks reference. (~NeatsStore drains explicitly anyway.)

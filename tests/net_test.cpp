@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "gated_fs.hpp"
 #include "io/fault_fs.hpp"
 #include "json_doc.hpp"
 #include "net/client.hpp"
@@ -36,6 +37,7 @@
 namespace neats::net {
 namespace {
 
+using testing::GatedFs;
 using testing::JsonValue;
 using testing::ParseJson;
 
@@ -283,6 +285,68 @@ TEST_F(NetTest, TypedErrorsComeBackTyped) {
   }
 }
 
+// A request past the store's end or the response frame cap keeps its wire
+// status and message. The bound is checked in the query's own reader-lock
+// hold; where a request fails both checks, the first failing range decides,
+// its bound before its length.
+TEST_F(NetTest, BoundAndFrameChecksKeepTheirStatusAndMessage) {
+  NeatsServerOptions options;
+  options.max_frame_bytes = 4096;  // responses of at most 512 values
+  StartServer(options);
+  Client c = Connect();
+  const auto expect = [&](Opcode op, const std::vector<uint64_t>& words,
+                          WireStatus status, const std::string& message) {
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    const bool counted =
+        op == Opcode::kAccessBatch || op == Opcode::kDecompressRanges;
+    if (counted) {
+      const size_t n = op == Opcode::kAccessBatch ? words.size()
+                                                  : words.size() / 2;
+      w.U32(static_cast<uint32_t>(n));
+    }
+    for (uint64_t v : words) w.U64(v);
+    const Client::Response r = c.Call(op, payload);
+    EXPECT_EQ(r.status, status) << OpcodeName(op);
+    EXPECT_EQ(std::string(r.payload.begin(), r.payload.end()), message)
+        << OpcodeName(op);
+  };
+  const std::string past_probe = "probe past store size";
+  const std::string past_range = "range past store size";
+  const std::string too_big = "response would exceed max_frame_bytes";
+  constexpr uint64_t kAll = ~uint64_t{0};
+  expect(Opcode::kAccessBatch, {1, kInitial, 2}, WireStatus::kOutOfRange,
+         past_probe);
+  expect(Opcode::kDecompressRange, {kInitial - 5, 10},
+         WireStatus::kOutOfRange, past_range);
+  expect(Opcode::kRangeSum, {kInitial - 5, 10}, WireStatus::kOutOfRange,
+         past_range);
+  expect(Opcode::kRangeSum, {5, kAll}, WireStatus::kOutOfRange, past_range);
+  expect(Opcode::kDecompressRange, {0, 600}, WireStatus::kBadRequest,
+         too_big);
+  expect(Opcode::kDecompressRanges, {kInitial, 1, 0, 600},
+         WireStatus::kOutOfRange, past_range);
+  expect(Opcode::kDecompressRanges, {0, 600, kInitial, 1},
+         WireStatus::kBadRequest, too_big);
+  expect(Opcode::kDecompressRanges, {0, 500, kInitial - 5, 100},
+         WireStatus::kOutOfRange, past_range);
+  expect(Opcode::kDecompressRanges, {0, 10, 1, kAll},
+         WireStatus::kOutOfRange, past_range);
+  // In bounds and under the cap, the same requests answer.
+  EXPECT_EQ(c.RangeSum(kInitial - 10, 10), [] {
+    int64_t sum = 0;
+    for (uint64_t i = kInitial - 10; i < kInitial; ++i) sum += Truth(i);
+    return sum;
+  }());
+  const std::vector<IndexRange> ranges = {{0, 500}, {kInitial - 12, 12}};
+  const std::vector<int64_t> got = c.DecompressRanges(ranges);
+  ASSERT_EQ(got.size(), 512u);
+  EXPECT_EQ(got[0], Truth(0));
+  EXPECT_EQ(got[511], Truth(kInitial - 1));
+  EXPECT_EQ(c.AccessBatch(std::vector<uint64_t>{kInitial - 1}),
+            std::vector<int64_t>{Truth(kInitial - 1)});
+}
+
 TEST_F(NetTest, PipelinedAccessesCoalesceAndAnswerInOrder) {
   NeatsServerOptions options;
   options.worker_threads = 0;  // inline execution: deterministic batching
@@ -382,95 +446,13 @@ TEST_F(NetTest, InlineRunMixingPastSizeProbesAnswersInOrder) {
   EXPECT_EQ(ServerCounter("exec.inline"), idx.size() + past.size());
 }
 
-/// A filesystem whose WAL Sync blocks while the gate is shut, so an Append
-/// parks inside its WAL fsync holding the store's writer lock.
-class GatedWalFs final : public io::FileSystem {
- public:
-  explicit GatedWalFs(io::FileSystem& base) : base_(base) {}
-
-  void Shut() {
-    std::lock_guard<std::mutex> lk(mu_);
-    shut_ = true;
-  }
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shut_ = false;
-    }
-    cv_.notify_all();
-  }
-  /// Waits until a WAL Sync is parked at the shut gate.
-  void AwaitParked() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return parked_ > 0; });
-  }
-
-  std::unique_ptr<io::WritableFile> Create(const std::string& path) override {
-    return Wrap(path, base_.Create(path));
-  }
-  std::unique_ptr<io::WritableFile> OpenAppend(
-      const std::string& path) override {
-    return Wrap(path, base_.OpenAppend(path));
-  }
-  io::MappedRegion OpenRead(const std::string& path) override {
-    return base_.OpenRead(path);
-  }
-  bool Exists(const std::string& path) override { return base_.Exists(path); }
-  uint64_t FileSize(const std::string& path) override {
-    return base_.FileSize(path);
-  }
-  void Rename(const std::string& from, const std::string& to) override {
-    base_.Rename(from, to);
-  }
-  void Remove(const std::string& path) override { base_.Remove(path); }
-  void SyncDir(const std::string& dir) override { base_.SyncDir(dir); }
-  void CreateDirs(const std::string& dir) override { base_.CreateDirs(dir); }
-
- private:
-  class GatedFile final : public io::WritableFile {
-   public:
-    GatedFile(GatedWalFs& fs, std::unique_ptr<io::WritableFile> file)
-        : fs_(fs), file_(std::move(file)) {}
-    void Write(std::span<const uint8_t> bytes) override {
-      file_->Write(bytes);
-    }
-    void Sync() override {
-      {
-        std::unique_lock<std::mutex> lk(fs_.mu_);
-        ++fs_.parked_;
-        fs_.cv_.notify_all();
-        fs_.cv_.wait(lk, [&] { return !fs_.shut_; });
-        --fs_.parked_;
-      }
-      file_->Sync();
-    }
-    void Close() override { file_->Close(); }
-
-   private:
-    GatedWalFs& fs_;
-    std::unique_ptr<io::WritableFile> file_;
-  };
-
-  std::unique_ptr<io::WritableFile> Wrap(
-      const std::string& path, std::unique_ptr<io::WritableFile> file) {
-    if (path.find(WalFileName()) == std::string::npos) return file;
-    return std::make_unique<GatedFile>(*this, std::move(file));
-  }
-
-  io::FileSystem& base_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool shut_ = false;
-  int parked_ = 0;
-};
-
-// The IO thread never waits on the store's writer lock: while an Append
-// is parked in its WAL fsync, pings still round-trip, and an Access run
-// sent meanwhile goes to the pool (exec.writer_busy) and answers correctly
-// once the writer lets go.
+// The IO thread never waits on the store's writer lock: while a Scrub is
+// parked in a shard open, holding the lock exclusively for its whole run,
+// pings still round-trip, and an Access run sent meanwhile goes to the
+// pool (exec.writer_busy) and answers correctly once the writer lets go.
 TEST_F(NetTest, IoThreadStaysLiveWhileTheWriterHoldsTheLock) {
   io::FaultFs disk;
-  GatedWalFs fs(disk);
+  GatedFs fs(disk, GatedFs::Op::kOpenRead, "shard-");
   NeatsStoreOptions store_options;
   store_options.shard_size = 4096;
   store_options.log_sink = obs::NullLogSink();
@@ -493,7 +475,8 @@ TEST_F(NetTest, IoThreadStaysLiveWhileTheWriterHoldsTheLock) {
   }
 
   fs.Shut();
-  std::thread appender([&] {
+  std::thread writer([&] {
+    store_->Scrub();
     std::vector<int64_t> more;
     for (uint64_t i = kInitial; i < kInitial + 512; ++i) {
       more.push_back(Truth(i));
@@ -501,13 +484,13 @@ TEST_F(NetTest, IoThreadStaysLiveWhileTheWriterHoldsTheLock) {
     store_->Append(more);
   });
   struct Release {  // opens the gate and joins even if an assert returns
-    GatedWalFs& fs;
+    GatedFs& fs;
     std::thread& t;
     ~Release() {
       fs.Open();
       if (t.joinable()) t.join();
     }
-  } release{fs, appender};
+  } release{fs, writer};
   fs.AwaitParked();
 
   pinger.Ping();
@@ -524,11 +507,69 @@ TEST_F(NetTest, IoThreadStaysLiveWhileTheWriterHoldsTheLock) {
   pinger.Ping();  // still live while a worker waits for the lock
 
   fs.Open();
-  appender.join();
+  writer.join();
   ExpectAccessAnswers(reader, idx, 1, kInitial);
   EXPECT_GE(ServerCounter("exec.writer_busy"), 1u);
   EXPECT_EQ(ServerCounter("exec.inline"), 2u);  // the two pings
   EXPECT_EQ(reader.Access(kInitial + 511), Truth(kInitial + 511));
+}
+
+// An Append parked in its WAL fsync does not hold the lock readers take:
+// an Access run sent meanwhile is answered inline on the IO thread, and the
+// values being logged stay invisible (the size is unchanged, a probe at the
+// first unacked index is out of range) until the fsync returns.
+TEST_F(NetTest, AccessRunAnswersInlineWhileAnAppendFsyncs) {
+  io::FaultFs disk;
+  GatedFs fs(disk, GatedFs::Op::kSync, WalFileName());
+  NeatsStoreOptions store_options;
+  store_options.shard_size = 4096;
+  store_options.log_sink = obs::NullLogSink();
+  store_options.fs = &fs;
+  store_ = std::make_unique<NeatsStore>(
+      NeatsStore::CreateDir("/gated", store_options));
+  std::vector<int64_t> values;
+  for (uint64_t i = 0; i < kInitial; ++i) values.push_back(Truth(i));
+  store_->Append(values);
+  store_->Flush();
+  server_ = std::make_unique<NeatsServer>(*store_);
+  server_->Start();
+  Client reader = Connect();
+  const timeval timeout{30, 0};  // a reader stuck behind the fsync fails
+  ASSERT_EQ(::setsockopt(reader.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  fs.Shut();
+  std::thread appender([&] {
+    std::vector<int64_t> more;
+    for (uint64_t i = kInitial; i < kInitial + 512; ++i) {
+      more.push_back(Truth(i));
+    }
+    store_->Append(more);
+  });
+  struct Release {  // opens the gate and joins even if an assert returns
+    GatedFs& fs;
+    std::thread& t;
+    ~Release() {
+      fs.Open();
+      if (t.joinable()) t.join();
+    }
+  } release{fs, appender};
+  fs.AwaitParked();
+
+  std::vector<uint64_t> idx(8);
+  for (size_t k = 0; k < idx.size(); ++k) idx[k] = k * 2503 % kInitial;
+  idx.push_back(kInitial);  // the first value the parked Append logs
+  SendAccessRound(reader, idx, 1);
+  ExpectAccessAnswers(reader, idx, 1, kInitial);  // before the gate opens
+  EXPECT_EQ(ServerCounter("exec.inline"), idx.size());
+  EXPECT_EQ(ServerCounter("exec.writer_busy"), 0u);
+  EXPECT_EQ(store_->size(), kInitial);
+
+  fs.Open();
+  appender.join();
+  EXPECT_EQ(store_->size(), kInitial + 512);
+  EXPECT_EQ(reader.Access(kInitial), Truth(kInitial));
 }
 
 // The client's receive buffer: a pipelined mix of small frames and frames

@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,7 +25,9 @@
 #include "common/bits.hpp"
 #include "core/codec_id.hpp"
 #include "core/neats.hpp"
+#include "gated_fs.hpp"
 #include "io/checksum.hpp"
+#include "io/fault_fs.hpp"
 #include "io/manifest.hpp"
 #include "io/mmap_file.hpp"
 #include "io/text_io.hpp"
@@ -632,6 +637,135 @@ TEST(NeatsStore, PromotionVerifiesWrittenBlob) {
     ASSERT_EQ(store.Access(k), values[k]) << k;
   }
   std::filesystem::remove_all(dir);
+}
+
+// The writer's IO leaves readers serving. Reader threads run across an
+// Append parked in its WAL fsync and a Flush parked in its seal drain (two
+// seals parked in their blob fsyncs): every value they read is right, the
+// parked Append's values stay invisible until its fsync returns, and
+// TryAccessBatch answers throughout — neither wait holds the lock readers
+// take.
+TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
+  using testing::GatedFs;
+  io::FaultFs disk;
+  GatedFs seal_gate(disk, GatedFs::Op::kSync, "shard-");
+  GatedFs wal_gate(seal_gate, GatedFs::Op::kSync, WalFileName());
+  NeatsStoreOptions options;
+  options.shard_size = 1024;
+  options.seal_threads = 2;  // one worker seals; Flush's drain helps
+  options.fs = &wal_gate;
+  options.log_sink = obs::NullLogSink();
+  NeatsStore store = NeatsStore::CreateDir("/overlap", options);
+  const std::vector<int64_t> series = MixedSeries(6000, 91);
+  store.Append({series.data(), 3000});
+  store.Flush();
+
+  // Readers see at least `acked` values (set after an Append returns) and
+  // at most `visible` (raised just before a parked Append may finish).
+  std::atomic<uint64_t> acked{3000}, visible{3000}, reads{0};
+  std::atomic<bool> stop{false}, wrong{false};
+  std::vector<std::thread> readers;
+  for (uint64_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(t);
+      std::vector<uint64_t> idx(16);
+      std::vector<int64_t> out(16);
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint64_t lo = acked.load(std::memory_order_acquire);
+        const uint64_t size = store.size();
+        const uint64_t hi = visible.load(std::memory_order_acquire);
+        bool ok = lo <= size && size <= hi;
+        for (uint64_t& i : idx) i = rng() % size;
+        store.AccessBatch(idx, out);
+        for (size_t k = 0; k < idx.size(); ++k) ok &= out[k] == series[idx[k]];
+        ok &= store.Access(idx[0]) == series[idx[0]];
+        const uint64_t from = idx[1] % (lo - 64);
+        store.DecompressRange(from, out.size(), out.data());
+        for (size_t k = 0; k < out.size(); ++k) {
+          ok &= out[k] == series[from + k];
+        }
+        if (!ok) wrong.store(true);
+        reads.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  struct Join {  // stops the readers even if an assert returns
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& threads;
+    ~Join() {
+      stop.store(true, std::memory_order_release);
+      for (std::thread& t : threads) t.join();
+    }
+  } join{stop, readers};
+  // True once the readers complete `n` more reads (they are not blocked);
+  // false after 30 s.
+  const auto readers_progress = [&](uint64_t n) {
+    const uint64_t target = reads.load() + n;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (reads.load() < target) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  // While the writer is parked, TryAccessBatch answers the acked probe and
+  // leaves the probe at `size` (the first unacked index) untouched.
+  const auto expect_try_answers = [&](uint64_t size) {
+    const std::vector<uint64_t> probe = {7, size};
+    std::vector<int64_t> got = {-1, -1};
+    EXPECT_EQ(store.TryAccessBatch(probe, got), std::optional<uint64_t>(size));
+    EXPECT_EQ(got[0], series[7]);
+    EXPECT_EQ(got[1], -1);
+  };
+
+  std::thread appender, flusher;
+  struct Release {  // opens the gates and joins even if an assert returns
+    GatedFs& seal_gate;
+    GatedFs& wal_gate;
+    std::thread& appender;
+    std::thread& flusher;
+    ~Release() {
+      seal_gate.Open();
+      wal_gate.Open();
+      if (appender.joinable()) appender.join();
+      if (flusher.joinable()) flusher.join();
+    }
+  } release{seal_gate, wal_gate, appender, flusher};
+
+  // 1. An Append parked in its WAL fsync.
+  wal_gate.Shut();
+  appender = std::thread([&] { store.Append({series.data() + 3000, 500}); });
+  wal_gate.AwaitParked();
+  ASSERT_TRUE(readers_progress(1000)) << "readers wait out the WAL fsync";
+  expect_try_answers(3000);
+  EXPECT_EQ(store.size(), 3000u);
+  visible.store(3500, std::memory_order_release);
+  wal_gate.Open();
+  appender.join();
+  acked.store(3500, std::memory_order_release);
+  EXPECT_EQ(store.size(), 3500u);
+
+  // 2. A Flush parked in its drain: the worker and the draining Flush each
+  // park a seal in its blob fsync.
+  seal_gate.Shut();
+  visible.store(6000, std::memory_order_release);
+  store.Append({series.data() + 3500, 2500});
+  acked.store(6000, std::memory_order_release);
+  flusher = std::thread([&] { store.Flush(); });
+  seal_gate.AwaitParked(2);
+  ASSERT_TRUE(readers_progress(1000)) << "readers wait out the seal drain";
+  expect_try_answers(6000);
+  EXPECT_EQ(store.num_pending_seals(), 3u);
+  seal_gate.Open();
+  flusher.join();
+  EXPECT_EQ(store.num_pending_seals(), 0u);
+  EXPECT_EQ(store.num_shards(), 6u);
+  ASSERT_TRUE(readers_progress(100));
+  std::vector<int64_t> back(series.size());
+  store.DecompressRange(0, back.size(), back.data());
+  EXPECT_EQ(back, series);
+  EXPECT_FALSE(wrong.load());
 }
 
 // ---------------------------------------------------------------------------
