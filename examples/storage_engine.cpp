@@ -7,7 +7,7 @@
 // store mixes codecs per shard — Flush() persists one blob per shard plus a
 // manifest (v2, with per-shard codec ids), and OpenStoreDir() serves the
 // whole store zero-copy (where the codec supports it) through mmap: point,
-// batch, multi-range and (approximate) aggregate queries all route through
+// batch, multi-range and aggregate queries all route through
 // one sharded index, whatever codec holds each shard. The final act is a
 // durability drill on the deterministic fault-injection filesystem: a
 // power cut mid-flush on a disk whose fsync lies, a degraded reopen that
@@ -17,7 +17,6 @@
 //   $ ./build/example_storage_engine
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -198,17 +197,16 @@ int main() {
   std::printf("multi-range decompression (3 ranges, 2 shard-spanning): %s\n",
               ok ? "ok" : "MISMATCH");
 
-  // Exact vs approximate aggregates over a boundary-spanning window.
+  // Exact aggregate over a boundary-spanning window.
   const uint64_t from = kShardLen * 2 - 5000, len = 10000;
   int64_t exact = store.RangeSum(from, len);
-  auto approx = store.ApproximateRangeSum(from, len);
-  ok &= std::abs(approx.value - static_cast<double>(exact)) <=
-        approx.error_bound + 1e-6;
-  std::printf("range sum [%llu, +%llu): exact %lld, approx %.0f (±%.0f)\n",
+  int64_t expected = 0;
+  for (uint64_t k = from; k < from + len; ++k) expected += ds.values[k];
+  ok &= exact == expected;
+  std::printf("range sum [%llu, +%llu): %lld %s\n",
               static_cast<unsigned long long>(from),
               static_cast<unsigned long long>(len),
-              static_cast<long long>(exact), approx.value,
-              approx.error_bound);
+              static_cast<long long>(exact), ok ? "ok" : "MISMATCH");
 
   // Full integrity sweep over the mmap-served store.
   for (size_t k = 0; k < ds.values.size(); k += 97) {

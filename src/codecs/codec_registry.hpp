@@ -24,7 +24,6 @@
 
 #include "codecs/alp_codec.hpp"
 #include "codecs/leco_codec.hpp"
-#include "codecs/lossy_exact_codec.hpp"
 #include "codecs/xor_codec.hpp"
 #include "common/assert.hpp"
 #include "core/codec_id.hpp"
@@ -52,9 +51,6 @@ class SealedSeries {
   virtual void DecompressRanges(std::span<const IndexRange> ranges,
                                 int64_t* out) const = 0;
   virtual int64_t RangeSum(uint64_t from, uint64_t len) const = 0;
-  /// Codecs without a corrections-free estimator answer exactly (bound 0).
-  virtual Neats::ApproximateAggregate ApproximateRangeSum(
-      uint64_t from, uint64_t len) const = 0;
   virtual void Serialize(std::vector<uint8_t>* out) const = 0;
 
   /// Block surface (core/series_codec.hpp, BlockStructuredCodec): values
@@ -98,14 +94,6 @@ class SealedCodec final : public SealedSeries {
   int64_t RangeSum(uint64_t from, uint64_t len) const override {
     return c_.RangeSum(from, len);
   }
-  Neats::ApproximateAggregate ApproximateRangeSum(
-      uint64_t from, uint64_t len) const override {
-    if constexpr (requires { c_.ApproximateRangeSum(from, len); }) {
-      return c_.ApproximateRangeSum(from, len);
-    } else {
-      return {static_cast<double>(c_.RangeSum(from, len)), 0.0};
-    }
-  }
   void Serialize(std::vector<uint8_t>* out) const override {
     c_.Serialize(out);
   }
@@ -132,18 +120,19 @@ class SealedCodec final : public SealedSeries {
 namespace internal {
 
 /// The single id -> type mapping: every registry operation funnels through
-/// this switch, so registering a codec is one new case.
+/// this switch, so registering a codec is one new case. The retired id has
+/// no case: a shard naming it fails to open and is quarantined.
 template <typename F>
 auto WithCodecType(CodecId id, F&& f) {
   switch (id) {
     case CodecId::kNeats: return f(std::type_identity<Neats>{});
-    case CodecId::kNeatsLossyExact:
-      return f(std::type_identity<NeatsLossyExact>{});
     case CodecId::kLeco: return f(std::type_identity<LecoCodec>{});
     case CodecId::kAlp: return f(std::type_identity<AlpCodec>{});
     case CodecId::kGorilla: return f(std::type_identity<GorillaCodec>{});
     case CodecId::kChimp: return f(std::type_identity<ChimpCodec>{});
   }
+  NEATS_REQUIRE(static_cast<uint32_t>(id) != kRetiredCodecId,
+                "retired codec id");
   NEATS_REQUIRE(false, "unknown codec id");
 }
 
@@ -187,12 +176,11 @@ struct CodecRegistry {
     });
   }
 
-  /// Every registered codec id, in wire order.
+  /// Every registered codec id, in wire order (the retired id skipped).
   static std::vector<CodecId> All() {
     std::vector<CodecId> ids;
-    ids.reserve(kNumCodecIds);
     for (uint32_t i = 0; i < kNumCodecIds; ++i) {
-      ids.push_back(static_cast<CodecId>(i));
+      if (IsRegisteredCodecId(i)) ids.push_back(static_cast<CodecId>(i));
     }
     return ids;
   }

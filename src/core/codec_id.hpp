@@ -3,8 +3,8 @@
 // Every compressed representation that can serve a store shard has a CodecId;
 // the id is what MANIFEST.neats (v2) records per shard and what the codec
 // registry (src/codecs/codec_registry.hpp) dispatches open/compress by. The
-// numeric values are wire format — never renumber, only append (docs/FORMAT.md,
-// "Codec-id table").
+// numeric values are wire format — never renumber, never reuse a retired id,
+// only append (docs/FORMAT.md, "Codec-id table").
 
 #pragma once
 
@@ -15,24 +15,33 @@ namespace neats {
 /// Identifies a concrete SeriesCodec implementation on the wire.
 enum class CodecId : uint32_t {
   kNeats = 0,           // NeaTS lossless (format v5 blob, zero-copy open)
-  kNeatsLossyExact = 1,  // NeaTS-L approximation + packed residuals (exact)
+  // 1 is retired (kRetiredCodecId) and never reused.
   kLeco = 2,            // LeCo-style linear fits + packed residuals
   kAlp = 3,             // ALP pseudo-decimal vectors (+ int64 exception list)
   kGorilla = 4,         // Gorilla XOR stream, block-wise random access
   kChimp = 5,           // Chimp XOR stream, block-wise random access
 };
 
-/// One past the largest assigned CodecId value.
+/// One past the largest CodecId value ever assigned, retired ids included.
 inline constexpr uint32_t kNumCodecIds = 6;
 
-/// True when a raw manifest word names an assigned codec id.
+/// NeaTS-LX (NeaTS-L plus packed exact residuals) held id 1 until it was
+/// retired: the kAuto seal never chose it over NeaTS, LeCo or ALP.
+inline constexpr uint32_t kRetiredCodecId = 1;
+
+/// True when a raw manifest word names a codec id ever assigned. A manifest
+/// row naming the retired id still parses; its shard is quarantined at open.
 constexpr bool IsValidCodecId(uint64_t raw) { return raw < kNumCodecIds; }
+
+/// True when a registered codec serves the id (assigned and not retired).
+constexpr bool IsRegisteredCodecId(uint64_t raw) {
+  return IsValidCodecId(raw) && raw != kRetiredCodecId;
+}
 
 /// Short stable name (used by the bench report and diagnostics).
 constexpr const char* CodecName(CodecId id) {
   switch (id) {
     case CodecId::kNeats: return "neats";
-    case CodecId::kNeatsLossyExact: return "neats-lossy-exact";
     case CodecId::kLeco: return "leco";
     case CodecId::kAlp: return "alp";
     case CodecId::kGorilla: return "gorilla";

@@ -16,13 +16,11 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "common/touch_probe.hpp"
 #include "core/partitioner.hpp"
 #include "functions/approximator.hpp"
 #include "functions/decode_lanes.hpp"
 #include "functions/kinds.hpp"
 #include "succinct/elias_fano.hpp"
-#include "succinct/fragment_directory.hpp"
 #include "succinct/packed_array.hpp"
 #include "succinct/storage.hpp"
 #include "succinct/wavelet_tree.hpp"
@@ -68,25 +66,9 @@ class NeatsLossy {
   int64_t epsilon() const { return eps_; }
 
   /// The approximated value at index k: one Elias-Fano predecessor lookup on
-  /// the starts plus a single interleaved directory record read (kind,
-  /// parameter offset and displacement together), as in Neats::Access.
+  /// the starts, one wavelet-tree access-and-rank for the fragment's kind
+  /// and its parameters' position among that kind's, and its displacement.
   int64_t Access(uint64_t k) const {
-    NEATS_DCHECK(k < n_);
-    auto [i, start] = starts_.Predecessor(k);
-    const FragmentDirectory::Record& rec = directory_[i];
-    NEATS_TOUCH(kind_table_.data() + rec.kind);
-    FunctionKind kind = kind_table_[rec.kind];
-    const double* params = params_[rec.kind].data() + rec.param_index;
-    NEATS_TOUCH(params);
-    uint64_t origin = start - rec.displacement;
-    return PredictFloor(kind, params, static_cast<int64_t>(k - origin) + 1) -
-           shift_;
-  }
-
-  /// Access resolved through the separate K/D structures the lossy blob
-  /// stores — kept as the ground truth its in-memory directory is fuzzed
-  /// against (tests/succinct_fuzz_test.cpp).
-  int64_t AccessViaLegacyStructures(uint64_t k) const {
     NEATS_DCHECK(k < n_);
     auto [i, start] = starts_.Predecessor(k);
     auto [dense, occ] = kinds_wt_.AccessAndRank(i);
@@ -98,22 +80,26 @@ class NeatsLossy {
            shift_;
   }
 
-  /// Reconstructs the whole approximated series.
+  /// Reconstructs the whole approximated series. Fragments are visited in
+  /// order, so each kind's parameters are consumed in order too: one running
+  /// offset per kind replaces the rank Access pays per fragment.
   void Decompress(std::vector<int64_t>* out) const {
     out->resize(n_);
+    std::vector<size_t> param_offset(kind_table_.size(), 0);
+    uint64_t start = 0;
     for (size_t i = 0; i < m_; ++i) {
-      uint64_t start = starts_.Access(i);
-      uint64_t end = i + 1 < m_ ? starts_.Access(i + 1) : n_;
-      const FragmentDirectory::Record& rec = directory_[i];
-      uint64_t origin = start - rec.displacement;
+      const uint64_t end = i + 1 < m_ ? starts_.Access(i + 1) : n_;
+      const uint32_t dense = kinds_wt_.Access(i);
       FragmentRun run;
-      run.kind = kind_table_[rec.kind];
-      run.params = params_[rec.kind].data() + rec.param_index;
-      run.x0 = static_cast<int64_t>(start - origin) + 1;
+      run.kind = kind_table_[dense];
+      run.params = params_[dense].data() + param_offset[dense];
+      param_offset[dense] += static_cast<size_t>(NumParams(run.kind));
+      run.x0 = static_cast<int64_t>(displacement_[i]) + 1;
       run.count = end - start;
       run.add = 0 - static_cast<uint64_t>(shift_);
       run.out = out->data() + start;
       DecodeFragmentRun(run);
+      start = end;
     }
   }
 
@@ -128,11 +114,11 @@ class NeatsLossy {
   }
 
   /// Format v3 (flat, word-aligned; same section grammar as Neats). Unlike
-  /// the lossless format, the interleaved directory is *not* serialized:
-  /// the lossy layout competes with PLA byte-for-byte on parameter storage
-  /// alone, and its three-field records rebuild in O(m) at open time. v3 is
-  /// v2 with the pinned model evaluation and without the select-0 samples
-  /// (see docs/FORMAT.md).
+  /// the lossless format it has no interleaved directory: the lossy layout
+  /// competes with PLA byte-for-byte on parameter storage alone, so queries
+  /// read the kinds K and displacements D directly. v3 is v2 with the
+  /// pinned model evaluation and without the select-0 samples (see
+  /// docs/FORMAT.md).
   void Serialize(std::vector<uint8_t>* out) const {
     out->clear();
     WordWriter w(out);
@@ -153,8 +139,7 @@ class NeatsLossy {
     for (const auto& p : params_) w.PutArray(p);
   }
 
-  /// Rebuilds from Serialize output into owned storage (the in-memory
-  /// directory is rebuilt, as for pre-v3 Neats blobs).
+  /// Rebuilds from Serialize output into owned storage.
   static NeatsLossy Deserialize(std::span<const uint8_t> bytes) {
     return Load(bytes, /*borrow=*/false);
   }
@@ -174,13 +159,18 @@ class NeatsLossy {
     NeatsLossy out;
     out.n_ = r.Get();
     out.m_ = r.Get();
+    NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56) && (out.m_ > 0) == (out.n_ > 0),
+                  "corrupt NeaTS-L blob");
     out.eps_ = static_cast<int64_t>(r.Get());
     out.shift_ = static_cast<int64_t>(r.Get());
     size_t kinds = r.Get();
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS-L blob");
     for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(r.Get()));
+      const uint64_t kind = r.Get();
+      NEATS_REQUIRE(kind < static_cast<uint64_t>(kNumFunctionKinds),
+                    "corrupt NeaTS-L blob");
+      out.kind_table_.push_back(static_cast<FunctionKind>(kind));
     }
     if (out.m_ > 0) {
       out.starts_ = EliasFano::Load(r);
@@ -197,32 +187,25 @@ class NeatsLossy {
     NEATS_REQUIRE(n_params == kinds || (out.m_ == 0 && n_params == 0),
                   "corrupt NeaTS-L blob");
     out.params_.reserve(n_params);
+    size_t ranked = 0;  // fragments whose kind symbol is in the kind table
     for (size_t i = 0; i < n_params; ++i) {
       out.params_.push_back(r.GetArray<double>());
-      NEATS_REQUIRE(
-          out.params_[i].size() ==
-              out.kinds_wt_.Rank(static_cast<uint32_t>(i), out.m_) *
-                  static_cast<size_t>(NumParams(out.kind_table_[i])),
-          "corrupt NeaTS-L blob");
+      const size_t count = out.kinds_wt_.Rank(static_cast<uint32_t>(i), out.m_);
+      NEATS_REQUIRE(out.params_[i].size() ==
+                        count * static_cast<size_t>(
+                                    NumParams(out.kind_table_[i])),
+                    "corrupt NeaTS-L blob");
+      ranked += count;
     }
-    out.directory_ = FragmentDirectory(out.ComputeDirectoryRecords());
+    NEATS_REQUIRE(ranked == out.m_, "corrupt NeaTS-L blob");
+    // Strictly increasing starts keep every run Decompress writes inside
+    // [0, n); the check above keeps every kind symbol inside the table.
+    for (uint64_t i = 1, prev = 0; i < out.m_; ++i) {
+      const uint64_t start = out.starts_.Access(i);
+      NEATS_REQUIRE(start > prev, "corrupt NeaTS-L blob");
+      prev = start;
+    }
     return out;
-  }
-
-  /// Directory records rebuilt from K/D (the lossy layout stores no
-  /// corrections, so corr_offset and correction_bits are zero).
-  std::vector<FragmentDirectory::Record> ComputeDirectoryRecords() const {
-    std::vector<FragmentDirectory::Record> records(m_);
-    for (size_t i = 0; i < m_; ++i) {
-      auto [dense, occ] = kinds_wt_.AccessAndRank(i);
-      FragmentDirectory::Record rec{};
-      rec.displacement = displacement_[i];
-      rec.param_index =
-          occ * static_cast<size_t>(NumParams(kind_table_[dense]));
-      rec.kind = static_cast<uint8_t>(dense);
-      records[i] = rec;
-    }
-    return records;
   }
 
   void Build(const std::vector<Fragment>& fragments) {
@@ -242,13 +225,7 @@ class NeatsLossy {
       displacement[i] = frag.start - frag.origin;
     }
     std::vector<std::vector<double>> params(kind_table_.size());
-    std::vector<FragmentDirectory::Record> records(m_);
     for (size_t i = 0; i < m_; ++i) {
-      FragmentDirectory::Record rec{};
-      rec.displacement = displacement[i];
-      rec.kind = static_cast<uint8_t>(kind_symbols[i]);
-      rec.param_index = params[kind_symbols[i]].size();
-      records[i] = rec;
       for (int j = 0; j < NumParams(fragments[i].kind); ++j) {
         params[kind_symbols[i]].push_back(fragments[i].params[j]);
       }
@@ -258,7 +235,6 @@ class NeatsLossy {
     starts_ = EliasFano(starts, n_);
     kinds_wt_ = WaveletTree(kind_symbols, static_cast<uint32_t>(kind_table_.size()));
     displacement_ = PackedArray::FromValues(displacement);
-    directory_ = FragmentDirectory(std::move(records));
   }
 
   // Little-endian "NEATSL2\0" — ASCII-readable at the head of the blob.
@@ -272,8 +248,6 @@ class NeatsLossy {
   EliasFano starts_;
   WaveletTree kinds_wt_;
   PackedArray displacement_;
-  FragmentDirectory directory_;  // interleaved K/D + param offsets
-                                 // (in-memory only; rebuilt on load)
   std::vector<FunctionKind> kind_table_;
   std::vector<Storage<double>> params_;  // one array per dense kind
 };

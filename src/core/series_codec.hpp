@@ -6,10 +6,10 @@
 // query shapes of the serving layer — scalar Access, sorted AccessBatch,
 // range and multi-range decompression, and exact range sums — plus the
 // serialization trio (Serialize / Deserialize / View) and SizeInBits. Neats
-// itself is the flagship model; NeatsLossyExact, LecoCodec, AlpCodec,
-// GorillaCodec and ChimpCodec (src/codecs/) adapt the paper's competitors to
-// the same surface so the comparison table becomes a per-shard engineering
-// choice (ISSUE 5; docs/ARCHITECTURE.md, "Codec layer").
+// itself is the flagship model; LecoCodec, AlpCodec, GorillaCodec and
+// ChimpCodec (src/codecs/) adapt the paper's competitors to the same surface
+// so the comparison table becomes a per-shard engineering choice
+// (docs/ARCHITECTURE.md, "Codec layer").
 //
 // Thin codecs do not have to implement the whole surface by hand:
 // ScalarCodecBase is a CRTP adapter that derives AccessBatch,
@@ -35,8 +35,8 @@ namespace neats {
 ///
 /// Semantics the signatures cannot express:
 ///  - Compress/Deserialize/View produce an object answering queries over the
-///    original values exactly (codecs built on a lossy core must carry
-///    corrections that restore exactness — see NeatsLossyExact).
+///    original values exactly (a codec built on a lossy core must carry
+///    corrections that restore exactness, as Neats does).
 ///  - AccessBatch requires non-decreasing probe indices (callers with
 ///    unsorted probes sort first, as NeatsStore::AccessBatch does).
 ///  - Serialize output fed back through Deserialize and re-serialized must

@@ -4,8 +4,8 @@
 // The unit of work is a FragmentRun: consecutive values of one fragment,
 // each the pinned prediction ⌊f(x)⌋ (src/functions/kinds.hpp) plus a
 // bit-packed correction plus a constant. Neats (Algorithm 2 and the cursor),
-// NeatsLossy (no corrections), NeatsLossyExact (through NeatsLossy) and LeCo
-// (linear models, base-offset residuals) all decode through it.
+// NeatsLossy (no corrections) and LeCo (linear models, base-offset
+// residuals) all decode through it.
 //
 // Lanes, from least to most capable:
 //

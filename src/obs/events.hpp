@@ -19,7 +19,6 @@ enum class EventId : uint8_t {
   kAccessBatch,
   kRange,        // DecompressRange / DecompressRanges
   kRangeSum,
-  kApproxRangeSum,
   kAppend,
   kFlush,
   kSeal,
@@ -41,7 +40,6 @@ inline const char* EventName(EventId id) {
     case EventId::kAccessBatch: return "access_batch";
     case EventId::kRange: return "range";
     case EventId::kRangeSum: return "range_sum";
-    case EventId::kApproxRangeSum: return "approx_range_sum";
     case EventId::kAppend: return "append";
     case EventId::kFlush: return "flush";
     case EventId::kSeal: return "seal";

@@ -28,7 +28,7 @@
 // blobs and the manifest are fsync'd (write-to-temp + rename + directory
 // fsync), so a completed Flush survives power loss. OpenDir() routes by the
 // manifest and re-opens every blob zero-copy where its codec supports
-// borrowing (Neats, LeCo, NeatsLossyExact), deserializing the rest.
+// borrowing (Neats, LeCo, ALP), deserializing the rest.
 //
 // Durability & recovery (docs/ARCHITECTURE.md, "Durability & recovery"):
 //
@@ -62,8 +62,7 @@
 //                          covered by the same shard go to the codec as one
 //                          DecompressRanges call, so one cursor serves the
 //                          whole group instead of re-seeking per range
-//   RangeSum /             exact and corrections-free approximate sums,
-//   ApproximateRangeSum    combined across the covered shards
+//   RangeSum               exact sums, combined across the covered shards
 //
 // Threading contract: single writer, many readers. One thread at a time may
 // mutate the store (Append/Flush/Scrub serialize on the store's writer
@@ -137,8 +136,7 @@ struct NeatsStoreOptions {
   uint64_t shard_size = uint64_t{1} << 16;
 
   /// Compression options passed to the sealing codec (NeaTS uses all of
-  /// them; other codecs take what applies, e.g. partition epsilons for
-  /// NeatsLossyExact).
+  /// them; the other codecs ignore them).
   NeatsOptions neats;
 
   /// Worker threads of the background sealer. 1 = a pool with no extra
@@ -174,7 +172,7 @@ struct NeatsStoreOptions {
   /// consulted by Access/AccessBatch before a Gorilla or Chimp block
   /// decode; 0 disables it. Only those stream codecs must decode inside a
   /// block to answer a point query; shards of codecs with native random
-  /// access (Neats, NeatsLossyExact, LeCo, ALP) never touch the cache. The
+  /// access (Neats, LeCo, ALP) never touch the cache. The
   /// default holds ~1M decoded values — enough to pin the hot blocks of a
   /// point-lookup storm while staying small next to the mapped blobs.
   uint64_t block_cache_bytes = uint64_t{8} << 20;
@@ -219,11 +217,10 @@ struct StoreObs {
 
   // Counter / gauge / histogram ids, resolved once.
   obs::CounterId c_access, c_batch_calls, c_batch_probes, c_range_calls,
-      c_range_values, c_sum_calls, c_sum_values, c_approx_calls,
-      c_append_calls, c_append_values, c_bytes_in, c_wal_records,
-      c_wal_fsyncs, c_wal_replayed, c_flush, c_seals, c_seal_bytes,
-      c_scrub_calls, c_scrub_repaired, c_quarantine_in, c_quarantine_out,
-      c_errors;
+      c_range_values, c_sum_calls, c_sum_values, c_append_calls,
+      c_append_values, c_bytes_in, c_wal_records, c_wal_fsyncs,
+      c_wal_replayed, c_flush, c_seals, c_seal_bytes, c_scrub_calls,
+      c_scrub_repaired, c_quarantine_in, c_quarantine_out, c_errors;
   obs::CounterId c_seal_codec[kNumCodecIds];
   obs::GaugeId g_size, g_shards, g_pending, g_tail, g_quarantined,
       g_cache_entries, g_cache_bytes;
@@ -241,7 +238,6 @@ struct StoreObs {
     c_range_values = registry.AddCounter("range.values");
     c_sum_calls = registry.AddCounter("range_sum.calls");
     c_sum_values = registry.AddCounter("range_sum.values");
-    c_approx_calls = registry.AddCounter("approx_sum.calls");
     c_append_calls = registry.AddCounter("append.calls");
     c_append_values = registry.AddCounter("append.values");
     c_bytes_in = registry.AddCounter("bytes.in");
@@ -256,9 +252,9 @@ struct StoreObs {
     c_quarantine_in = registry.AddCounter("quarantine.entered");
     c_quarantine_out = registry.AddCounter("quarantine.exited");
     c_errors = registry.AddCounter("errors");
-    for (uint32_t id = 0; id < kNumCodecIds; ++id) {
-      c_seal_codec[id] = registry.AddCounter(
-          std::string("seal.codec.") + CodecName(static_cast<CodecId>(id)));
+    for (CodecId id : CodecRegistry::All()) {
+      c_seal_codec[static_cast<uint32_t>(id)] =
+          registry.AddCounter(std::string("seal.codec.") + CodecName(id));
     }
     g_size = registry.AddGauge("store.values");
     g_shards = registry.AddGauge("store.shards");
@@ -365,11 +361,11 @@ class NeatsStore {
     }
     // Validated here, where the caller can catch — a bad id discovered
     // inside a background seal task would terminate the process instead.
-    NEATS_REQUIRE(IsValidCodecId(static_cast<uint64_t>(options_.codec)),
-                  "unknown codec id");
+    NEATS_REQUIRE(IsRegisteredCodecId(static_cast<uint64_t>(options_.codec)),
+                  "unknown or retired codec id");
     for (CodecId id : options_.codec_candidates) {
-      NEATS_REQUIRE(IsValidCodecId(static_cast<uint64_t>(id)),
-                    "unknown codec id");
+      NEATS_REQUIRE(IsRegisteredCodecId(static_cast<uint64_t>(id)),
+                    "unknown or retired codec id");
     }
   }
 
@@ -1077,40 +1073,6 @@ class NeatsStore {
     return sum;
   }
 
- public:
-  /// Approximate sum over values[from, from + len): Neats shards answer
-  /// from the learned functions alone (with the error bounds added up),
-  /// shards of codecs without an estimator — and not-yet-sealed values —
-  /// contribute exactly.
-  Neats::ApproximateAggregate ApproximateRangeSum(uint64_t from,
-                                                  uint64_t len) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    if (obs_ != nullptr) obs_->registry.Count(obs_->c_approx_calls);
-    // Traced but kept out of the latency histograms.
-    return Observed(obs::EventId::kApproxRangeSum, nullptr, from, len,
-                    [&] { return ApproximateRangeSumLocked(from, len); });
-  }
-
- private:
-  /// ApproximateRangeSum body under the reader lock.
-  Neats::ApproximateAggregate ApproximateRangeSumLocked(uint64_t from,
-                                                        uint64_t len) const {
-    Neats::ApproximateAggregate agg{0.0, 0.0};
-    ForEachPiece(
-        from, len,
-        [&](const Shard& s, uint64_t local_from, uint64_t take) {
-          const Neats::ApproximateAggregate part =
-              s.series->ApproximateRangeSum(local_from, take);
-          agg.value += part.value;
-          agg.error_bound += part.error_bound;
-        },
-        [&](std::span<const int64_t> raw) {
-          for (int64_t v : raw) agg.value += static_cast<double>(v);
-        });
-    return agg;
-  }
-
- private:
   /// size() without the reader lock — for callers already holding either
   /// side of mu_, or the writer mutex (only writers change the size).
   uint64_t SizeImpl() const {
@@ -1127,10 +1089,10 @@ class NeatsStore {
 
   /// The metrics wrapper of every public op but scalar Access (which keeps
   /// its sampled fast path). With metrics off it runs `body` bare. With
-  /// metrics on it times the body into histogram `hist` (none when null),
-  /// traces one `op` event carrying `arg` and `len`, and on an Error counts
-  /// it, traces it with its status and rethrows. Op counters stay with the
-  /// callers: queries count every call, Append only acked ones.
+  /// metrics on it times the body into histogram `hist`, traces one `op`
+  /// event carrying `arg` and `len`, and on an Error counts it, traces it
+  /// with its status and rethrows. Op counters stay with the callers:
+  /// queries count every call, Append only acked ones.
   template <class Body>
   std::invoke_result_t<const Body&> Observed(obs::EventId op,
                                              obs::HistogramId StoreObs::*hist,
@@ -1142,7 +1104,7 @@ class NeatsStore {
       const uint64_t t0 = obs::NowNs();
       const auto finish = [&] {
         const uint64_t dur = obs::NowNs() - t0;
-        if (hist != nullptr) ob->registry.Record(ob->*hist, dur);
+        ob->registry.Record(ob->*hist, dur);
         ob->Trace(op, obs::TraceTier::kNone, 0, obs::TraceEvent::kNoCodec,
                   obs::kNoShard, arg, len, dur);
       };
@@ -1732,11 +1694,16 @@ class NeatsStore {
 
   /// Scrub step 2: re-seal every quarantined shard whose value range is
   /// fully covered by intact WAL records, then rewrite the manifest if
-  /// anything came back.
+  /// anything came back. A shard of a retired codec stays quarantined: no
+  /// codec can re-seal it under its manifest id.
   void RepairFromWal() {
     std::vector<size_t> candidates;
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].series == nullptr) candidates.push_back(i);
+      const Shard& s = shards_[i];
+      if (s.series == nullptr &&
+          IsRegisteredCodecId(static_cast<uint64_t>(s.codec))) {
+        candidates.push_back(i);
+      }
     }
     if (candidates.empty()) return;
     WalReplayResult replay;

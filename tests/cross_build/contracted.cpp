@@ -11,38 +11,22 @@
 
 #define neats neats_contracted
 #include "codecs/leco_codec.hpp"
-#include "codecs/lossy_exact_codec.hpp"
 #include "core/neats.hpp"
+#include "core/neats_lossy.hpp"
 #undef neats
+
+#include "codec_ops.hpp"
 
 namespace cross_build {
 namespace {
 
 namespace lib = ::neats_contracted;
 
-template <typename C>
-std::vector<int64_t> DecodeAll(const std::vector<uint8_t>& blob) {
-  const C codec = C::Deserialize(blob);
-  std::vector<int64_t> out(codec.size());
-  codec.DecompressRange(0, codec.size(), out.data());
-  return out;
-}
-
-template <typename C>
-std::vector<int64_t> AccessAll(const std::vector<uint8_t>& blob,
-                               const std::vector<uint64_t>& idx) {
-  const C codec = C::Deserialize(blob);
-  std::vector<int64_t> out;
-  for (uint64_t k : idx) out.push_back(codec.Access(k));
-  return out;
-}
-
 template <typename F>
 auto WithCodec(Codec codec, F&& f) {
   switch (codec) {
     case Codec::kNeats: return f(static_cast<lib::Neats*>(nullptr));
-    case Codec::kNeatsLossyExact:
-      return f(static_cast<lib::NeatsLossyExact*>(nullptr));
+    case Codec::kNeatsLossy: return f(static_cast<lib::NeatsLossy*>(nullptr));
     case Codec::kLeco: break;
   }
   return f(static_cast<lib::LecoCodec*>(nullptr));
@@ -52,10 +36,7 @@ auto WithCodec(Codec codec, F&& f) {
 
 std::vector<uint8_t> Compress(Codec codec, const std::vector<int64_t>& values) {
   return WithCodec(codec, [&](auto* type) {
-    using C = std::remove_pointer_t<decltype(type)>;
-    std::vector<uint8_t> blob;
-    C::Compress(values).Serialize(&blob);
-    return blob;
+    return CompressWith<std::remove_pointer_t<decltype(type)>>(values);
   });
 }
 

@@ -11,7 +11,7 @@
 
 namespace cross_build {
 
-enum class Codec { kNeats, kNeatsLossyExact, kLeco };
+enum class Codec { kNeats, kNeatsLossy, kLeco };
 
 /// Serialized blob of `values` compressed by the contracted build.
 std::vector<uint8_t> Compress(Codec codec, const std::vector<int64_t>& values);

@@ -3,26 +3,30 @@
 // -mfma (tests/cross_build/contracted.cpp), and the reverse. That build may
 // fuse every a * b + c into one fused multiply-add, so this holds only
 // because the model evaluation pins its roundings (src/functions/
-// pinned_math.hpp). Covered: NeaTS, NeaTS-LX and LeCo on ECG, IT, CT, DP,
-// UK and US; full range decodes and scalar Access; and PredictValue itself,
-// bit for bit, on every kind. The contracted build executes FMA
-// instructions, so the test runs only on CPUs that have FMA.
+// pinned_math.hpp). Covered: NeaTS, NeaTS-L (eps 50) and LeCo on ECG, IT,
+// CT, DP, UK and US; full range decodes and scalar Access; and PredictValue
+// itself, bit for bit, on every kind. NeaTS-L is lossy: both builds must
+// decode its blobs to the same values, each within eps + 1 of the original.
+// The contracted build executes FMA instructions, so the test runs only on
+// CPUs that have FMA.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "codecs/leco_codec.hpp"
-#include "codecs/lossy_exact_codec.hpp"
 #include "core/neats.hpp"
+#include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
 
 #if NEATS_CROSS_BUILD_TU
+#include "cross_build/codec_ops.hpp"
 #include "cross_build/contracted.hpp"
 #endif
 
@@ -42,42 +46,23 @@ bool CpuHasFma() {
     GTEST_SKIP() << "the contracted build needs the FMA instruction set"; \
   }
 
-template <typename C>
-std::vector<uint8_t> CompressHere(const std::vector<int64_t>& values) {
-  std::vector<uint8_t> blob;
-  C::Compress(values).Serialize(&blob);
-  return blob;
-}
-
-template <typename C>
-std::vector<int64_t> DecompressHere(const std::vector<uint8_t>& blob) {
-  const C codec = C::Deserialize(blob);
-  std::vector<int64_t> out(codec.size());
-  codec.DecompressRange(0, codec.size(), out.data());
-  return out;
-}
-
-template <typename C>
-std::vector<int64_t> AccessHere(const std::vector<uint8_t>& blob,
-                                const std::vector<uint64_t>& idx) {
-  const C codec = C::Deserialize(blob);
-  std::vector<int64_t> out;
-  for (uint64_t k : idx) out.push_back(codec.Access(k));
-  return out;
-}
-
-/// Index of the first mismatch, or -1 — a readable failure.
-int64_t FirstMismatch(const std::vector<int64_t>& got,
-                      const std::vector<int64_t>& want) {
+/// Index of the first value of `got` farther than `max_error` from `want`,
+/// or -1 — a readable failure.
+int64_t FirstBeyond(const std::vector<int64_t>& got,
+                    const std::vector<int64_t>& want, int64_t max_error = 0) {
   if (got.size() != want.size()) return 0;
   for (size_t k = 0; k < got.size(); ++k) {
-    if (got[k] != want[k]) return static_cast<int64_t>(k);
+    if (std::abs(got[k] - want[k]) > max_error) return static_cast<int64_t>(k);
   }
   return -1;
 }
 
+/// Blobs written by either build decode in both to the same values, by full
+/// decode and by scalar Access, and those values lie within `max_error` of
+/// the original (0: lossless).
 template <typename C>
-void CheckBothDirections(cross_build::Codec codec, const char* name) {
+void CheckBothDirections(cross_build::Codec codec, const char* name,
+                         int64_t max_error) {
   std::cout << "[ lanes    ] " << name << ": default build decodes on "
             << ActiveDecodeLane().name << "\n";
   for (const char* code : {"ECG", "IT", "CT", "DP", "UK", "US"}) {
@@ -88,34 +73,38 @@ void CheckBothDirections(cross_build::Codec codec, const char* name) {
     std::vector<int64_t> sampled;
     for (uint64_t k : idx) sampled.push_back(ds.values[k]);
 
-    // Written here, read by the contracted build.
-    const std::vector<uint8_t> here = CompressHere<C>(ds.values);
-    EXPECT_EQ(FirstMismatch(cross_build::Decompress(codec, here), ds.values),
-              -1);
-    EXPECT_EQ(FirstMismatch(cross_build::Access(codec, here, idx), sampled),
-              -1);
-
-    // Written by the contracted build, read here.
+    const std::vector<uint8_t> here = cross_build::CompressWith<C>(ds.values);
     const std::vector<uint8_t> there = cross_build::Compress(codec, ds.values);
-    EXPECT_EQ(FirstMismatch(DecompressHere<C>(there), ds.values), -1);
-    EXPECT_EQ(FirstMismatch(AccessHere<C>(there, idx), sampled), -1);
+    for (const std::vector<uint8_t>* blob : {&here, &there}) {
+      SCOPED_TRACE(blob == &here ? "written by the default build"
+                                 : "written by the contracted build");
+      const std::vector<int64_t> decoded = cross_build::DecodeAll<C>(*blob);
+      const std::vector<int64_t> accessed =
+          cross_build::AccessAll<C>(*blob, idx);
+      EXPECT_EQ(FirstBeyond(decoded, ds.values, max_error), -1);
+      EXPECT_EQ(FirstBeyond(accessed, sampled, max_error), -1);
+      EXPECT_EQ(FirstBeyond(cross_build::Decompress(codec, *blob), decoded),
+                -1);
+      EXPECT_EQ(FirstBeyond(cross_build::Access(codec, *blob, idx), accessed),
+                -1);
+    }
   }
 }
 
 TEST(CrossBuild, NeatsBlobsDecodeInBothBuilds) {
   SKIP_WITHOUT_FMA();
-  CheckBothDirections<Neats>(cross_build::Codec::kNeats, "NeaTS");
+  CheckBothDirections<Neats>(cross_build::Codec::kNeats, "NeaTS", 0);
 }
 
-TEST(CrossBuild, NeatsLossyExactBlobsDecodeInBothBuilds) {
+TEST(CrossBuild, NeatsLossyBlobsDecodeInBothBuilds) {
   SKIP_WITHOUT_FMA();
-  CheckBothDirections<NeatsLossyExact>(cross_build::Codec::kNeatsLossyExact,
-                                       "NeaTS-LX");
+  CheckBothDirections<NeatsLossy>(cross_build::Codec::kNeatsLossy, "NeaTS-L",
+                                  cross_build::kLossyEpsilon + 1);
 }
 
 TEST(CrossBuild, LecoBlobsDecodeInBothBuilds) {
   SKIP_WITHOUT_FMA();
-  CheckBothDirections<LecoCodec>(cross_build::Codec::kLeco, "LeCo");
+  CheckBothDirections<LecoCodec>(cross_build::Codec::kLeco, "LeCo", 0);
 }
 
 TEST(CrossBuild, PredictValueIsBitIdenticalOnEveryKind) {

@@ -294,7 +294,6 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   const std::vector<IndexRange> ranges = {{10, 20}, {3000, 1000}};
   std::vector<int64_t> multi(20 + 1000);
   store.DecompressRanges(ranges, multi.data());
-  (void)store.ApproximateRangeSum(200, 2500);
 
   ASSERT_TRUE(store.metrics_enabled());
   const obs::MetricsSnapshot snap = store.StatsSnapshot();
@@ -309,7 +308,6 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   EXPECT_EQ(*snap.counter("range_sum.calls"), 1u);
   EXPECT_EQ(*snap.counter("range_sum.values"), 700u);
   EXPECT_EQ(snap.histogram("range_sum")->count(), 1u);
-  EXPECT_EQ(*snap.counter("approx_sum.calls"), 1u);
   EXPECT_EQ(snap.histogram("append")->count(), 2u);
   EXPECT_EQ(snap.histogram("flush")->count(), 1u);
   // One exclusive hold per publication: the first Append's tail (its seal
@@ -352,15 +350,11 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   const std::vector<obs::TraceEvent> sums =
       EventsOf(trace, obs::EventId::kRangeSum);
   ASSERT_EQ(sums.size(), 1u);
-  const std::vector<obs::TraceEvent> approx =
-      EventsOf(trace, obs::EventId::kApproxRangeSum);
-  ASSERT_EQ(approx.size(), 1u);
   const std::pair<const obs::TraceEvent*, Expected> checks[] = {
       {&batches[0], {obs::EventId::kAccessBatch, idx[0], idx.size()}},
       {&range_events[0], {obs::EventId::kRange, 1000, range.size()}},
       {&range_events[1], {obs::EventId::kRange, 10, multi.size()}},
       {&sums[0], {obs::EventId::kRangeSum, 100, 700}},
-      {&approx[0], {obs::EventId::kApproxRangeSum, 200, 2500}},
   };
   for (const auto& [e, want] : checks) {
     SCOPED_TRACE(obs::EventName(want.op));
@@ -545,8 +539,6 @@ TEST(NeatsStoreObs, QuarantinedReadsCountErrorsWithoutLogSpam) {
       {obs::EventId::kRange, 5,
        [&] { store.DecompressRanges(ranges, buf.data()); }},
       {obs::EventId::kRangeSum, 30, [&] { (void)store.RangeSum(30, 300); }},
-      {obs::EventId::kApproxRangeSum, 40,
-       [&] { (void)store.ApproximateRangeSum(40, 300); }},
   };
   uint64_t errors = kProbes;
   for (const QueryOp& q : ops) {

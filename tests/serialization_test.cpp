@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "codecs/lossy_exact_codec.hpp"
 #include "core/neats.hpp"
 #include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
@@ -77,41 +76,32 @@ uint64_t BlobHash(const Codec& codec) {
   return h;
 }
 
-// Pins the partitioner's output through the blobs it shapes: NeaTS,
-// NeaTS-L (eps 8) and NeaTS-LX of four generated datasets, each at one
-// store shard's size and at the default shard size (seed 1, default
-// options). A change to the partition search that alters any chosen
-// fragment or parameter changes a hash.
+// Pins the partitioner's output through the blobs it shapes: NeaTS and
+// NeaTS-L (eps 8) of four generated datasets, each at one store shard's
+// size and at the default shard size (seed 1, default options). A change to
+// the partition search that alters any chosen fragment or parameter changes
+// a hash.
 TEST(Serialization, PartitionedBlobsHashAsPinned) {
   struct Golden {
     const char* code;
     size_t n;
-    uint64_t neats, lossy, lossy_exact;
+    uint64_t neats, lossy;
   };
   const Golden kGolden[] = {
-      {"ECG", 16384, 0x25f88767dc589969ull, 0xdb95791d5d2d2e76ull,
-       0x7b0f86ace7274e92ull},
-      {"ECG", 65536, 0x7802bd9838b80328ull, 0x0f9b5783fd9036eaull,
-       0xe0ab07d6c9f5144aull},
-      {"IT", 16384, 0xdb4834b79a0a2759ull, 0x3472b3eb0383182aull,
-       0x08ff223b37a45c6cull},
-      {"IT", 65536, 0x63d766657d0ab1ecull, 0xf1228a9cc4b8afe9ull,
-       0x69d921e9443edf26ull},
-      {"DP", 16384, 0x6562b850eae1e04bull, 0x8cd1b6b805c6ec54ull,
-       0x48970c0834c6b467ull},
-      {"DP", 65536, 0xde86bd52227f58c3ull, 0xb96c9f0beebbcea6ull,
-       0x9c67b51b1278f498ull},
-      {"US", 16384, 0xe353cc192be2bc22ull, 0xd00afd101a1e0a17ull,
-       0xa19e608838a3e790ull},
-      {"US", 65536, 0xcd9e3706caf88eafull, 0xa0c1915ece0c5eb5ull,
-       0x4d9e8ee44be7b4d4ull},
+      {"ECG", 16384, 0x25f88767dc589969ull, 0xdb95791d5d2d2e76ull},
+      {"ECG", 65536, 0x7802bd9838b80328ull, 0x0f9b5783fd9036eaull},
+      {"IT", 16384, 0xdb4834b79a0a2759ull, 0x3472b3eb0383182aull},
+      {"IT", 65536, 0x63d766657d0ab1ecull, 0xf1228a9cc4b8afe9ull},
+      {"DP", 16384, 0x6562b850eae1e04bull, 0x8cd1b6b805c6ec54ull},
+      {"DP", 65536, 0xde86bd52227f58c3ull, 0xb96c9f0beebbcea6ull},
+      {"US", 16384, 0xe353cc192be2bc22ull, 0xd00afd101a1e0a17ull},
+      {"US", 65536, 0xcd9e3706caf88eafull, 0xa0c1915ece0c5eb5ull},
   };
   for (const Golden& g : kGolden) {
     SCOPED_TRACE(std::string(g.code) + " n=" + std::to_string(g.n));
     const std::vector<int64_t> values = MakeDataset(g.code, g.n, 1).values;
     EXPECT_EQ(BlobHash(Neats::Compress(values)), g.neats);
     EXPECT_EQ(BlobHash(NeatsLossy::Compress(values, 8)), g.lossy);
-    EXPECT_EQ(BlobHash(NeatsLossyExact::Compress(values)), g.lossy_exact);
   }
 }
 

@@ -8,9 +8,12 @@
 //     at the EF level and forged into NeaTS and LeCo blobs,
 //   - NeaTS format v5: canonical bytes on every open path, rejection of
 //     v1-v4 blobs (loaders, facade, store; a genuine v4 blob too) and of the
-//     previous NeaTS-L/NeaTS-LX/LeCo versions, one forged directory record
-//     per check of the loader's validation walk, and a clobber sweep over
-//     the directory section,
+//     previous NeaTS-L/LeCo versions, one forged directory record per check
+//     of the loader's validation walk, and a clobber sweep over the
+//     directory section,
+//   - NeaTS-L: Access, its zero-copy view and Decompress agree, a
+//     truncation and word-clobber sweep over its blob, and a forged kind
+//     symbol past the kind table,
 //   - Cursor::Seek backward hops against Access ground truth.
 
 #include <gtest/gtest.h>
@@ -23,7 +26,6 @@
 #include <vector>
 
 #include "baselines/leco.hpp"
-#include "codecs/lossy_exact_codec.hpp"
 #include "core/neats.hpp"
 #include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
@@ -34,6 +36,9 @@
 #include "succinct/bit_stream.hpp"
 #include "succinct/bit_vector.hpp"
 #include "succinct/elias_fano.hpp"
+#include "succinct/packed_array.hpp"
+#include "succinct/storage.hpp"
+#include "succinct/wavelet_tree.hpp"
 
 namespace neats {
 namespace {
@@ -522,9 +527,9 @@ TEST(FormatV5, GenuineV4BlobIsRejectedTyped) {
   std::remove(path.c_str());
 }
 
-// NeaTS-L v2, NeaTS-LX v1 and LeCo v1 were the previous formats of the
-// other learned codecs (unpinned evaluation, select-0 samples); each is
-// rejected with its typed version error.
+// NeaTS-L v2 and LeCo v1 were the previous formats of the other learned
+// codecs (unpinned evaluation, select-0 samples); each is rejected with its
+// typed version error.
 TEST(FormatV5, PreviousLearnedCodecVersionsAreRejected) {
   Dataset ds = MakeDataset("ECG", 3000);
   auto with_version = [](std::vector<uint8_t> blob, uint64_t version) {
@@ -537,10 +542,6 @@ TEST(FormatV5, PreviousLearnedCodecVersionsAreRejected) {
                      "unsupported NeaTS-L format version");
   EXPECT_NEATS_ERROR(NeatsLossy::View(with_version(lossy, 2)),
                      "unsupported NeaTS-L format version");
-  std::vector<uint8_t> exact;
-  NeatsLossyExact::Compress(ds.values).Serialize(&exact);
-  EXPECT_NEATS_ERROR(NeatsLossyExact::Deserialize(with_version(exact, 1)),
-                     "unsupported NeaTS-LX format version");
   std::vector<uint8_t> leco;
   Leco::Compress(ds.values).Serialize(&leco);
   EXPECT_NEATS_ERROR(Leco::Deserialize(with_version(leco, 1)),
@@ -772,18 +773,106 @@ TEST(FormatV3, DirectoryMatchesOriginalSeriesMmap) {
   std::remove(path.c_str());
 }
 
-TEST(FormatV3, LossyDirectoryMatchesLegacyPath) {
-  Dataset ds = MakeDataset("AP", 6000);
-  NeatsLossy lossy = NeatsLossy::Compress(ds.values, 50);
-  std::vector<uint8_t> bytes;
-  lossy.Serialize(&bytes);
-  NeatsLossy viewed = NeatsLossy::View(bytes);
-  std::mt19937_64 rng(9);
-  for (int t = 0; t < 1200; ++t) {
-    uint64_t k = rng() % ds.values.size();
-    ASSERT_EQ(lossy.Access(k), lossy.AccessViaLegacyStructures(k)) << k;
-    ASSERT_EQ(viewed.Access(k), lossy.Access(k)) << k;
+// NeaTS-L answers every index three ways that must agree: Access on the
+// compressed object, Access on a zero-copy view of its blob, and Decompress,
+// which walks the fragments with one running parameter offset per kind
+// where Access ranks the fragment's kind.
+TEST(FormatV3, LossyAccessMatchesViewAndDecompress) {
+  for (const char* code : {"AP", "ECG", "UK"}) {
+    SCOPED_TRACE(code);
+    Dataset ds = MakeDataset(code, 6000);
+    NeatsLossy lossy = NeatsLossy::Compress(ds.values, 50);
+    ASSERT_GT(lossy.num_fragments(), 1u);
+    std::vector<uint8_t> bytes;
+    lossy.Serialize(&bytes);
+    NeatsLossy viewed = NeatsLossy::View(bytes);
+    std::vector<int64_t> decoded;
+    lossy.Decompress(&decoded);
+    ASSERT_EQ(decoded.size(), ds.values.size());
+    for (uint64_t k = 0; k < ds.values.size(); ++k) {
+      ASSERT_EQ(lossy.Access(k), decoded[k]) << k;
+      ASSERT_EQ(viewed.Access(k), decoded[k]) << k;
+      ASSERT_LE(std::abs(decoded[k] - ds.values[k]), 51) << k;  // eps + 1
+    }
   }
+}
+
+// NeaTS-L blobs under corruption (the sanitizer CI job runs this suite):
+// every truncation throws, and a word clobber either throws or loads a blob
+// whose every Access and whole Decompress stay in bounds. A clobbered
+// parameter legitimately decodes to other values; only bounds are checked.
+TEST(FormatV3, LossyCorruptBlobSweep) {
+  for (const char* code : {"ECG", "AP"}) {
+    SCOPED_TRACE(code);
+    Dataset ds = MakeDataset(code, 3000);
+    std::vector<uint8_t> blob;
+    NeatsLossy::Compress(ds.values, 50).Serialize(&blob);
+    for (size_t keep = 0; keep < blob.size(); keep += (keep < 64 ? 1 : 8)) {
+      std::vector<uint8_t> cut(blob.begin(),
+                               blob.begin() + static_cast<ptrdiff_t>(keep));
+      EXPECT_NEATS_ERROR(NeatsLossy::Deserialize(cut), "");
+    }
+    std::vector<int64_t> decoded;
+    for (size_t w = 0; w + 8 <= blob.size(); w += 8) {
+      std::vector<uint8_t> evil = blob;
+      for (size_t b = 0; b < 8; ++b) evil[w + b] ^= 0xFF;
+      for (bool view : {false, true}) {
+        try {
+          const NeatsLossy loaded = view ? NeatsLossy::View(evil)
+                                         : NeatsLossy::Deserialize(evil);
+          loaded.Decompress(&decoded);
+          ASSERT_EQ(decoded.size(), loaded.size());
+          for (uint64_t k = 0; k < loaded.size(); ++k) {
+            (void)loaded.Access(k);
+          }
+        } catch (const Error&) {
+          // A loader check caught the clobber — the expected case.
+        }
+      }
+    }
+  }
+}
+
+// A forged NeaTS-L blob whose kind table drops its last kind while the
+// wavelet tree K still names it. Every count and length stays consistent,
+// so only the check that the per-kind ranks cover all m fragments keeps
+// Access and Decompress from indexing past the kind table.
+TEST(FormatV3, LossyForgedKindSymbolIsRejected) {
+  Dataset ds = MakeDataset("ECG", 6000);
+  std::vector<uint8_t> blob;
+  NeatsLossy::Compress(ds.values, 50).Serialize(&blob);
+  // Header words: magic, version, n, m, eps, shift, kind count; then the
+  // kind table, S, D, K, the params count and one params array per kind.
+  WordReader r(blob, /*borrow=*/false);
+  for (int i = 0; i < 6; ++i) r.Get();
+  const uint64_t kinds = r.Get();
+  ASSERT_GE(kinds, 2u);
+  const size_t table_at = r.position();
+  for (uint64_t i = 0; i < kinds; ++i) r.Get();
+  const size_t sections_at = r.position();
+  (void)EliasFano::Load(r);
+  (void)PackedArray::Load(r);
+  (void)WaveletTree::Load(r);
+  const size_t params_at = r.position();
+  ASSERT_EQ(r.Get(), kinds);
+  const size_t arrays_at = r.position();
+  for (uint64_t i = 0; i + 1 < kinds; ++i) (void)r.GetArray<double>();
+  const size_t last_array_at = r.position();
+
+  std::vector<uint8_t> forged;
+  WordWriter w(&forged);
+  auto copy = [&](size_t from, size_t to) {
+    forged.insert(forged.end(), blob.begin() + static_cast<ptrdiff_t>(from),
+                  blob.begin() + static_cast<ptrdiff_t>(to));
+  };
+  copy(0, table_at - 8);
+  w.Put(kinds - 1);
+  copy(table_at, sections_at - 8);  // the kind table minus its last kind
+  copy(sections_at, params_at);
+  w.Put(kinds - 1);
+  copy(arrays_at, last_array_at);
+  EXPECT_NEATS_ERROR(NeatsLossy::Deserialize(forged), "corrupt NeaTS-L blob");
+  EXPECT_NEATS_ERROR(NeatsLossy::View(forged), "corrupt NeaTS-L blob");
 }
 
 TEST(FormatV3, ForgedRecordsAreRejected) {
