@@ -7,6 +7,7 @@
 // everywhere above, and both are at least an order of magnitude ahead of
 // ALP and the LZ-family for small ranges.
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <vector>
@@ -45,9 +46,19 @@ int main() {
   for (const auto& c : roster) std::printf(" %14s", c.name.c_str());
   std::printf("\n");
 
+  const size_t longest = *std::max_element(ns.begin(), ns.end());
+  bool empty_rows = false;
   for (int p = 0; p <= 16; p += 2) {
     size_t range = 10u * (1u << p);
     std::printf("%-10zu", range);
+    if (longest <= range) {
+      // No dataset is long enough to hold a range this size: there is
+      // nothing to time, and a 0 would read as a measurement.
+      for (size_t c = 0; c < roster.size(); ++c) std::printf(" %14s", "n/a");
+      std::printf("\n");
+      empty_rows = true;
+      continue;
+    }
     for (size_t c = 0; c < roster.size(); ++c) {
       double qps_sum = 0;
       size_t counted = 0;
@@ -64,10 +75,14 @@ int main() {
         qps_sum += qps;
         ++counted;
       }
-      std::printf(" %14.0f", counted ? qps_sum / static_cast<double>(counted)
-                                     : 0.0);
+      std::printf(" %14.0f", qps_sum / static_cast<double>(counted));
     }
     std::printf("\n");
+  }
+  if (empty_rows) {
+    std::printf("\nn/a: no dataset of the first %zu is longer than the "
+                "range (longest: %zu values).\n",
+                kUseDatasets, longest);
   }
   return 0;
 }

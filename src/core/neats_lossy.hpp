@@ -200,11 +200,7 @@ class NeatsLossy {
     NEATS_REQUIRE(ranked == out.m_, "corrupt NeaTS-L blob");
     // Strictly increasing starts keep every run Decompress writes inside
     // [0, n); the check above keeps every kind symbol inside the table.
-    for (uint64_t i = 1, prev = 0; i < out.m_; ++i) {
-      const uint64_t start = out.starts_.Access(i);
-      NEATS_REQUIRE(start > prev, "corrupt NeaTS-L blob");
-      prev = start;
-    }
+    NEATS_REQUIRE(out.starts_.StrictlyIncreasing(), "corrupt NeaTS-L blob");
     return out;
   }
 

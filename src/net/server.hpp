@@ -11,26 +11,23 @@
 //                │  dispatch, in queue order, one loop per connection:
 //                │   - ping, and a run of consecutive Access requests of
 //                │     up to kMaxInlineRun probes, run to completion right
-//                │     here: ONE non-blocking store TryAccessBatch call,
-//                │     responses queued straight onto the send queue
-//                │   - everything else — and a run that found the store's
-//                │     writer holding its lock exclusively — becomes the
-//                │     connection's one work item on the pool
+//                │     here: ONE store snapshot, ONE AccessBatch call on
+//                │     it, responses queued straight onto the send queue
+//                │   - everything else becomes the connection's one work
+//                │     item on the pool
 //                ▼
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
-//                │  executes against the store under its shared reader
-//                │  lock (waiting out a writer's publication if it must),
-//                │  bound check and query in one hold, into
-//                │  one response buffer, then hands that buffer back
-//                │  through the completion list + wake pipe
+//                │  loads one store snapshot per request, bound-checks and
+//                │  queries it, into one response buffer, then hands that
+//                │  buffer back through the completion list + wake pipe
 //                ▼
 //             [ IO thread: send queue, backpressure, timeouts ]
 //
-// The IO thread never waits on the store's writer lock: the writer holds
-// it exclusively only to publish (Append's WAL fsync and Flush's drain run
-// outside it) and Scrub for its whole run, but a stalled IO thread would
-// stall every connection even for that. A short read whose try-lock fails
-// simply takes the pool path.
+// Neither side ever waits on the store's writer: a query loads the
+// store's published snapshot (NeatsStore::snapshot(), a pointer copy) and
+// answers from it while the writer fsyncs, seals, drains or scrubs. The
+// request's bound check and its answer come from that one snapshot, so a
+// concurrent Append can never slip between them.
 //
 // One buffer per response: whoever answers reserves the 24-byte frame
 // header, lets the store decode values straight into the payload behind
@@ -77,7 +74,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -107,10 +103,9 @@ struct NeatsServerOptions {
   uint16_t port = 0;
 
   /// Worker threads for the requests the IO thread does not answer itself
-  /// (everything but ping and short Access runs, plus short runs that
-  /// found the store's writer busy). 0 runs those inline on the IO thread
-  /// too — single-threaded mode, still correct, useful for deterministic
-  /// tests.
+  /// (everything but ping and short Access runs). 0 runs those inline on
+  /// the IO thread too — single-threaded mode, still correct, useful for
+  /// deterministic tests.
   int worker_threads = 3;
 
   /// listen(2) backlog.
@@ -212,7 +207,7 @@ struct ServerObs {
   obs::CounterId c_accepted, c_closed, c_rejected, c_idle_closed,
       c_requests, c_errors, c_shed, c_bytes_in, c_bytes_out, c_bad_frames,
       c_http_requests, c_coalesced_batches, c_coalesced_probes,
-      c_exec_inline, c_exec_writer_busy;
+      c_exec_inline;
   obs::CounterId c_op[kMaxOpcode + 1];
   obs::GaugeId g_connections, g_inflight;
   obs::HistogramId h_op[kMaxOpcode + 1];
@@ -233,7 +228,6 @@ struct ServerObs {
     c_coalesced_batches = registry.AddCounter("coalesce.batches");
     c_coalesced_probes = registry.AddCounter("coalesce.probes");
     c_exec_inline = registry.AddCounter("exec.inline");
-    c_exec_writer_busy = registry.AddCounter("exec.writer_busy");
     for (uint8_t op = 1; op <= kMaxOpcode; ++op) {
       c_op[op] = registry.AddCounter(
           std::string("req.") + OpcodeName(static_cast<Opcode>(op)));
@@ -803,13 +797,12 @@ class NeatsServer {
   }
 
   /// Runs the connection's queue forward while no work item is in flight:
-  /// ping and Access runs of up to kMaxInlineRun are answered here unless
-  /// the store's writer holds its lock; anything else becomes the
-  /// connection's one work item on the pool (an Access run of up to
-  /// kMaxCoalescedRun, or one request of any other opcode). Whatever
-  /// arrived while the previous item executed forms the next run, so
-  /// pipelining clients batch without any wait. A loop over at most
-  /// max_queued_per_conn requests.
+  /// ping and Access runs of up to kMaxInlineRun are answered here;
+  /// anything else becomes the connection's one work item on the pool (an
+  /// Access run of up to kMaxCoalescedRun, or one request of any other
+  /// opcode). Whatever arrived while the previous item executed forms the
+  /// next run, so pipelining clients batch without any wait. A loop over
+  /// at most max_queued_per_conn requests.
   void TryDispatch(const std::shared_ptr<Conn>& conn) {
     while (!conn->closed && !conn->busy && !conn->queue.empty()) {
       if (conn->queue.front().op == Opcode::kPing) {
@@ -832,11 +825,9 @@ class NeatsServer {
       conn->queue.erase(first, last);
       if (run > 0 && run <= kMaxInlineRun) {
         Buffer out;
-        if (ExecuteAccessRun(items, /*wait=*/false, &out)) {
-          AnsweredInline(conn, run, std::move(out));
-          continue;
-        }
-        obs_->registry.Count(obs_->c_exec_writer_busy);
+        ExecuteAccessRun(items, &out);
+        AnsweredInline(conn, run, std::move(out));
+        continue;
       }
       conn->busy = true;
       workers_->Submit([this, conn, mode = conn->mode,
@@ -914,7 +905,7 @@ class NeatsServer {
                    std::vector<Request>& items) {
     Buffer out;
     if (items[0].op == Opcode::kAccess) {
-      ExecuteAccessRun(items, /*wait=*/true, &out);
+      ExecuteAccessRun(items, &out);
     } else {
       const uint64_t t0 = obs::NowNs();
       ExecuteOne(mode, items[0], &out);
@@ -931,33 +922,26 @@ class NeatsServer {
     [[maybe_unused]] ssize_t n = ::write(wake_w_, &b, 1);
   }
 
-  /// A run of Access requests: every probe rides one store batch call,
-  /// bound-checked in the same lock hold, and each request still gets its
-  /// own response in request order: its value, kOutOfRange past the
-  /// store's size, or the store's error if the batch threw. A worker
-  /// (`wait`) takes the reader lock like any query; the IO thread only
-  /// tries it and, while the writer holds it, returns false with `out` and
-  /// every counter untouched. The run's service time lands in the
-  /// "op.access" histogram once; a run of more than one also counts as a
-  /// coalesced batch.
-  bool ExecuteAccessRun(std::span<const Request> items, bool wait,
-                        Buffer* out) {
+  /// A run of Access requests: every probe inside the snapshot's size rides
+  /// one batch call on that snapshot, and each request still gets its own
+  /// response in request order: its value, kOutOfRange past the size, or
+  /// the store's error if the batch threw. The run's service time lands in
+  /// the "op.access" histogram once; a run of more than one also counts as
+  /// a coalesced batch.
+  void ExecuteAccessRun(std::span<const Request> items, Buffer* out) {
     const uint64_t t0 = obs::NowNs();
-    std::vector<uint64_t> idx(items.size());
-    for (size_t k = 0; k < items.size(); ++k) idx[k] = items[k].a;
-    std::vector<int64_t> values(items.size());
-    uint64_t size = 0;
+    const auto snap = store_.snapshot();
+    const uint64_t size = snap->size();
+    std::vector<uint64_t> idx;
+    idx.reserve(items.size());
+    for (const Request& r : items) {
+      if (r.a < size) idx.push_back(r.a);
+    }
+    std::vector<int64_t> values(idx.size());
     WireStatus failure = WireStatus::kOk;
     std::string failure_msg;
     try {
-      if (wait) {
-        size = store_.AccessBatchBounded(idx, values);
-      } else if (const std::optional<uint64_t> s =
-                     store_.TryAccessBatch(idx, values)) {
-        size = *s;
-      } else {
-        return false;
-      }
+      snap->AccessBatch(idx, values);
     } catch (const Error& e) {
       failure = FailureStatus(e);
       failure_msg = e.what();
@@ -965,8 +949,8 @@ class NeatsServer {
       failure = WireStatus::kInternal;
       failure_msg = e.what();
     }
-    for (size_t k = 0; k < items.size(); ++k) {
-      const Request& r = items[k];
+    size_t answered = 0;  // next unread entry of `values`
+    for (const Request& r : items) {
       if (failure != WireStatus::kOk) {
         AppendError(Conn::Mode::kBinary, r.op, r.id, failure, failure_msg,
                     out);
@@ -974,7 +958,7 @@ class NeatsServer {
         AppendError(Conn::Mode::kBinary, r.op, r.id, WireStatus::kOutOfRange,
                     "index past store size", out);
       } else {
-        AppendValueResponse(r.id, values[k], out);
+        AppendValueResponse(r.id, values[answered++], out);
       }
     }
     if (items.size() > 1) {
@@ -984,7 +968,6 @@ class NeatsServer {
     }
     obs_->registry.Record(obs_->h_op[static_cast<uint8_t>(Opcode::kAccess)],
                           obs::NowNs() - t0);
-    return true;
   }
 
   /// The wire status of a store Error: a quarantined shard is kUnavailable,
@@ -1027,18 +1010,19 @@ class NeatsServer {
           return;
         }
         case Opcode::kAccessBatch: {
-          // Bound-checked in the batch's own reader-lock hold.
-          const bool answered = AppendValuesResponse(
-              req.op, req.id, req.idx.size(), out, [&](int64_t* values) {
-                const uint64_t size = store_.AccessBatchBounded(
-                    req.idx, {values, req.idx.size()});
-                return std::ranges::all_of(
-                    req.idx, [size](uint64_t i) { return i < size; });
-              });
-          if (!answered) {
+          const auto snap = store_.snapshot();
+          const uint64_t size = snap->size();
+          if (!std::ranges::all_of(
+                  req.idx, [size](uint64_t i) { return i < size; })) {
             AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
                         "probe past store size", out);
+            return;
           }
+          AppendValuesResponse(req.op, req.id, req.idx.size(), out,
+                               [&](int64_t* values) {
+                                 snap->AccessBatch(
+                                     req.idx, {values, req.idx.size()});
+                               });
           return;
         }
         case Opcode::kDecompressRange:
@@ -1051,50 +1035,36 @@ class NeatsServer {
           } else {
             ranges = {&single, 1};
           }
-          // The frame cap depends on the request alone; the store's bounds
-          // are checked in the query's own lock hold. The first range that
-          // is past the end or overflows the frame decides the error, the
-          // bound first.
+          // The bounds and the answer come from one snapshot. The first
+          // range that is past the end or overflows the response frame
+          // decides the error, the bound first.
+          const auto snap = store_.snapshot();
+          const uint64_t size = snap->size();
           const uint64_t cap = req.op == Opcode::kRangeSum
                                    ? UINT64_MAX
                                    : options_.max_frame_bytes / 8;
-          size_t fits = 0;  // leading ranges the response frame holds
           uint64_t total = 0;
-          while (fits < ranges.size() && ranges[fits].len <= cap - total) {
-            total += ranges[fits++].len;
-          }
-          if (fits < ranges.size()) {
-            const uint64_t size = store_.size();
-            const bool past = std::any_of(
-                ranges.begin(), ranges.begin() + fits + 1,
-                [size](const IndexRange& r) {
-                  return r.len > size || r.from > size - r.len;
-                });
-            if (past) {
+          for (const IndexRange& r : ranges) {
+            if (r.len > size || r.from > size - r.len) {
               AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
                           "range past store size", out);
-            } else {
+              return;
+            }
+            if (r.len > cap - total) {
               AppendError(mode, req.op, req.id, WireStatus::kBadRequest,
                           "response would exceed max_frame_bytes", out);
+              return;
             }
-            return;
+            total += r.len;
           }
-          bool answered = false;
           if (req.op == Opcode::kRangeSum) {
-            if (const std::optional<int64_t> sum =
-                    store_.RangeSumBounded(req.a, req.b)) {
-              AppendValueResponse(req.id, *sum, out, /*sum=*/true);
-              answered = true;
-            }
+            AppendValueResponse(req.id, snap->RangeSum(req.a, req.b), out,
+                                /*sum=*/true);
           } else {
-            answered = AppendValuesResponse(
-                req.op, req.id, total, out, [&](int64_t* values) {
-                  return store_.DecompressRangesBounded(ranges, values);
-                });
-          }
-          if (!answered) {
-            AppendError(mode, req.op, req.id, WireStatus::kOutOfRange,
-                        "range past store size", out);
+            AppendValuesResponse(req.op, req.id, total, out,
+                                 [&](int64_t* values) {
+                                   snap->DecompressRanges(ranges, values);
+                                 });
           }
           return;
         }
@@ -1127,10 +1097,9 @@ class NeatsServer {
 
   /// A kOk frame of `n` int64 values that `fill` writes straight into the
   /// frame's payload (the wire's little-endian int64 is the host layout).
-  /// If `fill` returns false (it answered nothing) or throws, `out` is left
-  /// as it was; returns what `fill` did.
+  /// If `fill` throws, `out` is left as it was.
   template <class Fill>
-  bool AppendValuesResponse(Opcode op, uint64_t id, size_t n, Buffer* out,
+  void AppendValuesResponse(Opcode op, uint64_t id, size_t n, Buffer* out,
                             const Fill& fill) {
     const size_t at = out->size();
     out->resize(at + kFrameHeaderBytes + n * 8);
@@ -1138,20 +1107,14 @@ class NeatsServer {
     uint8_t* payload = frame + kFrameHeaderBytes;
     NEATS_DCHECK(reinterpret_cast<uintptr_t>(payload) % alignof(int64_t) ==
                  0);
-    bool filled = false;
     try {
-      filled = fill(reinterpret_cast<int64_t*>(payload));
+      fill(reinterpret_cast<int64_t*>(payload));
     } catch (...) {
       out->resize(at);
       throw;
     }
-    if (!filled) {
-      out->resize(at);
-      return false;
-    }
     FinishFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
                 n * 8);
-    return true;
   }
 
   static void AppendText(Buffer* out, std::string_view text) {

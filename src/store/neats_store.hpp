@@ -64,38 +64,33 @@
 //                          whole group instead of re-seeking per range
 //   RangeSum               exact sums, combined across the covered shards
 //
-// Threading contract: single writer, many readers. One thread at a time may
-// mutate the store (Append/Flush/Scrub serialize on the store's writer
-// mutex); any number of threads may run const queries concurrently — with
-// each other, with the background seals, *and* with the writer. Queries
-// take the reader side of a second lock, and the writer takes its
-// exclusive side only to publish in-memory state (cut a chunk, promote
-// finished seals, extend the tail), never across IO: Append's WAL write
-// and fsync, Flush's seal drain and its manifest and WAL writes run under
-// the writer mutex alone, so a reader waits at most one publication, not
-// an fsync. Queries see the topology before or after each publication,
-// never mid-flight, and a value becomes visible only once its WAL record
-// is durable. Scrub alone holds the exclusive side for its whole run.
-// TryAccessBatch is the one query that never waits: while the writer
-// publishes (or Scrub runs) it returns at once, unanswered (the server's
-// IO thread relies on that). The "lock.exclusive_hold" histogram times
-// every exclusive hold. The scenario engine (src/scenario/) drives exactly
-// this shape — concurrent appenders/readers with every read verified —
-// under ThreadSanitizer in CI. Moves and destruction still require outside
-// quiescence, like any standard container.
+// Threading contract: single writer, many readers, and readers never wait.
+// One thread at a time may mutate the store (Append/Flush/Scrub serialize
+// on the store's writer mutex); any number of threads may run const queries
+// concurrently — with each other, with the background seals, *and* with the
+// writer. The read state is one immutable Snapshot (the shard rows, the
+// chunks still sealing, the hot tail's published length and the totals)
+// that the writer replaces whole: it builds the next snapshot aside and
+// swaps one pointer. A query loads the current snapshot once — the only
+// lock it takes is held for that pointer copy — and its bound check,
+// routing and answer all come from that one view, so no query waits on
+// Scrub, an inline seal, a WAL fsync or a seal drain. Queries see the
+// store before or after each publication, never mid-flight, and a value
+// becomes visible only once its WAL record is durable. The scenario engine
+// (src/scenario/) drives exactly this shape — concurrent appenders/readers
+// with every read verified — under ThreadSanitizer in CI. Moves and
+// destruction still require outside quiescence, like any standard
+// container.
 
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -225,7 +220,7 @@ struct StoreObs {
   obs::GaugeId g_size, g_shards, g_pending, g_tail, g_quarantined,
       g_cache_entries, g_cache_bytes;
   obs::HistogramId h_access, h_batch, h_range, h_sum, h_append, h_flush,
-      h_seal, h_scrub, h_exclusive_hold;
+      h_seal, h_scrub;
 
   StoreObs(uint32_t sample, obs::LogSink log_sink)
       : recorder(kTraceEvents),
@@ -271,7 +266,6 @@ struct StoreObs {
     h_flush = registry.AddHistogram("flush");
     h_seal = registry.AddHistogram("seal");
     h_scrub = registry.AddHistogram("scrub");
-    h_exclusive_hold = registry.AddHistogram("lock.exclusive_hold");
   }
 
   void Trace(obs::EventId op, obs::TraceTier tier, uint16_t status,
@@ -309,11 +303,89 @@ struct StoreObs {
   }
 };
 
+/// The metrics wrapper of every store op but scalar Access (which keeps its
+/// sampled fast path). With metrics off (`ob` null) it runs `body` bare.
+/// With metrics on it times the body into histogram `hist`, traces one `op`
+/// event carrying `arg` and `len`, and on an Error counts it, traces it
+/// with its status and rethrows. Op counters stay with the callers: queries
+/// count every call, Append only acked ones.
+template <class Body>
+std::invoke_result_t<const Body&> Observed(StoreObs* ob, obs::EventId op,
+                                           obs::HistogramId StoreObs::*hist,
+                                           uint64_t arg, uint64_t len,
+                                           const Body& body) {
+  if (ob == nullptr) return body();
+  try {
+    const uint64_t t0 = obs::NowNs();
+    const auto finish = [&] {
+      const uint64_t dur = obs::NowNs() - t0;
+      ob->registry.Record(ob->*hist, dur);
+      ob->Trace(op, obs::TraceTier::kNone, 0, obs::TraceEvent::kNoCodec,
+                obs::kNoShard, arg, len, dur);
+    };
+    if constexpr (std::is_void_v<std::invoke_result_t<const Body&>>) {
+      body();
+      finish();
+    } else {
+      auto result = body();
+      finish();
+      return result;
+    }
+  } catch (const Error& e) {
+    ob->Error(op, arg, static_cast<uint16_t>(e.code()));
+    throw;
+  }
+}
+
 }  // namespace store_internal
+
 
 /// A sharded, append-able, randomly-accessible compressed series store.
 class NeatsStore {
   using StoreObs = store_internal::StoreObs;
+
+  /// One sealed shard: its manifest row (slice of the global index space,
+  /// blob size, codec, CRC) and the type-erased series serving it — owned
+  /// right after an in-memory seal, or borrowing `map` when the codec
+  /// opened the blob zero-copy. A null `series` means the shard is
+  /// quarantined (`quarantine` says why): its routing row stays so
+  /// neighbors keep their slots, but queries into it throw kUnavailable.
+  /// Immutable once published; Scrub and repair publish replacement rows.
+  struct Shard : StoreManifest::Shard {
+    Shard(const StoreManifest::Shard& row, std::unique_ptr<SealedSeries> s,
+          std::string why = {})
+        : StoreManifest::Shard(row),
+          series(std::move(s)),
+          quarantine(std::move(why)) {}
+
+    std::unique_ptr<SealedSeries> series;  // null = quarantined
+    std::string quarantine;  // why the shard is not serving
+    io::MappedRegion map;    // backs `series` when served from disk
+  };
+  using ShardTable = std::vector<std::shared_ptr<const Shard>>;
+
+  /// A chunk handed to the background sealer. Its raw values keep serving
+  /// queries until the seal is promoted; the seal task shares ownership,
+  /// reads `values` and writes only `sealed`, `codec`, `blob_bytes`, `crc`,
+  /// `error` and finally `done` (the publication flag), none of which a
+  /// reader looks at. A task must never let an exception escape into the
+  /// pool (ThreadPool tasks must not throw), so a failed seal — disk full
+  /// while writing the blob, a compressor precondition — lands in `error`
+  /// and is rethrown on the caller's thread at the next promotion, where
+  /// the facade (neats::FlushStore) converts it into a Status.
+  struct PendingChunk {
+    uint64_t first = 0;
+    uint64_t count = 0;
+    size_t ordinal = 0;  // shard number -> blob file name
+    std::shared_ptr<int64_t[]> values;  // `count` values, never written
+    std::unique_ptr<SealedSeries> sealed;
+    CodecId codec = CodecId::kNeats;
+    uint64_t blob_bytes = 0;
+    uint32_t crc = 0;  // CRC32C of the blob payload (directory stores)
+    std::string error;  // non-empty = the seal failed with this message
+    StatusCode error_code = StatusCode::kFailed;  // its failure category
+    std::atomic<bool> done{false};
+  };
 
  public:
   /// What OpenDir()/Scrub() found wrong with a store directory and what
@@ -344,13 +416,435 @@ class NeatsStore {
   /// out: the pool the sealer shares is the pool the fan-out rides.
   static constexpr uint64_t kParallelQueryValues = uint64_t{1} << 17;
 
+  /// The store's read state at one publication: the sealed shard rows, the
+  /// chunks still sealing, the hot tail up to its published length, and the
+  /// totals. Immutable once published — the writer builds the next snapshot
+  /// aside and swaps it in — so a query that loads one answers from a
+  /// single consistent view however long it runs: its bound check (size()),
+  /// routing and answer all agree. Every store query loads the current
+  /// snapshot once; a caller that must check bounds and query in one view
+  /// (the server) loads it with NeatsStore::snapshot() and queries it
+  /// directly. Queries on a snapshot count into the store's metrics like
+  /// the store's own. A snapshot borrows the store's metrics, block cache
+  /// and seal pool, so it must not outlive the store.
+  class Snapshot {
+   public:
+    /// Values visible in this snapshot (sealed + sealing + hot tail).
+    uint64_t size() const {
+      return sealed_total_ + pending_total_ + tail_len_;
+    }
+
+    /// The value at global index i (< size()): one routing lookup, then the
+    /// covering shard codec's Access (or a raw read from a pending chunk /
+    /// the tail). Gorilla/Chimp shards answer from the decoded-block cache
+    /// when it holds the containing block (a hash probe + one array read —
+    /// Neats-class latency), decoding and caching the block otherwise.
+    int64_t Access(uint64_t i) const {
+      NEATS_DCHECK(i < size());
+      StoreObs* ob = obs_;
+      if (ob == nullptr) return Lookup(i, nullptr);
+      try {
+        // The counter is exact; the clock pair is sampled (1 in
+        // sample_every per thread) so timing costs a fraction of a
+        // nanosecond amortized. One combined slab lookup — perfbench's
+        // obs.access_overhead_ratio gate budgets this whole branch at 3% of
+        // the access itself.
+        if (!ob->registry.CountAndTick(ob->c_access, ob->h_access,
+                                       ob->sample_every)) {
+          return Lookup(i, nullptr);
+        }
+        obs::TraceEvent ev;
+        const uint64_t t0 = obs::NowNs();
+        const int64_t v = Lookup(i, &ev);
+        const uint64_t dur = obs::NowNs() - t0;
+        ob->registry.Record(ob->h_access, dur);
+        ob->Trace(obs::EventId::kAccess, ev.tier, 0, ev.codec, ev.shard, i,
+                  1, dur);
+        return v;
+      } catch (const Error& e) {
+        ob->Error(obs::EventId::kAccess, i, static_cast<uint16_t>(e.code()));
+        throw;
+      }
+    }
+
+    /// Batched point queries (every probe < size()), any order, duplicates
+    /// allowed. Probes are argsorted, grouped per shard, and each shard
+    /// group is resolved by the shard codec's batch kernel; out[j] receives
+    /// the value at idx[j] (the sort is internal, results come back in
+    /// input order).
+    void AccessBatch(std::span<const uint64_t> idx,
+                     std::span<int64_t> out) const {
+      NEATS_DCHECK(idx.size() == out.size());
+      if (idx.empty()) return;
+      if (StoreObs* ob = obs_) {
+        ob->registry.Count(ob->c_batch_calls);
+        ob->registry.Count(ob->c_batch_probes, idx.size());
+      }
+      store_internal::Observed(obs_, obs::EventId::kAccessBatch,
+                               &StoreObs::h_batch, idx[0], idx.size(),
+                               [&] { LookupBatch(idx, out); });
+    }
+
+    /// Multi-range decompression (every range inside [0, size())): every
+    /// range's values, concatenated into `out` (sized to the sum of the
+    /// range lengths). Consecutive (sub)ranges covered by the same sealed
+    /// shard are batched into one codec-level DecompressRanges call, so the
+    /// codec reuses a single cursor across the group (its monotone-seek hop
+    /// chain) instead of paying a fresh rank per range.
+    void DecompressRanges(std::span<const IndexRange> ranges,
+                          int64_t* out) const {
+      uint64_t values = 0;
+      if (StoreObs* ob = obs_) {
+        for (const IndexRange& r : ranges) values += r.len;
+        ob->registry.Count(ob->c_range_calls);
+        ob->registry.Count(ob->c_range_values, values);
+      }
+      store_internal::Observed(obs_, obs::EventId::kRange, &StoreObs::h_range,
+                               ranges.empty() ? 0 : ranges[0].from, values,
+                               [&] { Decode(ranges, out); });
+    }
+
+    /// Exact sum over values[from, from + len) (inside [0, size())),
+    /// combined across shards.
+    int64_t RangeSum(uint64_t from, uint64_t len) const {
+      if (StoreObs* ob = obs_) {
+        ob->registry.Count(ob->c_sum_calls);
+        ob->registry.Count(ob->c_sum_values, len);
+      }
+      return store_internal::Observed(obs_, obs::EventId::kRangeSum,
+                                      &StoreObs::h_sum, from, len,
+                                      [&] { return Sum(from, len); });
+    }
+
+   private:
+    friend class NeatsStore;
+
+    const Shard& Row(size_t s) const { return *(*shards_)[s]; }
+
+    bool Degraded() const {
+      for (const auto& s : *shards_) {
+        if (s->series == nullptr) return true;
+      }
+      return false;
+    }
+
+    /// Routing lookup: the index of the sealed shard covering global index
+    /// i.
+    size_t ShardOf(uint64_t i) const {
+      NEATS_DCHECK(i < sealed_total_);
+      const ShardTable& rows = *shards_;
+      size_t lo = 0, hi = rows.size() - 1;
+      while (lo < hi) {
+        const size_t mid = (lo + hi + 1) / 2;
+        if (rows[mid]->first <= i) {
+          lo = mid;
+        } else {
+          hi = mid - 1;
+        }
+      }
+      return lo;
+    }
+
+    /// ShardOf, refusing to route into a quarantined shard: the query gets
+    /// a typed kUnavailable error instead of any chance of a wrong value.
+    size_t HealthyShardOf(uint64_t i) const {
+      const size_t s = ShardOf(i);
+      if (Row(s).series == nullptr) {
+        throw Error("shard " + std::to_string(s) +
+                        " is quarantined: " + Row(s).quarantine,
+                    StatusCode::kUnavailable);
+      }
+      return s;
+    }
+
+    /// Access body. `ev` is null on the untimed fast path (identical
+    /// routing to the pre-metrics store); a sampled, traced access passes
+    /// an event to receive the routing outcome — which tier answered, which
+    /// shard, which codec.
+    int64_t Lookup(uint64_t i, obs::TraceEvent* ev) const {
+      if (i < sealed_total_) {
+        const size_t index = HealthyShardOf(i);
+        const Shard& s = Row(index);
+        const uint64_t local = i - s.first;
+        if (ev != nullptr) {
+          ev->tier = obs::TraceTier::kSealed;
+          ev->shard = index;
+          ev->codec = static_cast<uint32_t>(s.codec);
+        }
+        if (cache_ != nullptr) {
+          const uint64_t bv = s.series->BlockValues();
+          if (bv > 0) {
+            if (ev == nullptr) {
+              return (*CachedBlock(index, local / bv))[local % bv];
+            }
+            // One cache consult either way — the hit flag rides along so
+            // the trace can say which tier answered without a second probe
+            // (block_cache_stats() stays exactly hits+misses == probes).
+            bool hit = false;
+            const auto values = CachedBlock(index, local / bv, &hit);
+            ev->tier = hit ? obs::TraceTier::kCacheHit
+                           : obs::TraceTier::kCacheMiss;
+            return (*values)[local % bv];
+          }
+        }
+        return s.series->Access(local);
+      }
+      if (ev != nullptr) {
+        ev->tier = i < sealed_total_ + pending_total_ ? obs::TraceTier::kPending
+                                                      : obs::TraceTier::kTail;
+      }
+      return AccessUnsealed(i);
+    }
+
+    /// AccessBatch body (the public wrapper only adds metrics around it).
+    void LookupBatch(std::span<const uint64_t> idx,
+                     std::span<int64_t> out) const {
+      std::vector<size_t> order(idx.size());
+      for (size_t j = 0; j < order.size(); ++j) order[j] = j;
+      std::sort(order.begin(), order.end(),
+                [&idx](size_t a, size_t b) { return idx[a] < idx[b]; });
+      std::vector<uint64_t> local;
+      std::vector<int64_t> local_out;
+      size_t p = 0;
+      while (p < idx.size()) {
+        const uint64_t k = idx[order[p]];
+        NEATS_DCHECK(k < size());
+        if (k >= sealed_total_) {  // pending chunks + tail: raw reads
+          out[order[p]] = AccessUnsealed(k);
+          ++p;
+          continue;
+        }
+        const size_t index = HealthyShardOf(k);
+        const Shard& s = Row(index);
+        const uint64_t end = s.first + s.count;
+        size_t q = p;
+        local.clear();
+        while (q < idx.size() && idx[order[q]] < end) {
+          local.push_back(idx[order[q]] - s.first);
+          ++q;
+        }
+        local_out.resize(local.size());
+        const uint64_t bv =
+            cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
+        if (bv > 0) {
+          // Gorilla/Chimp shard: answer each touched block's probes from
+          // one cached (or once-decoded) block.
+          size_t a = 0;
+          while (a < local.size()) {
+            const uint64_t blk = local[a] / bv;
+            size_t z = a;
+            while (z < local.size() && local[z] / bv == blk) ++z;
+            const auto values = CachedBlock(index, blk);
+            for (size_t j = a; j < z; ++j) {
+              local_out[j] = (*values)[local[j] % bv];
+            }
+            a = z;
+          }
+        } else {
+          s.series->AccessBatch(local, local_out.data());
+        }
+        for (size_t j = p; j < q; ++j) out[order[j]] = local_out[j - p];
+        p = q;
+      }
+    }
+
+    /// The decoded block serving (shard-local) block `block` of shard
+    /// `index`, from the cache when present, decoding (outside the cache
+    /// lock) and inserting on a miss. Only called when cache_ is non-null
+    /// and the shard's codec is block-structured (BlockValues() > 0:
+    /// Gorilla, Chimp).
+    DecodedBlockCache::BlockPtr CachedBlock(size_t index, uint64_t block,
+                                            bool* was_hit = nullptr) const {
+      const Shard& s = Row(index);
+      const uint32_t codec = static_cast<uint32_t>(s.codec);
+      if (auto hit = cache_->Lookup(index, codec, block)) {
+        if (was_hit != nullptr) *was_hit = true;
+        return hit;
+      }
+      if (was_hit != nullptr) *was_hit = false;
+      auto values =
+          std::make_shared<std::vector<int64_t>>(s.series->BlockValues());
+      const uint64_t count = s.series->DecodeBlock(block, values->data());
+      values->resize(count);
+      cache_->Insert(index, codec, block, values);
+      return values;
+    }
+
+    /// Raw read past the sealed prefix (pending chunks, then the tail).
+    int64_t AccessUnsealed(uint64_t i) const {
+      NEATS_DCHECK(i >= sealed_total_ && i < size());
+      for (const auto& c : pending_) {
+        if (i < c->first + c->count) return c->values[i - c->first];
+      }
+      return tail_[i - sealed_total_ - pending_total_];
+    }
+
+    /// One sealed shard's slice of a multi-range query: the shard-local
+    /// subranges that landed on it consecutively and the output cursor
+    /// where their values go. Groups are independent by construction
+    /// (disjoint output spans, distinct series objects), which is what
+    /// makes the fan-out below embarrassingly parallel.
+    struct ShardGroup {
+      const Shard* shard = nullptr;
+      int64_t* out = nullptr;
+      std::vector<IndexRange> local;  // shard-local coordinates
+    };
+
+    /// Runs task(0) .. task(count - 1), one per covered sealed shard: on
+    /// the seal pool when the query spans at least two shards and
+    /// kParallelQueryValues sealed values and the pool has two threads or
+    /// more, inline otherwise. Quarantine was already rejected during
+    /// routing (HealthyShardOf throws before any task runs), so task
+    /// exceptions are the rare codec/I/O kind; pool bodies must not throw,
+    /// so the first one is captured and rethrown on the calling thread.
+    /// Each task writes only its own output, so both schedules give
+    /// identical results.
+    template <class Task>
+    void RunShardTasks(size_t count, uint64_t sealed_values,
+                       const Task& task) const {
+      if (count < 2 || sealed_values < kParallelQueryValues ||
+          pool_ == nullptr || pool_->num_threads() < 2) {
+        for (size_t i = 0; i < count; ++i) task(i);
+        return;
+      }
+      std::mutex err_mu;
+      std::exception_ptr err;
+      pool_->ParallelFor(count, [&](size_t i) {
+        try {
+          task(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(err_mu);
+          if (!err) err = std::current_exception();
+        }
+      });
+      if (err) std::rethrow_exception(err);
+    }
+
+    /// The one split of values[from, from + len) across the tiers, in
+    /// index order: on_shard(shard, local_from, take) for every sealed
+    /// piece, then on_raw(span) for every contiguous run of a pending chunk
+    /// or the tail. Sealed pieces route through HealthyShardOf, so a
+    /// quarantined shard throws here, before a caller starts any fan-out.
+    template <class OnShard, class OnRaw>
+    void ForEachPiece(uint64_t from, uint64_t len, const OnShard& on_shard,
+                      const OnRaw& on_raw) const {
+      NEATS_DCHECK(from + len <= size());
+      const uint64_t end = from + len;
+      while (from < end && from < sealed_total_) {
+        const Shard& s = Row(HealthyShardOf(from));
+        const uint64_t take = std::min(end, s.first + s.count) - from;
+        on_shard(s, from - s.first, take);
+        from += take;
+      }
+      for (const auto& c : pending_) {
+        if (from >= end) return;
+        const uint64_t c_end = c->first + c->count;
+        if (from >= c_end) continue;
+        const uint64_t take = std::min(end, c_end) - from;
+        on_raw(std::span<const int64_t>(c->values.get() + (from - c->first),
+                                        take));
+        from += take;
+      }
+      if (from < end) {
+        on_raw(std::span<const int64_t>(
+            tail_.get() + (from - sealed_total_ - pending_total_),
+            end - from));
+      }
+    }
+
+    /// DecompressRanges body. Builds the per-shard groups sequentially —
+    /// routing errors (quarantine) surface here, before any parallel work
+    /// starts — then runs them through RunShardTasks. Not-yet-sealed spans
+    /// are copied inline during the build; they live in plain buffers and
+    /// are bounded by the tail, never worth a task.
+    void Decode(std::span<const IndexRange> ranges, int64_t* out) const {
+      std::vector<ShardGroup> groups;
+      uint64_t sealed_values = 0;
+      const Shard* cur = nullptr;  // group-continuity: an unsealed span or
+                                   // a shard switch ends the open group
+      for (const IndexRange& r : ranges) {
+        ForEachPiece(
+            r.from, r.len,
+            [&](const Shard& s, uint64_t local_from, uint64_t take) {
+              if (cur != &s) {
+                cur = &s;
+                groups.push_back(ShardGroup{&s, out, {}});
+              }
+              groups.back().local.push_back({local_from, take});
+              sealed_values += take;
+              out += take;
+            },
+            [&](std::span<const int64_t> raw) {
+              cur = nullptr;
+              out = std::copy(raw.begin(), raw.end(), out);
+            });
+      }
+      RunShardTasks(groups.size(), sealed_values, [&](size_t i) {
+        groups[i].shard->series->DecompressRanges(groups[i].local,
+                                                  groups[i].out);
+      });
+    }
+
+    /// RangeSum body. A sum spanning several sealed shards takes one
+    /// partial sum per shard through RunShardTasks; int64 addition is
+    /// associative, so the partials accumulated in segment order give the
+    /// exact sequential answer.
+    int64_t Sum(uint64_t from, uint64_t len) const {
+      struct Segment {
+        const Shard* shard;
+        uint64_t local_from;
+        uint64_t take;
+      };
+      std::vector<Segment> segments;
+      int64_t sum = 0;
+      uint64_t sealed_values = 0;
+      ForEachPiece(
+          from, len,
+          [&](const Shard& s, uint64_t local_from, uint64_t take) {
+            segments.push_back({&s, local_from, take});
+            sealed_values += take;
+          },
+          [&](std::span<const int64_t> raw) {
+            for (int64_t v : raw) sum += v;
+          });
+      std::vector<int64_t> partial(segments.size(), 0);
+      RunShardTasks(segments.size(), sealed_values, [&](size_t i) {
+        partial[i] = segments[i].shard->series->RangeSum(
+            segments[i].local_from, segments[i].take);
+      });
+      for (int64_t p : partial) sum += p;
+      return sum;
+    }
+
+    // Sealed + promoted shards, contiguous from index 0; shared with the
+    // snapshots before and after this one until Scrub or a promotion
+    // replaces the table.
+    std::shared_ptr<const ShardTable> shards_ =
+        std::make_shared<const ShardTable>();
+    uint64_t sealed_total_ = 0;  // values covered by shards_
+    std::vector<std::shared_ptr<PendingChunk>> pending_;  // seals in flight
+    uint64_t pending_total_ = 0;  // their value count
+    // The hot tail: values [0, tail_len_) of a buffer of tail_capacity_
+    // values. The writer writes only past the lengths it has published, and
+    // grows the tail by replacing the buffer, so a loaded snapshot's prefix
+    // never changes or moves.
+    std::shared_ptr<int64_t[]> tail_;
+    uint64_t tail_len_ = 0;
+    uint64_t tail_capacity_ = 0;
+    // The store's metrics (null when off), block cache (null when off) and
+    // seal pool. Heap-owned by the store, so these survive store moves.
+    StoreObs* obs_ = nullptr;
+    DecodedBlockCache* cache_ = nullptr;
+    ThreadPool* pool_ = nullptr;
+  };
+
   NeatsStore() : NeatsStore(NeatsStoreOptions{}) {}
 
   explicit NeatsStore(const NeatsStoreOptions& options)
-      : options_(options),
-        fs_(options.fs != nullptr ? options.fs : &io::PosixFileSystem()),
-        pool_(std::make_unique<ThreadPool>(
-            ResolveNumThreads(options.seal_threads))) {
+      : pool_(std::make_unique<ThreadPool>(
+            ResolveNumThreads(options.seal_threads))),
+        options_(options),
+        fs_(options.fs != nullptr ? options.fs : &io::PosixFileSystem()) {
     NEATS_REQUIRE(options_.shard_size > 0, "shard_size must be positive");
     if (options_.block_cache_bytes > 0) {
       cache_ = std::make_unique<DecodedBlockCache>(options_.block_cache_bytes);
@@ -367,6 +861,11 @@ class NeatsStore {
       NEATS_REQUIRE(IsRegisteredCodecId(static_cast<uint64_t>(id)),
                     "unknown or retired codec id");
     }
+    auto first = std::make_shared<Snapshot>();
+    first->obs_ = obs_.get();
+    first->cache_ = cache_.get();
+    first->pool_ = pool_.get();
+    current_ = std::move(first);
   }
 
   /// A directory-backed store rooted at `dir` (created if missing): sealed
@@ -431,54 +930,28 @@ class NeatsStore {
       }
     }
     store.options_.shard_size = manifest.shard_size;
-    store.shards_.reserve(manifest.shards.size());
+    auto table = std::make_shared<ShardTable>();
+    table->reserve(manifest.shards.size());
     for (size_t s = 0; s < manifest.shards.size(); ++s) {
-      store.shards_.push_back(store.OpenShard(s, manifest.shards[s]));
+      table->push_back(store.OpenShard(s, manifest.shards[s]));
     }
-    store.sealed_total_ = manifest.total();
+    const std::shared_ptr<Snapshot> next = store.Edit();
+    next->shards_ = std::move(table);
+    next->sealed_total_ = manifest.total();
+    store.Publish(next);
     store.manifest_total_ = manifest.total();
-    store.next_ordinal_ = store.shards_.size();
+    store.next_ordinal_ = manifest.shards.size();
     store.RecoverWal();
     return store;
   }
 
   NeatsStore(NeatsStore&&) = default;
+  NeatsStore& operator=(NeatsStore&&) = default;
 
-  /// Move assignment first drains this store's own background seals: their
-  /// tasks hold pointers into the pending chunks about to be destroyed, so
-  /// a memberwise move while a seal is in flight would be a use-after-free.
-  NeatsStore& operator=(NeatsStore&& o) {
-    if (this != &o) {
-      if (pool_ != nullptr) pool_->DrainTasks();
-      // The destination keeps its own lock objects (a moved-from source
-      // may have lost its to a move construction); both stores must be
-      // quiescent here anyway.
-      if (mu_ == nullptr) mu_ = std::make_unique<std::shared_mutex>();
-      if (writer_mu_ == nullptr) writer_mu_ = std::make_unique<std::mutex>();
-      options_ = std::move(o.options_);
-      dir_ = std::move(o.dir_);
-      fs_ = o.fs_;
-      shards_ = std::move(o.shards_);
-      sealed_total_ = o.sealed_total_;
-      manifest_total_ = o.manifest_total_;
-      pending_ = std::move(o.pending_);
-      pending_total_ = o.pending_total_;
-      tail_ = std::move(o.tail_);
-      next_ordinal_ = o.next_ordinal_;
-      wal_ = std::move(o.wal_);
-      wal_dirty_ = o.wal_dirty_;
-      report_ = std::move(o.report_);
-      obs_ = std::move(o.obs_);
-      cache_ = std::move(o.cache_);
-      pool_ = std::move(o.pool_);
-    }
-    return *this;
-  }
-
-  /// Waits for in-flight background seals (their tasks reference the
-  /// pending chunks this object owns). Does NOT flush: an unflushed
-  /// directory store simply keeps its already-written shard blobs and the
-  /// previous manifest.
+  /// Waits for in-flight background seals (their tasks count seals into
+  /// the metrics this object owns). Does NOT flush: an unflushed directory
+  /// store simply keeps its already-written shard blobs and the previous
+  /// manifest.
   ~NeatsStore() {
     if (pool_ != nullptr) pool_->DrainTasks();
   }
@@ -487,26 +960,24 @@ class NeatsStore {
 
   /// Appends `values`; every full `shard_size` chunk is sealed into a new
   /// shard in the background and only the sub-shard remainder is buffered
-  /// in the hot tail. Full chunks are cut straight from the incoming span
-  /// (after topping up whatever the tail already holds), so a bulk append
-  /// of many shards' worth of data is linear — the tail is never repeatedly
-  /// erased from the front. Also promotes any seals that completed since
-  /// the last call, so the sealed prefix advances without ever blocking the
-  /// append path on a compressor.
+  /// in the hot tail. Also promotes any seals that completed since the last
+  /// call, so the sealed prefix advances without ever blocking the append
+  /// path on a compressor.
   ///
   /// Directory-backed stores log the values to the WAL and fsync it before
   /// any query can see them — when Append returns, the data survives a
-  /// crash. The log write and fsync hold only the writer mutex, so queries
-  /// keep serving the values acked before them meanwhile.
+  /// crash. Queries keep serving the values acked before them meanwhile,
+  /// and through an inline seal (seal_threads = 1) too: the new values
+  /// are published only once the whole Append is done.
   void Append(std::span<const int64_t> values) {
     std::lock_guard<std::mutex> writer(*writer_mu_);
-    Observed(obs::EventId::kAppend, &StoreObs::h_append, SizeImpl(),
-             values.size(), [&] {
-               PromoteSealed();
-               LogToWal(values);
-               ExclusiveHold hold(*this);
-               AppendImpl(values);
-             });
+    store_internal::Observed(obs_.get(), obs::EventId::kAppend,
+                             &StoreObs::h_append, current_->size(),
+                             values.size(), [&] {
+                               PromoteSealed();
+                               LogToWal(values);
+                               AppendImpl(values);
+                             });
     // Counted after the body so the counters mean *acked* appends (a
     // failed WAL write rethrows without mutating the store).
     if (StoreObs* ob = obs_.get()) {
@@ -523,9 +994,23 @@ class NeatsStore {
   /// shards, manifest rewritten by the next Flush).
   void Flush() {
     std::lock_guard<std::mutex> writer(*writer_mu_);
-    // A flush moves values between tiers but never changes SizeImpl().
-    Observed(obs::EventId::kFlush, &StoreObs::h_flush, SizeImpl(), 0,
-             [&] { FlushLocked(); });
+    // A flush moves values between tiers but never changes size().
+    store_internal::Observed(
+        obs_.get(), obs::EventId::kFlush, &StoreObs::h_flush,
+        current_->size(), 0, [&] {
+          if (current_->tail_len_ > 0) {
+            const std::shared_ptr<Snapshot> next = Edit();
+            SealTail(*next);
+            Publish(next);
+          }
+          pool_->DrainTasks();
+          PromoteSealed();
+          NEATS_DCHECK(current_->pending_.empty());
+          if (!dir_.empty()) {
+            WriteManifest();
+            ResetWal();
+          }
+        });
     if (obs_ != nullptr) obs_->registry.Count(obs_->c_flush);
   }
 
@@ -538,10 +1023,7 @@ class NeatsStore {
 
   /// True while any shard is quarantined (queries into its range throw
   /// kUnavailable; everything else keeps serving).
-  bool degraded() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return DegradedImpl();
-  }
+  bool degraded() const { return snapshot()->Degraded(); }
 
   /// Re-verifies every healthy shard blob through the same verified open as
   /// OpenDir (quarantining new failures; a shard that passes serves from
@@ -549,69 +1031,63 @@ class NeatsStore {
   /// a shard whose value range is still fully covered by intact WAL
   /// records is re-compressed with its original codec, written durably,
   /// and returned to service; the manifest is rewritten when anything was
-  /// repaired. Returns the updated report — `repaired` lists the shards
-  /// brought back, `quarantined` what is still down. Every call counts in
-  /// `scrub.calls`; one that throws (a repair's blob write failing, say)
-  /// also counts an error and traces its status.
+  /// repaired. Queries keep serving the snapshot from before the Scrub
+  /// until its outcome is published. Returns the updated report —
+  /// `repaired` lists the shards brought back, `quarantined` what is still
+  /// down. Every call counts in `scrub.calls`; one that throws (a repair's
+  /// blob write failing, say) also counts an error and traces its status.
   const RepairReport& Scrub() {
     std::lock_guard<std::mutex> writer(*writer_mu_);
-    ExclusiveHold hold(*this);  // quarantine and repair swap shards in place
     NEATS_REQUIRE(!dir_.empty(), "Scrub requires a directory-backed store");
     if (obs_ != nullptr) obs_->registry.Count(obs_->c_scrub_calls);
-    Observed(obs::EventId::kScrub, &StoreObs::h_scrub, shards_.size(), 0,
-             [&] {
-               for (size_t s = 0; s < shards_.size(); ++s) {
-                 if (shards_[s].series == nullptr) continue;
-                 try {
-                   OpenShardBlob(s, &shards_[s]);
-                 } catch (const std::exception& e) {
-                   Quarantine(s, e.what());
-                 }
-               }
-               RepairFromWal();
-               RebuildQuarantineList();
-             });
+    store_internal::Observed(
+        obs_.get(), obs::EventId::kScrub, &StoreObs::h_scrub,
+        current_->shards_->size(), 0, [&] {
+          auto table = std::make_shared<ShardTable>(*current_->shards_);
+          for (size_t s = 0; s < table->size(); ++s) {
+            const Shard& row = *(*table)[s];
+            if (row.series == nullptr) continue;
+            try {
+              (*table)[s] = OpenShardBlob(s, row);
+            } catch (const std::exception& e) {
+              (*table)[s] = Quarantine(s, row, e.what());
+            }
+          }
+          PublishShards(std::move(table));
+          RepairFromWal();
+          RebuildQuarantineList();
+        });
     return report_;
   }
 
   // --- Introspection ------------------------------------------------------
 
-  /// Total number of values in the store (sealed + sealing + hot tail).
-  uint64_t size() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return SizeImpl();
+  /// The current snapshot of the read state. Every store query loads one;
+  /// a caller that must bound-check and query in one consistent view loads
+  /// it here and queries the snapshot.
+  std::shared_ptr<const Snapshot> snapshot() const {
+    std::lock_guard<std::mutex> lock(*publish_mu_);
+    return current_;
   }
+
+  /// Total number of values in the store (sealed + sealing + hot tail).
+  uint64_t size() const { return snapshot()->size(); }
 
   /// Sealed-and-promoted shards (everything, after a Flush).
-  size_t num_shards() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return shards_.size();
-  }
+  size_t num_shards() const { return snapshot()->shards_->size(); }
 
   /// The codec serving sealed shard `s` (what the manifest records).
-  CodecId shard_codec(size_t s) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return shards_[s].codec;
-  }
+  CodecId shard_codec(size_t s) const { return snapshot()->Row(s).codec; }
 
   /// Chunks currently compressing in the background.
-  size_t num_pending_seals() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return pending_.size();
-  }
+  size_t num_pending_seals() const { return snapshot()->pending_.size(); }
 
   /// Values still in the raw hot tail.
-  uint64_t tail_size() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return tail_.size();
-  }
+  uint64_t tail_size() const { return snapshot()->tail_len_; }
 
   /// Values per sealed shard (from the options, or the manifest after
   /// OpenDir).
-  uint64_t shard_size() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return options_.shard_size;
-  }
+  uint64_t shard_size() const { return options_.shard_size; }
 
   /// Hit/miss/eviction counters and current footprint of the decoded-block
   /// cache; all zeros when it is disabled (block_cache_bytes = 0).
@@ -632,17 +1108,18 @@ class NeatsStore {
   /// disabled. Safe concurrently with queries and writers; totals are
   /// exact for operations that happened-before the call.
   obs::MetricsSnapshot StatsSnapshot() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
     if (obs_ == nullptr) return {};
+    const std::shared_ptr<const Snapshot> view = snapshot();
     store_internal::StoreObs& ob = *obs_;
-    ob.registry.SetGauge(ob.g_size, static_cast<int64_t>(SizeImpl()));
-    ob.registry.SetGauge(ob.g_shards, static_cast<int64_t>(shards_.size()));
+    ob.registry.SetGauge(ob.g_size, static_cast<int64_t>(view->size()));
+    ob.registry.SetGauge(ob.g_shards,
+                         static_cast<int64_t>(view->shards_->size()));
     ob.registry.SetGauge(ob.g_pending,
-                         static_cast<int64_t>(pending_.size()));
-    ob.registry.SetGauge(ob.g_tail, static_cast<int64_t>(tail_.size()));
+                         static_cast<int64_t>(view->pending_.size()));
+    ob.registry.SetGauge(ob.g_tail, static_cast<int64_t>(view->tail_len_));
     int64_t quarantined = 0;
-    for (const Shard& s : shards_) {
-      if (s.series == nullptr) ++quarantined;
+    for (const auto& s : *view->shards_) {
+      if (s->series == nullptr) ++quarantined;
     }
     ob.registry.SetGauge(ob.g_quarantined, quarantined);
     const DecodedBlockCache::Stats cs =
@@ -674,586 +1151,63 @@ class NeatsStore {
   /// value (pending chunks and the hot tail are raw; a quarantined shard
   /// counts as raw too — its compressed form is not trustworthy).
   size_t SizeInBits() const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    size_t bits = (pending_total_ + tail_.size()) * 64;
-    for (const Shard& s : shards_) {
-      bits += s.series != nullptr ? s.series->SizeInBits() : s.count * 64;
+    const std::shared_ptr<const Snapshot> view = snapshot();
+    size_t bits = (view->pending_total_ + view->tail_len_) * 64;
+    for (const auto& s : *view->shards_) {
+      bits += s->series != nullptr ? s->series->SizeInBits() : s->count * 64;
     }
     return bits;
   }
 
   // --- Queries ------------------------------------------------------------
+  // Each loads the current snapshot once and answers from it (see Snapshot
+  // for what each does).
 
-  /// The value at global index i: one routing lookup, then the covering
-  /// shard codec's Access (or a raw read from a pending chunk / the tail).
-  /// Gorilla/Chimp shards answer from the decoded-block cache when it
-  /// holds the containing block (a hash probe + one array read — Neats-class
-  /// latency), decoding and caching the block otherwise.
-  int64_t Access(uint64_t i) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    NEATS_DCHECK(i < SizeImpl());
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) return AccessLocked(i, nullptr);
-    try {
-      // The counter is exact; the clock pair is sampled (1 in sample_every
-      // per thread) so timing costs a fraction of a nanosecond amortized.
-      // One combined slab lookup — perfbench's obs.access_overhead_ratio
-      // gate budgets this whole branch at 3% of the access itself.
-      if (!ob->registry.CountAndTick(ob->c_access, ob->h_access,
-                                     ob->sample_every)) {
-        return AccessLocked(i, nullptr);
-      }
-      obs::TraceEvent ev;
-      const uint64_t t0 = obs::NowNs();
-      const int64_t v = AccessLocked(i, &ev);
-      const uint64_t dur = obs::NowNs() - t0;
-      ob->registry.Record(ob->h_access, dur);
-      ob->Trace(obs::EventId::kAccess, ev.tier, 0, ev.codec, ev.shard, i, 1,
-                dur);
-      return v;
-    } catch (const Error& e) {
-      ob->Error(obs::EventId::kAccess, i, static_cast<uint16_t>(e.code()));
-      throw;
-    }
-  }
+  int64_t Access(uint64_t i) const { return snapshot()->Access(i); }
 
-  /// Batched point queries, any probe order, duplicates allowed. Probes are
-  /// argsorted, grouped per shard, and each shard group is resolved by the
-  /// shard codec's batch kernel; out[j] receives the value at idx[j] (the
-  /// sort is internal, results come back in input order).
   void AccessBatch(std::span<const uint64_t> idx,
                    std::span<int64_t> out) const {
-    NEATS_DCHECK(idx.size() == out.size());
-    if (idx.empty()) return;
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    ObservedAccessBatchLocked(idx, out);
+    snapshot()->AccessBatch(idx, out);
   }
 
-  /// AccessBatch over probes that may lie past the end, bound-checked in the
-  /// same reader-lock hold that answers them: out[j] receives the value at
-  /// idx[j] for every idx[j] below the returned size, and the other entries
-  /// are left as they were.
-  uint64_t AccessBatchBounded(std::span<const uint64_t> idx,
-                              std::span<int64_t> out) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return AccessBatchBoundedLocked(idx, out);
-  }
-
-  /// AccessBatchBounded for a thread that must never wait on the writer:
-  /// while the writer holds the lock exclusively — publishing a change, or
-  /// for a whole Scrub — this returns nullopt and touches nothing (no probe
-  /// answered, no metric counted). Append's WAL fsync and Flush's seal
-  /// drain do not hold it, so during those it answers.
-  std::optional<uint64_t> TryAccessBatch(std::span<const uint64_t> idx,
-                                         std::span<int64_t> out) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_, std::try_to_lock);
-    if (!lock.owns_lock()) return std::nullopt;
-    return AccessBatchBoundedLocked(idx, out);
-  }
-
- private:
-  /// AccessBatch's counters and metrics wrapper around AccessBatchLocked.
-  void ObservedAccessBatchLocked(std::span<const uint64_t> idx,
-                                 std::span<int64_t> out) const {
-    if (StoreObs* ob = obs_.get()) {
-      ob->registry.Count(ob->c_batch_calls);
-      ob->registry.Count(ob->c_batch_probes, idx.size());
-    }
-    Observed(obs::EventId::kAccessBatch, &StoreObs::h_batch, idx[0],
-             idx.size(), [&] { AccessBatchLocked(idx, out); });
-  }
-
-  /// AccessBatchBounded's body under the reader lock (taken or tried).
-  /// Probes past the end are dropped before the batch kernel sees them.
-  uint64_t AccessBatchBoundedLocked(std::span<const uint64_t> idx,
-                                    std::span<int64_t> out) const {
-    NEATS_DCHECK(idx.size() == out.size());
-    const uint64_t size = SizeImpl();
-    const size_t in = static_cast<size_t>(std::count_if(
-        idx.begin(), idx.end(), [size](uint64_t k) { return k < size; }));
-    if (in == 0) return size;
-    if (in == idx.size()) {
-      ObservedAccessBatchLocked(idx, out);
-      return size;
-    }
-    std::vector<uint64_t> kept;
-    kept.reserve(in);
-    for (uint64_t k : idx) {
-      if (k < size) kept.push_back(k);
-    }
-    std::vector<int64_t> values(in);
-    ObservedAccessBatchLocked(kept, values);
-    size_t at = 0;
-    for (size_t j = 0; j < idx.size(); ++j) {
-      if (idx[j] < size) out[j] = values[at++];
-    }
-    return size;
-  }
-
-  /// AccessBatch body under the reader lock (the public wrapper only adds
-  /// metrics around it).
-  void AccessBatchLocked(std::span<const uint64_t> idx,
-                         std::span<int64_t> out) const {
-    std::vector<size_t> order(idx.size());
-    for (size_t j = 0; j < order.size(); ++j) order[j] = j;
-    std::sort(order.begin(), order.end(),
-              [&idx](size_t a, size_t b) { return idx[a] < idx[b]; });
-    std::vector<uint64_t> local;
-    std::vector<int64_t> local_out;
-    size_t p = 0;
-    while (p < idx.size()) {
-      const uint64_t k = idx[order[p]];
-      NEATS_DCHECK(k < SizeImpl());
-      if (k >= sealed_total_) {  // pending chunks + tail: raw reads
-        out[order[p]] = AccessUnsealed(k);
-        ++p;
-        continue;
-      }
-      const Shard& s = HealthyShardOf(k);
-      const uint64_t end = s.first + s.count;
-      size_t q = p;
-      local.clear();
-      while (q < idx.size() && idx[order[q]] < end) {
-        local.push_back(idx[order[q]] - s.first);
-        ++q;
-      }
-      local_out.resize(local.size());
-      const uint64_t bv =
-          cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
-      if (bv > 0) {
-        // Gorilla/Chimp shard: answer each touched block's probes from one
-        // cached (or once-decoded) block.
-        size_t a = 0;
-        while (a < local.size()) {
-          const uint64_t blk = local[a] / bv;
-          size_t z = a;
-          while (z < local.size() && local[z] / bv == blk) ++z;
-          const auto values = CachedBlock(s, blk);
-          for (size_t j = a; j < z; ++j) {
-            local_out[j] = (*values)[local[j] % bv];
-          }
-          a = z;
-        }
-      } else {
-        s.series->AccessBatch(local, local_out.data());
-      }
-      for (size_t j = p; j < q; ++j) out[order[j]] = local_out[j - p];
-      p = q;
-    }
-  }
-
- public:
   /// Decompresses values[from, from + len) into out, stitching across shard
-  /// boundaries (per-shard scans; raw memcpy past the sealed prefix).
-  /// A single long range gets the same per-shard fan-out as a multi-range
-  /// query.
+  /// boundaries — a multi-range query of one range, with the same
+  /// per-shard fan-out.
   void DecompressRange(uint64_t from, uint64_t len, int64_t* out) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    if (StoreObs* ob = obs_.get()) {
-      ob->registry.Count(ob->c_range_calls);
-      ob->registry.Count(ob->c_range_values, len);
-    }
     const IndexRange one{from, len};
-    Observed(obs::EventId::kRange, &StoreObs::h_range, from, len,
-             [&] { DecompressRangesLocked({&one, 1}, out); });
+    snapshot()->DecompressRanges({&one, 1}, out);
   }
 
-  /// Multi-range decompression: every range's values, concatenated into
-  /// `out` (sized to the sum of the range lengths). Consecutive (sub)ranges
-  /// covered by the same sealed shard are batched into one codec-level
-  /// DecompressRanges call, so the codec reuses a single cursor across the
-  /// group (its monotone-seek hop chain) instead of paying a fresh rank per
-  /// range.
   void DecompressRanges(std::span<const IndexRange> ranges,
                         int64_t* out) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    ObservedDecompressRangesLocked(ranges, out);
+    snapshot()->DecompressRanges(ranges, out);
   }
 
-  /// DecompressRanges over ranges that may reach past the end, bound-checked
-  /// in the same reader-lock hold that decodes them: false, with nothing
-  /// decoded or counted, when any range ends past size().
-  bool DecompressRangesBounded(std::span<const IndexRange> ranges,
-                               int64_t* out) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    for (const IndexRange& r : ranges) {
-      if (!InBounds(r)) return false;
-    }
-    ObservedDecompressRangesLocked(ranges, out);
-    return true;
-  }
-
- private:
-  /// DecompressRanges' counters and metrics wrapper around
-  /// DecompressRangesLocked.
-  void ObservedDecompressRangesLocked(std::span<const IndexRange> ranges,
-                                      int64_t* out) const {
-    uint64_t values = 0;
-    if (StoreObs* ob = obs_.get()) {
-      for (const IndexRange& r : ranges) values += r.len;
-      ob->registry.Count(ob->c_range_calls);
-      ob->registry.Count(ob->c_range_values, values);
-    }
-    Observed(obs::EventId::kRange, &StoreObs::h_range,
-             ranges.empty() ? 0 : ranges[0].from, values,
-             [&] { DecompressRangesLocked(ranges, out); });
-  }
-
-  /// True when r lies inside [0, size()), written so that no from + len
-  /// can wrap.
-  bool InBounds(const IndexRange& r) const {
-    const uint64_t size = SizeImpl();
-    return r.len <= size && r.from <= size - r.len;
-  }
-
-  struct Shard;  // defined below, with the rest of the shard machinery
-
-  /// One sealed shard's slice of a multi-range query: the shard-local
-  /// subranges that landed on it consecutively and the output cursor where
-  /// their values go. Groups are independent by construction (disjoint
-  /// output spans, distinct series objects), which is what makes the
-  /// fan-out below embarrassingly parallel.
-  struct ShardGroup {
-    const Shard* shard = nullptr;
-    int64_t* out = nullptr;
-    std::vector<IndexRange> local;  // shard-local coordinates
-  };
-
-  /// Runs task(0) .. task(count - 1), one per covered sealed shard: on the
-  /// seal pool when the query spans at least two shards and
-  /// kParallelQueryValues sealed values and the pool has two threads or
-  /// more, inline otherwise. Quarantine was already rejected during
-  /// routing (HealthyShardOf throws before any task runs), so task
-  /// exceptions are the rare codec/I/O kind; pool bodies must not throw, so
-  /// the first one is captured and rethrown on the calling thread. Each
-  /// task writes only its own output, so both schedules give identical
-  /// results.
-  template <class Task>
-  void RunShardTasks(size_t count, uint64_t sealed_values,
-                     const Task& task) const {
-    if (count < 2 || sealed_values < kParallelQueryValues ||
-        pool_ == nullptr || pool_->num_threads() < 2) {
-      for (size_t i = 0; i < count; ++i) task(i);
-      return;
-    }
-    std::mutex err_mu;
-    std::exception_ptr err;
-    pool_->ParallelFor(count, [&](size_t i) {
-      try {
-        task(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    });
-    if (err) std::rethrow_exception(err);
-  }
-
-  /// The one split of values[from, from + len) across the tiers, in index
-  /// order: on_shard(shard, local_from, take) for every sealed piece, then
-  /// on_raw(span) for every contiguous run of a pending chunk or the tail.
-  /// Sealed pieces route through HealthyShardOf, so a quarantined shard
-  /// throws here, before a caller starts any fan-out.
-  template <class OnShard, class OnRaw>
-  void ForEachPiece(uint64_t from, uint64_t len, const OnShard& on_shard,
-                    const OnRaw& on_raw) const {
-    NEATS_DCHECK(from + len <= SizeImpl());
-    const uint64_t end = from + len;
-    while (from < end && from < sealed_total_) {
-      const Shard& s = HealthyShardOf(from);
-      const uint64_t take = std::min(end, s.first + s.count) - from;
-      on_shard(s, from - s.first, take);
-      from += take;
-    }
-    for (const auto& c : pending_) {
-      if (from >= end) return;
-      const uint64_t c_end = c->first + c->values.size();
-      if (from >= c_end) continue;
-      const uint64_t take = std::min(end, c_end) - from;
-      on_raw(std::span<const int64_t>(c->values).subspan(from - c->first,
-                                                          take));
-      from += take;
-    }
-    if (from < end) {
-      on_raw(std::span<const int64_t>(tail_).subspan(
-          from - sealed_total_ - pending_total_, end - from));
-    }
-  }
-
-  /// DecompressRange(s) body under the reader lock (or under the writer
-  /// mutex alone: RebuildWal calls in here, and only writers change what
-  /// it reads). Builds the per-shard groups
-  /// sequentially — routing errors (quarantine) surface here, before any
-  /// parallel work starts — then runs them through RunShardTasks.
-  /// Not-yet-sealed spans are copied inline during the build; they live in
-  /// plain buffers and are bounded by the tail, never worth a task.
-  void DecompressRangesLocked(std::span<const IndexRange> ranges,
-                              int64_t* out) const {
-    std::vector<ShardGroup> groups;
-    uint64_t sealed_values = 0;
-    const Shard* cur = nullptr;  // group-continuity: an unsealed span or a
-                                 // shard switch ends the open group
-    for (const IndexRange& r : ranges) {
-      ForEachPiece(
-          r.from, r.len,
-          [&](const Shard& s, uint64_t local_from, uint64_t take) {
-            if (cur != &s) {
-              cur = &s;
-              groups.push_back(ShardGroup{&s, out, {}});
-            }
-            groups.back().local.push_back({local_from, take});
-            sealed_values += take;
-            out += take;
-          },
-          [&](std::span<const int64_t> raw) {
-            cur = nullptr;
-            out = std::copy(raw.begin(), raw.end(), out);
-          });
-    }
-    RunShardTasks(groups.size(), sealed_values, [&](size_t i) {
-      groups[i].shard->series->DecompressRanges(groups[i].local,
-                                                groups[i].out);
-    });
-  }
-
- public:
-  /// Exact sum over values[from, from + len), combined across shards.
   int64_t RangeSum(uint64_t from, uint64_t len) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    return ObservedRangeSumLocked(from, len);
-  }
-
-  /// RangeSum bound-checked in the same reader-lock hold: nullopt, with
-  /// nothing counted, when the range ends past size().
-  std::optional<int64_t> RangeSumBounded(uint64_t from, uint64_t len) const {
-    std::shared_lock<std::shared_mutex> lock(*mu_);
-    if (!InBounds({from, len})) return std::nullopt;
-    return ObservedRangeSumLocked(from, len);
+    return snapshot()->RangeSum(from, len);
   }
 
  private:
-  /// RangeSum's counters and metrics wrapper around RangeSumLocked.
-  int64_t ObservedRangeSumLocked(uint64_t from, uint64_t len) const {
-    if (StoreObs* ob = obs_.get()) {
-      ob->registry.Count(ob->c_sum_calls);
-      ob->registry.Count(ob->c_sum_values, len);
-    }
-    return Observed(obs::EventId::kRangeSum, &StoreObs::h_sum, from, len,
-                    [&] { return RangeSumLocked(from, len); });
+  // --- Publication (writer side; every caller holds writer_mu_) -----------
+
+  /// A private copy of the current snapshot to build the next one in.
+  std::shared_ptr<Snapshot> Edit() const {
+    return std::make_shared<Snapshot>(*current_);
   }
 
-  /// RangeSum body under the reader lock. A sum spanning several sealed
-  /// shards takes one partial sum per shard through RunShardTasks; int64
-  /// addition is associative, so the partials accumulated in segment order
-  /// give the exact sequential answer.
-  int64_t RangeSumLocked(uint64_t from, uint64_t len) const {
-    struct Segment {
-      const Shard* shard;
-      uint64_t local_from;
-      uint64_t take;
-    };
-    std::vector<Segment> segments;
-    int64_t sum = 0;
-    uint64_t sealed_values = 0;
-    ForEachPiece(
-        from, len,
-        [&](const Shard& s, uint64_t local_from, uint64_t take) {
-          segments.push_back({&s, local_from, take});
-          sealed_values += take;
-        },
-        [&](std::span<const int64_t> raw) {
-          for (int64_t v : raw) sum += v;
-        });
-    std::vector<int64_t> partial(segments.size(), 0);
-    RunShardTasks(segments.size(), sealed_values, [&](size_t i) {
-      partial[i] = segments[i].shard->series->RangeSum(segments[i].local_from,
-                                                       segments[i].take);
-    });
-    for (int64_t p : partial) sum += p;
-    return sum;
+  /// Makes `next` the snapshot every later query loads. The swap is the
+  /// only write the publication lock covers; the previous snapshot is
+  /// released after it, by the last query still holding it.
+  void Publish(std::shared_ptr<const Snapshot> next) {
+    std::lock_guard<std::mutex> lock(*publish_mu_);
+    current_.swap(next);
   }
 
-  /// size() without the reader lock — for callers already holding either
-  /// side of mu_, or the writer mutex (only writers change the size).
-  uint64_t SizeImpl() const {
-    return sealed_total_ + pending_total_ + tail_.size();
-  }
-
-  /// degraded() without the reader lock (see SizeImpl).
-  bool DegradedImpl() const {
-    for (const Shard& s : shards_) {
-      if (s.series == nullptr) return true;
-    }
-    return false;
-  }
-
-  /// The metrics wrapper of every public op but scalar Access (which keeps
-  /// its sampled fast path). With metrics off it runs `body` bare. With
-  /// metrics on it times the body into histogram `hist`, traces one `op`
-  /// event carrying `arg` and `len`, and on an Error counts it, traces it
-  /// with its status and rethrows. Op counters stay with the callers:
-  /// queries count every call, Append only acked ones.
-  template <class Body>
-  std::invoke_result_t<const Body&> Observed(obs::EventId op,
-                                             obs::HistogramId StoreObs::*hist,
-                                             uint64_t arg, uint64_t len,
-                                             const Body& body) const {
-    StoreObs* ob = obs_.get();
-    if (ob == nullptr) return body();
-    try {
-      const uint64_t t0 = obs::NowNs();
-      const auto finish = [&] {
-        const uint64_t dur = obs::NowNs() - t0;
-        ob->registry.Record(ob->*hist, dur);
-        ob->Trace(op, obs::TraceTier::kNone, 0, obs::TraceEvent::kNoCodec,
-                  obs::kNoShard, arg, len, dur);
-      };
-      if constexpr (std::is_void_v<std::invoke_result_t<const Body&>>) {
-        body();
-        finish();
-      } else {
-        auto result = body();
-        finish();
-        return result;
-      }
-    } catch (const Error& e) {
-      ob->Error(op, arg, static_cast<uint16_t>(e.code()));
-      throw;
-    }
-  }
-
-  /// Access body under the reader lock. `ev` is null on the untimed fast
-  /// path (identical routing to the pre-metrics store); a sampled, traced
-  /// access passes an event to receive the routing outcome — which tier
-  /// answered, which shard, which codec.
-  int64_t AccessLocked(uint64_t i, obs::TraceEvent* ev) const {
-    if (i < sealed_total_) {
-      const Shard& s = HealthyShardOf(i);
-      const uint64_t local = i - s.first;
-      if (ev != nullptr) {
-        ev->tier = obs::TraceTier::kSealed;
-        ev->shard = static_cast<uint64_t>(&s - shards_.data());
-        ev->codec = static_cast<uint32_t>(s.codec);
-      }
-      if (cache_ != nullptr) {
-        const uint64_t bv = s.series->BlockValues();
-        if (bv > 0) {
-          if (ev == nullptr) {
-            return (*CachedBlock(s, local / bv))[local % bv];
-          }
-          // One cache consult either way — the hit flag rides along so the
-          // trace can say which tier answered without a second probe
-          // (block_cache_stats() stays exactly hits+misses == probes).
-          bool hit = false;
-          const auto values = CachedBlock(s, local / bv, &hit);
-          ev->tier = hit ? obs::TraceTier::kCacheHit
-                         : obs::TraceTier::kCacheMiss;
-          return (*values)[local % bv];
-        }
-      }
-      return s.series->Access(local);
-    }
-    if (ev != nullptr) {
-      ev->tier = i < sealed_total_ + pending_total_ ? obs::TraceTier::kPending
-                                                    : obs::TraceTier::kTail;
-    }
-    return AccessUnsealed(i);
-  }
-
-  /// One sealed shard: its slice of the global index space and the
-  /// type-erased series serving it — owned right after an in-memory seal,
-  /// or borrowing `map` when the codec opened the blob zero-copy. A null
-  /// `series` means the shard is quarantined (`quarantine` says why): its
-  /// routing row stays so neighbors keep their slots, but queries into it
-  /// throw kUnavailable.
-  struct Shard {
-    uint64_t first = 0;
-    uint64_t count = 0;
-    uint64_t blob_bytes = 0;  // codec payload size (file minus the trailer)
-    CodecId codec = CodecId::kNeats;
-    uint32_t crc = 0;         // CRC32C of the blob payload
-    std::unique_ptr<SealedSeries> series;  // null = quarantined
-    std::string quarantine;  // why the shard is not serving
-    io::MappedRegion map;  // backs `series` when served from disk
-  };
-
-  /// A chunk handed to the background sealer. The raw values keep serving
-  /// queries until the seal is promoted; the seal task writes only
-  /// `sealed`, `codec`, `blob_bytes`, `error` and finally `done` (the
-  /// publication flag). A task must never let an exception escape into the
-  /// pool (ThreadPool tasks must not throw), so a failed seal — disk full
-  /// while writing the blob, a compressor precondition — lands in `error`
-  /// and is rethrown on the caller's thread at the next promotion, where
-  /// the facade (neats::FlushStore) converts it into a Status.
-  struct PendingChunk {
-    uint64_t first = 0;
-    size_t ordinal = 0;  // shard number -> blob file name
-    std::vector<int64_t> values;
-    std::unique_ptr<SealedSeries> sealed;
-    CodecId codec = CodecId::kNeats;
-    uint64_t blob_bytes = 0;
-    uint32_t crc = 0;  // CRC32C of the blob payload (directory stores)
-    std::string error;  // non-empty = the seal failed with this message
-    StatusCode error_code = StatusCode::kFailed;  // its failure category
-    std::atomic<bool> done{false};
-  };
-
-  /// Routing lookup: the sealed shard covering global index i.
-  const Shard& ShardOf(uint64_t i) const {
-    NEATS_DCHECK(i < sealed_total_);
-    size_t lo = 0, hi = shards_.size() - 1;
-    while (lo < hi) {
-      const size_t mid = (lo + hi + 1) / 2;
-      if (shards_[mid].first <= i) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return shards_[lo];
-  }
-
-  /// ShardOf, refusing to route into a quarantined shard: the query gets a
-  /// typed kUnavailable error instead of any chance of a wrong value.
-  const Shard& HealthyShardOf(uint64_t i) const {
-    const Shard& s = ShardOf(i);
-    if (s.series == nullptr) {
-      throw Error("shard " + std::to_string(&s - shards_.data()) +
-                      " is quarantined: " + s.quarantine,
-                  StatusCode::kUnavailable);
-    }
-    return s;
-  }
-
-  /// The decoded block serving (shard-local) block `block` of shard `s`,
-  /// from the cache when present, decoding (outside the cache lock) and
-  /// inserting on a miss. Only called when cache_ is non-null and the
-  /// shard's codec is block-structured (BlockValues() > 0: Gorilla, Chimp).
-  DecodedBlockCache::BlockPtr CachedBlock(const Shard& s, uint64_t block,
-                                          bool* was_hit = nullptr) const {
-    const uint64_t shard_index =
-        static_cast<uint64_t>(&s - shards_.data());
-    const uint32_t codec = static_cast<uint32_t>(s.codec);
-    if (auto hit = cache_->Lookup(shard_index, codec, block)) {
-      if (was_hit != nullptr) *was_hit = true;
-      return hit;
-    }
-    if (was_hit != nullptr) *was_hit = false;
-    auto values =
-        std::make_shared<std::vector<int64_t>>(s.series->BlockValues());
-    const uint64_t count = s.series->DecodeBlock(block, values->data());
-    values->resize(count);
-    cache_->Insert(shard_index, codec, block, values);
-    return values;
-  }
-
-  /// Raw read past the sealed prefix (pending chunks, then the tail).
-  int64_t AccessUnsealed(uint64_t i) const {
-    NEATS_DCHECK(i >= sealed_total_ && i < SizeImpl());
-    for (const auto& c : pending_) {
-      if (i < c->first + c->values.size()) return c->values[i - c->first];
-    }
-    return tail_[i - sealed_total_ - pending_total_];
+  /// Publishes `table` as the shard rows, everything else unchanged.
+  void PublishShards(std::shared_ptr<const ShardTable> table) {
+    const std::shared_ptr<Snapshot> next = Edit();
+    next->shards_ = std::move(table);
+    Publish(next);
   }
 
   /// Compresses one chunk per the seal policy: kFixed uses the configured
@@ -1293,83 +1247,88 @@ class NeatsStore {
     return best;
   }
 
-  /// Wraps `values` (one chunk, non-empty) into a pending seal and submits
-  /// it to the pool. The lambda captures everything it needs by value
-  /// (plus the stable chunk pointer and the filesystem, which outlives the
-  /// store), so it never touches `this`. Note the fault contract: a
-  /// CrashFault from an injected kill-point is NOT a std::exception, so it
-  /// escapes this handler like a real power cut would — the crash harness
-  /// runs with seal_threads = 1 (inline seals) so it unwinds on the caller
-  /// thread instead of terminating a worker.
-  void SealChunk(std::vector<int64_t> values) {
-    auto chunk = std::make_unique<PendingChunk>();
-    chunk->first = sealed_total_ + pending_total_;
+  /// Cuts `next`'s tail (non-empty) into a pending chunk and submits its
+  /// seal to the pool; the tail buffer becomes the chunk's values as it
+  /// is. The task shares the chunk and captures everything else it needs
+  /// by value (plus the filesystem, which outlives the store), so it never
+  /// touches `this`. With seal_threads = 1 the seal runs inline, before
+  /// `next` is published, so readers keep the previous snapshot meanwhile.
+  /// Note the fault contract: a CrashFault from an injected kill-point is
+  /// NOT a std::exception, so it escapes this handler like a real power cut
+  /// would — the crash harness runs with seal_threads = 1 (inline seals)
+  /// so it unwinds on the caller thread instead of terminating a worker.
+  void SealTail(Snapshot& next) {
+    auto chunk = std::make_shared<PendingChunk>();
+    chunk->first = next.sealed_total_ + next.pending_total_;
+    chunk->count = next.tail_len_;
     chunk->ordinal = next_ordinal_++;
-    chunk->values = std::move(values);
-    pending_total_ += chunk->values.size();
-    PendingChunk* raw = chunk.get();
-    pending_.push_back(std::move(chunk));
-    pool_->Submit([raw, opts = options_, dir = dir_, fs = fs_,
+    chunk->values = std::move(next.tail_);
+    next.tail_ = nullptr;
+    next.tail_len_ = 0;
+    next.tail_capacity_ = 0;
+    next.pending_total_ += chunk->count;
+    next.pending_.push_back(chunk);
+    pool_->Submit([chunk, opts = options_, dir = dir_, fs = fs_,
                    ob = obs_.get()] {
-      // `ob` outlives the task: obs_ is destroyed after pool_ drains (and
-      // a store move transfers the unique_ptr, keeping the address).
+      // `ob` outlives the task: the store drains its pool before it
+      // destroys obs_ (and a store move keeps the StoreObs address).
+      PendingChunk& c = *chunk;
       const uint64_t t0 = ob != nullptr ? obs::NowNs() : 0;
       try {
-        SealResult sealed = SealValues(raw->values, opts);
-        raw->codec = sealed.codec;
-        raw->sealed = std::move(sealed.series);
-        raw->blob_bytes = sealed.blob.size();
+        SealResult sealed = SealValues({c.values.get(), c.count}, opts);
+        c.codec = sealed.codec;
+        c.sealed = std::move(sealed.series);
+        c.blob_bytes = sealed.blob.size();
         if (!dir.empty()) {
           // Durable before publication: payload + checksum trailer hit
           // stable storage before any manifest can name the blob.
-          raw->crc = AppendChecksumTrailer(&sealed.blob);
+          c.crc = AppendChecksumTrailer(&sealed.blob);
           io::WriteFileDurableTo(
-              *fs, dir + "/" + StoreManifest::ShardFileName(raw->ordinal),
+              *fs, dir + "/" + StoreManifest::ShardFileName(c.ordinal),
               {sealed.blob.data(), sealed.blob.size()});
         }
         if (ob != nullptr) {
           const uint64_t dur = obs::NowNs() - t0;
           ob->registry.Count(ob->c_seals);
           ob->registry.Count(
-              ob->c_seal_codec[static_cast<uint32_t>(raw->codec)]);
-          ob->registry.Count(ob->c_seal_bytes, raw->blob_bytes);
+              ob->c_seal_codec[static_cast<uint32_t>(c.codec)]);
+          ob->registry.Count(ob->c_seal_bytes, c.blob_bytes);
           ob->registry.Record(ob->h_seal, dur);
           ob->Trace(obs::EventId::kSeal, obs::TraceTier::kNone, 0,
-                    static_cast<uint32_t>(raw->codec), raw->ordinal,
-                    raw->first, raw->values.size(), dur);
+                    static_cast<uint32_t>(c.codec), c.ordinal, c.first,
+                    c.count, dur);
         }
       } catch (const Error& e) {
-        raw->error = e.what();  // rethrown at promotion, caller thread
-        raw->error_code = e.code();
+        c.error = e.what();  // rethrown at promotion, caller thread
+        c.error_code = e.code();
         if (ob != nullptr) {
-          ob->Error(obs::EventId::kSeal, raw->first,
+          ob->Error(obs::EventId::kSeal, c.first,
                     static_cast<uint16_t>(e.code()));
         }
       } catch (const std::exception& e) {
-        raw->error = e.what();
-        raw->error_code = StatusCode::kFailed;
+        c.error = e.what();
+        c.error_code = StatusCode::kFailed;
         if (ob != nullptr) {
-          ob->Error(obs::EventId::kSeal, raw->first,
+          ob->Error(obs::EventId::kSeal, c.first,
                     static_cast<uint16_t>(StatusCode::kFailed));
         }
       }
-      raw->done.store(true, std::memory_order_release);
+      c.done.store(true, std::memory_order_release);
     });
   }
 
   /// Moves completed seals (in order) from the pending queue into the
-  /// routing index. Directory-backed shards whose codec supports borrowing
-  /// are re-opened zero-copy from the blob the seal task just wrote,
-  /// through the verified open, so they never hold the owned
-  /// representation; everything else keeps the owned object from the seal.
-  /// The raw chunk memory is released here. The shards are made ready
-  /// under the writer mutex alone (readers never look at a chunk's seal
-  /// results), and one exclusive hold publishes them.
+  /// routing index, in one publication. Directory-backed shards whose
+  /// codec supports borrowing are re-opened zero-copy from the blob the
+  /// seal task just wrote, through the verified open, so they never hold
+  /// the owned representation; everything else keeps the owned object from
+  /// the seal. A chunk's raw values are released with the last snapshot
+  /// that still routes to them.
   void PromoteSealed() {
-    std::vector<Shard> ready;
+    std::vector<std::shared_ptr<const Shard>> ready;
     std::exception_ptr failure;
     try {
-      for (const auto& chunk : pending_) {
+      for (const auto& chunk : current_->pending_) {
         PendingChunk& c = *chunk;
         if (!c.done.load(std::memory_order_acquire)) break;
         // A failed seal — or a written blob that fails the verified open
@@ -1381,61 +1340,40 @@ class NeatsStore {
         if (!c.error.empty()) {
           throw Error("background seal failed: " + c.error, c.error_code);
         }
-        Shard s;
-        s.first = c.first;
-        s.count = c.values.size();
-        s.blob_bytes = c.blob_bytes;
-        s.codec = c.codec;
-        s.crc = c.crc;
+        const StoreManifest::Shard meta{c.first, c.count, c.blob_bytes,
+                                        c.codec, c.crc};
         if (!dir_.empty() && CodecRegistry::ZeroCopyView(c.codec)) {
-          OpenShardBlob(c.ordinal, &s);
+          ready.push_back(OpenShardBlob(c.ordinal, meta));
         } else {
-          s.series = std::move(c.sealed);
+          ready.push_back(
+              std::make_shared<Shard>(meta, std::move(c.sealed)));
         }
-        ready.push_back(std::move(s));
       }
     } catch (...) {
       failure = std::current_exception();
     }
     if (!ready.empty()) {
-      ExclusiveHold hold(*this);
-      for (Shard& s : ready) {
-        sealed_total_ += s.count;
-        pending_total_ -= s.count;
-        shards_.push_back(std::move(s));
-        pending_.pop_front();
+      const std::shared_ptr<Snapshot> next = Edit();
+      auto table = std::make_shared<ShardTable>(*next->shards_);
+      for (std::shared_ptr<const Shard>& s : ready) {
+        next->sealed_total_ += s->count;
+        next->pending_total_ -= s->count;
+        table->push_back(std::move(s));
       }
+      next->pending_.erase(next->pending_.begin(),
+                           next->pending_.begin() +
+                               static_cast<ptrdiff_t>(ready.size()));
+      next->shards_ = std::move(table);
+      Publish(next);
     }
     if (failure) std::rethrow_exception(failure);
-  }
-
-  /// Flush body under the writer mutex (the public wrapper only adds
-  /// metrics around it). Only cutting the tail and promoting take the
-  /// exclusive side of mu_: the drain waits on seal tasks, which never
-  /// touch it, and the manifest and WAL are the writer's alone.
-  void FlushLocked() {
-    if (!tail_.empty()) {
-      ExclusiveHold hold(*this);
-      SealChunk(std::move(tail_));
-      tail_ = {};
-    }
-    pool_->DrainTasks();
-    PromoteSealed();
-    NEATS_DCHECK(pending_.empty());
-    if (!dir_.empty()) {
-      WriteManifest();
-      ResetWal();
-    }
   }
 
   void WriteManifest() {
     StoreManifest manifest;
     manifest.shard_size = options_.shard_size;
-    manifest.shards.reserve(shards_.size());
-    for (const Shard& s : shards_) {
-      manifest.shards.push_back(
-          {s.first, s.count, s.blob_bytes, s.codec, s.crc});
-    }
+    manifest.shards.reserve(current_->shards_->size());
+    for (const auto& s : *current_->shards_) manifest.shards.push_back(*s);
     std::vector<uint8_t> bytes;
     manifest.Serialize(&bytes);
     // A process crash mid-Flush can never destroy the previous manifest:
@@ -1470,26 +1408,36 @@ class NeatsStore {
   // --- Durability helpers -------------------------------------------------
 
   /// The Append body shared by the ingest path and WAL replay (replay must
-  /// not re-log what it reads from the WAL).
+  /// not re-log what it reads from the WAL): fills the tail past its
+  /// published length, cuts every tail that reaches `shard_size` values
+  /// into a pending seal, and publishes the outcome once.
   void AppendImpl(std::span<const int64_t> values) {
-    const size_t shard = static_cast<size_t>(options_.shard_size);
-    size_t at = 0;
-    if (!tail_.empty()) {  // invariant: tail_.size() < shard
-      const size_t take = std::min(shard - tail_.size(), values.size());
-      tail_.insert(tail_.end(), values.begin(),
-                   values.begin() + static_cast<ptrdiff_t>(take));
-      at = take;
-      if (tail_.size() < shard) return;
-      SealChunk(std::move(tail_));
-      tail_ = {};
+    const std::shared_ptr<Snapshot> next = Edit();
+    const uint64_t shard = options_.shard_size;
+    while (!values.empty()) {
+      const size_t take = static_cast<size_t>(
+          std::min<uint64_t>(shard - next->tail_len_, values.size()));
+      ReserveTail(*next, next->tail_len_ + take);
+      std::copy_n(values.begin(), take, next->tail_.get() + next->tail_len_);
+      next->tail_len_ += take;
+      values = values.subspan(take);
+      if (next->tail_len_ == shard) SealTail(*next);
     }
-    while (values.size() - at >= shard) {
-      SealChunk(std::vector<int64_t>(
-          values.begin() + static_cast<ptrdiff_t>(at),
-          values.begin() + static_cast<ptrdiff_t>(at + shard)));
-      at += shard;
-    }
-    tail_.assign(values.begin() + static_cast<ptrdiff_t>(at), values.end());
+    Publish(next);
+  }
+
+  /// Gives `next`'s tail room for `need` (<= shard_size) values. The
+  /// buffer never grows in place: a larger one (doubling, capped at
+  /// shard_size) takes a copy of the prefix, and the old one stays with
+  /// the snapshots that hold it.
+  void ReserveTail(Snapshot& next, uint64_t need) const {
+    if (need <= next.tail_capacity_) return;
+    const uint64_t cap = std::min(options_.shard_size,
+                                  std::max(need, 2 * next.tail_capacity_));
+    std::shared_ptr<int64_t[]> grown(new int64_t[cap]);
+    std::copy_n(next.tail_.get(), next.tail_len_, grown.get());
+    next.tail_ = std::move(grown);
+    next.tail_capacity_ = cap;
   }
 
   std::string WalPath() const { return dir_ + "/" + WalFileName(); }
@@ -1503,7 +1451,7 @@ class NeatsStore {
     if (wal_dirty_) RebuildWal();
     EnsureWal();
     std::vector<uint8_t> record;
-    AppendWalRecord(&record, SizeImpl(), values);
+    AppendWalRecord(&record, current_->size(), values);
     try {
       wal_->Write({record.data(), record.size()});
       wal_->Sync();
@@ -1536,7 +1484,7 @@ class NeatsStore {
   /// With logging off, only an existing WAL (from an earlier open) is
   /// reset; none is created.
   void ResetWal() {
-    if (DegradedImpl() || (!options_.wal && !fs_->Exists(WalPath()))) {
+    if (current_->Degraded() || (!options_.wal && !fs_->Exists(WalPath()))) {
       return;
     }
     wal_ = fs_->Create(WalPath());
@@ -1553,10 +1501,11 @@ class NeatsStore {
   void RebuildWal() {
     std::vector<uint8_t> bytes;
     AppendWalHeader(&bytes);
-    if (SizeImpl() > manifest_total_) {
-      const IndexRange suffix{manifest_total_, SizeImpl() - manifest_total_};
+    const Snapshot& view = *current_;
+    if (view.size() > manifest_total_) {
+      const IndexRange suffix{manifest_total_, view.size() - manifest_total_};
       std::vector<int64_t> values(suffix.len);
-      DecompressRangesLocked({&suffix, 1}, values.data());
+      view.Decode({&suffix, 1}, values.data());
       AppendWalRecord(&bytes, manifest_total_,
                       {values.data(), values.size()});
     }
@@ -1584,12 +1533,13 @@ class NeatsStore {
     size_t usable = replay.records.size();
     for (size_t i = 0; i < replay.records.size(); ++i) {
       const WalRecord& rec = replay.records[i];
+      const uint64_t size = current_->size();
       const uint64_t rec_end = rec.first + rec.values.size();
-      if (rec_end <= SizeImpl()) continue;  // already manifested (stale)
-      if (rec.first > SizeImpl()) {
+      if (rec_end <= size) continue;  // already manifested (stale)
+      if (rec.first > size) {
         // A hole: everything past it cannot be anchored to the store.
         std::string gap = "write-ahead log has a gap at index " +
-                          std::to_string(SizeImpl()) + "; discarding " +
+                          std::to_string(size) + "; discarding " +
                           std::to_string(replay.records.size() - i) +
                           " unanchored record(s)";
         if (obs_ != nullptr) {
@@ -1601,7 +1551,7 @@ class NeatsStore {
         usable = i;
         break;
       }
-      const size_t skip = static_cast<size_t>(SizeImpl() - rec.first);
+      const size_t skip = static_cast<size_t>(size - rec.first);
       AppendImpl({rec.values.data() + skip, rec.values.size() - skip});
       if (obs_ != nullptr) obs_->registry.Count(obs_->c_wal_replayed);
     }
@@ -1622,66 +1572,61 @@ class NeatsStore {
 
   /// Opens one manifest row at OpenDir through OpenShardBlob; any failure
   /// quarantines the shard instead of throwing.
-  Shard OpenShard(size_t index, const StoreManifest::Shard& row) {
-    Shard shard;
-    shard.first = row.first;
-    shard.count = row.count;
-    shard.blob_bytes = row.blob_bytes;
-    shard.codec = row.codec;
-    shard.crc = row.crc;
+  std::shared_ptr<const Shard> OpenShard(size_t index,
+                                         const StoreManifest::Shard& row) {
     try {
-      OpenShardBlob(index, &shard);
+      return OpenShardBlob(index, row);
     } catch (const std::exception& e) {
-      shard.quarantine = std::string(e.what()) + " (" + dir_ + "/" +
-                         StoreManifest::ShardFileName(index) + ")";
+      std::string why = std::string(e.what()) + " (" + dir_ + "/" +
+                        StoreManifest::ShardFileName(index) + ")";
       report_.quarantined.push_back(
-          {index, row.first, row.count, row.codec, shard.quarantine});
+          {index, row.first, row.count, row.codec, why});
       if (obs_ != nullptr) {
         obs_->registry.Count(obs_->c_quarantine_in);
         obs_->Log(obs::EventId::kQuarantine, obs::Severity::kError, index,
-                  "shard quarantined at open: " + shard.quarantine);
+                  "shard quarantined at open: " + why);
       }
+      return std::make_shared<Shard>(row, nullptr, std::move(why));
     }
-    return shard;
   }
 
-  /// The one verified path from a shard blob file to a serving series,
-  /// shared by OpenDir, Scrub, seal promotion and WAL repair. Shard
-  /// `index`'s file must be exactly `s->blob_bytes` plus the checksum
-  /// trailer, the trailer valid and its CRC equal to `s->crc`; the payload
-  /// then opens through the codec registry and must hold `s->count`
-  /// values. On success `s->series` serves it and `s->map` keeps the
-  /// mapping only when the codec borrows it. Throws, leaving `*s`
-  /// untouched, on any failure.
-  void OpenShardBlob(size_t index, Shard* s) {
+  /// The one verified path from a shard blob file to a serving row, shared
+  /// by OpenDir, Scrub, seal promotion and WAL repair. Shard `index`'s file
+  /// must be exactly `row.blob_bytes` plus the checksum trailer, the
+  /// trailer valid and its CRC equal to `row.crc`; the payload then opens
+  /// through the codec registry and must hold `row.count` values. The new
+  /// row keeps the mapping only when the codec borrows it. Throws on any
+  /// failure.
+  std::shared_ptr<const Shard> OpenShardBlob(
+      size_t index, const StoreManifest::Shard& row) const {
     io::MappedRegion map =
         fs_->OpenRead(dir_ + "/" + StoreManifest::ShardFileName(index));
-    NEATS_REQUIRE(map.size() == s->blob_bytes + kChecksumTrailerBytes,
+    NEATS_REQUIRE(map.size() == row.blob_bytes + kChecksumTrailerBytes,
                   "store shard blob disagrees with manifest");
     const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
     NEATS_REQUIRE(trailer.state == TrailerState::kValid,
                   "shard blob fails its checksum");
-    NEATS_REQUIRE(trailer.crc == s->crc,
+    NEATS_REQUIRE(trailer.crc == row.crc,
                   "shard blob checksum disagrees with manifest");
-    std::unique_ptr<SealedSeries> series =
-        CodecRegistry::Open(s->codec, trailer.payload, /*allow_view=*/true);
-    NEATS_REQUIRE(series->size() == s->count,
+    auto s = std::make_shared<Shard>(
+        row, CodecRegistry::Open(row.codec, trailer.payload,
+                                 /*allow_view=*/true));
+    NEATS_REQUIRE(s->series->size() == row.count,
                   "store shard blob disagrees with manifest");
-    s->series = std::move(series);
     // A codec that deserialized into owned storage no longer needs the
     // mapping; drop it so the address space mirrors what actually serves.
-    s->map = CodecRegistry::ZeroCopyView(s->codec) ? std::move(map)
-                                                   : io::MappedRegion();
+    if (CodecRegistry::ZeroCopyView(row.codec)) s->map = std::move(map);
     // Queries read the mapping from here on: prefetch it once, at open,
     // rather than hinting on every batch or range call.
     s->map.Advise(MmapFile::Advice::kWillNeed);
+    return s;
   }
 
-  void Quarantine(size_t index, const std::string& why) {
-    Shard& s = shards_[index];
-    s.series = nullptr;
-    s.map = io::MappedRegion();
-    s.quarantine = why;
+  /// A quarantined copy of shard `index`'s row, logged (with the flight
+  /// recorder's recent events) as a runtime quarantine.
+  std::shared_ptr<const Shard> Quarantine(size_t index,
+                                          const StoreManifest::Shard& row,
+                                          const std::string& why) {
     if (obs_ != nullptr) {
       obs_->registry.Count(obs_->c_quarantine_in);
       obs_->Log(obs::EventId::kQuarantine, obs::Severity::kError, index,
@@ -1690,16 +1635,20 @@ class NeatsStore {
       // last-N-operations context out with the incident.
       obs_->DumpTrace("shard " + std::to_string(index) + " quarantined");
     }
+    return std::make_shared<Shard>(row, nullptr, why);
   }
 
   /// Scrub step 2: re-seal every quarantined shard whose value range is
-  /// fully covered by intact WAL records, then rewrite the manifest if
-  /// anything came back. A shard of a retired codec stays quarantined: no
-  /// codec can re-seal it under its manifest id.
+  /// fully covered by intact WAL records, publishing each as it returns to
+  /// service, then rewrite the manifest if anything came back. The
+  /// repaired blob replaces the old file by rename, never in place: a
+  /// query still on an older snapshot may be reading the old file's
+  /// mapping. A shard of a retired codec stays quarantined: no codec can
+  /// re-seal it under its manifest id.
   void RepairFromWal() {
     std::vector<size_t> candidates;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const Shard& s = shards_[i];
+    for (size_t i = 0; i < current_->shards_->size(); ++i) {
+      const Shard& s = current_->Row(i);
       if (s.series == nullptr &&
           IsRegisteredCodecId(static_cast<uint64_t>(s.codec))) {
         candidates.push_back(i);
@@ -1713,37 +1662,35 @@ class NeatsStore {
     }
     bool repaired_any = false;
     for (size_t index : candidates) {
-      Shard& s = shards_[index];
-      std::vector<int64_t> values(s.count);
-      std::vector<uint8_t> covered(s.count, 0);
+      StoreManifest::Shard row = current_->Row(index);
+      std::vector<int64_t> values(row.count);
+      std::vector<uint8_t> covered(row.count, 0);
       for (const WalRecord& rec : replay.records) {
-        const uint64_t lo = std::max(rec.first, s.first);
+        const uint64_t lo = std::max(rec.first, row.first);
         const uint64_t hi = std::min(rec.first + rec.values.size(),
-                                     s.first + s.count);
+                                     row.first + row.count);
         for (uint64_t g = lo; g < hi; ++g) {
-          values[g - s.first] = rec.values[g - rec.first];
-          covered[g - s.first] = 1;
+          values[g - row.first] = rec.values[g - rec.first];
+          covered[g - row.first] = 1;
         }
       }
       if (std::find(covered.begin(), covered.end(), 0) != covered.end()) {
         continue;  // the WAL no longer covers this range; cannot repair
       }
       std::unique_ptr<SealedSeries> series = CodecRegistry::Compress(
-          s.codec, {values.data(), values.size()}, options_.neats);
+          row.codec, {values.data(), values.size()}, options_.neats);
       std::vector<uint8_t> blob;
       series->Serialize(&blob);
-      s.blob_bytes = blob.size();
-      s.crc = AppendChecksumTrailer(&blob);
-      io::WriteFileDurableTo(
-          *fs_, dir_ + "/" + StoreManifest::ShardFileName(index),
-          {blob.data(), blob.size()});
-      fs_->SyncDir(dir_);
-      if (CodecRegistry::ZeroCopyView(s.codec)) {
-        OpenShardBlob(index, &s);
-      } else {
-        s.series = std::move(series);
-      }
-      s.quarantine.clear();
+      row.blob_bytes = blob.size();
+      row.crc = AppendChecksumTrailer(&blob);
+      ReplaceFileDurably(dir_ + "/" + StoreManifest::ShardFileName(index),
+                         blob);
+      auto table = std::make_shared<ShardTable>(*current_->shards_);
+      (*table)[index] = CodecRegistry::ZeroCopyView(row.codec)
+                            ? OpenShardBlob(index, row)
+                            : std::make_shared<Shard>(
+                                  row, std::move(series));
+      PublishShards(std::move(table));
       report_.repaired.push_back(index);
       repaired_any = true;
       if (obs_ != nullptr) {
@@ -1759,11 +1706,11 @@ class NeatsStore {
     if (repaired_any) WriteManifest();
   }
 
-  /// Refreshes report_.quarantined from the live shard states.
+  /// Refreshes report_.quarantined from the published shard rows.
   void RebuildQuarantineList() {
     report_.quarantined.clear();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const Shard& s = shards_[i];
+    for (size_t i = 0; i < current_->shards_->size(); ++i) {
+      const Shard& s = current_->Row(i);
       if (s.series == nullptr) {
         report_.quarantined.push_back(
             {i, s.first, s.count, s.codec, s.quarantine});
@@ -1771,76 +1718,43 @@ class NeatsStore {
     }
   }
 
+  // Declared first so a move assignment replaces it first: the old pool
+  // finishes its running seal before the metrics that seal counts into
+  // are replaced. (~NeatsStore drains it explicitly.)
+  std::unique_ptr<ThreadPool> pool_;
+
   NeatsStoreOptions options_;
   std::string dir_;  // empty = in-memory store
   io::FileSystem* fs_ = nullptr;  // never null after construction
 
-  std::vector<Shard> shards_;  // sealed + promoted, contiguous from index 0
-  uint64_t sealed_total_ = 0;  // values covered by shards_
+  // Writer-only state, guarded by writer_mu_.
   uint64_t manifest_total_ = 0;  // values covered by the durable manifest
-  std::deque<std::unique_ptr<PendingChunk>> pending_;  // seals in flight
-  uint64_t pending_total_ = 0;                         // their value count
-  std::vector<int64_t> tail_;  // write-ahead hot tail (raw)
-  size_t next_ordinal_ = 0;    // next shard blob number
+  size_t next_ordinal_ = 0;      // next shard blob number
   std::unique_ptr<io::WritableFile> wal_;  // open WAL append handle
   bool wal_dirty_ = false;  // a WAL append failed; rebuild before reuse
   RepairReport report_;     // what OpenDir/Scrub found and did
 
   // The observability wiring (metrics registry, flight recorder, log
-  // sink); null when options_.metrics is false. Heap-owned so background
-  // seal tasks capture a pointer that stays valid across store moves; it
-  // is destroyed after pool_ (declared later) drains.
+  // sink); null when options_.metrics is false. Heap-owned so seal tasks
+  // and snapshots hold a pointer that stays valid across store moves.
   std::unique_ptr<store_internal::StoreObs> obs_;
 
   // Decoded-block LRU over the Gorilla/Chimp shards; null when
   // options_.block_cache_bytes is 0. The cache itself is mutex-guarded, so
-  // const query paths may populate it concurrently.
+  // concurrent queries may populate it.
   std::unique_ptr<DecodedBlockCache> cache_;
 
-  // Serializes the writers (Append, Flush, Scrub) and guards what only
-  // they touch: wal_, wal_dirty_, manifest_total_, next_ordinal_ and the
-  // pending chunks' seal results. Taken before mu_, never after it.
-  // Heap-allocated, like mu_, so the store stays movable.
+  // Serializes the writers (Append, Flush, Scrub) and guards the
+  // writer-only state above. Heap-allocated, like publish_mu_, so the
+  // store stays movable.
   std::unique_ptr<std::mutex> writer_mu_ = std::make_unique<std::mutex>();
 
-  // The reader/writer lock over the in-memory state queries read (shards_,
-  // the pending queue, the tail and the totals): queries take it shared,
-  // and a writer holding writer_mu_ takes it exclusively only to publish a
-  // change (ExclusiveHold), never across IO — a WAL fsync, a seal drain, a
-  // manifest write — so readers wait at most one publication. Scrub is the
-  // exception: it holds it for its whole run. Heap-allocated so the store
-  // stays movable (moves require outside quiescence, as before).
-  mutable std::unique_ptr<std::shared_mutex> mu_ =
-      std::make_unique<std::shared_mutex>();
-
-  /// The writer's one way to publish in-memory state: an exclusive hold of
-  /// mu_ (taken under writer_mu_), timed from acquisition to release into
-  /// the "lock.exclusive_hold" histogram — the longest a reader arriving
-  /// meanwhile could have waited.
-  class ExclusiveHold {
-   public:
-    explicit ExclusiveHold(const NeatsStore& store)
-        : obs_(store.obs_.get()),
-          lock_(*store.mu_),
-          t0_(obs_ != nullptr ? obs::NowNs() : 0) {}
-    ExclusiveHold(const ExclusiveHold&) = delete;
-    ExclusiveHold& operator=(const ExclusiveHold&) = delete;
-    ~ExclusiveHold() {
-      if (obs_ == nullptr) return;
-      const uint64_t dur = obs::NowNs() - t0_;
-      lock_.unlock();
-      obs_->registry.Record(obs_->h_exclusive_hold, dur);
-    }
-
-   private:
-    StoreObs* obs_;
-    std::unique_lock<std::shared_mutex> lock_;
-    uint64_t t0_;
-  };
-
-  // Declared last so it is destroyed first: no worker can outlive the
-  // chunks its tasks reference. (~NeatsStore drains explicitly anyway.)
-  std::unique_ptr<ThreadPool> pool_;
+  // The published read state. Queries copy the pointer under publish_mu_
+  // and release it before they run; the writer (holding writer_mu_) reads
+  // current_ freely and takes publish_mu_ only to swap it (Publish).
+  mutable std::unique_ptr<std::mutex> publish_mu_ =
+      std::make_unique<std::mutex>();
+  std::shared_ptr<const Snapshot> current_;
 };
 
 }  // namespace neats

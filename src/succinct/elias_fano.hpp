@@ -76,6 +76,20 @@ class EliasFano {
 
   size_t size() const { return size_; }
 
+  /// True when the values strictly increase, checked in one sequential
+  /// pass over the bucket index and the low parts — no select. Values in
+  /// different buckets differ in their high parts, so only a bucket's own
+  /// lows can tie or fall.
+  bool StrictlyIncreasing() const {
+    for (size_t h = 0; h + 1 < first_.size(); ++h) {
+      const size_t end = first_[h + 1];
+      for (size_t i = first_[h] + 1; i < end; ++i) {
+        if (low_[i] <= low_[i - 1]) return false;
+      }
+    }
+    return true;
+  }
+
   /// Fused Rank + Access of the predecessor: returns {i, Access(i)} for the
   /// largest element <= x. The bucket index gives x's bucket in one table
   /// read; when the predecessor lies inside it, its value follows from x's

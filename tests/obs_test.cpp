@@ -310,10 +310,6 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   EXPECT_EQ(snap.histogram("range_sum")->count(), 1u);
   EXPECT_EQ(snap.histogram("append")->count(), 2u);
   EXPECT_EQ(snap.histogram("flush")->count(), 1u);
-  // One exclusive hold per publication: the first Append's tail (its seal
-  // runs inline), the second Append's promotion of that seal and its tail,
-  // and the Flush's promotion (its tail was empty, so nothing was cut).
-  EXPECT_EQ(snap.histogram("lock.exclusive_hold")->count(), 4u);
   EXPECT_EQ(*snap.counter("append.calls"), 2u);
   EXPECT_EQ(*snap.counter("append.values"), values.size());
   EXPECT_EQ(*snap.counter("bytes.in"), values.size() * sizeof(int64_t));
@@ -468,9 +464,6 @@ TEST(NeatsStoreObs, DumpOnQuarantineAndScrubRepair) {
   EXPECT_EQ(*snap.counter("scrub.repaired"), 1u);
   EXPECT_EQ(*snap.counter("scrub.calls"), 1u);
   EXPECT_EQ(snap.histogram("scrub")->count(), 1u);
-  // OpenDir publishes before any reader exists; Scrub holds once, for its
-  // whole run.
-  EXPECT_EQ(snap.histogram("lock.exclusive_hold")->count(), 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -125,6 +124,71 @@ NeatsStore BuildStore(const std::vector<int64_t>& values, uint64_t shard_size,
   if (tiers == Tiers::kFlushed) store.Flush();
   return store;
 }
+
+// Reader threads querying `store` below index `floor` (values acked before
+// they start) until destroyed: Access, AccessBatch, DecompressRange and
+// RangeSum, every answer checked against `truth`. Progress(n) is true once
+// they complete `n` more rounds, false after 30 s — a blocked reader.
+class ReaderStorm {
+ public:
+  ReaderStorm(const NeatsStore& store, const std::vector<int64_t>& truth,
+              uint64_t floor) {
+    for (uint64_t t = 0; t < 3; ++t) {
+      threads_.emplace_back([this, &store, &truth, floor, t] {
+        Run(store, truth, floor, t);
+      });
+    }
+  }
+  ReaderStorm(const ReaderStorm&) = delete;
+  ReaderStorm& operator=(const ReaderStorm&) = delete;
+  ~ReaderStorm() {
+    stop_.store(true, std::memory_order_release);
+    for (std::thread& t : threads_) t.join();
+  }
+
+  bool Progress(uint64_t n) const {
+    const uint64_t target = rounds_.load() + n;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (rounds_.load() < target) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  bool wrong() const { return wrong_.load(); }
+
+ private:
+  void Run(const NeatsStore& store, const std::vector<int64_t>& truth,
+           uint64_t floor, uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<uint64_t> idx(16);
+    std::vector<int64_t> out(16);
+    while (!stop_.load(std::memory_order_acquire)) {
+      bool ok = store.size() >= floor;
+      for (uint64_t& i : idx) i = rng() % floor;
+      store.AccessBatch(idx, out);
+      for (size_t k = 0; k < idx.size(); ++k) ok &= out[k] == truth[idx[k]];
+      ok &= store.Access(idx[0]) == truth[idx[0]];
+      const uint64_t from = idx[1] % (floor - out.size() + 1);
+      store.DecompressRange(from, out.size(), out.data());
+      int64_t sum = 0;
+      for (size_t k = 0; k < out.size(); ++k) {
+        ok &= out[k] == truth[from + k];
+        sum += truth[from + k];
+      }
+      ok &= store.RangeSum(from, out.size()) == sum;
+      if (!ok) wrong_.store(true);
+      rounds_.fetch_add(1);
+    }
+  }
+
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> wrong_{false};
+  std::atomic<uint64_t> rounds_{0};
+  std::vector<std::thread> threads_;  // last: the fields above exist first
+};
 
 // ---------------------------------------------------------------------------
 // Neats::AccessBatch (the fragment-grouped kernel) against scalar Access.
@@ -636,9 +700,8 @@ TEST(NeatsStore, PromotionVerifiesWrittenBlob) {
 // The writer's IO leaves readers serving. Reader threads run across an
 // Append parked in its WAL fsync and a Flush parked in its seal drain (two
 // seals parked in their blob fsyncs): every value they read is right, the
-// parked Append's values stay invisible until its fsync returns, and
-// TryAccessBatch answers throughout — neither wait holds the lock readers
-// take.
+// parked Append's values stay invisible until its fsync returns, and a
+// snapshot loaded meanwhile holds exactly the acked values.
 TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
   using testing::GatedFs;
   io::FaultFs disk;
@@ -703,14 +766,13 @@ TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
     }
     return true;
   };
-  // While the writer is parked, TryAccessBatch answers the acked probe and
-  // leaves the probe at `size` (the first unacked index) untouched.
-  const auto expect_try_answers = [&](uint64_t size) {
-    const std::vector<uint64_t> probe = {7, size};
-    std::vector<int64_t> got = {-1, -1};
-    EXPECT_EQ(store.TryAccessBatch(probe, got), std::optional<uint64_t>(size));
-    EXPECT_EQ(got[0], series[7]);
-    EXPECT_EQ(got[1], -1);
+  // While the writer is parked, a snapshot ends at `size` (the first
+  // unacked index) and answers the acked values.
+  const auto expect_snapshot_answers = [&](uint64_t size) {
+    const auto snap = store.snapshot();
+    EXPECT_EQ(snap->size(), size);
+    EXPECT_EQ(snap->Access(7), series[7]);
+    EXPECT_EQ(snap->RangeSum(size - 1, 1), series[size - 1]);
   };
 
   std::thread appender, flusher;
@@ -732,7 +794,7 @@ TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
   appender = std::thread([&] { store.Append({series.data() + 3000, 500}); });
   wal_gate.AwaitParked();
   ASSERT_TRUE(readers_progress(1000)) << "readers wait out the WAL fsync";
-  expect_try_answers(3000);
+  expect_snapshot_answers(3000);
   EXPECT_EQ(store.size(), 3000u);
   visible.store(3500, std::memory_order_release);
   wal_gate.Open();
@@ -749,7 +811,7 @@ TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
   flusher = std::thread([&] { store.Flush(); });
   seal_gate.AwaitParked(2);
   ASSERT_TRUE(readers_progress(1000)) << "readers wait out the seal drain";
-  expect_try_answers(6000);
+  expect_snapshot_answers(6000);
   EXPECT_EQ(store.num_pending_seals(), 3u);
   seal_gate.Open();
   flusher.join();
@@ -760,6 +822,167 @@ TEST(NeatsStore, ReadersServeThroughWalFsyncAndSealDrain) {
   store.DecompressRange(0, back.size(), back.data());
   EXPECT_EQ(back, series);
   EXPECT_FALSE(wrong.load());
+}
+
+// Scrub re-verifying every shard blob holds nothing readers wait on: reader
+// threads keep answering, correctly, while Scrub is parked in a shard
+// open, and after it returns.
+TEST(NeatsStore, ReadersServeThroughScrub) {
+  using testing::GatedFs;
+  io::FaultFs disk;
+  GatedFs gate(disk, GatedFs::Op::kOpenRead, "shard-");
+  NeatsStoreOptions options;
+  options.shard_size = 1024;
+  options.fs = &gate;
+  options.log_sink = obs::NullLogSink();
+  NeatsStore store = NeatsStore::CreateDir("/scrub", options);
+  const std::vector<int64_t> series = MixedSeries(6000, 17);
+  store.Append(series);
+  store.Flush();
+
+  ReaderStorm readers(store, series, series.size());
+  std::thread scrubber;
+  struct Release {  // opens the gate and joins even if an assert returns
+    GatedFs& gate;
+    std::thread& t;
+    ~Release() {
+      gate.Open();
+      if (t.joinable()) t.join();
+    }
+  } release{gate, scrubber};
+  gate.Shut();
+  scrubber = std::thread([&] { store.Scrub(); });
+  gate.AwaitParked();
+  ASSERT_TRUE(readers.Progress(1000)) << "readers wait out Scrub";
+  gate.Open();
+  scrubber.join();
+  EXPECT_TRUE(store.recovery_report().quarantined.empty());
+  ASSERT_TRUE(readers.Progress(100));
+  EXPECT_FALSE(readers.wrong());
+}
+
+// With seal_threads = 1 a seal runs inside the Append that cuts its chunk.
+// Parked in its blob fsync, it holds nothing readers wait on: they keep
+// answering the values acked before it, and the Append's values appear
+// once it returns.
+TEST(NeatsStore, ReadersServeThroughInlineSeal) {
+  using testing::GatedFs;
+  io::FaultFs disk;
+  GatedFs gate(disk, GatedFs::Op::kSync, "shard-");
+  NeatsStoreOptions options;
+  options.shard_size = 1024;
+  options.seal_threads = 1;
+  options.fs = &gate;
+  options.log_sink = obs::NullLogSink();
+  NeatsStore store = NeatsStore::CreateDir("/inline", options);
+  const std::vector<int64_t> series = MixedSeries(4096, 29);
+  store.Append({series.data(), 2000});  // seals shard 0 inline, gate open
+
+  ReaderStorm readers(store, series, 2000);
+  std::thread appender;
+  struct Release {  // opens the gate and joins even if an assert returns
+    GatedFs& gate;
+    std::thread& t;
+    ~Release() {
+      gate.Open();
+      if (t.joinable()) t.join();
+    }
+  } release{gate, appender};
+  gate.Shut();
+  appender = std::thread([&] { store.Append({series.data() + 2000, 2096}); });
+  gate.AwaitParked();
+  ASSERT_TRUE(readers.Progress(1000)) << "readers wait out an inline seal";
+  EXPECT_EQ(store.size(), 2000u);
+  gate.Open();
+  appender.join();
+  EXPECT_EQ(store.size(), series.size());
+  ASSERT_TRUE(readers.Progress(100));
+  store.Flush();
+  std::vector<int64_t> back(series.size());
+  store.DecompressRange(0, back.size(), back.data());
+  EXPECT_EQ(back, series);
+  EXPECT_FALSE(readers.wrong());
+}
+
+// Appends, background seals and Flushes racing queries. Each reader round
+// loads one snapshot and checks, against the reference, a multi-range
+// DecompressRanges and a RangeSum over a run that ends at the snapshot's
+// end — so it straddles the tail, the chunks still sealing and the sealed
+// shards, including a tail just cut into a pending chunk — plus a
+// store-level AccessBatch of probes near that end and anywhere below it.
+TEST(NeatsStore, ConcurrentQueriesMatchReferenceAcrossCuts) {
+  io::FaultFs disk;
+  NeatsStoreOptions options;
+  options.shard_size = 1000;
+  options.seal_threads = 3;
+  options.fs = &disk;
+  options.log_sink = obs::NullLogSink();
+  NeatsStore store = NeatsStore::CreateDir("/race", options);
+  const std::vector<int64_t> series = MixedSeries(24000, 41);
+  std::vector<int64_t> prefix(series.size() + 1, 0);
+  for (size_t i = 0; i < series.size(); ++i) {
+    prefix[i + 1] = prefix[i] + series[i];
+  }
+
+  std::atomic<bool> stop{false}, wrong{false};
+  std::atomic<uint64_t> rounds{0};
+  std::vector<std::thread> readers;
+  for (uint64_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(100 + t);
+      std::vector<uint64_t> idx(32);
+      std::vector<int64_t> out(idx.size()), got;
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto snap = store.snapshot();
+        const uint64_t size = snap->size();
+        if (size < 2) continue;
+        const uint64_t run = 1 + rng() % std::min<uint64_t>(size, 2500);
+        const uint64_t mid = rng() % size;
+        const IndexRange ranges[] = {{size - run, run},
+                                     {mid, 1 + rng() % (size - mid)}};
+        got.assign(ranges[0].len + ranges[1].len, 0);
+        snap->DecompressRanges(ranges, got.data());
+        bool ok = std::equal(got.begin(), got.begin() + run,
+                             series.begin() + (size - run)) &&
+                  std::equal(got.begin() + run, got.end(),
+                             series.begin() + mid);
+        ok &= snap->RangeSum(size - run, run) ==
+              prefix[size] - prefix[size - run];
+        for (size_t k = 0; k < idx.size(); ++k) {
+          idx[k] = k % 2 == 0 ? size - 1 - rng() % run : rng() % size;
+        }
+        store.AccessBatch(idx, out);
+        for (size_t k = 0; k < idx.size(); ++k) ok &= out[k] == series[idx[k]];
+        if (!ok) wrong.store(true);
+        rounds.fetch_add(1);
+      }
+    });
+  }
+  struct Join {  // stops the readers even if an assert returns
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& threads;
+    ~Join() {
+      stop.store(true, std::memory_order_release);
+      for (std::thread& t : threads) t.join();
+    }
+  } join{stop, readers};
+
+  std::mt19937_64 rng(7);
+  size_t at = 0;
+  for (int step = 1; at < series.size(); ++step) {
+    const size_t n = std::min<size_t>(1 + rng() % 1500, series.size() - at);
+    store.Append({series.data() + at, n});
+    at += n;
+    if (step % 9 == 0) store.Flush();
+  }
+  store.Flush();
+  const uint64_t target = rounds.load() + 50;
+  while (rounds.load() < target) std::this_thread::yield();
+  EXPECT_FALSE(wrong.load());
+  EXPECT_EQ(store.num_pending_seals(), 0u);
+  std::vector<int64_t> back(series.size());
+  store.DecompressRange(0, back.size(), back.data());
+  EXPECT_EQ(back, series);
 }
 
 // ---------------------------------------------------------------------------
