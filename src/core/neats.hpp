@@ -86,8 +86,15 @@ class Neats {
   }
 
   /// SNeaTS (paper, Sec. IV-C1): runs the partitioner on the first
-  /// `sample_fraction` of the series, keeps the `top_pairs` most used
-  /// (kind, eps) pairs, and compresses the whole series with only those.
+  /// `sample_fraction` of the series (at least 1000 values), ranks the
+  /// (kind, eps) pairs by the values their fragments cover, and compresses
+  /// the whole series over the cross product of the kinds and the epsilons
+  /// of the `top_pairs` best-ranked pairs (not over those pairs alone).
+  /// Ties in the ranking fall to the smaller (kind id, eps), so the output
+  /// is a pure function of `values` and the arguments. Explicit
+  /// `options.partition.pairs` skip the sample and are searched as given;
+  /// a series shorter than twice its sample skips it too and runs the full
+  /// search, since the sample run would cost more than it saves.
   static Neats CompressWithModelSelection(std::span<const int64_t> values,
                                           const NeatsOptions& options = {},
                                           double sample_fraction = 0.1,
@@ -775,12 +782,11 @@ inline Neats Neats::CompressWithModelSelection(std::span<const int64_t> values,
                                                const NeatsOptions& options,
                                                double sample_fraction,
                                                size_t top_pairs) {
-  if (values.size() < 1000) return Compress(values, options);
-  ShiftedValues sv = ShiftView(values);
-
-  size_t sample_n = std::max<size_t>(1000, static_cast<size_t>(
+  if (!options.partition.pairs.empty()) return Compress(values, options);
+  const size_t sample_n = std::max<size_t>(1000, static_cast<size_t>(
       static_cast<double>(values.size()) * sample_fraction));
-  sample_n = std::min(sample_n, values.size());
+  if (2 * sample_n > values.size()) return Compress(values, options);
+  ShiftedValues sv = ShiftView(values);
 
   PartitionOptions popts = options.partition;
   if (popts.epsilons.empty()) popts.epsilons = DefaultEpsilons(sv.shifted);
@@ -805,8 +811,11 @@ inline Neats Neats::CompressWithModelSelection(std::span<const int64_t> values,
     }
     if (!found) uses.push_back({f.kind, f.epsilon, f.length()});
   }
-  std::sort(uses.begin(), uses.end(),
-            [](const PairUse& a, const PairUse& b) { return a.covered > b.covered; });
+  std::sort(uses.begin(), uses.end(), [](const PairUse& a, const PairUse& b) {
+    if (a.covered != b.covered) return a.covered > b.covered;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.eps < b.eps;
+  });
   if (uses.size() > top_pairs) uses.resize(top_pairs);
 
   NeatsOptions pruned = options;

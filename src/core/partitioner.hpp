@@ -61,8 +61,9 @@ struct PartitionOptions {
   std::vector<int64_t> epsilons;
 
   /// Explicit (kind, eps) pairs. When non-empty, this list is used instead
-  /// of the cross product kinds × epsilons (model selection keeps the top
-  /// pairs, not a cross product; paper, Sec. IV-C1).
+  /// of the cross product kinds × epsilons. (Model selection does not fill
+  /// it: it narrows `kinds` and `epsilons` to those of its top pairs and
+  /// searches their cross product; Neats::CompressWithModelSelection.)
   std::vector<std::pair<FunctionKind, int64_t>> pairs;
 
   /// Bits charged for each stored function parameter.

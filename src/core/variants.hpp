@@ -3,8 +3,8 @@
 //   LeaTS   — Algorithm 1 restricted to linear functions only: faster
 //             compression, slightly worse ratio.
 //   SNeaTS  — model selection: the partitioner first runs on a sample (the
-//             first 10% of the series) and only the top-5 most-used
-//             (kind, eps) pairs are kept for the full run.
+//             first 10% of the series), and the full run searches only the
+//             kinds × error bounds of the top-5 most-used (kind, eps) pairs.
 
 #pragma once
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "datasets/generators.hpp"
 #include "io/fault_fs.hpp"
 #include "neats/neats.hpp"
 #include "store/wal.hpp"
@@ -510,6 +511,72 @@ TEST(CrashRecovery, FailedScrubCountsAnErrorAndTracesIt) {
   EXPECT_EQ(*snap.counter("scrub.calls"), 2u);
   EXPECT_EQ(snap.histogram("scrub")->count(), 1u);
   for (size_t k = 0; k < values.size(); k += 23) {
+    ASSERT_EQ(store.Access(k), values[k]) << k;
+  }
+}
+
+// A NeaTS seal chooses its models from the shard's own values, so every
+// path that seals a shard writes the same bytes: a shard re-sealed from the
+// WAL after a crash, and one Scrub repairs from WAL records, carry the CRC
+// of the clean run's manifest row.
+TEST(CrashRecovery, NeatsResealsMatchTheOriginalManifestRow) {
+  constexpr uint64_t kShard = 4096;  // long enough for model selection
+  const std::vector<int64_t> values = MakeDataset("ECG", 3 * kShard, 1).values;
+  auto options = [](io::FaultFs* fs) {
+    NeatsStoreOptions o = BaseOptions(fs);
+    o.codec = CodecId::kNeats;
+    o.shard_size = kShard;
+    return o;
+  };
+  const std::string manifest_path =
+      std::string(kDir) + "/" + StoreManifest::FileName();
+  auto manifest_of = [&](io::FaultFs& fs) {
+    return StoreManifest::Deserialize(fs.ReadRaw(manifest_path));
+  };
+
+  io::FaultFs clean;
+  {
+    NeatsStore store = NeatsStore::CreateDir(kDir, options(&clean));
+    store.Append({values.data(), values.size()});
+    store.Flush();
+  }
+  const StoreManifest original = manifest_of(clean);
+  ASSERT_EQ(original.shards.size(), 3u);
+
+  // Crash before the Flush: OpenDir re-seals every shard from the WAL.
+  {
+    io::FaultFs fs(io::FaultFs::Options{.seed = 5});
+    {
+      NeatsStore store = NeatsStore::CreateDir(kDir, options(&fs));
+      store.Append({values.data(), values.size()});
+    }
+    fs.Crash();
+    NeatsStore store = NeatsStore::OpenDir(kDir, options(&fs));
+    ASSERT_EQ(store.size(), values.size());
+    store.Flush();
+    const StoreManifest recovered = manifest_of(fs);
+    ASSERT_EQ(recovered.shards.size(), 3u);
+    for (size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(recovered.shards[s].codec, CodecId::kNeats) << s;
+      EXPECT_EQ(recovered.shards[s].blob_bytes, original.shards[s].blob_bytes)
+          << s;
+      EXPECT_EQ(recovered.shards[s].crc, original.shards[s].crc) << s;
+    }
+  }
+
+  // Scrub repairs a rotted shard 1 from WAL records covering its range.
+  std::vector<uint8_t> wal;
+  AppendWalHeader(&wal);
+  AppendWalRecord(&wal, kShard, {values.data() + kShard, kShard});
+  clean.SetRaw(std::string(kDir) + "/" + WalFileName(), wal);
+  NeatsStore store = NeatsStore::OpenDir(kDir, options(&clean));
+  clean.CorruptByte(std::string(kDir) + "/" + StoreManifest::ShardFileName(1),
+                    100, 0x40);
+  const NeatsStore::RepairReport& report = store.Scrub();
+  ASSERT_EQ(report.repaired.size(), 1u);
+  EXPECT_EQ(report.repaired[0], 1u);
+  EXPECT_EQ(manifest_of(clean).shards[1].crc, original.shards[1].crc);
+  for (size_t k = 0; k < values.size(); k += 31) {
     ASSERT_EQ(store.Access(k), values[k]) << k;
   }
 }

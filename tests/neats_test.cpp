@@ -215,6 +215,35 @@ TEST(Neats, ModelSelectionStaysLossless) {
   EXPECT_EQ(decoded, values);
 }
 
+std::vector<uint8_t> BlobOf(const Neats& compressed) {
+  std::vector<uint8_t> bytes;
+  compressed.Serialize(&bytes);
+  return bytes;
+}
+
+// Model selection runs no sample when it cannot change or pay for the
+// result: explicit pairs are searched as given, and a series shorter than
+// twice its sample (here 1999 < 2 * 1000) gets the full search. With one
+// kept pair, a sampled run differs from the full search (the 2000 case).
+TEST(Neats, ModelSelectionSkipsTheSampleWhenItCannotPay) {
+  const auto values = RandomWalk(30000, 41, 20);
+  NeatsOptions with_pairs;
+  with_pairs.partition.pairs = {{FunctionKind::kLinear, 8},
+                                {FunctionKind::kQuadratic, 32}};
+  EXPECT_EQ(BlobOf(Neats::CompressWithModelSelection(values, with_pairs, 0.1,
+                                                     1)),
+            BlobOf(Neats::Compress(values, with_pairs)));
+
+  const auto short_values = RandomWalk(1999, 43, 20);
+  EXPECT_EQ(BlobOf(Neats::CompressWithModelSelection(short_values, {}, 0.1,
+                                                     1)),
+            BlobOf(Neats::Compress(short_values)));
+  const auto long_values = RandomWalk(2000, 43, 20);
+  EXPECT_NE(BlobOf(Neats::CompressWithModelSelection(long_values, {}, 0.1,
+                                                     1)),
+            BlobOf(Neats::Compress(long_values)));
+}
+
 TEST(Neats, LeaTSStaysLossless) {
   auto values = RandomWalk(20000, 37, 20);
   Neats compressed = CompressLeaTS(values);

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "codecs/codec_registry.hpp"
 #include "core/neats.hpp"
 #include "core/neats_lossy.hpp"
 #include "datasets/generators.hpp"
@@ -102,6 +103,58 @@ TEST(Serialization, PartitionedBlobsHashAsPinned) {
     const std::vector<int64_t> values = MakeDataset(g.code, g.n, 1).values;
     EXPECT_EQ(BlobHash(Neats::Compress(values)), g.neats);
     EXPECT_EQ(BlobHash(NeatsLossy::Compress(values, 8)), g.lossy);
+  }
+}
+
+// Pins the store's NeaTS seal (CodecRegistry::Compress with kNeats: model
+// selection on a 10% sample, top 8 pairs) on the datasets and sizes above.
+// Neats::Compress stays full Algorithm 1 and keeps the hashes above.
+TEST(Serialization, SealedNeatsBlobsHashAsPinned) {
+  struct Golden {
+    const char* code;
+    size_t n;
+    uint64_t sealed;
+  };
+  const Golden kGolden[] = {
+      {"ECG", 16384, 0x22d442b0e5d277bdull},
+      {"ECG", 65536, 0x5290b61b4342bb41ull},
+      {"IT", 16384, 0xf7d323d15e088491ull},
+      {"IT", 65536, 0x50762e71ae74ee75ull},
+      {"DP", 16384, 0x6562b850eae1e04bull},
+      {"DP", 65536, 0x003f60f9bafb108bull},
+      {"US", 16384, 0x2f1d0d7e63e2ef02ull},
+      {"US", 65536, 0x863c569ea40bf006ull},
+  };
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(std::string(g.code) + " n=" + std::to_string(g.n));
+    const std::vector<int64_t> values = MakeDataset(g.code, g.n, 1).values;
+    EXPECT_EQ(BlobHash(*CodecRegistry::Compress(CodecId::kNeats, values, {})),
+              g.sealed);
+  }
+}
+
+// The seal's model selection costs at most 1% of Neats::Compress's bits per
+// dataset (its 16Ki and 64Ki shards together), and at most 2% on any one
+// shard. Seed 1 reads 0.997-1.007 per shard except IT at 16Ki, 1.0174: its
+// 1638-value sample picks only eps 16 and 32, where the full search also
+// uses 0, 4 and 64.
+TEST(Serialization, SealedNeatsBitsStayWithinBudget) {
+  for (const char* code : {"ECG", "IT", "DP", "US"}) {
+    size_t full_total = 0;
+    size_t sealed_total = 0;
+    for (size_t n : {size_t{16384}, size_t{65536}}) {
+      SCOPED_TRACE(std::string(code) + " n=" + std::to_string(n));
+      const std::vector<int64_t> values = MakeDataset(code, n, 1).values;
+      const size_t full = Neats::Compress(values).SizeInBits();
+      const size_t sealed =
+          CodecRegistry::Compress(CodecId::kNeats, values, {})->SizeInBits();
+      EXPECT_LE(static_cast<double>(sealed), 1.02 * static_cast<double>(full));
+      full_total += full;
+      sealed_total += sealed;
+    }
+    EXPECT_LE(static_cast<double>(sealed_total),
+              1.01 * static_cast<double>(full_total))
+        << code;
   }
 }
 

@@ -475,7 +475,7 @@ TEST(NeatsStore, AppendSealReopenRoundTripByteIdentity) {
     EXPECT_EQ(store.num_shards(), (values.size() + kShard - 1) / kShard);
   }
 
-  // Every shard blob is byte-identical to compressing that slice directly —
+  // Every shard blob is byte-identical to sealing that slice directly —
   // the append path adds no hidden state to the sealed form — plus the
   // 16-byte checksum trailer the durability layer appends, which must
   // verify against the payload.
@@ -483,9 +483,10 @@ TEST(NeatsStore, AppendSealReopenRoundTripByteIdentity) {
   for (size_t s = 0; s < num_shards; ++s) {
     size_t first = s * kShard;
     size_t count = std::min<size_t>(kShard, values.size() - first);
-    Neats direct = Neats::Compress({values.data() + first, count});
     std::vector<uint8_t> expected;
-    direct.Serialize(&expected);
+    CodecRegistry::Compress(CodecId::kNeats, {values.data() + first, count},
+                            {})
+        ->Serialize(&expected);
     std::vector<uint8_t> on_disk =
         ReadFile(dir + "/" + StoreManifest::ShardFileName(s));
     TrailerInfo trailer = CheckChecksumTrailer(on_disk);
