@@ -8,18 +8,22 @@
 //                │  nonblocking reads ─▶ frame parser ─▶ per-conn
 //                │  request queue (admission gate sheds kOverloaded here)
 //                │
-//                │  dispatch, in queue order, one loop per connection:
-//                │   - ping, and a run of consecutive Access requests of
-//                │     up to kMaxInlineRun probes, run to completion right
-//                │     here: ONE store snapshot, ONE AccessBatch call on
-//                │     it, responses queued straight onto the send queue
-//                │   - everything else becomes the connection's one work
-//                │     item on the pool
+//                │  dispatch, in queue order, one loop per connection; a
+//                │  work item is a run of consecutive Access requests or
+//                │  one request of another opcode:
+//                │   - an item RunsInline() prices below the two thread
+//                │     hand-offs a pool round trip costs runs to
+//                │     completion right here, its response queued straight
+//                │     onto the send queue: ping, size, Access runs and
+//                │     access_batch of up to kMaxInlineRun probes, range
+//                │     and ranges of up to kMaxInlineValues values
+//                │   - anything longer, range_sum and stats become the
+//                │     connection's one work item on the pool
 //                ▼
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
-//                │  loads one store snapshot per request, bound-checks and
-//                │  queries it, into one response buffer, then hands that
-//                │  buffer back through the completion list + wake pipe
+//                │  runs the same Execute() the IO thread runs inline,
+//                │  into one response buffer, then hands that buffer back
+//                │  through the completion list + wake pipe
 //                ▼
 //             [ IO thread: send queue, backpressure, timeouts ]
 //
@@ -102,9 +106,10 @@ struct NeatsServerOptions {
   /// port() after Start()).
   uint16_t port = 0;
 
-  /// Worker threads for the requests the IO thread does not answer itself
-  /// (everything but ping and short Access runs). 0 runs those inline on
-  /// the IO thread too — single-threaded mode, still correct, useful for
+  /// Worker threads for the requests the IO thread does not answer itself:
+  /// range_sum, stats, and Access runs, access_batch, range and ranges past
+  /// the inline caps (NeatsServer::RunsInline). 0 runs those inline on the
+  /// IO thread too — single-threaded mode, still correct, useful for
   /// deterministic tests.
   int worker_threads = 3;
 
@@ -796,36 +801,31 @@ class NeatsServer {
     conn->queue.push_back(std::move(req));
   }
 
-  /// Runs the connection's queue forward while no work item is in flight:
-  /// ping and Access runs of up to kMaxInlineRun are answered here;
-  /// anything else becomes the connection's one work item on the pool (an
-  /// Access run of up to kMaxCoalescedRun, or one request of any other
-  /// opcode). Whatever arrived while the previous item executed forms the
-  /// next run, so pipelining clients batch without any wait. A loop over
-  /// at most max_queued_per_conn requests.
+  /// Runs the connection's queue forward while no work item is in flight.
+  /// A work item is a run of consecutive Access requests (up to
+  /// kMaxCoalescedRun) or one request of any other opcode. An item that
+  /// RunsInline() is answered here; any other becomes the connection's one
+  /// work item on the pool. Whatever arrived while the previous item
+  /// executed forms the next run, so pipelining clients batch without any
+  /// wait. A loop over at most max_queued_per_conn requests.
   void TryDispatch(const std::shared_ptr<Conn>& conn) {
     while (!conn->closed && !conn->busy && !conn->queue.empty()) {
-      if (conn->queue.front().op == Opcode::kPing) {
-        Buffer out;
-        AppendOk(Opcode::kPing, conn->queue.front().id, {}, &out);
-        conn->queue.pop_front();
-        AnsweredInline(conn, 1, std::move(out));
-        continue;
-      }
-      size_t run = 0;
-      while (run < conn->queue.size() &&
-             conn->queue[run].op == Opcode::kAccess &&
-             run < kMaxCoalescedRun) {
-        ++run;
+      size_t run = 1;
+      if (conn->queue.front().op == Opcode::kAccess) {
+        while (run < conn->queue.size() &&
+               conn->queue[run].op == Opcode::kAccess &&
+               run < kMaxCoalescedRun) {
+          ++run;
+        }
       }
       const auto first = conn->queue.begin();
-      const auto last = first + static_cast<ptrdiff_t>(run > 0 ? run : 1);
+      const auto last = first + static_cast<ptrdiff_t>(run);
       std::vector<Request> items(std::make_move_iterator(first),
                                  std::make_move_iterator(last));
       conn->queue.erase(first, last);
-      if (run > 0 && run <= kMaxInlineRun) {
+      if (RunsInline(items)) {
         Buffer out;
-        ExecuteAccessRun(items, &out);
+        Execute(conn->mode, items, &out);
         AnsweredInline(conn, run, std::move(out));
         continue;
       }
@@ -835,6 +835,50 @@ class NeatsServer {
         ExecuteItem(std::move(conn), mode, items);
       });
     }
+  }
+
+  /// Whether the IO thread answers a work item itself. The rule: an item
+  /// runs inline when its store work costs less than the two thread
+  /// hand-offs a pool round trip adds (a condvar wake to reach a worker,
+  /// the wake pipe and an epoll return to come back; ~23 µs measured on
+  /// range_scan). Every connection's reads wait behind an inline item, so
+  /// one holds the IO thread for at most ~20 µs: a 4096-value range decode
+  /// at the store's 3.4–4.4 ns per value. The decision reads only the
+  /// opcode and the item's length, against fixed caps:
+  ///   - ping and size: always (no store work);
+  ///   - an Access run or an access_batch: up to kMaxInlineRun probes;
+  ///   - range: up to kMaxInlineValues values;
+  ///   - ranges: up to kMaxInlineRun ranges (each pays its own predecessor
+  ///     lookup) and kMaxInlineValues values in total;
+  ///   - range_sum (it fans out on the store's pool) and stats: never.
+  /// Length caps are checked before the bound checks, so a past-end or
+  /// oversized request that fits them gets its typed error inline.
+  static bool RunsInline(std::span<const Request> item) {
+    const Request& req = item.front();
+    switch (req.op) {
+      case Opcode::kPing:
+      case Opcode::kSize:
+        return true;
+      case Opcode::kAccess:
+        return item.size() <= kMaxInlineRun;
+      case Opcode::kAccessBatch:
+        return req.idx.size() <= kMaxInlineRun;
+      case Opcode::kDecompressRange:
+        return req.b <= kMaxInlineValues;
+      case Opcode::kDecompressRanges: {
+        if (req.ranges.size() > kMaxInlineRun) return false;
+        uint64_t total = 0;
+        for (const IndexRange& r : req.ranges) {
+          if (r.len > kMaxInlineValues - total) return false;
+          total += r.len;
+        }
+        return true;
+      }
+      case Opcode::kRangeSum:
+      case Opcode::kStats:
+        return false;
+    }
+    return false;
   }
 
   /// Books `n` requests the IO thread answered into `out`.
@@ -899,20 +943,28 @@ class NeatsServer {
     }
   }
 
-  // --- Execution (worker threads; Access runs on the IO thread too) --------
+  // --- Execution (IO thread for inline items, worker threads otherwise) ----
 
-  void ExecuteItem(std::shared_ptr<Conn> conn, Conn::Mode mode,
-                   std::vector<Request>& items) {
-    Buffer out;
+  /// Answers one work item into `out`, wherever it runs: an Access run
+  /// through ExecuteAccessRun, any other request through ExecuteOne. Either
+  /// way its service time lands in its "op.<name>" histogram.
+  void Execute(Conn::Mode mode, std::span<const Request> items,
+               Buffer* out) {
     if (items[0].op == Opcode::kAccess) {
-      ExecuteAccessRun(items, &out);
-    } else {
-      const uint64_t t0 = obs::NowNs();
-      ExecuteOne(mode, items[0], &out);
-      obs_->registry.Record(
-          obs_->h_op[static_cast<uint8_t>(items[0].op)],
-          obs::NowNs() - t0);
+      ExecuteAccessRun(items, out);
+      return;
     }
+    const uint64_t t0 = obs::NowNs();
+    ExecuteOne(mode, items[0], out);
+    obs_->registry.Record(obs_->h_op[static_cast<uint8_t>(items[0].op)],
+                          obs::NowNs() - t0);
+  }
+
+  /// A pooled work item: Execute, then hand the buffer to the IO thread.
+  void ExecuteItem(std::shared_ptr<Conn> conn, Conn::Mode mode,
+                   std::span<const Request> items) {
+    Buffer out;
+    Execute(mode, items, &out);
     inflight_.fetch_sub(items.size(), std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(comp_mu_);
@@ -983,9 +1035,11 @@ class NeatsServer {
   void ExecuteOne(Conn::Mode mode, const Request& req, Buffer* out) {
     try {
       switch (req.op) {
-        case Opcode::kPing:
         case Opcode::kAccess:
-          break;  // answered by TryDispatch / ExecuteAccessRun
+          break;  // answered by ExecuteAccessRun
+        case Opcode::kPing:
+          AppendOk(req.op, req.id, {}, out);
+          return;
         case Opcode::kSize: {
           std::vector<uint8_t> payload;
           PayloadWriter w(&payload);
@@ -1153,10 +1207,18 @@ class NeatsServer {
   /// Largest coalesced Access run fed to one store AccessBatch call.
   static constexpr size_t kMaxCoalescedRun = 512;
 
-  /// Longest Access run the IO thread answers itself: ~8 µs of batch
-  /// decode at the store's per-probe cost, short enough that no other
-  /// connection notices the wait.
+  /// Most probes (an Access run or an access_batch), and most ranges of a
+  /// ranges request, the IO thread answers itself: ~8 µs of batch decode at
+  /// the store's per-probe cost. Not more: inlining 256-probe batches
+  /// doubled point_lookup's read_p50_us (22–24 → 46–55 µs): its scalar
+  /// reads queued behind each batch.
   static constexpr size_t kMaxInlineRun = 64;
+
+  /// Most values a range or ranges request the IO thread answers itself:
+  /// 4096 × the store's 3.4–4.4 ns cursor decode per value, ≈ 17–20 µs,
+  /// under the ~23 µs a pool round trip adds. Inlining range_scan's
+  /// 4096-value ranges cut its read_p50_us by ~30%.
+  static constexpr uint64_t kMaxInlineValues = 4096;
 
   /// Most queued buffers one sendmsg gathers.
   static constexpr size_t kMaxIov = 64;

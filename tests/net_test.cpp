@@ -387,9 +387,11 @@ TEST_F(NetTest, PipelinedAccessesCoalesceAndAnswerInOrder) {
   EXPECT_GE(batches->number, 1.0);
 }
 
-// Ping and short Access runs are answered on the IO thread (exec.inline
-// counts each request); every other opcode, and a run longer than the
-// inline cap, executes on the pool and leaves exec.inline alone.
+// The IO thread answers a request itself (exec.inline counts it) when its
+// length fits the inline caps: ping and size always, Access runs and
+// access_batch of up to 64 probes, range of up to 4096 values, ranges of up
+// to 64 ranges and 4096 values. range_sum and stats, and every request past
+// a cap, execute on the pool and leave exec.inline alone.
 TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   StartServer();
   Client c = Connect();
@@ -400,18 +402,43 @@ TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   EXPECT_EQ(ServerCounter("exec.inline"), 8u);
   c.Ping();
   EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+  EXPECT_EQ(c.Size(), kInitial);
+  EXPECT_EQ(ServerCounter("exec.inline"), 10u);
 
   const std::vector<uint64_t> probes = {3, 19999, 4096};
   EXPECT_EQ(c.AccessBatch(probes).size(), probes.size());
+  EXPECT_EQ(ServerCounter("exec.inline"), 11u);
   EXPECT_EQ(c.DecompressRange(4000, 200).size(), 200u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 12u);
   const std::vector<IndexRange> ranges = {{0, 4}, {9000, 4}};
   EXPECT_EQ(c.DecompressRanges(ranges).size(), 8u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 13u);
+  EXPECT_EQ(c.DecompressRange(0, 4096).size(), 4096u);  // at the cap
+  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
+
+  // Past the caps, and the two opcodes that never run inline.
+  const std::vector<int64_t> long_range = c.DecompressRange(7000, 4097);
+  ASSERT_EQ(long_range.size(), 4097u);
+  EXPECT_EQ(long_range[4096], Truth(7000 + 4096));
+  std::vector<uint64_t> big_batch(65);
+  for (size_t k = 0; k < big_batch.size(); ++k) {
+    big_batch[k] = k * 307 % kInitial;
+  }
+  const std::vector<int64_t> batch = c.AccessBatch(big_batch);
+  ASSERT_EQ(batch.size(), big_batch.size());
+  EXPECT_EQ(batch[64], Truth(big_batch[64]));
+  std::vector<IndexRange> many(65);
+  for (size_t k = 0; k < many.size(); ++k) many[k] = {k * 300, 1};
+  const std::vector<int64_t> many_values = c.DecompressRanges(many);
+  ASSERT_EQ(many_values.size(), many.size());
+  EXPECT_EQ(many_values[64], Truth(64 * 300));
+  const std::vector<IndexRange> wide = {{0, 4000}, {8000, 97}};
+  EXPECT_EQ(c.DecompressRanges(wide).size(), 4097u);
   int64_t want = 0;
   for (uint64_t k = 10; k < 9010; ++k) want += Truth(k);
   EXPECT_EQ(c.RangeSum(10, 9000), want);
-  EXPECT_EQ(c.Size(), kInitial);
   (void)c.Stats();
-  EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
 
   // 100 accesses in one write: one run past the inline cap, so the pool
   // answers it as one coalesced batch.
@@ -422,7 +449,7 @@ TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   const uint64_t batches = ServerCounter("coalesce.batches");
   SendAccessRound(c, long_run, 1000);
   ExpectAccessAnswers(c, long_run, 1000, kInitial);
-  EXPECT_EQ(ServerCounter("exec.inline"), 9u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
   EXPECT_EQ(ServerCounter("coalesce.batches"), batches + 1);
 }
 
@@ -442,6 +469,115 @@ TEST_F(NetTest, InlineRunMixingPastSizeProbesAnswersInOrder) {
   SendAccessRound(c, past, 90);
   ExpectAccessAnswers(c, past, 90, kInitial);
   EXPECT_EQ(ServerCounter("exec.inline"), idx.size() + past.size());
+}
+
+// One write carrying range, range_sum, range, three accesses, size and a
+// range past the inline cap: the IO thread answers the first range, the
+// pool the sum; the next range, the accesses and the size wait for the
+// busy flag to clear and then run inline; the long range goes back to the
+// pool. Every answer comes back in request order with exact values. Then,
+// on a degraded store with a small frame cap, the IO thread answers the
+// typed errors of short ranges itself and keeps serving after them.
+TEST_F(NetTest, PipelineCrossingInlineAndPoolAnswersInOrder) {
+  StartServer();
+  {
+    Client c = Connect();
+    std::vector<uint8_t> frames;
+    uint64_t next_id = 1;
+    const auto range_frame = [&](Opcode op, uint64_t from, uint64_t len) {
+      std::vector<uint8_t> payload;
+      PayloadWriter w(&payload);
+      w.U64(from);
+      w.U64(len);
+      AppendFrame(&frames, op, 0, next_id++, payload);
+    };
+    range_frame(Opcode::kDecompressRange, 50, 100);
+    range_frame(Opcode::kRangeSum, 100, 9000);
+    range_frame(Opcode::kDecompressRange, 4000, 4096);
+    const std::vector<uint64_t> idx = {7, 12345, kInitial - 1};
+    for (uint64_t i : idx) {
+      std::vector<uint8_t> payload;
+      PayloadWriter w(&payload);
+      w.U64(i);
+      AppendFrame(&frames, Opcode::kAccess, 0, next_id++, payload);
+    }
+    AppendFrame(&frames, Opcode::kSize, 0, next_id++, {});
+    range_frame(Opcode::kDecompressRange, 12000, 5000);
+    SendAll(c.fd(), frames);
+
+    uint64_t want_id = 1;
+    const auto next = [&] {
+      Client::Response r = c.ReadResponse();
+      EXPECT_EQ(r.id, want_id++) << "responses must keep request order";
+      EXPECT_EQ(r.status, WireStatus::kOk) << "id " << r.id;
+      return r;
+    };
+    const auto expect_range = [&](uint64_t from, uint64_t len) {
+      const Client::Response r = next();
+      std::vector<int64_t> got;
+      PayloadReader reader(r.payload);
+      reader.I64Vec(len, &got);
+      EXPECT_TRUE(reader.ok() && reader.AtEnd()) << "id " << r.id;
+      std::vector<int64_t> want(len);
+      for (uint64_t k = 0; k < len; ++k) want[k] = Truth(from + k);
+      EXPECT_EQ(got, want) << "id " << r.id;
+    };
+    const auto expect_word = [&](int64_t want) {
+      const Client::Response r = next();
+      PayloadReader reader(r.payload);
+      EXPECT_EQ(reader.I64(), want) << "id " << r.id;
+    };
+    expect_range(50, 100);
+    int64_t sum = 0;
+    for (uint64_t k = 100; k < 9100; ++k) sum += Truth(k);
+    expect_word(sum);
+    expect_range(4000, 4096);
+    for (uint64_t i : idx) expect_word(Truth(i));
+    expect_word(static_cast<int64_t>(kInitial));
+    expect_range(12000, 5000);
+    // Inline: the two short ranges, the three accesses and the size.
+    EXPECT_EQ(ServerCounter("exec.inline"), 6u);
+  }
+
+  // A store whose shard 1 ([4096, 8192)) is quarantined at open, served
+  // with responses capped at 512 values.
+  server_.reset();
+  store_.reset();
+  io::FaultFs fs;
+  NeatsStoreOptions store_options;
+  store_options.shard_size = 4096;
+  store_options.log_sink = obs::NullLogSink();
+  store_options.fs = &fs;
+  {
+    NeatsStore store = NeatsStore::CreateDir("/degraded", store_options);
+    std::vector<int64_t> values;
+    for (uint64_t i = 0; i < kInitial; ++i) values.push_back(Truth(i));
+    store.Append(values);
+    store.Flush();
+  }
+  fs.CorruptByte("/degraded/" + StoreManifest::ShardFileName(1), 8, 0x40);
+  store_ = std::make_unique<NeatsStore>(
+      NeatsStore::OpenDir("/degraded", store_options));
+  ASSERT_TRUE(store_->degraded());
+  NeatsServerOptions options;
+  options.max_frame_bytes = 4096;
+  server_ = std::make_unique<NeatsServer>(*store_, options);
+  server_->Start();
+  Client c = Connect();
+  const auto range = [&](uint64_t from, uint64_t len) {
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.U64(from);
+    w.U64(len);
+    return c.Call(Opcode::kDecompressRange, payload);
+  };
+  EXPECT_EQ(range(kInitial - 10, 20).status, WireStatus::kOutOfRange);
+  EXPECT_EQ(range(0, 600).status, WireStatus::kBadRequest);
+  EXPECT_EQ(range(4100, 100).status, WireStatus::kUnavailable);
+  EXPECT_EQ(ServerCounter("exec.inline"), 3u);
+  c.Ping();
+  EXPECT_EQ(c.DecompressRange(100, 10)[9], Truth(109));
+  EXPECT_EQ(ServerCounter("exec.inline"), 5u);
 }
 
 // A Scrub parked in a shard open holds nothing readers wait on: pings and
@@ -501,6 +637,54 @@ TEST_F(NetTest, IoThreadAnswersAccessRunsWhileScrubRuns) {
   fs.Open();
   writer.join();
   EXPECT_EQ(reader.Access(kInitial + 511), Truth(kInitial + 511));
+}
+
+// A Scrub parked in a shard open holds nothing readers wait on: a short
+// range sent meanwhile is answered inline on the IO thread, with correct
+// values, while the Scrub is still parked.
+TEST_F(NetTest, InlineRangeAnswersWhileScrubRuns) {
+  io::FaultFs disk;
+  GatedFs fs(disk, GatedFs::Op::kOpenRead, "shard-");
+  NeatsStoreOptions store_options;
+  store_options.shard_size = 4096;
+  store_options.log_sink = obs::NullLogSink();
+  store_options.fs = &fs;
+  store_ = std::make_unique<NeatsStore>(
+      NeatsStore::CreateDir("/gated", store_options));
+  std::vector<int64_t> values;
+  for (uint64_t i = 0; i < kInitial; ++i) values.push_back(Truth(i));
+  store_->Append(values);
+  store_->Flush();
+  server_ = std::make_unique<NeatsServer>(*store_);
+  server_->Start();
+  Client reader = Connect();
+  const timeval timeout{30, 0};  // a reader stuck behind Scrub fails
+  ASSERT_EQ(::setsockopt(reader.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  fs.Shut();
+  std::thread writer([&] { store_->Scrub(); });
+  struct Release {  // opens the gate and joins even if an assert returns
+    GatedFs& fs;
+    std::thread& t;
+    ~Release() {
+      fs.Open();
+      if (t.joinable()) t.join();
+    }
+  } release{fs, writer};
+  fs.AwaitParked();
+
+  const std::vector<int64_t> got = reader.DecompressRange(4000, 300);
+  ASSERT_EQ(got.size(), 300u);  // before the gate opens
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], Truth(4000 + k)) << k;
+  }
+  EXPECT_EQ(ServerCounter("exec.inline"), 1u);
+
+  fs.Open();
+  writer.join();
+  EXPECT_EQ(reader.DecompressRange(19900, 100)[99], Truth(19999));
 }
 
 // An Append parked in its WAL fsync holds nothing readers wait on: an
