@@ -14,10 +14,12 @@
 //                │   - an item RunsInline() prices below the two thread
 //                │     hand-offs a pool round trip costs runs to
 //                │     completion right here, its response queued straight
-//                │     onto the send queue: ping, size, Access runs and
-//                │     access_batch of up to kMaxInlineRun probes, range
-//                │     and ranges of up to kMaxInlineValues values
-//                │   - anything longer, range_sum and stats become the
+//                │     onto the send queue: ping, size, Access runs of
+//                │     up to kMaxInlineRun probes, and range of up to
+//                │     kMaxInlineValues values while the pass's budget of
+//                │     kMaxInlineValues range values lasts
+//                │   - anything longer or past the budget, access_batch,
+//                │     ranges, range_sum and stats become the
 //                │     connection's one work item on the pool
 //                ▼
 //             [ worker ThreadPool (common/thread_pool.hpp, Submit) ]
@@ -107,7 +109,7 @@ struct NeatsServerOptions {
   uint16_t port = 0;
 
   /// Worker threads for the requests the IO thread does not answer itself:
-  /// range_sum, stats, and Access runs, access_batch, range and ranges past
+  /// access_batch, ranges, range_sum, stats, and Access runs and range past
   /// the inline caps (NeatsServer::RunsInline). 0 runs those inline on the
   /// IO thread too — single-threaded mode, still correct, useful for
   /// deterministic tests.
@@ -804,11 +806,19 @@ class NeatsServer {
   /// Runs the connection's queue forward while no work item is in flight.
   /// A work item is a run of consecutive Access requests (up to
   /// kMaxCoalescedRun) or one request of any other opcode. An item that
-  /// RunsInline() is answered here; any other becomes the connection's one
-  /// work item on the pool. Whatever arrived while the previous item
-  /// executed forms the next run, so pipelining clients batch without any
-  /// wait. A loop over at most max_queued_per_conn requests.
+  /// RunsInline() is answered here, while the pass's range budget lasts;
+  /// any other becomes the connection's one work item on the pool.
+  /// Whatever arrived while the previous item executed forms the next run,
+  /// so pipelining clients batch without any wait. A loop over at most
+  /// max_queued_per_conn requests.
+  ///
+  /// The budget: one pass answers at most kMaxInlineValues range values
+  /// inline (~20 µs of decode). The next range goes to the pool, which sets
+  /// busy and ends the pass. So when a client pipelines ranges, the IO
+  /// thread returns to its other connections after each inline range
+  /// instead of answering the whole burst first.
   void TryDispatch(const std::shared_ptr<Conn>& conn) {
+    uint64_t budget = kMaxInlineValues;
     while (!conn->closed && !conn->busy && !conn->queue.empty()) {
       size_t run = 1;
       if (conn->queue.front().op == Opcode::kAccess) {
@@ -823,7 +833,10 @@ class NeatsServer {
       std::vector<Request> items(std::make_move_iterator(first),
                                  std::make_move_iterator(last));
       conn->queue.erase(first, last);
-      if (RunsInline(items)) {
+      const uint64_t values =
+          items[0].op == Opcode::kDecompressRange ? items[0].b : 0;
+      if (RunsInline(items) && values <= budget) {
+        budget -= values;
         Buffer out;
         Execute(conn->mode, items, &out);
         AnsweredInline(conn, run, std::move(out));
@@ -841,18 +854,17 @@ class NeatsServer {
   /// runs inline when its store work costs less than the two thread
   /// hand-offs a pool round trip adds (a condvar wake to reach a worker,
   /// the wake pipe and an epoll return to come back; ~23 µs measured on
-  /// range_scan). Every connection's reads wait behind an inline item, so
-  /// one holds the IO thread for at most ~20 µs: a 4096-value range decode
-  /// at the store's 3.4–4.4 ns per value. The decision reads only the
-  /// opcode and the item's length, against fixed caps:
+  /// range_scan). The decision reads only the opcode and the item's length,
+  /// against fixed caps:
   ///   - ping and size: always (no store work);
-  ///   - an Access run or an access_batch: up to kMaxInlineRun probes;
-  ///   - range: up to kMaxInlineValues values;
-  ///   - ranges: up to kMaxInlineRun ranges (each pays its own predecessor
-  ///     lookup) and kMaxInlineValues values in total;
-  ///   - range_sum (it fans out on the store's pool) and stats: never.
+  ///   - an Access run: up to kMaxInlineRun probes;
+  ///   - range: up to kMaxInlineValues values, ~20 µs of decode;
+  ///   - access_batch, ranges, range_sum (it fans out on the store's pool)
+  ///     and stats: never. perfbench sends access_batch only at 256 probes
+  ///     (inlining those doubled point_lookup's read_p50_us) and no ranges
+  ///     requests, so neither has a measured inline cap.
   /// Length caps are checked before the bound checks, so a past-end or
-  /// oversized request that fits them gets its typed error inline.
+  /// oversized range that fits them gets its typed error inline.
   static bool RunsInline(std::span<const Request> item) {
     const Request& req = item.front();
     switch (req.op) {
@@ -861,19 +873,10 @@ class NeatsServer {
         return true;
       case Opcode::kAccess:
         return item.size() <= kMaxInlineRun;
-      case Opcode::kAccessBatch:
-        return req.idx.size() <= kMaxInlineRun;
       case Opcode::kDecompressRange:
         return req.b <= kMaxInlineValues;
-      case Opcode::kDecompressRanges: {
-        if (req.ranges.size() > kMaxInlineRun) return false;
-        uint64_t total = 0;
-        for (const IndexRange& r : req.ranges) {
-          if (r.len > kMaxInlineValues - total) return false;
-          total += r.len;
-        }
-        return true;
-      }
+      case Opcode::kAccessBatch:
+      case Opcode::kDecompressRanges:
       case Opcode::kRangeSum:
       case Opcode::kStats:
         return false;
@@ -1207,17 +1210,17 @@ class NeatsServer {
   /// Largest coalesced Access run fed to one store AccessBatch call.
   static constexpr size_t kMaxCoalescedRun = 512;
 
-  /// Most probes (an Access run or an access_batch), and most ranges of a
-  /// ranges request, the IO thread answers itself: ~8 µs of batch decode at
-  /// the store's per-probe cost. Not more: inlining 256-probe batches
-  /// doubled point_lookup's read_p50_us (22–24 → 46–55 µs): its scalar
-  /// reads queued behind each batch.
+  /// Longest Access run the IO thread answers itself: ~8 µs of batch
+  /// decode at the store's per-probe cost. Not more: inlining 256-probe
+  /// access_batch requests doubled point_lookup's read_p50_us (22–24 →
+  /// 46–55 µs): its scalar reads queued behind each batch.
   static constexpr size_t kMaxInlineRun = 64;
 
-  /// Most values a range or ranges request the IO thread answers itself:
-  /// 4096 × the store's 3.4–4.4 ns cursor decode per value, ≈ 17–20 µs,
-  /// under the ~23 µs a pool round trip adds. Inlining range_scan's
-  /// 4096-value ranges cut its read_p50_us by ~30%.
+  /// Longest range the IO thread answers itself, and the range values one
+  /// TryDispatch pass may answer inline: 4096 × the store's 3.4–4.4 ns
+  /// cursor decode per value, ≈ 17–20 µs, under the ~23 µs a pool round
+  /// trip adds. Inlining range_scan's 4096-value ranges cut its
+  /// read_p50_us by ~30%.
   static constexpr uint64_t kMaxInlineValues = 4096;
 
   /// Most queued buffers one sendmsg gathers.

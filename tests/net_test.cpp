@@ -388,10 +388,10 @@ TEST_F(NetTest, PipelinedAccessesCoalesceAndAnswerInOrder) {
 }
 
 // The IO thread answers a request itself (exec.inline counts it) when its
-// length fits the inline caps: ping and size always, Access runs and
-// access_batch of up to 64 probes, range of up to 4096 values, ranges of up
-// to 64 ranges and 4096 values. range_sum and stats, and every request past
-// a cap, execute on the pool and leave exec.inline alone.
+// length fits the inline caps: ping and size always, Access runs of up to
+// 64 probes, range of up to 4096 values. access_batch, ranges, range_sum
+// and stats, and every request past a cap, execute on the pool and leave
+// exec.inline alone.
 TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   StartServer();
   Client c = Connect();
@@ -405,18 +405,17 @@ TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   EXPECT_EQ(c.Size(), kInitial);
   EXPECT_EQ(ServerCounter("exec.inline"), 10u);
 
-  const std::vector<uint64_t> probes = {3, 19999, 4096};
-  EXPECT_EQ(c.AccessBatch(probes).size(), probes.size());
-  EXPECT_EQ(ServerCounter("exec.inline"), 11u);
   EXPECT_EQ(c.DecompressRange(4000, 200).size(), 200u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 11u);
+  EXPECT_EQ(c.DecompressRange(0, 4096).size(), 4096u);  // at the cap
   EXPECT_EQ(ServerCounter("exec.inline"), 12u);
+
+  // Past the caps, and the opcodes that never run inline.
+  const std::vector<uint64_t> probes = {3, 19999, 4096};
+  EXPECT_EQ(c.AccessBatch(probes),
+            (std::vector<int64_t>{Truth(3), Truth(19999), Truth(4096)}));
   const std::vector<IndexRange> ranges = {{0, 4}, {9000, 4}};
   EXPECT_EQ(c.DecompressRanges(ranges).size(), 8u);
-  EXPECT_EQ(ServerCounter("exec.inline"), 13u);
-  EXPECT_EQ(c.DecompressRange(0, 4096).size(), 4096u);  // at the cap
-  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
-
-  // Past the caps, and the two opcodes that never run inline.
   const std::vector<int64_t> long_range = c.DecompressRange(7000, 4097);
   ASSERT_EQ(long_range.size(), 4097u);
   EXPECT_EQ(long_range[4096], Truth(7000 + 4096));
@@ -438,7 +437,7 @@ TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   for (uint64_t k = 10; k < 9010; ++k) want += Truth(k);
   EXPECT_EQ(c.RangeSum(10, 9000), want);
   (void)c.Stats();
-  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 12u);
 
   // 100 accesses in one write: one run past the inline cap, so the pool
   // answers it as one coalesced batch.
@@ -449,7 +448,7 @@ TEST_F(NetTest, ShortReadsRunInlineAndTheRestOnThePool) {
   const uint64_t batches = ServerCounter("coalesce.batches");
   SendAccessRound(c, long_run, 1000);
   ExpectAccessAnswers(c, long_run, 1000, kInitial);
-  EXPECT_EQ(ServerCounter("exec.inline"), 14u);
+  EXPECT_EQ(ServerCounter("exec.inline"), 12u);
   EXPECT_EQ(ServerCounter("coalesce.batches"), batches + 1);
 }
 
@@ -578,6 +577,69 @@ TEST_F(NetTest, PipelineCrossingInlineAndPoolAnswersInOrder) {
   c.Ping();
   EXPECT_EQ(c.DecompressRange(100, 10)[9], Truth(109));
   EXPECT_EQ(ServerCounter("exec.inline"), 5u);
+}
+
+// One connection writes 16 4096-value ranges at once while a second one
+// pings in a loop. A TryDispatch pass answers at most 4096 range values
+// inline, so every other range of the burst goes to the pool and the IO
+// thread serves the pinger between them. The ranges come back in order
+// with exact values, every ping is answered, and exec.inline counts half
+// the burst (one write arrives as one read) plus the pings.
+TEST_F(NetTest, PipelinedRangesLeaveTheIoThreadToOtherConnections) {
+  StartServer();
+  Client burst = Connect();
+  Client pinger = Connect();
+  pinger.Ping();
+  std::atomic<bool> done{false};
+  std::atomic<bool> ping_failed{false};
+  uint64_t pings = 1;
+  std::thread ping_loop([&] {
+    try {
+      while (!done.load(std::memory_order_acquire)) {
+        pinger.Ping();
+        ++pings;
+      }
+    } catch (const Error&) {
+      ping_failed = true;
+    }
+  });
+  struct Stop {  // ends the ping loop even if an assert returns
+    std::atomic<bool>& done;
+    std::thread& t;
+    ~Stop() {
+      done.store(true, std::memory_order_release);
+      if (t.joinable()) t.join();
+    }
+  } stop{done, ping_loop};
+
+  constexpr uint64_t kRanges = 16;
+  constexpr uint64_t kLen = 4096;
+  const auto from = [](uint64_t k) { return k * 997 % (kInitial - kLen); };
+  std::vector<uint8_t> frames;
+  for (uint64_t k = 0; k < kRanges; ++k) {
+    std::vector<uint8_t> payload;
+    PayloadWriter w(&payload);
+    w.U64(from(k));
+    w.U64(kLen);
+    AppendFrame(&frames, Opcode::kDecompressRange, 0, k + 1, payload);
+  }
+  SendAll(burst.fd(), frames);
+  for (uint64_t k = 0; k < kRanges; ++k) {
+    const Client::Response r = burst.ReadResponse();
+    ASSERT_EQ(r.id, k + 1) << "responses must keep request order";
+    ASSERT_EQ(r.status, WireStatus::kOk) << "id " << r.id;
+    std::vector<int64_t> got;
+    PayloadReader reader(r.payload);
+    reader.I64Vec(kLen, &got);
+    ASSERT_TRUE(reader.ok() && reader.AtEnd()) << "id " << r.id;
+    for (uint64_t i = 0; i < kLen; ++i) {
+      ASSERT_EQ(got[i], Truth(from(k) + i)) << "id " << r.id << " at " << i;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  ping_loop.join();
+  EXPECT_FALSE(ping_failed.load());
+  EXPECT_EQ(ServerCounter("exec.inline"), kRanges / 2 + pings);
 }
 
 // A Scrub parked in a shard open holds nothing readers wait on: pings and
