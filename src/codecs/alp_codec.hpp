@@ -14,16 +14,6 @@
 // probed vector is decoded once and all its probes answered from the
 // buffer. DecompressRange decodes each covered vector once.
 //
-// Because a point query never decodes a vector, ALP exposes no block
-// surface (it is not a BlockStructuredCodec) and NeatsStore serves ALP
-// shards straight from Access/AccessBatch, never through the decoded-block
-// cache. A cache in front of ALP costs more than it saves even when every
-// lookup hits: on in-memory stores of 1 Mi values in 16 shards (metrics
-// off, 4096 random probes, best of 60 rounds, 4-thread x86-64 host) store
-// Access took 76 ns through the warm cache and 49 ns natively on US (ECG
-// 76 vs 47 ns, IT 77 vs 47 ns), and a 256-probe AccessBatch 78 vs 51
-// ns/probe (US).
-//
 // Format v2 appends a per-vector word-offset index after the ALP payload
 // (FORMAT.md "ALP blob"): offsets are re-derived while parsing and the
 // stored section is validated against them, giving the load a structural

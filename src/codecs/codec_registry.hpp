@@ -53,20 +53,6 @@ class SealedSeries {
                                 int64_t* out) const = 0;
   virtual int64_t RangeSum(uint64_t from, uint64_t len) const = 0;
   virtual void Serialize(std::vector<uint8_t>* out) const = 0;
-
-  /// Block surface (core/series_codec.hpp, BlockStructuredCodec): values
-  /// per independently-decodable block, or 0 when point access needs no
-  /// block decode (every codec but Gorilla and Chimp) — the store's
-  /// decoded-block cache serves exactly the shards where this is non-zero.
-  virtual uint64_t BlockValues() const { return 0; }
-
-  /// Fully decodes block b into out (sized BlockValues()); returns the
-  /// count. Only callable when BlockValues() > 0.
-  virtual uint64_t DecodeBlock(uint64_t b, int64_t* out) const {
-    (void)b;
-    (void)out;
-    NEATS_REQUIRE(false, "codec has no block decode surface");
-  }
 };
 
 /// The one SealedSeries implementation: forwards every virtual to the
@@ -98,21 +84,6 @@ class SealedCodec final : public SealedSeries {
   void Serialize(std::vector<uint8_t>* out) const override {
     c_.Serialize(out);
   }
-  uint64_t BlockValues() const override {
-    if constexpr (BlockStructuredCodec<C>) {
-      return c_.BlockValues();
-    } else {
-      return 0;
-    }
-  }
-  uint64_t DecodeBlock(uint64_t b, int64_t* out) const override {
-    if constexpr (BlockStructuredCodec<C>) {
-      return c_.DecodeBlock(b, out);
-    } else {
-      return SealedSeries::DecodeBlock(b, out);
-    }
-  }
-
  private:
   CodecId id_;
   C c_;

@@ -78,28 +78,6 @@ class XorSeriesCodec : public ScalarCodecBase<XorSeriesCodec<Xor, kMagic>> {
 
   uint64_t size() const { return n_; }
 
-  /// Values per independently-decodable block (the store's decoded-block
-  /// cache keys on this geometry).
-  uint64_t BlockValues() const { return blocks_.block_values(); }
-
-  /// Fully decodes block b into out (sized BlockValues()); returns how many
-  /// values it held (the last block may be partial).
-  uint64_t DecodeBlock(uint64_t b, int64_t* out) const {
-    const size_t count = blocks_.block_count(b);
-    double buffer[kDefaultBlockValues];
-    double* dst = buffer;
-    std::vector<double> heap;
-    if (count > kDefaultBlockValues) {  // non-default geometry from a blob
-      heap.resize(count);
-      dst = heap.data();
-    }
-    blocks_.block(b).DecompressSlice(0, count, nullptr, 0, dst);
-    for (size_t j = 0; j < count; ++j) {
-      out[j] = std::bit_cast<int64_t>(dst[j]);
-    }
-    return count;
-  }
-
   /// One checkpoint seek + at most kSkipInterval decoded tokens.
   int64_t Access(uint64_t k) const {
     NEATS_DCHECK(k < n_);

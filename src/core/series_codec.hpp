@@ -67,26 +67,6 @@ concept SeriesCodec =
       { C::kZeroCopyView } -> std::convertible_to<bool>;
     };
 
-/// Optional extension of SeriesCodec for codecs whose point access must
-/// decode inside a block: the XOR streams (Gorilla, Chimp) run block-wise
-/// and decode forward from a checkpoint, so repeated probes into one block
-/// pay that decode again. Such a codec exposes its block geometry and a
-/// whole-block decode, and the store's decoded-block cache keys on (block
-/// index) to reuse one decode for every probe that lands in it. A codec
-/// with real random access (Neats, LeCo, ALP's one-field read) must not
-/// model this concept: a cache in front of it costs more than it saves.
-/// BlockValues() is the fixed values-per-block; DecodeBlock(b, out) fills
-/// out (sized BlockValues()) and returns the actual count (the last block
-/// may be partial). Detected structurally: SealedCodec forwards the surface
-/// when the codec provides it and reports BlockValues() == 0 otherwise, so
-/// the other codecs need no stubs.
-template <typename C>
-concept BlockStructuredCodec =
-    SeriesCodec<C> && requires(const C c, int64_t* out) {
-      { c.BlockValues() } -> std::convertible_to<uint64_t>;
-      { c.DecodeBlock(uint64_t{}, out) } -> std::convertible_to<uint64_t>;
-    };
-
 /// CRTP adapter supplying the batch/range surface from scalar Access, so a
 /// codec only has to implement Compress, size, Access, SizeInBits and the
 /// serialization trio to conform. Every default dispatches through the

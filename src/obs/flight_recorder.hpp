@@ -34,8 +34,6 @@ namespace neats::obs {
 enum class TraceTier : uint8_t {
   kNone = 0,   // not applicable (append, flush, errors before routing)
   kSealed,     // a sealed shard's native codec path
-  kCacheHit,   // decoded-block cache hit
-  kCacheMiss,  // decoded-block cache miss (block decoded + inserted)
   kPending,    // raw values of a chunk still sealing
   kTail,       // raw hot tail
 };
@@ -44,8 +42,6 @@ inline const char* TraceTierName(TraceTier t) {
   switch (t) {
     case TraceTier::kNone: return "-";
     case TraceTier::kSealed: return "sealed";
-    case TraceTier::kCacheHit: return "cache_hit";
-    case TraceTier::kCacheMiss: return "cache_miss";
     case TraceTier::kPending: return "pending";
     case TraceTier::kTail: return "tail";
   }

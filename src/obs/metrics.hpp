@@ -57,7 +57,7 @@ using GaugeId = uint32_t;
 using HistogramId = uint32_t;
 
 /// A merged, point-in-time view of a registry (plus whatever extra rows
-/// the owner appends — the store folds its block-cache counters in here).
+/// the owner appends — the store adds a derived `bytes.out` row here).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;

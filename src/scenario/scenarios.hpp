@@ -150,8 +150,9 @@ inline void AttachStoreObservability(ScenarioContext& ctx,
 
 /// One appender streams a sensor series into a Gorilla store (inline
 /// seals) while `readers` point-lookup tasks trail the ingest frontier —
-/// the canonical write-path/read-path contention shape, and the one that
-/// hammers the decoded-block cache from every thread at once.
+/// the canonical write-path/read-path contention shape, with every thread
+/// running Gorilla's checkpoint-seek Access against the shards the
+/// appender seals.
 inline void SteadyIngestPointStorm(ScenarioContext& ctx) {
   const uint64_t n = 16384 * ctx.scale();
   const Dataset ds = MakeDataset("CT", n, ctx.seed());
@@ -173,9 +174,6 @@ inline void SteadyIngestPointStorm(ScenarioContext& ctx) {
   group.Wait();
   store.Flush();
   VerifyWholeStore(ctx, store, ds.values);
-  const DecodedBlockCache::Stats cache = store.block_cache_stats();
-  ctx.Note("block_cache hits=" + std::to_string(cache.hits) +
-           " misses=" + std::to_string(cache.misses));
   AttachStoreObservability(ctx, store);
 }
 

@@ -111,7 +111,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/log_sink.hpp"
 #include "obs/metrics.hpp"
-#include "store/block_cache.hpp"
 #include "store/wal.hpp"
 
 namespace neats {
@@ -163,15 +162,6 @@ struct NeatsStoreOptions {
   /// acknowledged values.
   bool wal = true;
 
-  /// Byte budget of the decoded-block LRU cache (store/block_cache.hpp)
-  /// consulted by Access/AccessBatch before a Gorilla or Chimp block
-  /// decode; 0 disables it. Only those stream codecs must decode inside a
-  /// block to answer a point query; shards of codecs with native random
-  /// access (Neats, LeCo, ALP) never touch the cache. The
-  /// default holds ~1M decoded values — enough to pin the hot blocks of a
-  /// point-lookup storm while staying small next to the mapped blobs.
-  uint64_t block_cache_bytes = uint64_t{8} << 20;
-
   // --- Observability (src/obs/, docs/ARCHITECTURE.md "Observability") ----
 
   /// Maintain the store's metrics registry and flight recorder: per-op
@@ -217,8 +207,7 @@ struct StoreObs {
       c_wal_replayed, c_flush, c_seals, c_seal_bytes, c_scrub_calls,
       c_scrub_repaired, c_quarantine_in, c_quarantine_out, c_errors;
   obs::CounterId c_seal_codec[kNumCodecIds];
-  obs::GaugeId g_size, g_shards, g_pending, g_tail, g_quarantined,
-      g_cache_entries, g_cache_bytes;
+  obs::GaugeId g_size, g_shards, g_pending, g_tail, g_quarantined;
   obs::HistogramId h_access, h_batch, h_range, h_sum, h_append, h_flush,
       h_seal, h_scrub;
 
@@ -256,8 +245,6 @@ struct StoreObs {
     g_pending = registry.AddGauge("store.pending_seals");
     g_tail = registry.AddGauge("store.tail_values");
     g_quarantined = registry.AddGauge("store.quarantined_shards");
-    g_cache_entries = registry.AddGauge("cache.entries");
-    g_cache_bytes = registry.AddGauge("cache.bytes");
     h_access = registry.AddHistogram("access");
     h_batch = registry.AddHistogram("access_batch");
     h_range = registry.AddHistogram("range");
@@ -425,8 +412,8 @@ class NeatsStore {
   /// snapshot once; a caller that must check bounds and query in one view
   /// (the server) loads it with NeatsStore::snapshot() and queries it
   /// directly. Queries on a snapshot count into the store's metrics like
-  /// the store's own. A snapshot borrows the store's metrics, block cache
-  /// and seal pool, so it must not outlive the store.
+  /// the store's own. A snapshot borrows the store's metrics and seal pool,
+  /// so it must not outlive the store.
   class Snapshot {
    public:
     /// Values visible in this snapshot (sealed + sealing + hot tail).
@@ -436,9 +423,7 @@ class NeatsStore {
 
     /// The value at global index i (< size()): one routing lookup, then the
     /// covering shard codec's Access (or a raw read from a pending chunk /
-    /// the tail). Gorilla/Chimp shards answer from the decoded-block cache
-    /// when it holds the containing block (a hash probe + one array read —
-    /// Neats-class latency), decoding and caching the block otherwise.
+    /// the tail).
     int64_t Access(uint64_t i) const {
       NEATS_DCHECK(i < size());
       StoreObs* ob = obs_;
@@ -571,22 +556,6 @@ class NeatsStore {
           ev->shard = index;
           ev->codec = static_cast<uint32_t>(s.codec);
         }
-        if (cache_ != nullptr) {
-          const uint64_t bv = s.series->BlockValues();
-          if (bv > 0) {
-            if (ev == nullptr) {
-              return (*CachedBlock(index, local / bv))[local % bv];
-            }
-            // One cache consult either way — the hit flag rides along so
-            // the trace can say which tier answered without a second probe
-            // (block_cache_stats() stays exactly hits+misses == probes).
-            bool hit = false;
-            const auto values = CachedBlock(index, local / bv, &hit);
-            ev->tier = hit ? obs::TraceTier::kCacheHit
-                           : obs::TraceTier::kCacheMiss;
-            return (*values)[local % bv];
-          }
-        }
         return s.series->Access(local);
       }
       if (ev != nullptr) {
@@ -624,50 +593,10 @@ class NeatsStore {
           ++q;
         }
         local_out.resize(local.size());
-        const uint64_t bv =
-            cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
-        if (bv > 0) {
-          // Gorilla/Chimp shard: answer each touched block's probes from
-          // one cached (or once-decoded) block.
-          size_t a = 0;
-          while (a < local.size()) {
-            const uint64_t blk = local[a] / bv;
-            size_t z = a;
-            while (z < local.size() && local[z] / bv == blk) ++z;
-            const auto values = CachedBlock(index, blk);
-            for (size_t j = a; j < z; ++j) {
-              local_out[j] = (*values)[local[j] % bv];
-            }
-            a = z;
-          }
-        } else {
-          s.series->AccessBatch(local, local_out.data());
-        }
+        s.series->AccessBatch(local, local_out.data());
         for (size_t j = p; j < q; ++j) out[order[j]] = local_out[j - p];
         p = q;
       }
-    }
-
-    /// The decoded block serving (shard-local) block `block` of shard
-    /// `index`, from the cache when present, decoding (outside the cache
-    /// lock) and inserting on a miss. Only called when cache_ is non-null
-    /// and the shard's codec is block-structured (BlockValues() > 0:
-    /// Gorilla, Chimp).
-    DecodedBlockCache::BlockPtr CachedBlock(size_t index, uint64_t block,
-                                            bool* was_hit = nullptr) const {
-      const Shard& s = Row(index);
-      const uint32_t codec = static_cast<uint32_t>(s.codec);
-      if (auto hit = cache_->Lookup(index, codec, block)) {
-        if (was_hit != nullptr) *was_hit = true;
-        return hit;
-      }
-      if (was_hit != nullptr) *was_hit = false;
-      auto values =
-          std::make_shared<std::vector<int64_t>>(s.series->BlockValues());
-      const uint64_t count = s.series->DecodeBlock(block, values->data());
-      values->resize(count);
-      cache_->Insert(index, codec, block, values);
-      return values;
     }
 
     /// Raw read past the sealed prefix (pending chunks, then the tail).
@@ -831,10 +760,9 @@ class NeatsStore {
     std::shared_ptr<int64_t[]> tail_;
     uint64_t tail_len_ = 0;
     uint64_t tail_capacity_ = 0;
-    // The store's metrics (null when off), block cache (null when off) and
-    // seal pool. Heap-owned by the store, so these survive store moves.
+    // The store's metrics (null when off) and seal pool. Heap-owned by the
+    // store, so these survive store moves.
     StoreObs* obs_ = nullptr;
-    DecodedBlockCache* cache_ = nullptr;
     ThreadPool* pool_ = nullptr;
   };
 
@@ -846,9 +774,6 @@ class NeatsStore {
         options_(options),
         fs_(options.fs != nullptr ? options.fs : &io::PosixFileSystem()) {
     NEATS_REQUIRE(options_.shard_size > 0, "shard_size must be positive");
-    if (options_.block_cache_bytes > 0) {
-      cache_ = std::make_unique<DecodedBlockCache>(options_.block_cache_bytes);
-    }
     if (options_.metrics) {
       obs_ = std::make_unique<store_internal::StoreObs>(
           options_.latency_sample_every, options_.log_sink);
@@ -863,7 +788,6 @@ class NeatsStore {
     }
     auto first = std::make_shared<Snapshot>();
     first->obs_ = obs_.get();
-    first->cache_ = cache_.get();
     first->pool_ = pool_.get();
     current_ = std::move(first);
   }
@@ -1089,22 +1013,15 @@ class NeatsStore {
   /// OpenDir).
   uint64_t shard_size() const { return options_.shard_size; }
 
-  /// Hit/miss/eviction counters and current footprint of the decoded-block
-  /// cache; all zeros when it is disabled (block_cache_bytes = 0).
-  DecodedBlockCache::Stats block_cache_stats() const {
-    return cache_ != nullptr ? cache_->stats() : DecodedBlockCache::Stats{};
-  }
-
   /// True when the store maintains its metrics registry and flight
   /// recorder (NeatsStoreOptions::metrics).
   bool metrics_enabled() const { return obs_ != nullptr; }
 
   /// A merged, point-in-time view of every store metric: exact op/WAL/
   /// seal/quarantine counters, sampled per-op latency histograms, and
-  /// current-topology gauges. The decoded-block cache's own counters are
-  /// folded in as `cache.*` rows and a derived `bytes.out` (8 bytes per
-  /// value served through Access/AccessBatch/ranges/sums) rides along, so
-  /// one snapshot is the whole exposition surface. Empty when metrics are
+  /// current-topology gauges. A derived `bytes.out` (8 bytes per value
+  /// served through Access/AccessBatch/ranges/sums) rides along, so one
+  /// snapshot is the whole exposition surface. Empty when metrics are
   /// disabled. Safe concurrently with queries and writers; totals are
   /// exact for operations that happened-before the call.
   obs::MetricsSnapshot StatsSnapshot() const {
@@ -1122,15 +1039,7 @@ class NeatsStore {
       if (s->series == nullptr) ++quarantined;
     }
     ob.registry.SetGauge(ob.g_quarantined, quarantined);
-    const DecodedBlockCache::Stats cs =
-        cache_ != nullptr ? cache_->stats() : DecodedBlockCache::Stats{};
-    ob.registry.SetGauge(ob.g_cache_entries,
-                         static_cast<int64_t>(cs.entries));
-    ob.registry.SetGauge(ob.g_cache_bytes, static_cast<int64_t>(cs.bytes));
     obs::MetricsSnapshot snap = ob.registry.Snapshot();
-    snap.counters.emplace_back("cache.hits", cs.hits);
-    snap.counters.emplace_back("cache.misses", cs.misses);
-    snap.counters.emplace_back("cache.evictions", cs.evictions);
     const uint64_t served = *snap.counter("access.ops") +
                             *snap.counter("access_batch.probes") +
                             *snap.counter("range.values") +
@@ -1738,11 +1647,6 @@ class NeatsStore {
   // sink); null when options_.metrics is false. Heap-owned so seal tasks
   // and snapshots hold a pointer that stays valid across store moves.
   std::unique_ptr<store_internal::StoreObs> obs_;
-
-  // Decoded-block LRU over the Gorilla/Chimp shards; null when
-  // options_.block_cache_bytes is 0. The cache itself is mutex-guarded, so
-  // concurrent queries may populate it.
-  std::unique_ptr<DecodedBlockCache> cache_;
 
   // Serializes the writers (Append, Flush, Scrub) and guards the
   // writer-only state above. Heap-allocated, like publish_mu_, so the

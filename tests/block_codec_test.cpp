@@ -1,22 +1,21 @@
-// The block-codec random-access suite (ISSUE 7): the skip-index / offset-
-// index point queries, the block-grouped batch kernels and the store's
-// decoded-block cache, fuzzed against raw-value ground truth for the three
-// codecs that store values in fixed-size blocks (AlpCodec's 1024-value
-// vectors, GorillaCodec's and ChimpCodec's 1000-value streams).
+// The block-codec random-access suite: the skip-index / offset-index point
+// queries, the block-grouped batch kernels and the store serving their
+// shards, fuzzed against raw-value ground truth for the three codecs that
+// store values in fixed-size blocks (AlpCodec's 1024-value vectors,
+// GorillaCodec's and ChimpCodec's 1000-value streams).
 //
-//   - block surface (Gorilla, Chimp — the BlockStructuredCodec models):
-//     BlockValues/DecodeBlock reassemble the series exactly (partial last
-//     block, single-block and empty series included), and owned
-//     Deserialize vs View agree on it;
+//   - block-by-block DecompressRange reassembles the series exactly
+//     (partial last block, single-block and empty series included), and
+//     owned Deserialize vs View agree on it;
 //   - Access / sorted AccessBatch / DecompressRange vs the raw values, with
 //     probe sets hammering block boundaries and duplicates;
 //   - version policy: only format v2 opens; any other version word is
 //     rejected by every open path;
 //   - clobber sweep concentrated on the serialized index sections;
-//   - store level: the decoded-block cache on/off/tiny (hit/miss/eviction
-//     stats, unsorted/duplicate/descending probes), ALP shards served by
-//     the codec without a single cache lookup, and a mixed-codec directory
-//     store with batches crossing Neats <-> ALP <-> XOR shard boundaries.
+//   - store level: Access / AccessBatch over shards of each block codec
+//     with unsorted / duplicate / descending probes, and a mixed-codec
+//     directory store with batches and ranges crossing Neats <-> ALP <->
+//     Gorilla shard boundaries.
 
 #include <gtest/gtest.h>
 
@@ -39,15 +38,6 @@
 
 namespace neats {
 namespace {
-
-// The block surface is a compile-time property; these are the codecs it
-// exists for — point access must decode inside a block — and the codecs
-// with real random access must NOT model it.
-static_assert(BlockStructuredCodec<GorillaCodec>);
-static_assert(BlockStructuredCodec<ChimpCodec>);
-static_assert(!BlockStructuredCodec<AlpCodec>);
-static_assert(!BlockStructuredCodec<Neats>);
-static_assert(!BlockStructuredCodec<LecoCodec>);
 
 // A series mixing regimes (exponential growth, ramp, noisy plateau,
 // quadratic arc) so blocks get genuinely different content.
@@ -92,7 +82,7 @@ struct BlockCodecInfo<AlpCodec> {
   static constexpr CodecId kId = CodecId::kAlp;
   static constexpr const char* kVersionError =
       "unsupported ALP format version";
-  static uint64_t BlockValues(const AlpCodec&) { return Alp::kVector; }
+  static constexpr uint64_t kBlockValues = Alp::kVector;
   static size_t IndexSectionBytes(const AlpCodec& c) {
     return 8 * (1 + CeilDiv(c.size(), uint64_t{Alp::kVector}));
   }
@@ -103,11 +93,11 @@ struct XorCodecInfo {
   static constexpr CodecId kId = id;
   static constexpr const char* kVersionError =
       "unsupported XOR-stream format version";
-  static uint64_t BlockValues(const C& c) { return c.BlockValues(); }
+  static constexpr uint64_t kBlockValues = kDefaultBlockValues;
   static size_t IndexSectionBytes(const C& c) {
     uint64_t total = 0;
-    for (uint64_t first = 0; first < c.size(); first += c.BlockValues()) {
-      total += (std::min(c.BlockValues(), c.size() - first) - 1) /
+    for (uint64_t first = 0; first < c.size(); first += kBlockValues) {
+      total += (std::min(kBlockValues, c.size() - first) - 1) /
                C::kSkipInterval;
     }
     return 8 * (2 + 3 * total);
@@ -130,31 +120,22 @@ class BlockCodecTest : public ::testing::Test {
 using BlockCodecs = ::testing::Types<AlpCodec, GorillaCodec, ChimpCodec>;
 TYPED_TEST_SUITE(BlockCodecTest, BlockCodecs);
 
-// The block surface exists only on the BlockStructuredCodec models.
-template <typename C>
-class BlockSurfaceTest : public BlockCodecTest<C> {};
-
-using BlockSurfaceCodecs = ::testing::Types<GorillaCodec, ChimpCodec>;
-TYPED_TEST_SUITE(BlockSurfaceTest, BlockSurfaceCodecs);
-
-// DecodeBlock over every block reassembles the series exactly, including
-// the partial last block; single-block and empty series hold up too.
-TYPED_TEST(BlockSurfaceTest, BlockSurfaceReassemblesSeries) {
+// DecompressRange over every block, one block at a time, reassembles the
+// series exactly, including the partial last block; single-block and empty
+// series hold up too.
+TYPED_TEST(BlockCodecTest, BlockRangesReassembleSeries) {
   for (size_t n : {this->series_.size(), size_t{257}, size_t{1}, size_t{0}}) {
     std::vector<int64_t> values(this->series_.begin(),
                                 this->series_.begin() + n);
     TypeParam c = TypeParam::Compress(values, {});
-    const uint64_t bv = c.BlockValues();
-    ASSERT_GT(bv, 0u);
-    std::vector<int64_t> reassembled;
-    std::vector<int64_t> block(bv);
-    for (uint64_t b = 0; b * bv < n; ++b) {
-      const uint64_t count = c.DecodeBlock(b, block.data());
-      ASSERT_EQ(count, std::min<uint64_t>(bv, n - b * bv)) << b;
-      reassembled.insert(reassembled.end(), block.begin(),
-                         block.begin() + static_cast<ptrdiff_t>(count));
+    ASSERT_EQ(c.size(), n);
+    const uint64_t bv = BlockCodecInfo<TypeParam>::kBlockValues;
+    std::vector<int64_t> reassembled(n);
+    for (uint64_t first = 0; first < n; first += bv) {
+      c.DecompressRange(first, std::min<uint64_t>(bv, n - first),
+                        reassembled.data() + first);
     }
-    ASSERT_EQ(reassembled, values);
+    ASSERT_EQ(reassembled, values) << "n " << n;
   }
 }
 
@@ -162,7 +143,7 @@ TYPED_TEST(BlockSurfaceTest, BlockSurfaceReassemblesSeries) {
 // block) plus random probes.
 TYPED_TEST(BlockCodecTest, AccessMatchesValuesAtBlockBoundaries) {
   TypeParam c = TypeParam::Compress(this->series_, {});
-  const uint64_t bv = BlockCodecInfo<TypeParam>::BlockValues(c);
+  const uint64_t bv = BlockCodecInfo<TypeParam>::kBlockValues;
   const uint64_t n = this->series_.size();
   for (uint64_t b = 0; b * bv < n; ++b) {
     for (uint64_t k : {b * bv, std::min(n, (b + 1) * bv) - 1}) {
@@ -181,7 +162,7 @@ TYPED_TEST(BlockCodecTest, AccessMatchesValuesAtBlockBoundaries) {
 // heavy duplicates, block-boundary straddles).
 TYPED_TEST(BlockCodecTest, SortedBatchFuzzMatchesValues) {
   TypeParam c = TypeParam::Compress(this->series_, {});
-  const uint64_t bv = BlockCodecInfo<TypeParam>::BlockValues(c);
+  const uint64_t bv = BlockCodecInfo<TypeParam>::kBlockValues;
   const uint64_t n = this->series_.size();
   std::mt19937_64 rng(29);
   for (int trial = 0; trial < 60; ++trial) {
@@ -222,7 +203,7 @@ TYPED_TEST(BlockCodecTest, SortedBatchFuzzMatchesValues) {
 // blocks, and hugging block edges.
 TYPED_TEST(BlockCodecTest, RangesCrossBlockBoundaries) {
   TypeParam c = TypeParam::Compress(this->series_, {});
-  const uint64_t bv = BlockCodecInfo<TypeParam>::BlockValues(c);
+  const uint64_t bv = BlockCodecInfo<TypeParam>::kBlockValues;
   const uint64_t n = this->series_.size();
   std::mt19937_64 rng(31);
   std::vector<std::pair<uint64_t, uint64_t>> slices = {
@@ -245,9 +226,9 @@ TYPED_TEST(BlockCodecTest, RangesCrossBlockBoundaries) {
   }
 }
 
-// View (an owning fallback for the XOR streams) serves the identical block
-// surface as Deserialize.
-TYPED_TEST(BlockSurfaceTest, ViewMatchesDeserializeOnBlockSurface) {
+// View (an owning fallback for the XOR streams) decodes every block
+// exactly as Deserialize does.
+TYPED_TEST(BlockCodecTest, ViewMatchesDeserializeOnBlockRanges) {
   TypeParam c = TypeParam::Compress(this->series_, {});
   std::vector<uint8_t> blob;
   c.Serialize(&blob);
@@ -257,16 +238,18 @@ TYPED_TEST(BlockSurfaceTest, ViewMatchesDeserializeOnBlockSurface) {
       reinterpret_cast<const uint8_t*>(aligned.data()), blob.size());
   TypeParam owned = TypeParam::Deserialize(blob);
   TypeParam viewed = TypeParam::View(bytes);
-  ASSERT_EQ(owned.BlockValues(), viewed.BlockValues());
-  const uint64_t bv = owned.BlockValues();
+  const uint64_t n = this->series_.size();
+  ASSERT_EQ(owned.size(), n);
+  ASSERT_EQ(viewed.size(), n);
+  const uint64_t bv = BlockCodecInfo<TypeParam>::kBlockValues;
   std::vector<int64_t> a(bv), b(bv);
-  for (uint64_t blk = 0; blk * bv < this->series_.size(); ++blk) {
-    const uint64_t ca = owned.DecodeBlock(blk, a.data());
-    const uint64_t cb = viewed.DecodeBlock(blk, b.data());
-    ASSERT_EQ(ca, cb);
-    for (uint64_t j = 0; j < ca; ++j) {
-      ASSERT_EQ(a[j], b[j]);
-      ASSERT_EQ(a[j], this->series_[blk * bv + j]);
+  for (uint64_t first = 0; first < n; first += bv) {
+    const uint64_t len = std::min(bv, n - first);
+    owned.DecompressRange(first, len, a.data());
+    viewed.DecompressRange(first, len, b.data());
+    for (uint64_t j = 0; j < len; ++j) {
+      ASSERT_EQ(a[j], b[j]) << first + j;
+      ASSERT_EQ(a[j], this->series_[first + j]) << first + j;
     }
   }
 }
@@ -335,38 +318,27 @@ TYPED_TEST(BlockCodecTest, IndexSectionClobberSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Store level: the decoded-block cache.
+// Store level: shards of every block codec, served by the codec's own
+// Access / AccessBatch.
 // ---------------------------------------------------------------------------
 
 // Access/AccessBatch answer exactly like the raw values for every block
-// codec, with unsorted / duplicate / descending probe orders. Gorilla and
-// Chimp go through the cache, whose stats see hits once blocks are warm;
-// ALP answers from its own Access/AccessBatch and never looks the cache up.
-TEST(StoreBlockCache, ServesBlockCodecsExactly) {
+// codec, with unsorted / duplicate / descending probe orders.
+TEST(BlockCodecStore, ServesBlockCodecsExactly) {
   std::vector<int64_t> values = MixedSeries(16000, 3);
   for (CodecId id : {CodecId::kAlp, CodecId::kGorilla, CodecId::kChimp}) {
-    const bool cached = id != CodecId::kAlp;
     NeatsStoreOptions options;
     options.shard_size = 5000;
     options.codec = id;
     NeatsStore store(options);
     store.Append(values);
     store.Flush();
-    ASSERT_EQ(store.block_cache_stats().hits, 0u);
+    ASSERT_EQ(store.shard_codec(0), id);
 
     std::mt19937_64 rng(47);
     for (int t = 0; t < 2000; ++t) {
       uint64_t k = rng() % values.size();
       ASSERT_EQ(store.Access(k), values[k]) << CodecName(id) << " " << k;
-    }
-    const DecodedBlockCache::Stats after_scalar = store.block_cache_stats();
-    if (cached) {
-      EXPECT_GT(after_scalar.hits, 0u) << CodecName(id);
-      EXPECT_GT(after_scalar.misses, 0u) << CodecName(id);
-      EXPECT_GT(after_scalar.entries, 0u) << CodecName(id);
-    } else {
-      EXPECT_EQ(after_scalar.hits + after_scalar.misses, 0u);
-      EXPECT_EQ(after_scalar.entries, 0u);
     }
 
     for (int trial = 0; trial < 30; ++trial) {
@@ -387,73 +359,14 @@ TEST(StoreBlockCache, ServesBlockCodecsExactly) {
             << CodecName(id) << " probe " << idx[j] << " trial " << trial;
       }
     }
-    const DecodedBlockCache::Stats after_batch = store.block_cache_stats();
-    if (cached) {
-      EXPECT_GT(after_batch.hits, after_scalar.hits) << CodecName(id);
-    } else {
-      EXPECT_EQ(after_batch.hits + after_batch.misses, 0u);
-      EXPECT_EQ(after_batch.entries, 0u);
-    }
   }
-}
-
-// block_cache_bytes = 0 disables the cache entirely: answers stay exact,
-// stats stay zero.
-TEST(StoreBlockCache, DisabledCacheStaysExact) {
-  std::vector<int64_t> values = MixedSeries(12000, 5);
-  NeatsStoreOptions options;
-  options.shard_size = 5000;
-  options.codec = CodecId::kGorilla;
-  options.block_cache_bytes = 0;
-  NeatsStore store(options);
-  store.Append(values);
-  store.Flush();
-  std::mt19937_64 rng(53);
-  std::vector<uint64_t> idx(800);
-  for (auto& k : idx) k = rng() % values.size();
-  std::vector<int64_t> out(idx.size());
-  store.AccessBatch(idx, out);
-  for (size_t j = 0; j < idx.size(); ++j) {
-    ASSERT_EQ(out[j], values[idx[j]]);
-  }
-  for (int t = 0; t < 500; ++t) {
-    uint64_t k = rng() % values.size();
-    ASSERT_EQ(store.Access(k), values[k]);
-  }
-  const DecodedBlockCache::Stats stats = store.block_cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
-// A cache far smaller than the working set evicts (and keeps answering
-// exactly); its footprint respects the byte budget.
-TEST(StoreBlockCache, TinyCacheEvictsWithinBudget) {
-  std::vector<int64_t> values = MixedSeries(16000, 9);
-  NeatsStoreOptions options;
-  options.shard_size = 8000;
-  options.codec = CodecId::kChimp;
-  options.block_cache_bytes = 20000;  // ~2 decoded 1000-value blocks
-  NeatsStore store(options);
-  store.Append(values);
-  store.Flush();
-  std::mt19937_64 rng(59);
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    for (uint64_t k = sweep % 2 == 0 ? 0 : 500; k < values.size(); k += 997) {
-      ASSERT_EQ(store.Access(k), values[k]) << k;
-    }
-  }
-  const DecodedBlockCache::Stats stats = store.block_cache_stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.bytes, options.block_cache_bytes);
-  EXPECT_GT(stats.entries, 0u);
 }
 
 // A directory store whose shards were sealed by different codecs (Neats,
 // then ALP, then Gorilla — options govern future seals across reopens):
 // batches and multi-range reads crossing every shard boundary answer
-// exactly, and only the Gorilla shard populates the cache.
-TEST(StoreBlockCache, MixedCodecStoreBatchesCrossShardBoundaries) {
+// exactly, and so do strided scalar and batched reads over all three.
+TEST(BlockCodecStore, MixedCodecStoreBatchesCrossShardBoundaries) {
   const std::string dir = TempStoreDir("mixed");
   constexpr uint64_t kShard = 6000;
   std::vector<int64_t> values = MixedSeries(3 * kShard, 13);
@@ -516,24 +429,16 @@ TEST(StoreBlockCache, MixedCodecStoreBatchesCrossShardBoundaries) {
     }
     off += r.len;
   }
-  // The Gorilla shard fed the cache; repeated batches hit it.
-  const DecodedBlockCache::Stats stats = store.block_cache_stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  // Probes into the Neats and ALP shards never look the cache up, so every
-  // lookup so far came from the Gorilla shard, and more of them add none.
-  std::vector<uint64_t> native;
-  for (uint64_t k = 0; k < 2 * kShard; k += 37) native.push_back(k);
-  std::shuffle(native.begin(), native.end(), rng);
-  std::vector<int64_t> native_out(native.size());
-  store.AccessBatch(native, native_out);
-  for (size_t j = 0; j < native.size(); ++j) {
-    ASSERT_EQ(native_out[j], values[native[j]]) << native[j];
-    ASSERT_EQ(store.Access(native[j]), values[native[j]]) << native[j];
+  // Strided probes over all three shards, batched and scalar.
+  std::vector<uint64_t> strided;
+  for (uint64_t k = 0; k < values.size(); k += 37) strided.push_back(k);
+  std::shuffle(strided.begin(), strided.end(), rng);
+  std::vector<int64_t> strided_out(strided.size());
+  store.AccessBatch(strided, strided_out);
+  for (size_t j = 0; j < strided.size(); ++j) {
+    ASSERT_EQ(strided_out[j], values[strided[j]]) << strided[j];
+    ASSERT_EQ(store.Access(strided[j]), values[strided[j]]) << strided[j];
   }
-  const DecodedBlockCache::Stats after = store.block_cache_stats();
-  EXPECT_EQ(after.hits, stats.hits);
-  EXPECT_EQ(after.misses, stats.misses);
 
   std::filesystem::remove_all(dir);
 }

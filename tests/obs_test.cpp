@@ -361,6 +361,37 @@ TEST(NeatsStoreObs, MetricsMatchGroundTruth) {
   }
 }
 
+// A traced Access on a sealed Gorilla shard records the tier that answered
+// it: the shard's own codec path (`sealed`), with the shard and codec it
+// routed to.
+TEST(NeatsStoreObs, GorillaAccessTracesSealedTier) {
+  const std::vector<int64_t> values = RampSeries(3000);
+  NeatsStoreOptions options;
+  options.shard_size = 1024;
+  options.codec = CodecId::kGorilla;
+  options.latency_sample_every = 1;
+  NeatsStore store(options);
+  store.Append(values);
+  store.Flush();
+  ASSERT_EQ(store.num_shards(), 3u);
+
+  const std::vector<uint64_t> probes = {5, 5, 1500, 2999};
+  for (uint64_t i : probes) ASSERT_EQ(store.Access(i), values[i]);
+  const std::vector<obs::TraceEvent> accesses =
+      EventsOf(store.TraceDump(), obs::EventId::kAccess);
+  ASSERT_EQ(accesses.size(), probes.size());
+  for (size_t k = 0; k < probes.size(); ++k) {
+    SCOPED_TRACE(probes[k]);
+    EXPECT_EQ(accesses[k].arg, probes[k]);
+    EXPECT_EQ(accesses[k].tier, obs::TraceTier::kSealed);
+    EXPECT_STREQ(obs::TraceTierName(accesses[k].tier), "sealed");
+    EXPECT_EQ(accesses[k].codec, static_cast<uint32_t>(CodecId::kGorilla));
+    EXPECT_STREQ(CodecName(static_cast<CodecId>(accesses[k].codec)),
+                 "gorilla");
+    EXPECT_EQ(accesses[k].shard, probes[k] / options.shard_size);
+  }
+}
+
 // metrics=false is a true off switch: no registry, empty snapshots, empty
 // trace, and every operation still serves correctly.
 TEST(NeatsStoreObs, DisabledMetricsMeansEmptySnapshots) {
