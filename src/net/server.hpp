@@ -112,7 +112,8 @@ struct NeatsServerOptions {
   /// access_batch, ranges, range_sum, stats, and Access runs and range past
   /// the inline caps (NeatsServer::RunsInline). 0 runs those inline on the
   /// IO thread too — single-threaded mode, still correct, useful for
-  /// deterministic tests.
+  /// deterministic tests. Above NeatsServer::kMaxWorkerThreads, or below
+  /// 0, the constructor throws.
   int worker_threads = 3;
 
   /// listen(2) backlog.
@@ -318,12 +319,16 @@ class NeatsServer {
   using Buffer = server_internal::Buffer;
 
  public:
+  /// The largest worker_threads a server accepts.
+  static constexpr int kMaxWorkerThreads = 256;
+
   explicit NeatsServer(const NeatsStore& store,
                        NeatsServerOptions options = {})
       : store_(store),
         options_(std::move(options)),
         obs_(std::make_unique<ServerObs>()),
-        workers_(std::make_unique<ThreadPool>(options_.worker_threads + 1)) {
+        workers_(std::make_unique<ThreadPool>(
+            PoolThreads(options_.worker_threads))) {
     NEATS_REQUIRE(options_.max_frame_bytes >= 64,
                   "max_frame_bytes too small to carry any request");
   }
@@ -407,6 +412,15 @@ class NeatsServer {
   }
 
  private:
+  /// The worker pool's size for `worker_threads` (ThreadPool counts the
+  /// caller). Checked here, before the pool exists, so a rejected value
+  /// starts no thread.
+  static int PoolThreads(int worker_threads) {
+    NEATS_REQUIRE(worker_threads >= 0 && worker_threads <= kMaxWorkerThreads,
+                  "worker_threads must be in [0, kMaxWorkerThreads]");
+    return worker_threads + 1;
+  }
+
   // --- IO loop -------------------------------------------------------------
 
   void IoLoop() {

@@ -1,18 +1,15 @@
-// A log-linear latency histogram — the percentile primitive shared by the
-// observability layer (src/obs/metrics.hpp) and the scenario engine's
-// per-op reporting. Promoted here from src/scenario/ once the store itself
-// grew latency metrics; scenario code keeps a compatibility alias.
+// A log-linear latency histogram — the percentile primitive of the
+// observability layer (src/obs/metrics.hpp), also used by perfbench.
 //
 // HDR-style bucketing: values below 2^kSubBits land in exact unit buckets;
 // above that, each power-of-two octave is split into 2^kSubBits sub-buckets,
 // so the relative quantization error is bounded by 2^-kSubBits (~3% at the
 // default) across the whole nanosecond range. Recording is one shift + one
 // increment — cheap enough to sit inside a per-op timing loop — and
-// instances merge bucket-wise, which is how both consumers aggregate:
-// scenario worker threads own private histograms and merge after joining;
-// the metrics registry keeps per-thread atomic bucket shards and merges
-// them into a plain histogram at snapshot time (AccumulateBucket /
-// AccumulateSummary below are that merge's entry points).
+// instances merge bucket-wise: the metrics registry keeps per-thread
+// atomic bucket shards and merges them into a plain histogram at snapshot
+// time (AccumulateBucket / AccumulateSummary below are that merge's entry
+// points).
 //
 // Empty-histogram contract: every percentile of an empty histogram is 0 —
 // never the clamp max, never a bucket representative. Snapshots taken

@@ -1,10 +1,7 @@
 // Serializers for a MetricsSnapshot: a JSON object (what the server's
-// stats endpoint returns, what `neats_cli stats` prints, and what the
-// scenario runner embeds) and a human-readable text table. Histograms are
-// emitted under "ops" with the same field names the scenario engine's
-// per-op JSON uses (count / p50_ns / p99_ns / p999_ns / max_ns), so
-// dashboards read workload-side and store-side percentiles with one
-// schema.
+// stats endpoint returns and what `neats_cli stats` prints) and a
+// human-readable text table. Histograms are emitted under "ops", one
+// object per op (count / p50_ns / p99_ns / p999_ns / max_ns).
 
 #pragma once
 
@@ -42,14 +39,12 @@ inline void AppendJsonString(std::string* out, const std::string& s) {
 
 /// The snapshot as one JSON object:
 ///   {"counters": {...}, "gauges": {...}, "ops": {"access": {...}, ...}}
-/// `indent` prefixes every line (so embedders align it inside a larger
-/// document); the result carries no trailing newline.
-inline std::string MetricsJson(const MetricsSnapshot& s,
-                               const std::string& indent = "") {
+/// The result carries no trailing newline.
+inline std::string MetricsJson(const MetricsSnapshot& s) {
   using stats_internal::AppendJsonString;
   std::string out;
-  const std::string pad = indent + "  ";
-  out += indent + "{\n" + pad + "\"counters\": {";
+  const std::string pad = "  ";
+  out += "{\n" + pad + "\"counters\": {";
   for (size_t i = 0; i < s.counters.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += pad + "  ";
@@ -78,7 +73,7 @@ inline std::string MetricsJson(const MetricsSnapshot& s,
            ", \"max_ns\": " + std::to_string(h.max()) +
            ", \"mean_ns\": " + mean + "}";
   }
-  out += "}\n" + indent + "}";
+  out += "}\n}";
   return out;
 }
 

@@ -15,8 +15,8 @@
 //                               under concurrency, Scrub repair under load
 //
 // Workload sizes scale linearly with ScenarioOptions::scale; scale=1 is
-// the ctest smoke tier (each scenario well under Debug-seconds), the soak
-// sweep runs bigger. All randomness flows from ScenarioOptions::seed via
+// the smoke size (each scenario well under Debug-seconds), the soak test
+// runs scale=4. All randomness flows from ScenarioOptions::seed via
 // scenario::Rng streams, so a failure's printed repro line replays the
 // exact trace.
 
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,23 +70,19 @@ inline void PointStormReader(ScenarioContext& ctx, const NeatsStore& store,
                              const TaskGroup& group, int reader,
                              uint64_t probes) {
   Rng rng(ctx.seed(), static_cast<uint64_t>(reader) + 1);
-  obs::LatencyHistogram hist;
   uint64_t fp = 0;
   uint64_t verified = 0;
   for (uint64_t p = 0; p < probes; ++p) {
     const uint64_t idx = rng.Below(truth.size());
     fp = MixTraceStep(fp, kOpPoint, idx);
     if (!AwaitFrontier(frontier, idx + 1, group)) return;
-    const uint64_t t0 = NowNs();
     const int64_t got = store.Access(idx);
-    hist.Record(NowNs() - t0);
     ctx.Check(got == truth[idx],
               "point_access[" + std::to_string(idx) + "] = " +
                   std::to_string(got) + ", want " +
                   std::to_string(truth[idx]));
     ++verified;
   }
-  ctx.MergeOp("point_access", hist);
   ctx.MixTrace(fp);
   ctx.CountVerified(verified);
 }
@@ -97,20 +94,16 @@ inline void ChunkedAppender(ScenarioContext& ctx, NeatsStore& store,
                             std::atomic<uint64_t>* frontier,
                             uint64_t mean_chunk) {
   Rng rng(ctx.seed(), /*stream=*/0xA99E);
-  obs::LatencyHistogram hist;
   uint64_t fp = 0;
   uint64_t at = 0;
   while (at < truth.size()) {
     const uint64_t n = std::min<uint64_t>(
         truth.size() - at, mean_chunk / 2 + rng.Below(mean_chunk)); // >= 1
     fp = MixTraceStep(fp, kOpAppend, at, n);
-    const uint64_t t0 = NowNs();
     store.Append({truth.data() + at, n});
-    hist.Record(NowNs() - t0);
     at += n;
     frontier->store(at, std::memory_order_release);
   }
-  ctx.MergeOp("append", hist);
   ctx.MixTrace(fp);
   ctx.CountIngested(at);
 }
@@ -129,21 +122,6 @@ inline void VerifyWholeStore(ScenarioContext& ctx, const NeatsStore& store,
               "final sweep diverges at index " + std::to_string(i));
   }
   ctx.CountVerified(truth.size());
-}
-
-/// The scenario's closing move: pull the store's own StatsSnapshot() into
-/// the result, so every report carries store-side counters and latency
-/// percentiles next to the workload-side histograms, plus a headline note.
-inline void AttachStoreObservability(ScenarioContext& ctx,
-                                     const NeatsStore& store) {
-  obs::MetricsSnapshot snap = store.StatsSnapshot();
-  if (snap.counters.empty()) return;  // store ran with metrics disabled
-  const uint64_t* access = snap.counter("access.ops");
-  const uint64_t* seals = snap.counter("seal.count");
-  ctx.Note("store metrics: access.ops=" +
-           std::to_string(access != nullptr ? *access : 0) +
-           " seal.count=" + std::to_string(seals != nullptr ? *seals : 0));
-  ctx.AttachStoreMetrics(std::move(snap));
 }
 
 // --- 1. steady_ingest_point_storm ------------------------------------------
@@ -174,7 +152,6 @@ inline void SteadyIngestPointStorm(ScenarioContext& ctx) {
   group.Wait();
   store.Flush();
   VerifyWholeStore(ctx, store, ds.values);
-  AttachStoreObservability(ctx, store);
 }
 
 // --- 2. dashboard_fanout ----------------------------------------------------
@@ -204,9 +181,8 @@ inline void DashboardFanout(ScenarioContext& ctx) {
   constexpr uint64_t kPanels = 8;
   TaskGroup group(ctx.readers() + 1);
   group.Spawn([&] {
-    // The trickle: small appends with yields — enough writer-lock traffic
-    // to surface reader starvation or torn routing, not enough to matter
-    // to the refresh numbers.
+    // The trickle: small appends with yields — enough writer traffic to
+    // surface torn routing or a reader stalled behind the writer.
     Rng rng(ctx.seed(), /*stream=*/0xA99E);
     uint64_t fp = 0;
     uint64_t at = n;
@@ -224,7 +200,6 @@ inline void DashboardFanout(ScenarioContext& ctx) {
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      obs::LatencyHistogram refresh_hist, sum_hist;
       uint64_t fp = 0;
       uint64_t verified = 0;
       std::vector<IndexRange> panels(kPanels);
@@ -238,9 +213,7 @@ inline void DashboardFanout(ScenarioContext& ctx) {
           total += p.len;
         }
         got.resize(total);
-        uint64_t t0 = NowNs();
         store.DecompressRanges(panels, got.data());
-        refresh_hist.Record(NowNs() - t0);
         uint64_t o = 0;
         for (const IndexRange& p : panels) {
           for (uint64_t i = 0; i < p.len; ++i, ++o) {
@@ -253,16 +226,12 @@ inline void DashboardFanout(ScenarioContext& ctx) {
         const uint64_t len = 128 + rng.Below(4096 - 128);
         const uint64_t from = rng.Below(n - len);
         fp = MixTraceStep(fp, kOpSum, from, len);
-        t0 = NowNs();
         const int64_t sum = store.RangeSum(from, len);
-        sum_hist.Record(NowNs() - t0);
         ctx.Check(sum == prefix[from + len] - prefix[from],
                   "range sum diverges at [" + std::to_string(from) + ", +" +
                       std::to_string(len) + ")");
         ++verified;
       }
-      ctx.MergeOp("fanout_refresh", refresh_hist);
-      ctx.MergeOp("range_sum", sum_hist);
       ctx.MixTrace(fp);
       ctx.CountVerified(verified);
     });
@@ -272,7 +241,6 @@ inline void DashboardFanout(ScenarioContext& ctx) {
   std::vector<int64_t> all(ds.values.begin(),
                            ds.values.begin() + n + trickle);
   VerifyWholeStore(ctx, store, all);
-  AttachStoreObservability(ctx, store);
 }
 
 // --- 3. burst_append_during_seal --------------------------------------------
@@ -297,12 +265,10 @@ inline void BurstAppendDuringSeal(ScenarioContext& ctx) {
     // Bursts of back-to-back shard-sized appends, then a breath: each
     // burst outruns the sealer, so reads land on pending chunks for real.
     Rng rng(ctx.seed(), /*stream=*/0xA99E);
-    obs::LatencyHistogram hist;
     uint64_t fp = 0;
     uint64_t at = 0;
     while (at < n) {
       const uint64_t burst = std::min<uint64_t>(n - at, 4096);
-      const uint64_t t0 = NowNs();
       for (uint64_t done = 0; done < burst;) {
         const uint64_t take = std::min<uint64_t>(burst - done, 256);
         fp = MixTraceStep(fp, kOpAppend, at, take);
@@ -311,17 +277,14 @@ inline void BurstAppendDuringSeal(ScenarioContext& ctx) {
         done += take;
         frontier.store(at, std::memory_order_release);
       }
-      hist.Record(NowNs() - t0);
       std::this_thread::yield();
     }
-    ctx.MergeOp("append_burst", hist);
     ctx.MixTrace(fp);
     ctx.CountIngested(at);
   });
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      obs::LatencyHistogram hist;
       uint64_t fp = 0;
       uint64_t verified = 0;
       std::vector<uint64_t> idx(kBatch);
@@ -336,33 +299,27 @@ inline void BurstAppendDuringSeal(ScenarioContext& ctx) {
           idx[j] = rng.Below(horizon);
           fp = MixTraceStep(fp, kOpBatch, idx[j]);
         }
-        const uint64_t t0 = NowNs();
         store.AccessBatch(idx, out);
-        hist.Record(NowNs() - t0);
         for (uint64_t j = 0; j < kBatch; ++j) {
           ctx.Check(out[j] == values[idx[j]],
                     "batch_access[" + std::to_string(idx[j]) + "] diverges");
         }
         verified += kBatch;
       }
-      ctx.MergeOp("batch_access", hist);
       ctx.MixTrace(fp);
       ctx.CountVerified(verified);
     });
   }
   group.Wait();
-  ctx.Note("pending seals at join: " +
-           std::to_string(store.num_pending_seals()));
   store.Flush();
   VerifyWholeStore(ctx, store, values);
-  AttachStoreObservability(ctx, store);
 }
 
 // --- 4. reopen_under_load ---------------------------------------------------
 
 /// A flushed directory store is re-opened (several times) while readers
 /// keep draining the old handle: both handles must serve bit-identical
-/// values, and the open itself is timed as an op.
+/// values.
 inline void ReopenUnderLoad(ScenarioContext& ctx) {
   const uint64_t n = 16384 * ctx.scale();
   const Dataset ds = MakeDataset("UK", n, ctx.seed());
@@ -382,29 +339,22 @@ inline void ReopenUnderLoad(ScenarioContext& ctx) {
     // The reopener: OpenDir the same directory the old handle still
     // serves, then verify seeded probes through the fresh handle.
     Rng rng(ctx.seed(), /*stream=*/0x09E4);
-    obs::LatencyHistogram open_hist, probe_hist;
     uint64_t fp = 0;
     uint64_t verified = 0;
     for (uint64_t round = 0; round < 4 * ctx.scale(); ++round) {
       fp = MixTraceStep(fp, kOpReopen, round);
-      uint64_t t0 = NowNs();
       NeatsStore fresh = NeatsStore::OpenDir("reopen", options);
-      open_hist.Record(NowNs() - t0);
       ctx.Check(!fresh.degraded(), "fresh handle opened degraded");
       ctx.Check(fresh.size() == n, "fresh handle size diverges");
       for (uint64_t p = 0; p < 512; ++p) {
         const uint64_t idx = rng.Below(n);
         fp = MixTraceStep(fp, kOpPoint, idx);
-        t0 = NowNs();
         const int64_t got = fresh.Access(idx);
-        probe_hist.Record(NowNs() - t0);
         ctx.Check(got == ds.values[idx],
                   "fresh handle diverges at index " + std::to_string(idx));
         ++verified;
       }
     }
-    ctx.MergeOp("reopen_open", open_hist);
-    ctx.MergeOp("point_access_new", probe_hist);
     ctx.MixTrace(fp);
     ctx.CountVerified(verified);
   });
@@ -417,7 +367,6 @@ inline void ReopenUnderLoad(ScenarioContext& ctx) {
   }
   group.Wait();
   VerifyWholeStore(ctx, store, ds.values);
-  AttachStoreObservability(ctx, store);
 }
 
 // --- 5. mixed_codec_auto_churn ----------------------------------------------
@@ -465,22 +414,13 @@ inline void MixedCodecAutoChurn(ScenarioContext& ctx) {
   group.Spawn([&] {
     // Segment-at-a-time appends; a Flush every few segments cycles the
     // WAL/manifest machinery under reader load.
-    obs::LatencyHistogram append_hist, flush_hist;
     uint64_t fp = 0;
     for (uint64_t seg = 0; seg < segments; ++seg) {
       fp = MixTraceStep(fp, kOpAppend, seg * kSegment, kSegment);
-      uint64_t t0 = NowNs();
       store.Append({values.data() + seg * kSegment, kSegment});
-      append_hist.Record(NowNs() - t0);
       frontier.store((seg + 1) * kSegment, std::memory_order_release);
-      if ((seg + 1) % 6 == 0) {
-        t0 = NowNs();
-        store.Flush();
-        flush_hist.Record(NowNs() - t0);
-      }
+      if ((seg + 1) % 6 == 0) store.Flush();
     }
-    ctx.MergeOp("append", append_hist);
-    ctx.MergeOp("flush", flush_hist);
     ctx.MixTrace(fp);
     ctx.CountIngested(segments * kSegment);
   });
@@ -496,14 +436,13 @@ inline void MixedCodecAutoChurn(ScenarioContext& ctx) {
 
   std::map<CodecId, size_t> mix;
   for (size_t s = 0; s < store.num_shards(); ++s) ++mix[store.shard_codec(s)];
-  std::string note = "codec mix:";
+  std::string codecs;
   for (const auto& [codec, count] : mix) {
-    note += " " + std::string(CodecName(codec)) + "=" + std::to_string(count);
+    codecs += " " + std::string(CodecName(codec)) + "=" + std::to_string(count);
   }
-  ctx.Note(note);
   ctx.Check(mix.size() >= 2,
-            "auto-seal picked a single codec for every shard — " + note);
-  AttachStoreObservability(ctx, store);
+            "auto-seal picked a single codec for every shard — codec mix:" +
+                codecs);
 }
 
 // --- 6. corrupt_shard_recovery ----------------------------------------------
@@ -587,20 +526,17 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
   for (int r = 0; r < ctx.readers(); ++r) {
     group.Spawn([&, r] {
       Rng rng(ctx.seed(), static_cast<uint64_t>(r) + 1);
-      obs::LatencyHistogram degraded_hist, probe_hist;
       uint64_t fp = 0;
       uint64_t verified = 0, unavailable = 0;
       for (uint64_t p = 0; p < kHoleProbes; ++p) {
         const uint64_t idx = rng.Below(hole);
         fp = MixTraceStep(fp, kOpPoint, idx);
-        const uint64_t t0 = NowNs();
         try {
           const int64_t got = store.Access(idx);
           ctx.Check(false, "quarantined read returned " +
                                std::to_string(got) + " at index " +
                                std::to_string(idx));
         } catch (const Error& e) {
-          degraded_hist.Record(NowNs() - t0);
           ctx.Check(e.code() == StatusCode::kUnavailable,
                     "quarantined read failed untyped: " +
                         std::string(e.what()));
@@ -611,16 +547,13 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
       for (uint64_t p = 0; p < 1024 * ctx.scale(); ++p) {
         const uint64_t idx = rng.Below(n);
         fp = MixTraceStep(fp, kOpPoint, idx);
-        const uint64_t t0 = NowNs();
         try {
           const int64_t got = store.Access(idx);
-          probe_hist.Record(NowNs() - t0);
           ctx.Check(got == values[idx],
                     "degraded-store read diverges at index " +
                         std::to_string(idx));
           ++verified;
         } catch (const Error& e) {
-          degraded_hist.Record(NowNs() - t0);
           ctx.Check(e.code() == StatusCode::kUnavailable &&
                         idx < hole,
                     "unexpected failure at index " + std::to_string(idx) +
@@ -628,8 +561,6 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
           ++unavailable;
         }
       }
-      ctx.MergeOp("degraded_probe", degraded_hist);
-      ctx.MergeOp("point_access", probe_hist);
       ctx.MixTrace(fp);
       ctx.CountVerified(verified);
       ctx.CountUnavailable(unavailable);
@@ -641,11 +572,7 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
     if (group.failed()) break;
     std::this_thread::yield();
   }
-  obs::LatencyHistogram scrub_hist;
-  const uint64_t t0 = NowNs();
   const NeatsStore::RepairReport& report = store.Scrub();
-  scrub_hist.Record(NowNs() - t0);
-  ctx.MergeOp("scrub", scrub_hist);
   ctx.Check(report.quarantined.empty(),
             "Scrub left a shard quarantined");
   ctx.Check(report.repaired.size() == 1 && report.repaired[0] == 0,
@@ -654,7 +581,6 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
 
   ctx.Check(!store.degraded(), "store still degraded after repair");
   VerifyWholeStore(ctx, store, values);
-  AttachStoreObservability(ctx, store);
 
   // The repair is durable: a fresh open is fully healthy.
   NeatsStore again = NeatsStore::OpenDir("corrupt", base_options(&fs));
@@ -664,38 +590,18 @@ inline void CorruptShardRecovery(ScenarioContext& ctx) {
 
 }  // namespace scenarios_internal
 
-/// Registers the six built-in scenarios (idempotent).
-inline void RegisterBuiltinScenarios() {
-  static const bool registered = [] {
-    using namespace scenarios_internal;
-    ScenarioRegistry& reg = ScenarioRegistry::Instance();
-    reg.Register({"steady_ingest_point_storm",
-                  "one appender + point-lookup readers trailing the frontier",
-                  SteadyIngestPointStorm});
-    reg.Register({"dashboard_fanout",
-                  "multi-range refreshes + range sums over a flushed prefix",
-                  DashboardFanout});
-    reg.Register({"burst_append_during_seal",
-                  "bursty appends racing the background sealer and batched reads",
-                  BurstAppendDuringSeal});
-    reg.Register({"reopen_under_load",
-                  "OpenDir of a live directory while readers drain the old handle",
-                  ReopenUnderLoad});
-    reg.Register({"mixed_codec_auto_churn",
-                  "kAuto seal churn over alternating data shapes, readers trailing",
-                  MixedCodecAutoChurn});
-    reg.Register({"corrupt_shard_recovery",
-                  "torn-shard quarantine + Scrub repair under a reader storm",
-                  CorruptShardRecovery});
-    return true;
-  }();
-  (void)registered;
-}
-
-/// The registry with the built-ins guaranteed present.
-inline const ScenarioRegistry& BuiltinScenarios() {
-  RegisterBuiltinScenarios();
-  return ScenarioRegistry::Instance();
+/// The six built-in scenarios, in the order the tests run them.
+inline std::span<const Scenario> BuiltinScenarios() {
+  using namespace scenarios_internal;
+  static constexpr Scenario kBuiltins[] = {
+      {"steady_ingest_point_storm", SteadyIngestPointStorm},
+      {"dashboard_fanout", DashboardFanout},
+      {"burst_append_during_seal", BurstAppendDuringSeal},
+      {"reopen_under_load", ReopenUnderLoad},
+      {"mixed_codec_auto_churn", MixedCodecAutoChurn},
+      {"corrupt_shard_recovery", CorruptShardRecovery},
+  };
+  return kBuiltins;
 }
 
 }  // namespace neats::scenario

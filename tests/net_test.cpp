@@ -152,6 +152,17 @@ TEST(StatsJsonParser, AcceptsAndRejects) {
   EXPECT_FALSE(ParseJson(deep, &v));  // past the depth limit, cleanly
 }
 
+// worker_threads outside [0, kMaxWorkerThreads] is a typed error at
+// construction, checked before the worker pool starts any thread.
+TEST(ServerOptions, WorkerThreadsOutOfRangeIsRejected) {
+  const NeatsStore store;
+  for (int bad : {-1, NeatsServer::kMaxWorkerThreads + 1}) {
+    NeatsServerOptions options;
+    options.worker_threads = bad;
+    EXPECT_THROW({ NeatsServer server(store, options); }, Error) << bad;
+  }
+}
+
 // --- Loopback fixture -----------------------------------------------------
 
 /// A store with deterministic contents behind a running server. The value

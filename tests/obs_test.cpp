@@ -1,4 +1,5 @@
-// Tests for the observability layer (src/obs/): exact concurrent counter
+// Tests for the observability layer (src/obs/): the latency histogram's
+// bucketing, percentile accuracy and merging, exact concurrent counter
 // totals through the per-thread slab registry, deterministic sampling
 // ticks, snapshot coherence while recording threads are live, flight-
 // recorder wraparound and torn-read protection under concurrent writers,
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +25,6 @@
 #include "io/text_io.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log_sink.hpp"
-#include "scenario/scenarios.hpp"
 #include "store/neats_store.hpp"
 #include "store/wal.hpp"
 
@@ -44,6 +45,59 @@ TEST(LatencyHistogram, EmptyPercentilesAreZero) {
   EXPECT_EQ(h.p99(), 0u);
   EXPECT_EQ(h.p999(), 0u);
   EXPECT_EQ(h.max(), 0u);
+}
+
+TEST(LatencyHistogram, SmallValuesAreExact) {
+  obs::LatencyHistogram h;
+  for (uint64_t v = 0; v < obs::LatencyHistogram::kSub; ++v) h.Record(v);
+  EXPECT_EQ(h.count(), obs::LatencyHistogram::kSub);
+  EXPECT_EQ(h.max(), obs::LatencyHistogram::kSub - 1);
+  // With one sample per unit bucket, every quantile is the exact value.
+  EXPECT_EQ(h.Percentile(1.0 / obs::LatencyHistogram::kSub), 0u);
+  EXPECT_EQ(h.p50(), obs::LatencyHistogram::kSub / 2 - 1);
+  EXPECT_EQ(h.Percentile(1.0), obs::LatencyHistogram::kSub - 1);
+}
+
+TEST(LatencyHistogram, PercentilesWithinRelativeErrorBound) {
+  obs::LatencyHistogram h;
+  for (uint64_t v = 1; v <= 100000; ++v) h.Record(v);
+  // Bucket width / value <= 2^-kSubBits, so any reported percentile sits
+  // within ~3.2% of the true rank value.
+  const double bound = 1.0 / (1 << obs::LatencyHistogram::kSubBits);
+  for (double q : {0.5, 0.9, 0.99, 0.999}) {
+    const double want = q * 100000;
+    const double got = static_cast<double>(h.Percentile(q));
+    EXPECT_NEAR(got, want, want * bound) << "q=" << q;
+  }
+  EXPECT_EQ(h.max(), 100000u);
+  EXPECT_NEAR(h.mean(), 50000.5, 1.0);
+}
+
+TEST(LatencyHistogram, MergeMatchesCombinedRecording) {
+  obs::LatencyHistogram a, b, both;
+  std::mt19937_64 rng(99);
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t v = rng() % 1000000;
+    (i % 2 == 0 ? a : b).Record(v);
+    both.Record(v);
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.max(), both.max());
+  for (double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {
+    EXPECT_EQ(a.Percentile(q), both.Percentile(q)) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogram, HugeValuesBucketSanely) {
+  obs::LatencyHistogram h;
+  const uint64_t huge = uint64_t{1} << 62;
+  h.Record(huge);
+  h.Record(1);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.max(), huge);
+  const double got = static_cast<double>(h.Percentile(1.0));
+  EXPECT_NEAR(got, static_cast<double>(huge), static_cast<double>(huge) * 0.04);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,26 +643,6 @@ TEST(NeatsStoreObs, QuarantinedReadsCountErrorsWithoutLogSpam) {
   EXPECT_EQ(*snap.counter("quarantine.entered"), 1u);
   EXPECT_EQ(*snap.gauge("store.quarantined_shards"), 1);
   std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario integration: the engine attaches the store's own snapshot.
-// ---------------------------------------------------------------------------
-
-TEST(NeatsStoreObs, ScenarioAttachesStoreMetrics) {
-  const scenario::Scenario* s =
-      scenario::BuiltinScenarios().Find("steady_ingest_point_storm");
-  ASSERT_NE(s, nullptr);
-  scenario::ScenarioOptions options;
-  options.scale = 1;
-  const scenario::ScenarioResult r = scenario::RunScenario(*s, options);
-  const uint64_t* access = r.store_metrics.counter("access.ops");
-  ASSERT_NE(access, nullptr);
-  EXPECT_GT(*access, 0u);
-  const obs::LatencyHistogram* h = r.store_metrics.histogram("access");
-  ASSERT_NE(h, nullptr);
-  EXPECT_GT(h->count(), 0u);
-  EXPECT_GT(h->p99(), 0u);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
-// The scenario engine's own suite (ISSUE: scenario engine).
+// The scenario engine's own suite.
 //
-// Covers the three layers: the latency histogram (bucketing math,
-// percentile accuracy, merging), the registry/runner contract (named,
-// seeded, deterministic — same seed, same workload trace), and a smoke
-// run of every built-in scenario at ctest scale. Plus the two store-layer
-// satellites the scenarios lean on: exact Gorilla reads from concurrent
-// threads, and reopen-under-load bit-identity on the real filesystem.
+// Covers the built-in table and the runner contract (named, seeded,
+// deterministic — same seed, same workload trace), a smoke run of every
+// built-in scenario and a soak run at four times that size. Plus the two
+// store-layer satellites the scenarios lean on: exact Gorilla reads from
+// concurrent threads, and reopen-under-load bit-identity on the real
+// filesystem.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "datasets/generators.hpp"
@@ -21,132 +24,42 @@
 namespace neats {
 namespace {
 
-using obs::LatencyHistogram;
 using scenario::BuiltinScenarios;
 using scenario::Rng;
 using scenario::RunScenario;
 using scenario::Scenario;
 using scenario::ScenarioOptions;
-using scenario::ScenarioRegistry;
 using scenario::ScenarioResult;
 using scenario::TaskGroup;
 
 // ---------------------------------------------------------------------------
-// LatencyHistogram.
+// The built-in table and the runner.
 // ---------------------------------------------------------------------------
 
-TEST(LatencyHistogram, SmallValuesAreExact) {
-  LatencyHistogram h;
-  for (uint64_t v = 0; v < LatencyHistogram::kSub; ++v) h.Record(v);
-  EXPECT_EQ(h.count(), LatencyHistogram::kSub);
-  EXPECT_EQ(h.max(), LatencyHistogram::kSub - 1);
-  // With one sample per unit bucket, every quantile is the exact value.
-  EXPECT_EQ(h.Percentile(1.0 / LatencyHistogram::kSub), 0u);
-  EXPECT_EQ(h.p50(), LatencyHistogram::kSub / 2 - 1);
-  EXPECT_EQ(h.Percentile(1.0), LatencyHistogram::kSub - 1);
-}
-
-TEST(LatencyHistogram, PercentilesWithinRelativeErrorBound) {
-  LatencyHistogram h;
-  for (uint64_t v = 1; v <= 100000; ++v) h.Record(v);
-  // Bucket width / value <= 2^-kSubBits, so any reported percentile sits
-  // within ~3.2% of the true rank value.
-  const double bound = 1.0 / (1 << LatencyHistogram::kSubBits);
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double want = q * 100000;
-    const double got = static_cast<double>(h.Percentile(q));
-    EXPECT_NEAR(got, want, want * bound) << "q=" << q;
+TEST(Scenarios, BuiltinTableHasTheSixByName) {
+  const std::vector<std::string_view> want = {
+      "steady_ingest_point_storm", "dashboard_fanout",
+      "burst_append_during_seal",  "reopen_under_load",
+      "mixed_codec_auto_churn",    "corrupt_shard_recovery"};
+  ASSERT_EQ(BuiltinScenarios().size(), want.size());
+  std::set<std::string_view> names;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(BuiltinScenarios()[i].name, want[i]);
+    EXPECT_NE(BuiltinScenarios()[i].run, nullptr);
+    names.insert(BuiltinScenarios()[i].name);
   }
-  EXPECT_EQ(h.max(), 100000u);
-  EXPECT_NEAR(h.mean(), 50000.5, 1.0);
+  EXPECT_EQ(names.size(), want.size());
 }
 
-TEST(LatencyHistogram, EmptyReportsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.p50(), 0u);
-  EXPECT_EQ(h.p999(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(LatencyHistogram, MergeMatchesCombinedRecording) {
-  LatencyHistogram a, b, both;
-  Rng rng(99, 0);
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t v = rng.Next() % 1000000;
-    (i % 2 == 0 ? a : b).Record(v);
-    both.Record(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_EQ(a.max(), both.max());
-  for (double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_EQ(a.Percentile(q), both.Percentile(q)) << "q=" << q;
-  }
-}
-
-TEST(LatencyHistogram, HugeValuesBucketSanely) {
-  LatencyHistogram h;
-  const uint64_t huge = uint64_t{1} << 62;
-  h.Record(huge);
-  h.Record(1);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.max(), huge);
-  const double got = static_cast<double>(h.Percentile(1.0));
-  EXPECT_NEAR(got, static_cast<double>(huge), static_cast<double>(huge) * 0.04);
-}
-
-// ---------------------------------------------------------------------------
-// Registry and runner.
-// ---------------------------------------------------------------------------
-
-TEST(ScenarioRegistry, BuiltinsRegisteredOnceEach) {
-  const ScenarioRegistry& reg = BuiltinScenarios();
-  EXPECT_GE(reg.All().size(), 6u);
-  for (const char* name :
-       {"steady_ingest_point_storm", "dashboard_fanout",
-        "burst_append_during_seal", "reopen_under_load",
-        "mixed_codec_auto_churn", "corrupt_shard_recovery"}) {
-    const Scenario* s = reg.Find(name);
-    ASSERT_NE(s, nullptr) << name;
-    EXPECT_EQ(s->name, name);
-    EXPECT_FALSE(s->description.empty());
-  }
-  EXPECT_EQ(reg.Find("no_such_scenario"), nullptr);
-  // Registration is idempotent through the public entry point.
-  scenario::RegisterBuiltinScenarios();
-  EXPECT_EQ(BuiltinScenarios().All().size(), reg.All().size());
-}
-
-TEST(ScenarioRegistry, DuplicateNameRejected) {
-  scenario::RegisterBuiltinScenarios();
-  EXPECT_THROW(ScenarioRegistry::Instance().Register(
-                   {"dashboard_fanout", "dup", [](auto&) {}}),
-               Error);
-}
-
-// Every built-in runs clean at smoke scale, verifies reads, and reports
-// coherent percentiles for every op it timed.
-TEST(Scenarios, AllBuiltinsSmoke) {
-  ScenarioOptions options;
-  options.seed = 3;
-  options.scale = 1;
-  options.readers = 2;
-  for (const Scenario& s : BuiltinScenarios().All()) {
+// Runs every built-in with `options` and checks what each one verified.
+void RunAllBuiltins(const ScenarioOptions& options) {
+  for (const Scenario& s : BuiltinScenarios()) {
     SCOPED_TRACE(s.name);
     const ScenarioResult r = RunScenario(s, options);
     EXPECT_EQ(r.name, s.name);
     EXPECT_EQ(r.options.seed, options.seed);
     EXPECT_GT(r.values_ingested, 0u);
     EXPECT_GT(r.reads_verified, 0u);
-    EXPECT_FALSE(r.ops.empty());
-    for (const auto& [op, h] : r.ops) {
-      SCOPED_TRACE(op);
-      EXPECT_GT(h.count(), 0u);
-      EXPECT_LE(h.p50(), h.p99());
-      EXPECT_LE(h.p99(), h.p999());
-      EXPECT_LE(h.p999(), h.max());
-    }
     if (s.name == "corrupt_shard_recovery") {
       // The quarantine window is part of the script: typed failures are
       // counted, never silent.
@@ -157,6 +70,24 @@ TEST(Scenarios, AllBuiltinsSmoke) {
   }
 }
 
+// Every built-in runs clean at smoke scale and verifies reads.
+TEST(Scenarios, AllBuiltinsSmoke) {
+  ScenarioOptions options;
+  options.seed = 3;
+  options.scale = 1;
+  options.readers = 2;
+  RunAllBuiltins(options);
+}
+
+// The soak sweep: every built-in at four times the smoke size.
+TEST(Scenarios, AllBuiltinsAtSoakScale) {
+  ScenarioOptions options;
+  options.seed = 42;
+  options.scale = 4;
+  options.readers = 3;
+  RunAllBuiltins(options);
+}
+
 // The determinism contract: the workload trace is a pure function of the
 // options — same seed, same schedule-independent fingerprint, on every
 // built-in; a different seed diverges.
@@ -165,7 +96,7 @@ TEST(Scenarios, SameSeedSameTrace) {
   options.seed = 11;
   options.scale = 1;
   options.readers = 2;
-  for (const Scenario& s : BuiltinScenarios().All()) {
+  for (const Scenario& s : BuiltinScenarios()) {
     SCOPED_TRACE(s.name);
     const ScenarioResult first = RunScenario(s, options);
     const ScenarioResult second = RunScenario(s, options);
@@ -175,8 +106,11 @@ TEST(Scenarios, SameSeedSameTrace) {
 }
 
 TEST(Scenarios, DifferentSeedDifferentTrace) {
-  const Scenario* s = BuiltinScenarios().Find("steady_ingest_point_storm");
-  ASSERT_NE(s, nullptr);
+  const auto builtins = BuiltinScenarios();
+  const auto s = std::find_if(
+      builtins.begin(), builtins.end(),
+      [](const Scenario& b) { return b.name == "steady_ingest_point_storm"; });
+  ASSERT_NE(s, builtins.end());
   ScenarioOptions options;
   options.readers = 2;
   options.seed = 11;
@@ -188,8 +122,7 @@ TEST(Scenarios, DifferentSeedDifferentTrace) {
 
 // A failing verification must print the one-line repro.
 TEST(Scenarios, FailureCarriesReproLine) {
-  Scenario bad{"always_fails", "test-only",
-               [](scenario::ScenarioContext& ctx) {
+  Scenario bad{"always_fails", [](scenario::ScenarioContext& ctx) {
                  ctx.Check(false, "synthetic failure");
                }};
   ScenarioOptions options;

@@ -15,13 +15,16 @@
 // accepting, finish in-flight requests, flush buffers, close, and — when
 // the store came from --dir — Flush() the hot tail durably.
 
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "datasets/generators.hpp"
@@ -66,25 +69,41 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value is one whole decimal token in [0, max]: no sign, no
+    // suffix, no wrap-around.
+    auto number = [&](uint64_t max) -> uint64_t {
+      const char* text = next();
+      const char* end = text + std::strlen(text);
+      uint64_t v = 0;
+      const auto [stop, ec] = std::from_chars(text, end, v);
+      if (ec != std::errc() || stop != end || v > max) {
+        std::fprintf(stderr,
+                     "%s needs a whole number in [0, %llu], got '%s'\n",
+                     arg.c_str(), static_cast<unsigned long long>(max), text);
+        std::exit(Usage(argv[0]));
+      }
+      return v;
+    };
     if (arg == "--dir") {
       dir = next();
     } else if (arg == "--synthetic") {
-      synthetic = std::strtoull(next(), nullptr, 10);
+      synthetic = number(std::numeric_limits<size_t>::max());
     } else if (arg == "--dataset") {
       dataset = next();
     } else if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      options.port = static_cast<uint16_t>(number(65535));
     } else if (arg == "--port-file") {
       port_file = next();
     } else if (arg == "--workers") {
-      options.worker_threads = std::atoi(next());
+      options.worker_threads = static_cast<int>(
+          number(neats::net::NeatsServer::kMaxWorkerThreads));
     } else if (arg == "--max-inflight") {
-      options.max_inflight = std::strtoull(next(), nullptr, 10);
+      options.max_inflight = number(std::numeric_limits<size_t>::max());
     } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout_ms =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      options.idle_timeout_ms = static_cast<uint32_t>(
+          number(std::numeric_limits<uint32_t>::max()));
     } else {
       return Usage(argv[0]);
     }
