@@ -2,7 +2,7 @@
 // learned fragments (the picture of Figure 1), query single values and
 // ranges, and verify the round trip.
 //
-//   $ ./build/examples/quickstart
+//   $ ./build/example_quickstart
 
 #include <cmath>
 #include <cstdio>
@@ -70,27 +70,10 @@ int main() {
   std::printf("cursor sum over [390, 410) = %lld\n",
               static_cast<long long>(sum));
 
-  // --- Scaling knobs (NeatsOptions). ---
-  // chunk_size cuts the series into blocks that num_threads threads
-  // partition concurrently: deterministic output (identical for every
-  // thread count), near-linear compression scaling, at a tiny ratio cost
-  // (fragments cannot span block boundaries). Without chunk_size the
-  // partition is one serial sweep and num_threads has no effect.
-  neats::NeatsOptions scaled;
-  scaled.num_threads = 4;   // 0 = one thread per hardware core
-  scaled.chunk_size = 400;  // 0 = one global partition (best ratio)
-  neats::Neats chunked = neats::Neats::Compress(values, scaled);
-  double chunked_ratio = 100.0 * static_cast<double>(chunked.SizeInBits()) /
-                         (64.0 * static_cast<double>(values.size()));
-  std::printf("chunked (4 threads, 400/block): %zu fragments, %.2f%% of raw\n",
-              chunked.num_fragments(), chunked_ratio);
-
-  // --- Verify the lossless round trip (both compression modes). ---
+  // --- Verify the lossless round trip. ---
   std::vector<int64_t> decoded;
   compressed.Decompress(&decoded);
-  bool ok = decoded == values;
-  chunked.Decompress(&decoded);
-  ok = ok && decoded == values;
+  const bool ok = decoded == values;
   std::printf("\nlossless round trip: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

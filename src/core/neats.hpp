@@ -47,20 +47,6 @@ namespace neats {
 /// Compression options for Neats::Compress.
 struct NeatsOptions {
   PartitionOptions partition;
-
-  /// Threads that partition the chunks concurrently when `chunk_size` is
-  /// set (bit-identical output for every thread count). 1 = serial, 0 = all
-  /// hardware threads. Without chunking the partition is one serial sweep
-  /// and this option has no effect.
-  int num_threads = 1;
-
-  /// When non-zero, the series is cut into disjoint blocks of this many
-  /// values, each block is partitioned independently (concurrently on
-  /// `num_threads` threads) and the fragment lists are stitched. The output
-  /// is deterministic — identical bytes for every thread count — but may be
-  /// slightly larger than the global partition, since fragments never span
-  /// a block boundary. 0 = single global partition.
-  uint64_t chunk_size = 0;
 };
 
 /// A half-open index range [from, from + len) of the decompressed series —
@@ -80,9 +66,7 @@ class Neats {
   /// Compresses `values`. Values must lie within ±2^61 (see kMaxAbsValue).
   static Neats Compress(std::span<const int64_t> values,
                         const NeatsOptions& options = {}) {
-    std::vector<int64_t> eps = options.partition.epsilons;
-    if (eps.empty()) eps = DefaultEpsilons(ShiftView(values).shifted);
-    return CompressImpl(values, options, eps);
+    return CompressImpl(ShiftView(values), options.partition);
   }
 
   /// SNeaTS (paper, Sec. IV-C1): runs the partitioner on the first
@@ -91,10 +75,10 @@ class Neats {
   /// the whole series over the cross product of the kinds and the epsilons
   /// of the `top_pairs` best-ranked pairs (not over those pairs alone).
   /// Ties in the ranking fall to the smaller (kind id, eps), so the output
-  /// is a pure function of `values` and the arguments. Explicit
-  /// `options.partition.pairs` skip the sample and are searched as given;
-  /// a series shorter than twice its sample skips it too and runs the full
-  /// search, since the sample run would cost more than it saves.
+  /// is a pure function of `values` and the arguments. A series shorter
+  /// than twice its sample skips it and runs the full search, since the
+  /// sample run would cost more than it saves. `sample_fraction` must lie
+  /// in [0, 1].
   static Neats CompressWithModelSelection(std::span<const int64_t> values,
                                           const NeatsOptions& options = {},
                                           double sample_fraction = 0.1,
@@ -323,24 +307,16 @@ class Neats {
     return sv;
   }
 
-  static Neats CompressImpl(std::span<const int64_t> values,
-                            const NeatsOptions& options,
-                            const std::vector<int64_t>& epsilons) {
+  /// Partitions the shifted series (empty `options.epsilons` derives the
+  /// default E set from it: it depends only on max - min, so shifting does
+  /// not change it) and lays the fragments out.
+  static Neats CompressImpl(const ShiftedValues& sv,
+                            const PartitionOptions& options) {
     Neats out;
-    out.n_ = values.size();
-    if (values.empty()) return out;
-
-    ShiftedValues sv = ShiftView(values);
+    out.n_ = sv.shifted.size();
+    if (sv.shifted.empty()) return out;
     out.shift_ = sv.shift;
-
-    PartitionOptions popts = options.partition;
-    popts.epsilons = epsilons;
-    std::vector<Fragment> fragments =
-        options.chunk_size > 0
-            ? PartitionLosslessChunked(sv.shifted, options.chunk_size,
-                                       options.num_threads, popts)
-            : PartitionLossless(sv.shifted, popts);
-    out.BuildLayout(sv.shifted, fragments);
+    out.BuildLayout(sv.shifted, PartitionLossless(sv.shifted, options));
     return out;
   }
 
@@ -782,11 +758,12 @@ inline Neats Neats::CompressWithModelSelection(std::span<const int64_t> values,
                                                const NeatsOptions& options,
                                                double sample_fraction,
                                                size_t top_pairs) {
-  if (!options.partition.pairs.empty()) return Compress(values, options);
+  NEATS_REQUIRE(sample_fraction >= 0 && sample_fraction <= 1,
+                "sample_fraction outside [0, 1]");
+  const ShiftedValues sv = ShiftView(values);
   const size_t sample_n = std::max<size_t>(1000, static_cast<size_t>(
       static_cast<double>(values.size()) * sample_fraction));
-  if (2 * sample_n > values.size()) return Compress(values, options);
-  ShiftedValues sv = ShiftView(values);
+  if (2 * sample_n > values.size()) return CompressImpl(sv, options.partition);
 
   PartitionOptions popts = options.partition;
   if (popts.epsilons.empty()) popts.epsilons = DefaultEpsilons(sv.shifted);
@@ -818,22 +795,21 @@ inline Neats Neats::CompressWithModelSelection(std::span<const int64_t> values,
   });
   if (uses.size() > top_pairs) uses.resize(top_pairs);
 
-  NeatsOptions pruned = options;
-  pruned.partition.kinds.clear();
-  pruned.partition.epsilons.clear();
+  PartitionOptions pruned = options.partition;
+  pruned.kinds.clear();
+  pruned.epsilons.clear();
   for (const PairUse& u : uses) {
-    if (std::find(pruned.partition.kinds.begin(), pruned.partition.kinds.end(),
-                  u.kind) == pruned.partition.kinds.end()) {
-      pruned.partition.kinds.push_back(u.kind);
+    if (std::find(pruned.kinds.begin(), pruned.kinds.end(), u.kind) ==
+        pruned.kinds.end()) {
+      pruned.kinds.push_back(u.kind);
     }
-    if (std::find(pruned.partition.epsilons.begin(),
-                  pruned.partition.epsilons.end(),
-                  u.eps) == pruned.partition.epsilons.end()) {
-      pruned.partition.epsilons.push_back(u.eps);
+    if (std::find(pruned.epsilons.begin(), pruned.epsilons.end(), u.eps) ==
+        pruned.epsilons.end()) {
+      pruned.epsilons.push_back(u.eps);
     }
   }
-  if (pruned.partition.kinds.empty()) return Compress(values, options);
-  return CompressImpl(values, pruned, pruned.partition.epsilons);
+  if (pruned.kinds.empty()) return CompressImpl(sv, options.partition);
+  return CompressImpl(sv, pruned);
 }
 
 }  // namespace neats

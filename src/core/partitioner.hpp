@@ -26,7 +26,6 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "common/thread_pool.hpp"
 #include "functions/approximator.hpp"
 #include "functions/kinds.hpp"
 
@@ -60,12 +59,6 @@ struct PartitionOptions {
   /// {0} ∪ {2^i : i = 0 .. ⌈log Δ⌉} with Δ the value range (Sec. III-B).
   std::vector<int64_t> epsilons;
 
-  /// Explicit (kind, eps) pairs. When non-empty, this list is used instead
-  /// of the cross product kinds × epsilons. (Model selection does not fill
-  /// it: it narrows `kinds` and `epsilons` to those of its top pairs and
-  /// searches their cross product; Neats::CompressWithModelSelection.)
-  std::vector<std::pair<FunctionKind, int64_t>> pairs;
-
   /// Bits charged for each stored function parameter.
   int bits_per_parameter = 64;
 
@@ -95,17 +88,14 @@ inline std::vector<int64_t> DefaultEpsilons(std::span<const int64_t> values) {
 
 namespace internal {
 
-/// Requires a non-empty (kind, eps) search set — `pairs`, else kinds ×
-/// `epsilons` — whose every eps lies in [0, kMaxAbsValue].
+/// Requires a non-empty (kind, eps) search set kinds × `epsilons` whose
+/// every eps lies in [0, kMaxAbsValue].
 inline void RequireValidSearchSet(const PartitionOptions& options,
                                   const std::vector<int64_t>& epsilons) {
-  const bool by_pairs = !options.pairs.empty();
-  NEATS_REQUIRE(by_pairs || (!options.kinds.empty() && !epsilons.empty()),
+  NEATS_REQUIRE(!options.kinds.empty() && !epsilons.empty(),
                 "empty (kind, eps) search set");
   auto valid = [](int64_t eps) { return eps >= 0 && eps <= kMaxAbsValue; };
-  auto eps_of = [](const auto& pair) { return pair.second; };
-  NEATS_REQUIRE(by_pairs ? std::ranges::all_of(options.pairs, valid, eps_of)
-                         : std::ranges::all_of(epsilons, valid),
+  NEATS_REQUIRE(std::ranges::all_of(epsilons, valid),
                 "epsilon outside [0, 2^61]");
 }
 
@@ -145,16 +135,10 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
     uint64_t next_k = 0;      // node at which to rebuild
   };
   std::vector<Active> active;
-  auto add_pair = [&](FunctionKind kind, int64_t eps) {
-    active.push_back({FragmentBuilder(0, kind, eps, values[0]), Fragment{}});
-  };
-  if (!options.pairs.empty()) {
-    active.reserve(options.pairs.size());
-    for (const auto& [kind, eps] : options.pairs) add_pair(kind, eps);
-  } else {
-    active.reserve(options.kinds.size() * epsilons.size());
-    for (FunctionKind kind : options.kinds) {
-      for (int64_t eps : epsilons) add_pair(kind, eps);
+  active.reserve(options.kinds.size() * epsilons.size());
+  for (FunctionKind kind : options.kinds) {
+    for (int64_t eps : epsilons) {
+      active.push_back({FragmentBuilder(0, kind, eps, values[0]), Fragment{}});
     }
   }
 
@@ -235,59 +219,6 @@ std::vector<Fragment> PartitionImpl(std::span<const int64_t> values,
 
 }  // namespace internal
 
-/// The bit size BuildLayout will actually charge for `frag` — corrections at
-/// the width of the real residual range (not the CorrectionBits(eps) bound
-/// the partitioner plans with) plus parameters and per-fragment metadata.
-inline uint64_t StoredFragmentBits(std::span<const int64_t> values,
-                                   const Fragment& frag,
-                                   const PartitionOptions& options) {
-  std::vector<int64_t> pred(frag.length());
-  frag.PredictRun(frag.start, frag.length(), pred.data());
-  int64_t lo = 0, hi = 0;
-  for (uint64_t k = frag.start; k < frag.end; ++k) {
-    int64_t r = values[k] - pred[k - frag.start];
-    lo = std::min(lo, r);
-    hi = std::max(hi, r);
-  }
-  return frag.length() * static_cast<uint64_t>(ResidualBits(lo, hi)) +
-         static_cast<uint64_t>(NumParams(frag.kind)) *
-             static_cast<uint64_t>(options.bits_per_parameter) +
-         static_cast<uint64_t>(options.fragment_overhead_bits);
-}
-
-namespace internal {
-
-/// Boundary-merge pass of the chunked partitioner: when the fragment ending
-/// at a chunk boundary and the one starting it share (kind, eps), refit the
-/// union from a's start and keep the merged fragment when the fit is still
-/// feasible AND the stored encoding does not grow (the merged residual width
-/// can exceed either part's, so feasibility alone is not enough). Returns
-/// the merged fragment through `out`; false leaves the pair split. The
-/// refit's origin is a.start, so a suffix-born `a` loses its displaced
-/// origin — correct, since the refit re-verifies the union from scratch.
-inline bool TryMergeAtBoundary(std::span<const int64_t> values,
-                               const Fragment& a, const Fragment& b,
-                               const PartitionOptions& options, Fragment* out) {
-  if (a.kind != b.kind || a.epsilon != b.epsilon || a.end != b.start) {
-    return false;
-  }
-  FragmentBuilder builder(a.start, a.kind, a.epsilon, values[a.start]);
-  for (uint64_t k = a.start; k < b.end; ++k) {
-    if (!builder.TryExtend(k, values[k])) return false;
-  }
-  Fragment merged = builder.Finish();
-  NEATS_DCHECK(merged.end == b.end);
-  if (StoredFragmentBits(values, merged, options) >
-      StoredFragmentBits(values, a, options) +
-          StoredFragmentBits(values, b, options)) {
-    return false;
-  }
-  *out = merged;
-  return true;
-}
-
-}  // namespace internal
-
 /// Partitions `values` to minimise the bit size of the lossless NeaTS
 /// encoding (functions + corrections). Returns contiguous fragments covering
 /// [0, n).
@@ -299,87 +230,6 @@ inline std::vector<Fragment> PartitionLossless(std::span<const int64_t> values,
                                  [&](const Fragment& f) {
                                    return internal::LosslessWeight(f, options);
                                  });
-}
-
-/// Chunked variant of PartitionLossless: cuts the series into disjoint
-/// blocks of `chunk_size` values, partitions each block independently (the
-/// blocks run concurrently on `num_threads` threads), and stitches the
-/// per-block fragment lists with a boundary-merge pass: adjacent fragments
-/// meeting at a block boundary that share (kind, eps) are re-fitted as one
-/// and merged whenever the union is still feasible and not larger — so a
-/// fit that happens to span a boundary (a long trend cut mid-flight) is
-/// recovered instead of paying two parameter sets and two metadata rows.
-/// Merged fragments cascade across further boundaries up to a fixed span
-/// cap (kMaxMergeSpanChunks blocks), which keeps the stitch pass linear.
-/// The result is a valid partition of the whole series and is deterministic
-/// — identical for every thread count — because the block boundaries are
-/// fixed, each block's partition is deterministic, and the merge pass runs
-/// serially on the stitched list. It can still differ from the global
-/// partition, trading a (now smaller) sliver of compression ratio for
-/// near-linear compression scaling.
-///
-/// When `options.epsilons` is empty the E set is derived once from the whole
-/// series, not per block, so every block searches the same (kind, eps) grid.
-inline std::vector<Fragment> PartitionLosslessChunked(
-    std::span<const int64_t> values, uint64_t chunk_size, int num_threads,
-    const PartitionOptions& options = {}) {
-  const uint64_t n = values.size();
-  if (chunk_size == 0 || chunk_size >= n) {
-    return PartitionLossless(values, options);
-  }
-  PartitionOptions chunk_options = options;
-  if (chunk_options.epsilons.empty()) {
-    chunk_options.epsilons = DefaultEpsilons(values);
-  }
-  // Validated here: a throw inside a pool worker would terminate.
-  internal::RequireValidSearchSet(chunk_options, chunk_options.epsilons);
-
-  const size_t num_chunks = static_cast<size_t>(CeilDiv(n, chunk_size));
-  std::vector<std::vector<Fragment>> per_chunk(num_chunks);
-  auto run_chunk = [&](size_t c) {
-    uint64_t begin = static_cast<uint64_t>(c) * chunk_size;
-    uint64_t end = std::min<uint64_t>(n, begin + chunk_size);
-    per_chunk[c] = PartitionLossless(values.subspan(begin, end - begin),
-                                     chunk_options);
-    for (Fragment& frag : per_chunk[c]) {
-      frag.start += begin;
-      frag.end += begin;
-      frag.origin += begin;
-    }
-  };
-  if (ResolveNumThreads(num_threads) > 1 && num_chunks > 1) {
-    ThreadPool pool(std::min<int>(ResolveNumThreads(num_threads),
-                                  static_cast<int>(num_chunks)));
-    pool.ParallelFor(num_chunks, run_chunk);
-  } else {
-    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
-  }
-
-  // Boundary-merge stitch. The cascade is capped: once a merged fragment
-  // spans kMaxMergeSpanChunks blocks, further boundaries keep the split.
-  // Every attempt costs O(merged length) (refit + residual-width scans),
-  // so without the cap a fit spanning k blocks would cost O(k^2 * chunk)
-  // across its boundaries — the cap bounds the whole pass at O(n) with a
-  // small constant, and gives back only ~one fragment's metadata per
-  // kMaxMergeSpanChunks blocks on endlessly mergeable input.
-  constexpr uint64_t kMaxMergeSpanChunks = 16;
-  const uint64_t max_merge_len = kMaxMergeSpanChunks * chunk_size;
-  std::vector<Fragment> result;
-  for (std::vector<Fragment>& frags : per_chunk) {
-    size_t at = 0;
-    if (!result.empty() && !frags.empty() &&
-        result.back().length() + frags.front().length() <= max_merge_len) {
-      Fragment merged;
-      if (internal::TryMergeAtBoundary(values, result.back(), frags.front(),
-                                       chunk_options, &merged)) {
-        result.back() = merged;  // cascades: a block-spanning merge may
-        at = 1;                  // merge again at the next boundary
-      }
-    }
-    result.insert(result.end(), frags.begin() + static_cast<ptrdiff_t>(at),
-                  frags.end());
-  }
-  return result;
 }
 
 /// Partitions `values` for lossy compression under the single error bound

@@ -18,7 +18,6 @@ namespace neats {
 inline Neats CompressLeaTS(std::span<const int64_t> values,
                            NeatsOptions options = {}) {
   options.partition.kinds = {FunctionKind::kLinear};
-  options.partition.pairs.clear();
   return Neats::Compress(values, options);
 }
 

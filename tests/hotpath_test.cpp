@@ -1,6 +1,5 @@
 // Tests for the performance subsystem: bulk correction unpacking, the
-// thread pool, parallel/chunked compression (bit-identity & determinism),
-// and the sequential-access cursor.
+// thread pool, and the sequential-access cursor.
 
 #include <gtest/gtest.h>
 
@@ -91,57 +90,6 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   size_t sum = 0;  // no atomics needed: everything runs on this thread
   pool.ParallelFor(100, [&](size_t i) { sum += i; });
   EXPECT_EQ(sum, 4950u);
-}
-
-TEST(Neats, ChunkedCompressionIsDeterministicAndLossless) {
-  std::vector<int64_t> values = MixedKindSeries(8000, 2);
-  NeatsOptions chunked1;
-  chunked1.chunk_size = 1500;
-  chunked1.num_threads = 1;
-  NeatsOptions chunked4 = chunked1;
-  chunked4.num_threads = 4;
-
-  Neats c1 = Neats::Compress(values, chunked1);
-  Neats c4 = Neats::Compress(values, chunked4);
-  std::vector<uint8_t> bytes1, bytes4;
-  c1.Serialize(&bytes1);
-  c4.Serialize(&bytes4);
-  EXPECT_EQ(bytes1, bytes4);
-
-  // Without chunking the partition is one serial sweep: num_threads must
-  // not change a byte.
-  NeatsOptions global4;
-  global4.num_threads = 4;
-  std::vector<uint8_t> global_serial, global_threads;
-  Neats::Compress(values).Serialize(&global_serial);
-  Neats::Compress(values, global4).Serialize(&global_threads);
-  EXPECT_EQ(global_serial, global_threads);
-
-  std::vector<int64_t> decoded;
-  c4.Decompress(&decoded);
-  EXPECT_EQ(decoded, values);
-  for (size_t k = 0; k < values.size(); k += 37) {
-    ASSERT_EQ(c4.Access(k), values[k]) << k;
-  }
-}
-
-TEST(Neats, ChunkedBoundaryMergeBitIdenticalToGlobalOnMergeFriendlyInput) {
-  // On a series the global partitioner covers with one fragment, the
-  // chunked path's boundary-merge pass must collapse the per-chunk
-  // fragments back into that exact fragment — serialized bytes and all.
-  std::vector<int64_t> values;
-  for (size_t i = 0; i < 5000; ++i) {
-    values.push_back(3 * static_cast<int64_t>(i) + 101);
-  }
-  std::vector<uint8_t> global_bytes;
-  Neats::Compress(values).Serialize(&global_bytes);
-  for (uint64_t chunk : {uint64_t{512}, uint64_t{1700}}) {
-    NeatsOptions chunked;
-    chunked.chunk_size = chunk;
-    std::vector<uint8_t> chunked_bytes;
-    Neats::Compress(values, chunked).Serialize(&chunked_bytes);
-    EXPECT_EQ(chunked_bytes, global_bytes) << "chunk=" << chunk;
-  }
 }
 
 TEST(Neats, CursorIterationMatchesAccessEverywhere) {

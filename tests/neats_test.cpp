@@ -130,19 +130,12 @@ TEST(Neats, LargeMagnitudeValues) {
 // instead of compressing with wrapped correction widths.
 TEST(Neats, NegativeEpsilonIsAFailedStatus) {
   std::vector<int64_t> values = RandomWalk(3000, 8, 5);
-  NeatsOptions by_eps;
-  by_eps.partition.epsilons = {-1, 4};
-  NeatsOptions by_pairs;
-  by_pairs.partition.pairs = {{FunctionKind::kLinear, 2},
-                              {FunctionKind::kRadical, -3}};
-  for (NeatsOptions options : {by_eps, by_pairs}) {
-    for (uint64_t chunk : {uint64_t{0}, uint64_t{1000}}) {
-      options.chunk_size = chunk;
-      options.num_threads = 2;
-      auto compress = [&] { return Neats::Compress(values, options); };
-      EXPECT_FALSE(Checked(compress).ok()) << "chunk_size=" << chunk;
-    }
-  }
+  NeatsOptions options;
+  options.partition.epsilons = {-1, 4};
+  EXPECT_FALSE(Checked([&] { return Neats::Compress(values, options); }).ok());
+  EXPECT_FALSE(Checked([&] {
+                 return Neats::CompressWithModelSelection(values, options);
+               }).ok());
   EXPECT_FALSE(Checked([&] { return NeatsLossy::Compress(values, -1); }).ok());
 }
 
@@ -221,19 +214,11 @@ std::vector<uint8_t> BlobOf(const Neats& compressed) {
   return bytes;
 }
 
-// Model selection runs no sample when it cannot change or pay for the
-// result: explicit pairs are searched as given, and a series shorter than
-// twice its sample (here 1999 < 2 * 1000) gets the full search. With one
-// kept pair, a sampled run differs from the full search (the 2000 case).
+// Model selection runs no sample when it cannot pay for it: a series
+// shorter than twice its sample (here 1999 < 2 * 1000) gets the full
+// search. With one kept pair, a sampled run differs from the full search
+// (the 2000 case).
 TEST(Neats, ModelSelectionSkipsTheSampleWhenItCannotPay) {
-  const auto values = RandomWalk(30000, 41, 20);
-  NeatsOptions with_pairs;
-  with_pairs.partition.pairs = {{FunctionKind::kLinear, 8},
-                                {FunctionKind::kQuadratic, 32}};
-  EXPECT_EQ(BlobOf(Neats::CompressWithModelSelection(values, with_pairs, 0.1,
-                                                     1)),
-            BlobOf(Neats::Compress(values, with_pairs)));
-
   const auto short_values = RandomWalk(1999, 43, 20);
   EXPECT_EQ(BlobOf(Neats::CompressWithModelSelection(short_values, {}, 0.1,
                                                      1)),
@@ -242,6 +227,22 @@ TEST(Neats, ModelSelectionSkipsTheSampleWhenItCannotPay) {
   EXPECT_NE(BlobOf(Neats::CompressWithModelSelection(long_values, {}, 0.1,
                                                      1)),
             BlobOf(Neats::Compress(long_values)));
+}
+
+// A sample fraction outside [0, 1] (NaN included) is an options error, not
+// an out-of-range cast to the sample length; both ends are valid.
+TEST(Neats, ModelSelectionRejectsASampleFractionOutsideTheUnitRange) {
+  const auto values = RandomWalk(30000, 47, 20);
+  for (double bad : {-0.1, std::nan(""), -1e30, 1.5}) {
+    EXPECT_THROW(Neats::CompressWithModelSelection(values, {}, bad), Error)
+        << bad;
+  }
+  for (double fraction : {0.0, 1.0}) {
+    Neats compressed = Neats::CompressWithModelSelection(values, {}, fraction);
+    std::vector<int64_t> decoded;
+    compressed.Decompress(&decoded);
+    EXPECT_EQ(decoded, values) << fraction;
+  }
 }
 
 TEST(Neats, LeaTSStaysLossless) {

@@ -189,46 +189,21 @@ TEST(Partitioner, SuffixEdgesNeverHurt) {
   for (const auto& frag : frag_without) EXPECT_EQ(frag.origin, frag.start);
 }
 
-TEST(Partitioner, ExplicitPairsRestrictTheSearch) {
-  auto values = RandomWalk(3000, 37, 10);
-  PartitionOptions options;
-  options.pairs = {{FunctionKind::kLinear, 4}};
-  auto fragments = PartitionLossless(values, options);
-  CheckContiguousCover(fragments, values.size());
-  for (const auto& frag : fragments) {
-    EXPECT_EQ(frag.kind, FunctionKind::kLinear);
-    EXPECT_EQ(frag.epsilon, 4);
-  }
-}
-
-TEST(Partitioner, ExplicitPairsNeedNoKinds) {
-  // `kinds` is unused when `pairs` is set, so an empty `kinds` is fine.
-  auto values = RandomWalk(2000, 41, 6);
-  PartitionOptions options;
-  options.kinds.clear();
-  options.pairs = {{FunctionKind::kQuadratic, 2}, {FunctionKind::kLinear, 8}};
-  auto fragments = PartitionLossless(values, options);
-  CheckContiguousCover(fragments, values.size());
-  CheckApproximation(values, fragments);
-  EXPECT_FALSE(PartitionLossy(values, 8, options).empty());
-  // Without pairs, an empty kinds list leaves nothing to search.
-  options.pairs.clear();
-  EXPECT_THROW(PartitionLossless(values, options), Error);
-}
-
+// A search set with an eps outside [0, 2^61] is an options error, and so is
+// one with no kinds.
 TEST(Partitioner, RejectsEpsilonOutsideRange) {
   auto values = RandomWalk(3000, 43, 6);
   for (int64_t bad : {int64_t{-1}, kMaxAbsValue + 1}) {
-    PartitionOptions by_eps;
-    by_eps.epsilons = {bad, 4};
-    EXPECT_THROW(PartitionLossless(values, by_eps), Error) << bad;
-    EXPECT_THROW(PartitionLosslessChunked(values, 1000, 2, by_eps), Error);
-    PartitionOptions by_pairs;
-    by_pairs.pairs = {{FunctionKind::kLinear, 4}, {FunctionKind::kLinear, bad}};
-    EXPECT_THROW(PartitionLossless(values, by_pairs), Error) << bad;
-    EXPECT_THROW(PartitionLosslessChunked(values, 1000, 2, by_pairs), Error);
+    PartitionOptions options;
+    options.epsilons = {bad, 4};
+    EXPECT_THROW(PartitionLossless(values, options), Error) << bad;
     EXPECT_THROW(PartitionLossy(values, bad), Error) << bad;
   }
+  // An empty kinds list leaves nothing to search.
+  PartitionOptions no_kinds;
+  no_kinds.kinds.clear();
+  EXPECT_THROW(PartitionLossless(values, no_kinds), Error);
+  EXPECT_THROW(PartitionLossy(values, 8, no_kinds), Error);
   // The range's ends are valid.
   PartitionOptions edges;
   edges.kinds = {FunctionKind::kLinear};
@@ -254,86 +229,6 @@ TEST(Partitioner, DefaultEpsilonsShape) {
   EXPECT_EQ(eps.front(), 0);
   EXPECT_EQ(eps.back(), 128);  // 2^ceil(log2 101) = 128
   for (size_t i = 2; i < eps.size(); ++i) EXPECT_EQ(eps[i], 2 * eps[i - 1]);
-}
-
-// The chunked partitioner's boundary-merge pass: on a series one fit covers
-// entirely, the stitched per-chunk fragments must collapse back into the
-// single fragment the global partitioner finds — same refit from index 0,
-// so the result is identical, not merely equivalent.
-TEST(PartitionChunked, BoundaryMergeRecoversGlobalPartition) {
-  std::vector<int64_t> values;
-  for (size_t i = 0; i < 6000; ++i) {
-    values.push_back(7 * static_cast<int64_t>(i) + 13);  // exact line
-  }
-  PartitionOptions options;
-  std::vector<Fragment> global = PartitionLossless(values, options);
-  ASSERT_EQ(global.size(), 1u);
-  for (uint64_t chunk : {uint64_t{700}, uint64_t{1024}, uint64_t{2999}}) {
-    std::vector<Fragment> chunked =
-        PartitionLosslessChunked(values, chunk, 1, options);
-    ASSERT_EQ(chunked.size(), 1u) << "chunk=" << chunk;
-    EXPECT_EQ(chunked[0].start, global[0].start);
-    EXPECT_EQ(chunked[0].end, global[0].end);
-    EXPECT_EQ(chunked[0].origin, global[0].origin);
-    EXPECT_EQ(chunked[0].kind, global[0].kind);
-    EXPECT_EQ(chunked[0].epsilon, global[0].epsilon);
-    for (int p = 0; p < 3; ++p) {
-      EXPECT_EQ(chunked[0].params[p], global[0].params[p]) << p;
-    }
-  }
-}
-
-// On general inputs the merge must keep every invariant: contiguous cover,
-// eps-valid fits, determinism across thread counts, and a stored size never
-// above the merge-free stitching (the merge is gated on the actual residual
-// widths, not just feasibility).
-TEST(PartitionChunked, BoundaryMergeKeepsInvariantsOnMixedSeries) {
-  std::vector<int64_t> values = RandomWalk(9000, 21, 40);
-  // Splice in a long exact ramp crossing several chunk boundaries so at
-  // least some merges actually fire.
-  for (size_t i = 3000; i < 6000; ++i) {
-    values[i] = 5 * static_cast<int64_t>(i);
-  }
-  PartitionOptions options;
-  std::vector<Fragment> chunked1 =
-      PartitionLosslessChunked(values, 1000, 1, options);
-  std::vector<Fragment> chunked4 =
-      PartitionLosslessChunked(values, 1000, 4, options);
-  CheckContiguousCover(chunked1, values.size());
-  CheckApproximation(values, chunked1);
-  ASSERT_EQ(chunked1.size(), chunked4.size());
-  for (size_t i = 0; i < chunked1.size(); ++i) {
-    EXPECT_EQ(chunked1[i].start, chunked4[i].start) << i;
-    EXPECT_EQ(chunked1[i].end, chunked4[i].end) << i;
-    EXPECT_EQ(chunked1[i].params[0], chunked4[i].params[0]) << i;
-  }
-  // The ramp spans chunks [3000, 6000): without merging there would be a
-  // fragment break at every 1000-boundary inside it.
-  size_t breaks_inside_ramp = 0;
-  for (const Fragment& f : chunked1) {
-    if (f.start > 3000 && f.start < 6000 && f.start % 1000 == 0) {
-      ++breaks_inside_ramp;
-    }
-  }
-  EXPECT_LT(breaks_inside_ramp, 2u);
-  // Merging never stores more bits than the unmerged stitching.
-  uint64_t merged_bits = 0;
-  for (const Fragment& f : chunked1) {
-    merged_bits += StoredFragmentBits(values, f, options);
-  }
-  uint64_t split_bits = 0;
-  for (uint64_t begin = 0; begin < values.size(); begin += 1000) {
-    uint64_t len = std::min<uint64_t>(1000, values.size() - begin);
-    std::span<const int64_t> block(values.data() + begin, len);
-    for (const Fragment& f : PartitionLossless(block, options)) {
-      Fragment shifted = f;
-      shifted.start += begin;
-      shifted.end += begin;
-      shifted.origin += begin;
-      split_bits += StoredFragmentBits(values, shifted, options);
-    }
-  }
-  EXPECT_LE(merged_bits, split_bits);
 }
 
 TEST(Partitioner, CorrectionBitsFormula) {
